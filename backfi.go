@@ -203,8 +203,9 @@ type (
 	MultiTagStats = core.MultiTagStats
 	// SlotResult is one jointly decoded slot.
 	SlotResult = core.SlotResult
-	// SlotPool shares immutable excitation templates across sessions
-	// (copy-on-write session state).
+	// SlotPool shares immutable excitation templates, a pure function
+	// of the burst shape, across sessions; it retains at most 32 MiB
+	// of them, least recently used first out.
 	SlotPool = core.SlotPool
 )
 
@@ -218,7 +219,9 @@ func NewMultiTagSession(cfg MultiTagSessionConfig) (*MultiTagSession, error) {
 	return core.NewMultiTagSession(cfg)
 }
 
-// NewSlotPool builds an empty excitation-template pool keyed by seed.
+// NewSlotPool builds an empty excitation-template pool. The seed has
+// no effect (templates depend on no seed); it is kept for callers
+// written against earlier builds.
 func NewSlotPool(seed int64) *SlotPool { return core.NewSlotPool(seed) }
 
 // Observability (DESIGN.md §5c): a registry set on LinkConfig.Obs

@@ -16,6 +16,7 @@ import (
 	"os"
 	"time"
 
+	"backfi/internal/benchio"
 	"backfi/internal/experiments"
 	"backfi/internal/fault"
 	"backfi/internal/obs"
@@ -35,7 +36,15 @@ func main() {
 	benchOut := flag.String("benchout", "", "write per-figure headline metrics + wall-clock seconds to this JSON file (e.g. BENCH_results.json)")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus text on ADDR/metrics and pprof on ADDR/debug/pprof/ while running (e.g. localhost:9090)")
 	manifestOut := flag.String("manifest", "", "write a per-run manifest (config, seed, build info, per-figure wall clock + headline metric, final metric snapshot) to this JSON file")
+	micro := flag.Int("micro", 0, "instead of figures, time the single-tag link pipeline this many times and merge the spread under micro.RunPacket in -benchout")
 	flag.Parse()
+
+	if *micro > 0 {
+		if err := runMicro(*micro, *benchOut); err != nil {
+			log.Fatalf("micro: %v", err)
+		}
+		return
+	}
 
 	opt := experiments.Options{Trials: *trials, Seed: *seed, Workers: *workers}
 	if *impair < 0 || *impair > 1 {
@@ -243,19 +252,13 @@ func headlineMetric(fig string, data any) (string, float64) {
 	return "n/a", 0
 }
 
-// writeBench writes the per-figure summaries if a path was given.
+// writeBench merges the per-figure summaries under "figures" if a
+// path was given.
 func writeBench(path string, bench map[string]benchEntry) {
 	if path == "" {
 		return
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		log.Fatalf("benchout: %v", err)
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(bench); err != nil {
+	if err := benchio.Merge(path, "figures", bench); err != nil {
 		log.Fatalf("benchout: %v", err)
 	}
 	log.Printf("wrote %s", path)

@@ -24,6 +24,7 @@ import (
 	"sync"
 	"time"
 
+	"backfi/internal/benchio"
 	"backfi/internal/core"
 	"backfi/internal/energy"
 	"backfi/internal/fault"
@@ -146,7 +147,7 @@ func energySoak(p energyParams) {
 		log.Fatal(err)
 	}
 	if p.out != "" {
-		if err := mergeOut(p.out, "wild", sum); err != nil {
+		if err := benchio.Merge(p.out, "wild", sum); err != nil {
 			log.Fatalf("out: %v", err)
 		}
 		log.Printf("merged wild entry into %s", p.out)

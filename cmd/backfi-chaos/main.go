@@ -34,6 +34,7 @@ import (
 	"sync"
 	"time"
 
+	"backfi/internal/benchio"
 	"backfi/internal/cluster"
 	"backfi/internal/core"
 	"backfi/internal/fault"
@@ -304,7 +305,7 @@ func main() {
 		log.Fatal(err)
 	}
 	if *out != "" {
-		if err := mergeOut(*out, "chaos", sum); err != nil {
+		if err := benchio.Merge(*out, "chaos", sum); err != nil {
 			log.Fatalf("out: %v", err)
 		}
 		log.Printf("merged chaos entry into %s", *out)
@@ -420,25 +421,6 @@ func soak(addr string, sessions, frames, payloadBytes, killEvery int, seed int64
 		res.DeliveryRate = float64(res.Delivered) / float64(res.Offered)
 	}
 	return res, nil
-}
-
-// mergeOut folds the summary into path under key, preserving every
-// other top-level key ("figures", "micro", "serving", ...).
-func mergeOut(path, key string, sum map[string]any) error {
-	doc := map[string]any{}
-	if b, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(b, &doc); err != nil {
-			return fmt.Errorf("existing %s: %w", path, err)
-		}
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return err
-	}
-	doc[key] = sum
-	b, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
 }
 
 // clusterParams carries the parsed flags into the cluster harness.
@@ -759,7 +741,7 @@ func clusterChaos(p clusterParams) {
 		log.Fatal(err)
 	}
 	if p.out != "" {
-		if err := mergeOut(p.out, "cluster_chaos", sum); err != nil {
+		if err := benchio.Merge(p.out, "cluster_chaos", sum); err != nil {
 			log.Fatalf("out: %v", err)
 		}
 		log.Printf("merged cluster_chaos entry into %s", p.out)

@@ -11,7 +11,7 @@
 // Example (self-contained, no external daemon):
 //
 //	backfi-loadgen -selfserve -sessions 8 -frames 100 -out BENCH_results.json
-//	backfi-loadgen -selfserve -proto binary -session-cache -fast \
+//	backfi-loadgen -selfserve -proto binary -fast \
 //	    -out-key serving_binary -out BENCH_results.json
 //
 // Multi-tag churn mode (-churn, DESIGN.md §5i) walks a heavy-tailed
@@ -29,7 +29,7 @@
 // goodput scales with nodes when CPUs are available (the summary
 // records gomaxprocs so gates can scale their expectations):
 //
-//	backfi-loadgen -selfserve -cluster 3 -proto binary -session-cache \
+//	backfi-loadgen -selfserve -cluster 3 -proto binary \
 //	    -out-key serving_cluster -out BENCH_results.json
 package main
 
@@ -49,6 +49,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"backfi/internal/benchio"
 	"backfi/internal/cluster"
 	"backfi/internal/core"
 	"backfi/internal/fault"
@@ -78,7 +79,6 @@ func main() {
 	retries := flag.Int("retries", 2, "per-frame ARQ budget (-selfserve only)")
 	seed := flag.Int64("seed", 1, "daemon base seed (-selfserve only)")
 	impair := flag.Float64("impair", 0, "RF impairment severity in [0,1] (-selfserve only)")
-	sessionCache := flag.Bool("session-cache", false, "enable the per-session link cache on the self-served daemon (DESIGN.md §5g; -selfserve only)")
 	fastTag := flag.Bool("fast", false, "serve the fast tag configuration (16-PSK, rate 2/3, 2.5 Msym/s) instead of the default (-selfserve only)")
 	adapt := flag.Bool("adapt", false, "closed-loop rate adaptation on the self-served daemon (DESIGN.md §5f, -selfserve only)")
 	minSymRate := flag.Float64("min-symrate", 0, "with -adapt, restrict the ladder to symbol rates ≥ this (-selfserve only)")
@@ -154,7 +154,6 @@ func main() {
 			Shards:       *shards,
 			QueueDepth:   *queue,
 			BatchMax:     *batch,
-			SessionCache: *sessionCache,
 			SessionTTL:   *ttl,
 			Handoff:      *clusterNodes > 1,
 
@@ -301,7 +300,6 @@ func main() {
 	}
 	if *selfserve {
 		sum["shards"] = *shards
-		sum["session_cache"] = *sessionCache
 		if *fastTag {
 			sum["fast_tag"] = true
 		}
@@ -322,7 +320,7 @@ func main() {
 		}
 	}
 	if *out != "" {
-		if err := mergeOut(*out, *outKey, sum); err != nil {
+		if err := benchio.Merge(*out, *outKey, sum); err != nil {
 			log.Fatalf("out: %v", err)
 		}
 		log.Printf("merged %s entry into %s", *outKey, *out)
@@ -805,26 +803,4 @@ func quantileUS(sorted []int64, q float64) float64 {
 		return 0
 	}
 	return float64(sorted[int(q*float64(len(sorted)-1))])
-}
-
-// mergeOut folds the summary into path under key, preserving every
-// other top-level key (the file also carries "figures" and "micro"
-// sections written by other tools, and may hold several serving
-// entries — e.g. "serving" for the legacy JSON baseline and
-// "serving_binary" for the binary-protocol run).
-func mergeOut(path, key string, sum map[string]any) error {
-	doc := map[string]any{}
-	if b, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(b, &doc); err != nil {
-			return fmt.Errorf("existing %s: %w", path, err)
-		}
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return err
-	}
-	doc[key] = sum
-	b, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
 }

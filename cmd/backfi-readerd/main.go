@@ -42,7 +42,6 @@ func main() {
 	rho := flag.Float64("rho", 0.95, "packet-to-packet channel correlation of each session")
 	retries := flag.Int("retries", 2, "per-frame ARQ retry budget")
 	seed := flag.Int64("seed", 1, "base seed; each session offsets it by a hash of its id")
-	sessionCache := flag.Bool("session-cache", false, "cache per-session excitation and SIC scratch across frames (DESIGN.md §5g; changes the RNG draw schedule vs. uncached serving)")
 	impair := flag.Float64("impair", 0, "RF impairment severity in [0,1]: 0 = the paper's ideal front end (DESIGN.md §5d)")
 	adapt := flag.Bool("adapt", false, "closed-loop rate adaptation: each session walks the configuration ladder with hysteresis (DESIGN.md §5f)")
 	minSymRate := flag.Float64("min-symrate", 0, "with -adapt, restrict the ladder to symbol rates ≥ this (slow rungs cost real decode CPU; 0 keeps all 36)")
@@ -133,7 +132,6 @@ func main() {
 		QueueDepth:   *queue,
 		BatchMax:     *batch,
 		BatchWorkers: *batchWorkers,
-		SessionCache: *sessionCache,
 		JobTimeout:   *jobTimeout,
 		DrainTimeout: *drainTimeout,
 		SessionTTL:   *sessionTTL,

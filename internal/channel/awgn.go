@@ -34,8 +34,8 @@ func (a *AWGN) Add(x []complex128) []complex128 {
 }
 
 // AddInPlaceRange adds fresh noise to x[lo:hi] in place, drawing
-// exactly hi−lo complex samples from the source. The windowed serve
-// hot path uses it to pay for noise only over the samples the decoder
+// exactly hi−lo complex samples from the source. The windowed link
+// pipeline uses it to pay for noise only over the samples the decoder
 // will read; the draw sequence is deterministic for a fixed sequence
 // of window sizes.
 func (a *AWGN) AddInPlaceRange(x []complex128, lo, hi int) {
@@ -71,18 +71,24 @@ func NewTxDistortion(r *rand.Rand, evmDB float64) *TxDistortion {
 }
 
 // Apply returns x plus the distortion error term.
-func (d *TxDistortion) Apply(x []complex128) []complex128 {
+func (d *TxDistortion) Apply(x []complex128) []complex128 { return d.ApplyInto(nil, x) }
+
+// ApplyInto writes x plus the distortion error term into dst (grown to
+// len(x) if needed) and returns dst[:len(x)]. dst must not alias x.
+func (d *TxDistortion) ApplyInto(dst, x []complex128) []complex128 {
+	if cap(dst) < len(x) {
+		dst = make([]complex128, len(x))
+	}
+	dst = dst[:len(x)]
 	if math.IsInf(d.evmDB, -1) {
-		out := make([]complex128, len(x))
-		copy(out, x)
-		return out
+		copy(dst, x)
+		return dst
 	}
 	ratio := math.Pow(10, d.evmDB/10)
-	out := make([]complex128, len(x))
 	for i, v := range x {
 		p := (real(v)*real(v) + imag(v)*imag(v)) * ratio
 		s := math.Sqrt(p / 2)
-		out[i] = v + complex(d.rng.NormFloat64()*s, d.rng.NormFloat64()*s)
+		dst[i] = v + complex(d.rng.NormFloat64()*s, d.rng.NormFloat64()*s)
 	}
-	return out
+	return dst
 }

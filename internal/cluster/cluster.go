@@ -27,7 +27,7 @@ type Config struct {
 	// the failover detection latency for a killed node.
 	Client serve.ClientConfig
 	// Flight records the cluster's failover events (node_down, node_up,
-	// reroute, handoff_install). Events of one failover episode share a
+	// reroute, handoff_install, handoff_reject). Events of one failover episode share a
 	// trace id derived from (TraceSeed, session, frame), so a kill, the
 	// re-route it forced, and the handoff that healed it line up under
 	// one id next to the frame's decode spans.
@@ -226,15 +226,24 @@ func (c *Client) place(session string, rt *route, trace uint64) (*serve.Client, 
 		c.cfg.Flight.Record(obs.FlightReroute, session,
 			fmt.Sprintf("%s -> %s", rt.addr, owner), trace)
 		if snap != nil {
-			if _, err := cc.InstallHandoff(session, snap); err != nil {
-				if nodeFailure(err) {
-					c.markDown(owner, session, trace, err)
-					continue
-				}
+			_, err := cc.InstallHandoff(session, snap)
+			switch {
+			case err == nil:
+				c.cfg.Flight.Record(obs.FlightHandoffInstall, session,
+					fmt.Sprintf("seq %d on %s", snap.Seq, owner), trace)
+			case nodeFailure(err):
+				c.markDown(owner, session, trace, err)
+				continue
+			case errors.Is(err, serve.ErrBadRequest):
+				// The owner refuses this snapshot for good (past its
+				// replay bound, or the nodes disagree on config):
+				// keep serving the session there without its state
+				// rather than failing every later frame.
+				c.cfg.Flight.Record(obs.FlightHandoffReject, session,
+					fmt.Sprintf("seq %d on %s: %v", snap.Seq, owner, err), trace)
+			default:
 				return nil, "", fmt.Errorf("cluster: handoff %q to %s: %w", session, owner, err)
 			}
-			c.cfg.Flight.Record(obs.FlightHandoffInstall, session,
-				fmt.Sprintf("seq %d on %s", snap.Seq, owner), trace)
 		}
 		rt.addr = owner
 		return cc, owner, nil

@@ -298,3 +298,56 @@ func TestClusterAllNodesDown(t *testing.T) {
 		t.Fatalf("want ErrNoNodes, got %v", err)
 	}
 }
+
+// TestClusterHandoffRejectedContinuesSession pins failover when the
+// survivor refuses the snapshot (here it runs without handoff; a
+// session past the replay bound is refused the same way, with
+// bad_request): the session keeps decoding on the survivor without the
+// snapshot's state, its stream restarting at Seq 1, and the refusal is
+// one handoff_reject flight event instead of an error on every later
+// frame.
+func TestClusterHandoffRejectedContinuesSession(t *testing.T) {
+	cfg := clusterNodeConfig()
+	origin := startNode(t, cfg)
+	noHandoff := cfg
+	noHandoff.Handoff = false
+	survivor := startNode(t, noHandoff)
+	flight := obs.NewFlightRecorder(0)
+	cl, err := New(Config{Addrs: []string{origin.Addr(), survivor.Addr()}, Client: clusterTemplate(), Flight: flight, TraceSeed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	var id string
+	for i := 0; id == ""; i++ {
+		cand := fmt.Sprintf("refused-%d", i)
+		if o, _ := cl.Owner(cand); o == origin.Addr() {
+			id = cand
+		}
+	}
+	const before = 3
+	for i := 0; i < before; i++ {
+		if _, err := cl.Decode(id, framePayload(id, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	origin.Kill()
+	for i := 0; i < 3; i++ {
+		resp, err := cl.Decode(id, framePayload(id, before+i))
+		if err != nil {
+			t.Fatalf("frame %d after failover: %v", before+i, err)
+		}
+		if resp.Seq != i+1 {
+			t.Fatalf("frame %d after failover: seq %d, want %d (fresh stream on the survivor)", before+i, resp.Seq, i+1)
+		}
+	}
+	if o, _ := cl.Owner(id); o != survivor.Addr() {
+		t.Fatalf("session owned by %s, want the survivor", o)
+	}
+	if n := flight.Count(obs.FlightHandoffReject); n != 1 {
+		t.Errorf("handoff_reject events = %d, want 1", n)
+	}
+	if n := flight.Count(obs.FlightHandoffInstall); n != 0 {
+		t.Errorf("handoff_install events = %d, want 0", n)
+	}
+}

@@ -9,8 +9,9 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 
 	"backfi/internal/channel"
 	"backfi/internal/dsp"
@@ -18,6 +19,7 @@ import (
 	"backfi/internal/fec"
 	"backfi/internal/obs"
 	"backfi/internal/reader"
+	"backfi/internal/rng"
 	"backfi/internal/tag"
 	"backfi/internal/wifi"
 )
@@ -56,31 +58,10 @@ type LinkConfig struct {
 	// NewLink propagates the registry into the reader and SIC configs
 	// unless those carry their own.
 	Obs *obs.Registry
-	// Migratable pins every attempt's stochastic draws (excitation
-	// payload bytes, transmit distortion, AWGN, channel evolution
-	// innovations, fault draws) to a pure function of (Seed, attempt
-	// ordinal) by reseeding the link's streams at each attempt start,
-	// instead of letting one sequential stream accumulate position
-	// (DESIGN.md §5j). That makes the link's whole stochastic future a
-	// function of a tiny snapshot — the attempt counter — so a session
-	// can hand off to another reader node and continue byte-identically.
-	// Off (the default), draw schedules are bit-identical to previous
-	// builds. On, results are deterministic for a fixed (seed, call
-	// sequence) but follow the per-attempt schedule — a different
-	// realization of the same statistics, like SessionCache.
-	Migratable bool
-	// SessionCache enables the serving hot path (DESIGN.md §5g): the
-	// realized excitation (ideal + distorted copies) is cached across
-	// frames and rebuilt only when the tag configuration or packet
-	// sizing changes, and all per-frame channel/noise/decode work is
-	// windowed to the samples the tag frame actually occupies, with a
-	// per-link reader.Stream reusing SIC and channel-estimate scratch.
-	// Off (the default), RunPacket is bit-identical to the legacy
-	// per-frame pipeline. On, results are deterministic for a fixed
-	// (seed, call sequence) but follow the hot path's own RNG-draw
-	// schedule — a different realization of the same statistics, not a
-	// different receiver. Links with an active fault profile always take
-	// the legacy path, so fault semantics never fork.
+	// SessionCache is kept only so configurations written against
+	// earlier builds still compile; it has no effect. Every exchange
+	// now runs the one windowed pipeline over a shared excitation
+	// template (DESIGN.md §5g).
 	SessionCache bool
 }
 
@@ -219,8 +200,8 @@ func newLinkMetrics(r *obs.Registry) linkMetrics {
 		snrExpected:    snr("expected"),
 		snrExpectedMRC: snr("expected_mrc"),
 		snrMeasured:    snr("measured"),
-		cacheHit:       r.Counter(obs.MetricLinkCache, "Excitation-cache lookups on the session-cache hot path, by outcome.", "outcome", "hit"),
-		cacheMiss:      r.Counter(obs.MetricLinkCache, "Excitation-cache lookups on the session-cache hot path, by outcome.", "outcome", "miss"),
+		cacheHit:       r.Counter(obs.MetricLinkCache, "Excitation-template pool lookups, by outcome.", "outcome", "hit"),
+		cacheMiss:      r.Counter(obs.MetricLinkCache, "Excitation-template pool lookups, by outcome.", "outcome", "miss"),
 	}
 }
 
@@ -235,19 +216,15 @@ type Link struct {
 	inj      *fault.Injector
 	rate     wifi.Rate
 	m        linkMetrics
-	// hot is the session-cache state (hotpath.go); nil until the first
-	// fast-path frame builds it.
-	hot *hotState
+	// pool memoizes excitation templates: private to the link (one
+	// template retained) unless SetSlotPool shares a pool.
+	pool *SlotPool
 	// faultEpoch counts SetFaultProfile calls; it salts each new
 	// injector's seed so successive profiles draw decorrelated streams.
 	faultEpoch int
-	// injBase is the current injector's base seed (epoch-salted); the
-	// migratable mode mixes the attempt ordinal into it per attempt.
+	// injBase is the current injector's base seed (epoch-salted); a
+	// session mixes the attempt ordinal into it per attempt.
 	injBase int64
-	// curAttempt is the attempt ordinal the migratable mode last
-	// reseeded for; the hot path restores the attempt stream after a
-	// cache rebuild's temporary config-seeded draws.
-	curAttempt int
 	// trace is the per-frame trace context (DESIGN.md §5h); the serving
 	// layer reassigns it before each RunPacket. Zero = tracing off.
 	trace obs.TraceCtx
@@ -291,8 +268,8 @@ func NewLink(cfg LinkConfig) (*Link, error) {
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	sc, err := channel.NewScenario(cfg.Channel, rng)
+	r := rng.New(cfg.Seed)
+	sc, err := channel.NewScenario(cfg.Channel, r)
 	if err != nil {
 		return nil, err
 	}
@@ -301,35 +278,29 @@ func NewLink(cfg LinkConfig) (*Link, error) {
 		Scenario: sc,
 		Tag:      tg,
 		rdr:      rdr,
-		rng:      rng,
+		rng:      r,
 		inj:      inj,
 		rate:     rate,
+		pool:     newSlotPool(1, maxPoolBytes),
 		injBase:  cfg.Seed ^ faultSeedSalt,
 		m:        newLinkMetrics(cfg.Obs),
 	}, nil
 }
 
-// attemptSeed mixes an attempt ordinal into a base seed (splitmix64
-// finalizer), giving each attempt a decorrelated stream while staying
-// a pure function of (base, n) — the migratable mode's whole contract.
-func attemptSeed(base int64, n int) int64 {
-	z := uint64(base) + 0x9e3779b97f4a7c15*uint64(n+1)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return int64(z ^ (z >> 31))
+// reseedAttempt pins the link's RNG streams to attempt ordinal n —
+// the session schedule (DESIGN.md §5j). The main stream (transmit
+// distortion, AWGN) and the fault stream reseed in O(1) to pure
+// functions of their base seeds and n; the channel evolver's stream is
+// owned by the session and reseeded there. Session.Send drives it.
+func (l *Link) reseedAttempt(n int) {
+	l.rng.Seed(rng.Mix(l.Cfg.Seed, n))
+	l.inj.Reseed(rng.Mix(l.injBase, n))
 }
 
-// ReseedAttempt pins the link's RNG streams to attempt ordinal n —
-// the migratable-session schedule (DESIGN.md §5j). The main stream
-// (excitation bytes, transmit distortion, AWGN) and the fault stream
-// reseed to pure functions of their base seeds and n; the channel
-// evolver's stream is owned by the session and reseeded there. The
-// serving layer never calls this directly: Session.Send drives it.
-func (l *Link) ReseedAttempt(n int) {
-	l.curAttempt = n
-	l.rng.Seed(attemptSeed(l.Cfg.Seed, n))
-	l.inj.Reseed(attemptSeed(l.injBase, n))
-}
+// SetSlotPool shares excitation templates with every other link
+// holding p. Templates are a pure function of the burst shape, so
+// sharing never changes a result — only how many copies are retained.
+func (l *Link) SetSlotPool(p *SlotPool) { l.pool = p }
 
 // SetTagConfig swaps the link's tag configuration in place — the rate
 // controller's switch path (DESIGN.md §5f). The placement realization,
@@ -369,96 +340,94 @@ func (l *Link) SetFaultProfile(p *fault.Profile) error {
 	return nil
 }
 
-// Well-known addresses of the simulated cell.
+// windowSlack extends the processing window past the frame's nominal
+// extent so the decoder's timing search (±TimingSearch samples) and the
+// MRC grid never read outside computed samples.
+const windowSlack = 64
+
+// frameScratch is one frame's waveform-sized working memory: the air
+// copy, the forward signal at the tag, its reflection, the reflection
+// through h_b, the AP receive buffer, and the decoder's scratch. It
+// comes from scratchPool for the duration of one exchange and goes
+// back before the result is returned, so no session retains a buffer
+// sized by the waveform.
+type frameScratch struct {
+	air, z, refl, bs, y []complex128
+	dec                 reader.Stream
+}
+
 var (
-	apAddr     = wifi.MACAddr{0x02, 0x00, 0x00, 0xba, 0xcf, 0x01}
-	clientAddr = wifi.MACAddr{0x02, 0x00, 0x00, 0xc1, 0x1e, 0x42}
+	scratchPool = sync.Pool{New: func() any { return new(frameScratch) }}
+	scratchOff  atomic.Bool
 )
 
-// buildExcitation assembles the AP's transmission for one exchange,
-// following the paper's protocol (Sec. 4.1/Fig. 4): a CTS-to-SELF to
-// silence the cell, the tag's 16 µs wake preamble, then back-to-back
-// framed downlink MPDUs as the excitation. It returns the ideal
-// baseband samples and the index where the excitation packet (= the
-// tag's timing origin) begins.
-func buildExcitation(rng *rand.Rand, rate wifi.Rate, psduBytes int, txPowerW float64, tg *tag.Tag, nppdu int) ([]complex128, int, error) {
-	amp := complex(math.Sqrt(txPowerW), 0)
+// SetScratchPooling switches the process-wide frame scratch pool on or
+// off and reports the previous setting. Off, every frame runs in fresh
+// zeroed buffers — the reference the determinism tests compare pooled
+// runs against, proving shared scratch carries nothing between frames.
+func SetScratchPooling(on bool) bool { return !scratchOff.Swap(!on) }
 
-	// CTS-to-SELF at the 6 Mbps basic rate, NAV covering the exchange.
-	basic, err := wifi.RateByMbps(6)
-	if err != nil {
-		return nil, 0, err
+func getScratch() *frameScratch {
+	if scratchOff.Load() {
+		return new(frameScratch)
 	}
-	navUs := 16 + nppdu*int(wifi.AirtimeSeconds(psduBytes, rate)*1e6)
-	if navUs > 32767 {
-		navUs = 32767
-	}
-	cts, err := wifi.BuildCTSToSelf(apAddr, navUs)
-	if err != nil {
-		return nil, 0, err
-	}
-	ctsWave, err := wifi.Transmit(cts, basic, wifi.DefaultScramblerSeed)
-	if err != nil {
-		return nil, 0, err
-	}
+	return scratchPool.Get().(*frameScratch)
+}
 
-	wake := tag.WakeWaveform(tg.WakeSeq(), math.Sqrt(txPowerW))
-	x := append(dsp.Scale(ctsWave, amp), wake...)
-	packetStart := len(x)
-
-	// Downlink MPDUs: psduBytes on the air, of which 28 bytes are MAC
-	// header + FCS.
-	msduBytes := psduBytes - 28
-	if msduBytes < 1 {
-		msduBytes = 1
+func putScratch(fs *frameScratch) {
+	if !scratchOff.Load() {
+		scratchPool.Put(fs)
 	}
-	for i := 0; i < nppdu; i++ {
-		msdu := make([]byte, msduBytes)
-		rng.Read(msdu)
-		mpdu, err := wifi.BuildDataMPDU(wifi.MPDUHeader{
-			Addr1: clientAddr, Addr2: apAddr, Addr3: apAddr, Seq: i & 0xFFF,
-		}, msdu)
-		if err != nil {
-			return nil, 0, err
-		}
-		wave, err := wifi.Transmit(mpdu, rate, wifi.DefaultScramblerSeed)
-		if err != nil {
-			return nil, 0, err
-		}
-		x = append(x, dsp.Scale(wave, amp)...)
-	}
-	return x, packetStart, nil
 }
 
 // RunPacket performs one full exchange: the AP transmits a CTS-to-SELF,
 // the wake preamble, and enough back-to-back WiFi PPDUs for the
 // payload; the tag wakes and backscatters; the AP decodes.
 func (l *Link) RunPacket(payload []byte) (*PacketResult, error) {
-	// The session-cache hot path handles unfaulted links only; an active
-	// injector's per-frame hooks assume the legacy full-capture pipeline.
-	if l.Cfg.SessionCache && l.inj == nil {
-		return l.runPacketHot(payload)
-	}
-	l.m.packets.Inc()
-
-	// Excitation sizing: enough PPDU samples to carry the payload.
-	need := tag.SilentSamples + l.Tag.Cfg.PreambleSamples() +
-		tag.SymbolsForPayload(len(payload), l.Tag.Cfg.Coding, l.Tag.Cfg.Mod)*l.Tag.Cfg.SamplesPerSymbol()
-	ppduLen := wifi.PPDULen(l.Cfg.WiFiPSDUBytes, l.rate)
-	nppdu := (need + ppduLen - 1) / ppduLen
-	if nppdu < 1 {
-		nppdu = 1
-	}
-
-	tspExc := l.trace.Start("excitation_build")
-	spExc := l.m.spanExcitation.Start()
-	x, packetStart, err := buildExcitation(l.rng, l.rate, l.Cfg.WiFiPSDUBytes, l.Scenario.TxPowerW(), l.Tag, nppdu)
-	spExc.End()
-	tspExc.End()
+	x, packetStart, err := l.template(l.Tag, l.Scenario.TxPowerW(), l.sizing(tagNeed(l.Tag.Cfg, len(payload))))
 	if err != nil {
 		return nil, err
 	}
+	return l.exchange(x, packetStart, payload)
+}
+
+// sizing returns the PPDU count covering need post-wake samples.
+func (l *Link) sizing(need int) int {
+	ppduLen := wifi.PPDULen(l.Cfg.WiFiPSDUBytes, l.rate)
+	return max((need+ppduLen-1)/ppduLen, 1)
+}
+
+// template returns the shared excitation template for a burst waking
+// tg with nppdu PPDUs at txPowerW.
+func (l *Link) template(tg *tag.Tag, txPowerW float64, nppdu int) ([]complex128, int, error) {
+	tsp := l.trace.Start("excitation_build")
+	sp := l.m.spanExcitation.Start()
+	x, packetStart, hit, err := l.pool.excitation(tg, l.rate, l.Cfg.WiFiPSDUBytes, txPowerW, nppdu)
+	sp.End()
+	tsp.End()
+	if hit {
+		l.m.cacheHit.Inc()
+	} else {
+		l.m.cacheMiss.Inc()
+	}
+	return x, packetStart, err
+}
+
+// exchange is the single-tag link pipeline, shared by RunPacket and
+// RunCustomExcitation: the excitation x (ideal baseband, never
+// written — it may be a shared template) goes on the air, the tag
+// wakes and backscatters, and the AP decodes with the windowed
+// decoder. Every channel, noise and fault operation is confined to the
+// window [0, hi) the frame occupies (plus timing slack); nothing past
+// hi is computed. packetStart is the tag's timing origin in x.
+func (l *Link) exchange(x []complex128, packetStart int, payload []byte) (*PacketResult, error) {
+	l.m.packets.Inc()
+	tcfg := l.Tag.Cfg
 	packetLen := len(x) - packetStart
+	hi := min(packetStart+tagNeed(tcfg, len(payload))+tcfg.SamplesPerSymbol()+windowSlack, len(x))
+	x = x[:hi]
+	fs := getScratch()
+	defer putScratch(fs)
 
 	tspChan := l.trace.Start("channel_sim")
 	spChan := l.m.spanChannelSim.Start()
@@ -467,19 +436,20 @@ func (l *Link) RunPacket(payload []byte) (*PacketResult, error) {
 	// receiver cannot reconstruct, plus any injected front-end
 	// impairments (CFO/SCO) — the reader's ideal copy x keeps its own
 	// clock, so these degrade cancellation and channel estimation.
-	xAir := l.inj.ApplyFrontEnd(l.Scenario.Distortion.Apply(x))
+	fs.air = l.Scenario.Distortion.ApplyInto(fs.air, x)
+	l.inj.ApplyFrontEnd(fs.air)
+	xAir := fs.air
 
-	// Tag side: excitation through the forward channel; wake detection.
-	// The tag scans only the region after the CTS-to-SELF (its envelope
-	// detector ignores the constant-on CTS burst, which cannot match
-	// the balanced wake sequence, but we keep the search window tight
-	// like a real comparator would).
-	z := l.Scenario.HF.Apply(xAir)
+	// Tag side: forward channel, then wake detection. The tag scans
+	// only the region after the CTS-to-SELF (its envelope detector
+	// ignores the constant-on CTS burst, which cannot match the
+	// balanced wake sequence).
+	fs.z = dsp.ConvolveRangeInto(fs.z, xAir, l.Scenario.HF, 0, hi)
 	if l.inj.DropWake() {
 		l.m.failWake.Inc()
 		return nil, fmt.Errorf("%w: injected wake fault at %.2g m", ErrTagNoWake, l.Cfg.Channel.DistanceM)
 	}
-	wakeIdx, ok := l.Tag.TryWake(z[:packetStart+tag.SilentSamples])
+	wakeIdx, ok := l.Tag.TryWake(fs.z[:packetStart+tag.SilentSamples])
 	if !ok {
 		l.m.failWake.Inc()
 		return nil, fmt.Errorf("%w at %.2g m", ErrTagNoWake, l.Cfg.Channel.DistanceM)
@@ -491,32 +461,44 @@ func (l *Link) RunPacket(payload []byte) (*PacketResult, error) {
 		return nil, fmt.Errorf("%w: wake timing off by %d samples", ErrTagNoWake, d)
 	}
 
-	m, plan, err := l.Tag.ModulationSequence(packetLen, payload)
+	m, plan, err := l.Tag.ModulationSequence(hi-packetStart, payload)
 	if err != nil {
 		return nil, err
 	}
 	// Tag-side faults: oscillator phase noise over the reflection, and
 	// preamble chips the modulator glitches.
 	l.inj.ApplyTagPhaseNoise(m)
-	l.inj.CorruptPreamble(m, plan.SilentEnd, l.Tag.Cfg.PreambleChips, tag.ChipSamples)
-	mFull := make([]complex128, len(x))
-	copy(mFull[packetStart:], m)
-	reflected := tag.Backscatter(z, mFull)
-	bs := l.Scenario.HB.Apply(reflected)
+	l.inj.CorruptPreamble(m, plan.SilentEnd, tcfg.PreambleChips, tag.ChipSamples)
+
+	// Reflection z·m (zero before the packet, so the h_b convolution's
+	// look-back reads defined samples) and the backward channel.
+	fs.refl = growTo(fs.refl, hi)
+	for n := 0; n < packetStart; n++ {
+		fs.refl[n] = 0
+	}
+	for n := packetStart; n < hi; n++ {
+		fs.refl[n] = fs.z[n] * m[n-packetStart]
+	}
+	fs.bs = dsp.ConvolveRangeInto(fs.bs, fs.refl, l.Scenario.HB, packetStart, hi)
 
 	// AP receive: self-interference + backscatter + thermal noise, then
-	// receiver-side faults (interference bursts, the real ADC, capture
-	// truncation).
-	y := l.Scenario.Noise.Add(dsp.Add(l.Scenario.HEnv.Apply(xAir), bs))
-	l.inj.AddInterference(y)
-	l.inj.ApplyADC(y)
-	l.inj.TruncateTail(y, packetStart, packetLen)
+	// receiver-side faults over the packet window: interference bursts,
+	// the real ADC, and capture truncation (drawn against the whole
+	// packet, so only a cut reaching back into the window matters).
+	fs.y = dsp.ConvolveRangeInto(fs.y, xAir, l.Scenario.HEnv, packetStart, hi)
+	for n := packetStart; n < hi; n++ {
+		fs.y[n] += fs.bs[n]
+	}
+	l.Scenario.Noise.AddInPlaceRange(fs.y, packetStart, hi)
+	l.inj.AddInterference(fs.y[packetStart:hi])
+	l.inj.ApplyADC(fs.y[packetStart:hi])
+	l.inj.TruncateTail(fs.y, packetStart, packetLen)
 	spChan.End()
 	tspChan.End()
 
 	tspDec := l.trace.Start("decode_total")
 	spDec := l.m.spanDecode.Start()
-	res, err := l.rdr.Decode(x, xAir, y, packetStart, packetLen, l.Tag.Cfg)
+	res, err := l.rdr.DecodeStream(&fs.dec, x, xAir, fs.y, packetStart, hi-packetStart, tcfg)
 	spDec.End()
 	tspDec.End()
 	if err != nil {
@@ -533,18 +515,15 @@ func (l *Link) RunPacket(payload []byte) (*PacketResult, error) {
 		MeasuredSNRdB:     res.SNRdB,
 	}
 	pr.liftDiagnostics(res)
-	sps := l.Tag.Cfg.SamplesPerSymbol()
-	guard := l.Cfg.Reader.ChannelTaps
-	if guard > sps/2 {
-		guard = sps / 2
-	}
+	sps := tcfg.SamplesPerSymbol()
+	guard := min(l.Cfg.Reader.ChannelTaps, sps/2)
 	floorW := dsp.UnDBm(pr.SICResidualDBm)
 	pr.ExpectedMRCSNRdB = dsp.SNRdB(l.Scenario.BackscatterRxPowerW(), floorW) + dsp.DB(float64(sps-guard))
 	pr.PayloadOK = res.FrameOK && bytesEqual(res.Payload, payload)
 	pr.Delivered = pr.PayloadOK
 
 	// Raw coded-bit errors over the frame's symbols.
-	hard := l.Tag.Cfg.Mod.DemapHard(res.SymbolEstimates[:min(len(plan.Symbols), len(res.SymbolEstimates))])
+	hard := tcfg.Mod.DemapHard(res.SymbolEstimates[:min(len(plan.Symbols), len(res.SymbolEstimates))])
 	for i, b := range plan.CodedBits[:min(len(plan.CodedBits), len(hard))] {
 		if hard[i] != b {
 			pr.RawBitErrors++
@@ -553,6 +532,15 @@ func (l *Link) RunPacket(payload []byte) (*PacketResult, error) {
 	}
 	l.observeResult(pr)
 	return pr, nil
+}
+
+// growTo returns b resized to n samples, reallocating only when its
+// capacity is short. Contents are unspecified.
+func growTo(b []complex128, n int) []complex128 {
+	if cap(b) < n {
+		return make([]complex128, n)
+	}
+	return b[:n]
 }
 
 // observeResult records one packet's outcome into the link metrics.

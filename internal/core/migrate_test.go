@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -9,7 +8,7 @@ import (
 	"backfi/internal/fault"
 )
 
-// frameRecord is the per-frame evidence the migratable-resume tests
+// frameRecord is the per-frame evidence the snapshot-resume tests
 // byte-compare: everything a serving-layer response would carry.
 type frameRecord struct {
 	Delivered, PayloadOK              bool
@@ -79,10 +78,7 @@ func runResumeCase(t *testing.T, mk func() (*Session, error), frames, cut int) {
 			t.Fatalf("pre-cut frame %d diverged: got %+v want %+v", i, got, want[i])
 		}
 	}
-	snap, err := first.Snapshot()
-	if err != nil {
-		t.Fatalf("Snapshot: %v", err)
-	}
+	snap := first.Snapshot()
 
 	second, err := mk()
 	if err != nil {
@@ -104,29 +100,22 @@ func runResumeCase(t *testing.T, mk func() (*Session, error), frames, cut int) {
 
 // TestMigratableResumeByteIdentical is the core handoff contract
 // (DESIGN.md §5j): a fresh session restored from a snapshot continues
-// the control session's decode stream byte-identically, across the
-// legacy path, the session-cache hot path, adaptive sessions, and an
-// active fault profile.
+// the control session's decode stream byte-identically, for fixed and
+// adaptive sessions and under an active fault profile.
 func TestMigratableResumeByteIdentical(t *testing.T) {
 	// 2.5 m with channel evolution: far enough that retries, ACK
 	// drops, and controller activity all occur within 30 frames.
 	base := func() LinkConfig {
 		cfg := DefaultLinkConfig(2.5)
 		cfg.Seed = 11
-		cfg.Migratable = true
 		return cfg
 	}
 	cases := []struct {
 		name string
 		mk   func() (*Session, error)
 	}{
-		{"fixed-legacy", func() (*Session, error) {
+		{"fixed", func() (*Session, error) {
 			return NewSession(base(), 0.9, 2)
-		}},
-		{"fixed-hotpath", func() (*Session, error) {
-			cfg := base()
-			cfg.SessionCache = true
-			return NewSession(cfg, 0.9, 2)
 		}},
 		{"adaptive", func() (*Session, error) {
 			return NewAdaptiveSession(base(), 0.9, 2, adapt.Config{}, 250e3)
@@ -160,7 +149,6 @@ func TestMigratableResumeAcrossFaultSwitch(t *testing.T) {
 	mk := func() (*Session, error) {
 		cfg := DefaultLinkConfig(2.5)
 		cfg.Seed = 5
-		cfg.Migratable = true
 		return NewSession(cfg, 0.9, 2)
 	}
 	run := func(s *Session, from, to int) []frameRecord {
@@ -187,10 +175,7 @@ func TestMigratableResumeAcrossFaultSwitch(t *testing.T) {
 		t.Fatal(err)
 	}
 	run(first, 0, cut)
-	snap, err := first.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := first.Snapshot()
 
 	second, err := mk()
 	if err != nil {
@@ -212,22 +197,10 @@ func TestMigratableResumeAcrossFaultSwitch(t *testing.T) {
 	}
 }
 
-// TestSnapshotRequiresMigratable pins the guardrails: snapshots and
-// restores are refused outside migratable mode and on used sessions.
-func TestSnapshotRequiresMigratable(t *testing.T) {
+// TestSnapshotGuardrails pins the restore guardrails: a snapshot only
+// installs into an unused session with matching controller presence.
+func TestSnapshotGuardrails(t *testing.T) {
 	cfg := DefaultLinkConfig(1)
-	s, err := NewSession(cfg, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Snapshot(); err == nil {
-		t.Fatal("Snapshot on non-migratable session did not error")
-	}
-	if err := s.RestoreSnapshot(SessionSnapshot{}); err == nil {
-		t.Fatal("RestoreSnapshot on non-migratable session did not error")
-	}
-
-	cfg.Migratable = true
 	m, err := NewSession(cfg, 1, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -242,14 +215,13 @@ func TestSnapshotRequiresMigratable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := m.Snapshot()
-	if err != nil {
-		t.Fatal(err)
+	if err := fresh.RestoreSnapshot(SessionSnapshot{Attempts: -1}); err == nil {
+		t.Fatal("negative attempt ordinal did not error")
 	}
+	snap := m.Snapshot()
 	ctrlState := adapt.State{}
 	snap.Ctrl = &ctrlState
 	if err := fresh.RestoreSnapshot(snap); err == nil {
 		t.Fatal("controller-presence mismatch did not error")
 	}
-	_ = fmt.Sprintf("%+v", snap)
 }

@@ -73,7 +73,7 @@ func (l *MIMOLink) RunPacket(payload []byte) (*MIMOPacketResult, error) {
 	}
 
 	txW := dsp.UnDBm(l.Scenario.Cfg.TxPowerDBm)
-	x, packetStart, err := buildExcitation(l.rng, l.rate, l.Cfg.WiFiPSDUBytes, txW, l.Tag, nppdu)
+	x, packetStart, err := buildExcitation(l.rate, l.Cfg.WiFiPSDUBytes, txW, l.Tag, nppdu)
 	if err != nil {
 		return nil, err
 	}

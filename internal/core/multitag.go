@@ -2,16 +2,13 @@ package core
 
 import (
 	"fmt"
-	"math"
-	"math/rand"
-	"sync"
 
 	"backfi/internal/channel"
 	"backfi/internal/dsp"
 	"backfi/internal/fault"
 	"backfi/internal/obs"
+	"backfi/internal/rng"
 	"backfi/internal/tag"
-	"backfi/internal/wifi"
 )
 
 // Multi-tag deployments (paper Sec. 4.1: "a preamble can be unique to
@@ -24,7 +21,7 @@ import (
 //     asleep; a misconfigured tag sharing the addressed tag's wake
 //     sequence backscatters concurrently and collides.
 //   - RunSlot lights a GROUP that shares a wake sequence (SetWakeGroup
-//     + mac.TagMAC arbitration) and decodes the colliding reflections
+//     plus mac.TagMAC arbitration) and decodes the colliding reflections
 //     jointly by successive cancellation (DESIGN.md §5i).
 //
 // Both regimes run through the same fault-injected, traced, metered
@@ -39,30 +36,13 @@ type MultiTagLink struct {
 	Tags      []*tag.Tag
 	Scenarios []*channel.Scenario
 	// base carries the shared per-link machinery: rng, rate, reader,
-	// fault injector, metrics, and trace context.
+	// excitation pool, fault injector, metrics, and trace context.
 	base *Link
 	// frame counts exchanges (RunPacket and RunSlot alike); it keys the
 	// impostor payload derivation so junk bytes are a pure function of
 	// (link seed, tag ID, frame index) — never of the shared RNG, whose
 	// draw schedule must stay identical whatever the wake outcomes.
 	frame int
-	// pool, when set, shares immutable excitation templates across
-	// sessions (copy-on-write: per-frame transmit distortion is applied
-	// into a fresh transient buffer, the template is never written).
-	pool *SlotPool
-	// hot is the per-link excitation cache used when Cfg.SessionCache
-	// is set without a pool — the multi-tag analogue of §5g.
-	hot *mtHot
-}
-
-// mtHot caches the most recent realized excitation, keyed like the
-// single-tag hot path by everything that shapes it.
-type mtHot struct {
-	scIdx       int
-	wakeID      int
-	nppdu       int
-	x, xAir     []complex128
-	packetStart int
 }
 
 // NewMultiTagLink builds a deployment: one tag per distance, with IDs
@@ -106,14 +86,12 @@ func (m *MultiTagLink) SetWakeGroup(wakeID int) error {
 		}
 		m.Tags[i] = ng
 	}
-	m.hot = nil
 	return nil
 }
 
 // SetSlotPool shares excitation templates with other links (sessions)
-// holding the same pool. Only used on unfaulted links — an injector's
-// front-end impairments are per-frame and cannot be shared.
-func (m *MultiTagLink) SetSlotPool(p *SlotPool) { m.pool = p }
+// holding the same pool (see Link.SetSlotPool).
+func (m *MultiTagLink) SetSlotPool(p *SlotPool) { m.base.SetSlotPool(p) }
 
 // SetTrace points subsequent exchanges at the per-frame trace context,
 // exactly as Link.SetTrace does.
@@ -143,69 +121,23 @@ func impostorPayload(seed int64, tagID, frame, n int) []byte {
 		}
 	}
 	body := make([]byte, n)
-	rand.New(rand.NewSource(int64(h))).Read(body)
+	rng.New(int64(h)).Read(body)
 	return body
 }
 
-// excitation realizes the wake burst + PPDU train for one exchange:
-// from the shared pool when one is set, from the per-link cache under
-// SessionCache, otherwise fresh from the link RNG — mirroring the
-// single-tag §5g gating (caches are bypassed whenever a fault injector
-// is active, whose front-end impairments are per-frame).
-func (m *MultiTagLink) excitation(scIdx, wakeIdx, nppdu int) (x, xAir []complex128, packetStart int, err error) {
-	sc := m.Scenarios[scIdx]
-	tg := m.Tags[wakeIdx]
-	wakeID := tg.WakeID()
-	tspExc := m.base.trace.Start("excitation_build")
-	spExc := m.base.m.spanExcitation.Start()
-	defer func() {
-		spExc.End()
-		tspExc.End()
-	}()
-
-	if m.base.inj == nil && m.pool != nil {
-		tx, ps, hit, err := m.pool.excitation(tg, m.base.rate, m.Cfg.WiFiPSDUBytes, sc.TxPowerW(), nppdu)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		if hit {
-			m.base.m.cacheHit.Inc()
-		} else {
-			m.base.m.cacheMiss.Inc()
-		}
-		// Copy-on-write: the template is shared and immutable; the
-		// per-frame transmit distortion lands in a fresh buffer.
-		return tx, sc.Distortion.Apply(tx), ps, nil
-	}
-	if m.base.inj == nil && m.Cfg.SessionCache {
-		if h := m.hot; h != nil && h.scIdx == scIdx && h.wakeID == wakeID && h.nppdu == nppdu {
-			m.base.m.cacheHit.Inc()
-			return h.x, h.xAir, h.packetStart, nil
-		}
-		m.base.m.cacheMiss.Inc()
-		tx, ps, err := buildExcitation(m.base.rng, m.base.rate, m.Cfg.WiFiPSDUBytes, sc.TxPowerW(), tg, nppdu)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		m.hot = &mtHot{scIdx: scIdx, wakeID: wakeID, nppdu: nppdu,
-			x: tx, xAir: sc.Distortion.Apply(tx), packetStart: ps}
-		return m.hot.x, m.hot.xAir, m.hot.packetStart, nil
-	}
-	tx, ps, err := buildExcitation(m.base.rng, m.base.rate, m.Cfg.WiFiPSDUBytes, sc.TxPowerW(), tg, nppdu)
+// excitation realizes the wake burst + PPDU train for one exchange
+// that wakes tag i and leaves through its scenario's transmitter: the
+// shared template from the base link's pool, plus a per-frame air copy
+// carrying transmit distortion and front-end faults.
+func (m *MultiTagLink) excitation(i, nppdu int) (x, xAir []complex128, packetStart int, err error) {
+	sc := m.Scenarios[i]
+	x, packetStart, err = m.base.template(m.Tags[i], sc.TxPowerW(), nppdu)
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	return tx, m.base.inj.ApplyFrontEnd(sc.Distortion.Apply(tx)), ps, nil
-}
-
-// sizing returns the PPDU count covering `need` post-wake samples.
-func (m *MultiTagLink) sizing(need int) int {
-	ppduLen := wifi.PPDULen(m.Cfg.WiFiPSDUBytes, m.base.rate)
-	nppdu := (need + ppduLen - 1) / ppduLen
-	if nppdu < 1 {
-		nppdu = 1
-	}
-	return nppdu
+	xAir = sc.Distortion.Apply(x)
+	m.base.inj.ApplyFrontEnd(xAir)
+	return x, xAir, packetStart, nil
 }
 
 // tagNeed is the post-wake sample budget for one tag's frame.
@@ -236,10 +168,10 @@ func (m *MultiTagLink) RunPacket(addressed int, payload []byte) (*MultiTagResult
 	m.frame++
 	m.base.m.packets.Inc()
 	tgt := m.Tags[addressed]
-	nppdu := m.sizing(tagNeed(tgt.Cfg, len(payload)))
+	nppdu := m.base.sizing(tagNeed(tgt.Cfg, len(payload)))
 
 	// The excitation carries the addressed tag's wake sequence.
-	x, xAir, packetStart, err := m.excitation(addressed, addressed, nppdu)
+	x, xAir, packetStart, err := m.excitation(addressed, nppdu)
 	if err != nil {
 		return nil, err
 	}
@@ -375,9 +307,9 @@ func (m *MultiTagLink) RunSlot(polled []int, payloads [][]byte) (*SlotResult, er
 	m.frame++
 	m.base.m.packets.Inc()
 	lead := polled[0]
-	nppdu := m.sizing(need)
+	nppdu := m.base.sizing(need)
 
-	x, xAir, packetStart, err := m.excitation(lead, lead, nppdu)
+	x, xAir, packetStart, err := m.excitation(lead, nppdu)
 	if err != nil {
 		return nil, err
 	}
@@ -483,80 +415,4 @@ func (m *MultiTagLink) RunSlot(polled []int, payloads [][]byte) (*SlotResult, er
 		}
 	}
 	return res, nil
-}
-
-// SlotPool shares immutable excitation templates across every session
-// that holds it (DESIGN.md §5i, copy-on-write session state). The
-// template bytes derive from the pool seed and the template key alone
-// — never from any session's RNG — so two sessions on different shards
-// realize identical excitations no matter who builds first, and a
-// hundred thousand sessions retain one template instead of a hundred
-// thousand private buffers.
-type SlotPool struct {
-	seed int64
-	mu   sync.Mutex
-	m    map[slotPoolKey]*slotTemplate
-}
-
-type slotPoolKey struct {
-	wakeID    int
-	psduBytes int
-	nppdu     int
-	mbps      int
-	txBits    uint64
-}
-
-type slotTemplate struct {
-	x           []complex128
-	packetStart int
-}
-
-// NewSlotPool builds an empty pool keyed by seed.
-func NewSlotPool(seed int64) *SlotPool {
-	return &SlotPool{seed: seed, m: make(map[slotPoolKey]*slotTemplate)}
-}
-
-// Size reports how many distinct templates the pool holds.
-func (p *SlotPool) Size() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.m)
-}
-
-// excitation returns the shared template for the given shape, building
-// it on first use. The returned slice is shared and MUST NOT be
-// written; hit reports whether the template already existed.
-func (p *SlotPool) excitation(tg *tag.Tag, rate wifi.Rate, psduBytes int, txPowerW float64, nppdu int) (x []complex128, packetStart int, hit bool, err error) {
-	key := slotPoolKey{
-		wakeID:    tg.WakeID(),
-		psduBytes: psduBytes,
-		nppdu:     nppdu,
-		mbps:      rate.Mbps,
-		txBits:    math.Float64bits(txPowerW),
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if t, ok := p.m[key]; ok {
-		return t.x, t.packetStart, true, nil
-	}
-	rng := rand.New(rand.NewSource(p.seed ^ int64(poolKeyHash(key))))
-	tx, ps, err := buildExcitation(rng, rate, psduBytes, txPowerW, tg, nppdu)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	p.m[key] = &slotTemplate{x: tx, packetStart: ps}
-	return tx, ps, false, nil
-}
-
-// poolKeyHash folds a template key into the pool seed, FNV-1a style.
-func poolKeyHash(k slotPoolKey) uint64 {
-	h := uint64(1469598103934665603)
-	for _, v := range [...]uint64{uint64(k.wakeID), uint64(k.psduBytes), uint64(k.nppdu),
-		uint64(k.mbps), k.txBits} {
-		for i := 0; i < 8; i++ {
-			h ^= (v >> (8 * i)) & 0xFF
-			h *= 1099511628211
-		}
-	}
-	return h
 }

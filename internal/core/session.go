@@ -10,6 +10,7 @@ import (
 	"backfi/internal/channel"
 	"backfi/internal/fault"
 	"backfi/internal/obs"
+	"backfi/internal/rng"
 	"backfi/internal/tag"
 )
 
@@ -39,23 +40,21 @@ type Session struct {
 	Stats SessionStats
 
 	// attempts counts RunPacket attempts ever started, across frames and
-	// retries — the migratable mode's reseed ordinal (DESIGN.md §5j).
-	// Unused (zero) outside migratable mode.
+	// retries — the ordinal every stream reseeds from (DESIGN.md §5j).
 	attempts int
 	// baseRho is the static-placement coherence the session was opened
 	// with; a mobility fault profile lowers the evolver below it and a
 	// profile without mobility restores it (DESIGN.md §5k).
 	baseRho float64
-	// evolverRNG is the evolver's own stream in migratable mode, so
-	// per-attempt reseeds of the link's main stream and the evolver's
-	// never overlap draw positions. Nil outside migratable mode (the
-	// evolver then shares the link stream, the historical schedule).
+	// evolverRNG is the evolver's own stream, so per-attempt reseeds of
+	// the link's main stream and the evolver's never overlap draw
+	// positions.
 	evolverRNG *rand.Rand
 }
 
-// migrateEvolverSalt decorrelates the migratable evolver stream from
-// the link's main stream, which reseeds from the same attempt ordinal.
-const migrateEvolverSalt = 0x3c6ef372
+// evolverSalt decorrelates the evolver stream from the link's main
+// stream, which reseeds from the same attempt ordinal.
+const evolverSalt = 0x3c6ef372
 
 // BackoffPolicy is truncated binary exponential backoff, accounted in
 // virtual time: Delay(k) = BaseSec·2^(k−1) for retry k ≥ 1, capped at
@@ -149,16 +148,9 @@ func NewSession(cfg LinkConfig, coherenceRho float64, maxRetries int) (*Session,
 	if maxRetries < 0 {
 		return nil, fmt.Errorf("core: negative retry budget")
 	}
-	evRNG := link.rng
-	s := &Session{link: link, MaxRetries: maxRetries, baseRho: coherenceRho}
-	if cfg.Migratable {
-		// The evolver owns a private stream so the per-attempt reseed of
-		// the link's main stream never shifts evolution draws (and vice
-		// versa); both reseed per attempt in Send.
-		s.evolverRNG = rand.New(rand.NewSource(attemptSeed(cfg.Seed^migrateEvolverSalt, 0)))
-		evRNG = s.evolverRNG
-	}
-	ev, err := channel.NewEvolver(evRNG, coherenceRho, link.Scenario)
+	s := &Session{link: link, MaxRetries: maxRetries, baseRho: coherenceRho,
+		evolverRNG: rng.New(rng.Mix(cfg.Seed^evolverSalt, 0))}
+	ev, err := channel.NewEvolver(s.evolverRNG, coherenceRho, link.Scenario)
 	if err != nil {
 		return nil, err
 	}
@@ -262,23 +254,16 @@ func (s *Session) Send(payload []byte) (*PacketResult, bool, error) {
 				s.Stats.BackoffSec += d
 			}
 		}
-		if s.link.Cfg.Migratable {
-			// Migratable schedule (DESIGN.md §5j): pin every stream to the
-			// global attempt ordinal, and step the evolver once per ordinal
-			// after the very first. The step rule differs from the legacy
-			// gate only on the attempt after an aborted pipeline (legacy
-			// consults PacketsSent, which an abort leaves behind) — a
-			// simplification that keeps replay a pure function of the
-			// ordinal alone.
-			s.link.ReseedAttempt(s.attempts)
-			s.evolverRNG.Seed(attemptSeed(s.link.Cfg.Seed^migrateEvolverSalt, s.attempts))
-			if s.attempts > 0 {
-				s.evolver.Step()
-			}
-			s.attempts++
-		} else if attempt > 0 || s.Stats.PacketsSent > 0 {
+		// The schedule (DESIGN.md §5j): pin every stream to the global
+		// attempt ordinal, and step the evolver once per ordinal after
+		// the very first, so the session's whole stochastic future is a
+		// pure function of (seed, ordinal).
+		s.link.reseedAttempt(s.attempts)
+		s.evolverRNG.Seed(rng.Mix(s.link.Cfg.Seed^evolverSalt, s.attempts))
+		if s.attempts > 0 {
 			s.evolver.Step()
 		}
+		s.attempts++
 		res, err := s.link.RunPacket(payload)
 		if err != nil {
 			if errors.Is(err, ErrTagNoWake) {
@@ -318,12 +303,12 @@ func (s *Session) Send(payload []byte) (*PacketResult, bool, error) {
 	return last, false, nil
 }
 
-// SessionSnapshot is a session's complete resumable state under
-// migratable mode (DESIGN.md §5j): the attempt ordinal (which pins
-// every RNG stream), the accumulated stats, and the rate controller's
-// state when one is attached. Everything else a resumed session needs
-// — placement realization, excitation cache, evolver tap trajectory —
-// is recomputed from (link seed, Attempts) at restore, which is what
+// SessionSnapshot is a session's complete resumable state (DESIGN.md
+// §5j): the attempt ordinal (which pins every RNG stream), the
+// accumulated stats, and the rate controller's state when one is
+// attached. Everything else a resumed session needs — placement
+// realization, excitation template, evolver tap trajectory — is
+// recomputed from (link seed, Attempts) at restore, which is what
 // keeps the snapshot tens of bytes instead of megabytes of waveform.
 type SessionSnapshot struct {
 	// Attempts is the total RunPacket attempts started (frames plus
@@ -336,23 +321,20 @@ type SessionSnapshot struct {
 	Ctrl *adapt.State
 }
 
-// Snapshot captures the session for handoff. Only migratable sessions
-// snapshot — without the per-attempt reseed schedule the RNG stream
-// position is not recoverable from any small state.
-func (s *Session) Snapshot() (SessionSnapshot, error) {
-	if !s.link.Cfg.Migratable {
-		return SessionSnapshot{}, fmt.Errorf("core: snapshot of non-migratable session")
-	}
+// Snapshot captures the session for handoff. The per-attempt reseed
+// schedule makes every RNG stream position recoverable from the
+// attempt ordinal alone, so every session snapshots.
+func (s *Session) Snapshot() SessionSnapshot {
 	snap := SessionSnapshot{Attempts: s.attempts, Stats: s.Stats}
 	if s.Controller != nil {
 		st := s.Controller.State()
 		snap.Ctrl = &st
 	}
-	return snap, nil
+	return snap
 }
 
-// RestoreSnapshot fast-forwards a freshly built migratable session to
-// a snapshot taken on another node: the evolver's tap trajectory is
+// RestoreSnapshot fast-forwards a freshly built session to a snapshot
+// taken on another node: the evolver's tap trajectory is
 // replayed in O(Attempts · taps) by re-drawing each past attempt's
 // innovations (no decode work), the controller state is installed and
 // its rung applied to the link, and the attempt ordinal and stats are
@@ -360,9 +342,6 @@ func (s *Session) Snapshot() (SessionSnapshot, error) {
 // the identical link configuration; the next Send then continues the
 // decode stream byte-identically with the original's.
 func (s *Session) RestoreSnapshot(snap SessionSnapshot) error {
-	if !s.link.Cfg.Migratable {
-		return fmt.Errorf("core: restore into non-migratable session")
-	}
 	if s.attempts != 0 || s.Stats != (SessionStats{}) {
 		return fmt.Errorf("core: restore into used session (%d attempts)", s.attempts)
 	}
@@ -382,9 +361,9 @@ func (s *Session) RestoreSnapshot(snap SessionSnapshot) error {
 	}
 	// Replay the evolver schedule: ordinal 0 never steps, every later
 	// ordinal reseeds then steps once (the Send rule).
-	base := s.link.Cfg.Seed ^ migrateEvolverSalt
+	base := s.link.Cfg.Seed ^ evolverSalt
 	for j := 1; j < snap.Attempts; j++ {
-		s.evolverRNG.Seed(attemptSeed(base, j))
+		s.evolverRNG.Seed(rng.Mix(base, j))
 		s.evolver.Step()
 	}
 	s.attempts = snap.Attempts

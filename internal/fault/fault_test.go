@@ -64,8 +64,9 @@ func TestNewInjectorNilForDisabled(t *testing.T) {
 func TestNilInjectorNoOps(t *testing.T) {
 	var in *Injector
 	x := []complex128{1, 2i, 3}
-	if got := in.ApplyFrontEnd(x); &got[0] != &x[0] {
-		t.Fatal("nil ApplyFrontEnd must return the same slice")
+	in.ApplyFrontEnd(x)
+	if x[0] != 1 || x[1] != 2i || x[2] != 3 {
+		t.Fatal("nil ApplyFrontEnd mutated input")
 	}
 	m := []complex128{1, -1}
 	in.ApplyTagPhaseNoise(m)
@@ -116,7 +117,8 @@ func TestDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		x := in.ApplyFrontEnd(randomWave(512, 1))
+		x := randomWave(512, 1)
+		in.ApplyFrontEnd(x)
 		m := randomWave(512, 2)
 		in.ApplyTagPhaseNoise(m)
 		in.CorruptPreamble(m, 64, 8, 20)
@@ -178,8 +180,8 @@ func TestCFORotation(t *testing.T) {
 	for i := range x {
 		x[i] = 1
 	}
-	out := in.ApplyFrontEnd(x)
-	for i, v := range out {
+	in.ApplyFrontEnd(x)
+	for i, v := range x {
 		want := 2 * math.Pi * 1000 / 20e6 * float64(i)
 		if diff := math.Abs(cmplx.Phase(v) - want); diff > 1e-9 {
 			t.Fatalf("sample %d: phase %v want %v", i, cmplx.Phase(v), want)
@@ -334,5 +336,39 @@ func TestInjectorMetrics(t *testing.T) {
 	}
 	if len(found) < 2 {
 		t.Fatalf("want truncate and ack_drop counters > 0, got %+v (all: %+v)", found, snap.Counters)
+	}
+}
+
+// TestFrontEndInPlaceMatchesResample pins the in-place front end
+// against an out-of-place reference of the same resampler, for a clock
+// running fast and slow: the walk order must never read a sample it
+// has already overwritten.
+func TestFrontEndInPlaceMatchesResample(t *testing.T) {
+	for _, ppm := range []float64{40, -40} {
+		in, err := NewInjector(&Profile{CFOHz: 500, SCOPpm: ppm}, 1, 20e6, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := randomWave(4096, 5)
+		eps := ppm * 1e-6
+		step := 2 * math.Pi * 500 / 20e6
+		want := make([]complex128, len(x))
+		for n := range want {
+			pos := float64(n) * (1 + eps)
+			i := int(pos)
+			v := x[len(x)-1]
+			if i < len(x)-1 {
+				frac := complex(pos-float64(i), 0)
+				v = x[i]*(1-frac) + x[i+1]*frac
+			}
+			s, c := math.Sincos(step * float64(n))
+			want[n] = v * complex(c, s)
+		}
+		in.ApplyFrontEnd(x)
+		for n := range x {
+			if x[n] != want[n] {
+				t.Fatalf("SCO %+g ppm: sample %d = %v, want %v", ppm, n, x[n], want[n])
+			}
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"backfi/internal/obs"
+	"backfi/internal/rng"
 )
 
 // injectorMetrics holds the per-kind injection counters, resolved once
@@ -69,7 +70,7 @@ func NewInjector(p *Profile, seed int64, sampleRate float64, reg *obs.Registry) 
 	}
 	return &Injector{
 		p:          p.withDefaults(),
-		rng:        rand.New(rand.NewSource(seed)),
+		rng:        rng.New(seed),
 		sampleRate: sampleRate,
 		m:          newInjectorMetrics(reg),
 	}, nil
@@ -83,10 +84,9 @@ func (in *Injector) Profile() Profile {
 	return in.p
 }
 
-// Reseed re-points the injector's private stream at a fresh seed —
-// the migratable-session mode (DESIGN.md §5j) calls it once per link
-// attempt so every fault draw becomes a pure function of (profile,
-// seed) instead of the attempt history, which is what lets a survivor
+// Reseed re-points the injector's private stream at a fresh seed in
+// O(1) — a session (DESIGN.md §5j) calls it once per link attempt so
+// every fault draw becomes a pure function of (profile, seed) instead of the attempt history, which is what lets a survivor
 // node resume a handed-off session byte-identically. No-op on a nil
 // injector. The Markov interference state is per-call, so reseeding
 // between attempts leaves single-attempt fault statistics unchanged.
@@ -98,25 +98,26 @@ func (in *Injector) Reseed(seed int64) {
 }
 
 // ApplyFrontEnd applies carrier frequency offset and sampling clock
-// offset to the over-the-air excitation copy. The reader's ideal
-// transmit reference keeps its own clock, so these offsets degrade
-// self-interference cancellation and channel estimation the way a
-// non-ideal front end does. Returns x unchanged when both are off.
-func (in *Injector) ApplyFrontEnd(x []complex128) []complex128 {
-	if in == nil || (in.p.CFOHz == 0 && in.p.SCOPpm == 0) {
-		return x
+// offset to the over-the-air excitation copy x, in place. The reader's
+// ideal transmit reference keeps its own clock, so these offsets
+// degrade self-interference cancellation and channel estimation the
+// way a non-ideal front end does. x is left unchanged when both are
+// off.
+func (in *Injector) ApplyFrontEnd(x []complex128) {
+	if in == nil || (in.p.CFOHz == 0 && in.p.SCOPpm == 0) || len(x) == 0 {
+		return
 	}
-	out := make([]complex128, len(x))
 	eps := in.p.SCOPpm * 1e-6
 	step := 2 * math.Pi * in.p.CFOHz / in.sampleRate
-	for n := range out {
+	last := x[len(x)-1]
+	at := func(n int) complex128 {
 		v := x[n]
 		if eps != 0 {
 			// Resample at position n·(1+eps) by linear interpolation.
 			pos := float64(n) * (1 + eps)
 			i := int(pos)
 			if i >= len(x)-1 {
-				v = x[len(x)-1]
+				v = last
 			} else {
 				frac := complex(pos-float64(i), 0)
 				v = x[i]*(1-frac) + x[i+1]*frac
@@ -126,7 +127,21 @@ func (in *Injector) ApplyFrontEnd(x []complex128) []complex128 {
 			s, c := math.Sincos(step * float64(n))
 			v *= complex(c, s)
 		}
-		out[n] = v
+		return v
+	}
+	// Sample n reads input positions ≥ n when the clock runs fast and
+	// ≤ n when it runs slow (sample 0 excepted: its weight on x[1] is
+	// zero), so walking away from the read side never reads an
+	// overwritten sample.
+	if eps >= 0 {
+		for n := range x {
+			x[n] = at(n)
+		}
+	} else {
+		for n := len(x) - 1; n >= 1; n-- {
+			x[n] = at(n)
+		}
+		x[0] = at(0)
 	}
 	if in.p.CFOHz != 0 {
 		in.m.cfo.Inc()
@@ -134,7 +149,6 @@ func (in *Injector) ApplyFrontEnd(x []complex128) []complex128 {
 	if eps != 0 {
 		in.m.sco.Inc()
 	}
-	return out
 }
 
 // ApplyTagPhaseNoise walks a Wiener phase process over the tag's
@@ -263,8 +277,11 @@ func (in *Injector) ApplyADC(y []complex128) int {
 
 // TruncateTail models a capture cut short: with the profile's per-packet
 // probability it zeroes a uniformly drawn tail of the packet region
-// [packetStart, packetStart+packetLen) of y. Returns the number of
-// samples lost (0 when the packet survived intact).
+// [packetStart, packetStart+packetLen). y may hold only a prefix of the
+// capture (a windowed receiver computes just the samples it decodes);
+// the cut is drawn against the whole packet and zeroed where it
+// overlaps y. Returns the number of samples lost (0 when the packet
+// survived intact).
 func (in *Injector) TruncateTail(y []complex128, packetStart, packetLen int) int {
 	if in == nil || in.p.TruncateProb <= 0 {
 		return 0
@@ -272,19 +289,10 @@ func (in *Injector) TruncateTail(y []complex128, packetStart, packetLen int) int
 	if in.rng.Float64() >= in.p.TruncateProb {
 		return 0
 	}
-	lost := 1 + int(in.rng.Float64()*in.p.TruncateFrac*float64(packetLen))
-	if lost > packetLen {
-		lost = packetLen
-	}
+	lost := min(1+int(in.rng.Float64()*in.p.TruncateFrac*float64(packetLen)), packetLen)
 	end := packetStart + packetLen
-	if end > len(y) {
-		end = len(y)
-	}
-	start := end - lost
-	if start < 0 {
-		start = 0
-	}
-	for i := start; i < end; i++ {
+	start := max(end-lost, 0)
+	for i := start; i < min(end, len(y)); i++ {
 		y[i] = 0
 	}
 	in.m.truncated.Inc()

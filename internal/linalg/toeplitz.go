@@ -24,8 +24,8 @@ type ToeplitzWorkspace struct {
 //
 // so only the first row and column are summed over the window; the
 // interior fills in O(L²). Total cost is O(w·L + L³) against the
-// direct construction's O(w·L²) — an order of magnitude on the
-// serving hot path, where the canceller re-estimates a 32-tap channel
+// direct construction's O(w·L²) — an order of magnitude in the
+// windowed link pipeline, where the canceller re-estimates a 32-tap channel
 // over a 320-sample silent window on every frame.
 //
 // The result is numerically equivalent to ToeplitzLS (same normal

@@ -46,6 +46,9 @@ const (
 	FlightNodeUp         = "node_up"
 	FlightReroute        = "reroute"
 	FlightHandoffInstall = "handoff_install"
+	// A snapshot the receiving node refused (bad_request): the session
+	// continues there without the snapshot's state.
+	FlightHandoffReject = "handoff_reject"
 	// Energy-aware polling (DESIGN.md §5k): a session's tag ran its
 	// supercap down and went dark, and the wake after it banked back up.
 	// Both carry the trace id of the poll frame that observed the

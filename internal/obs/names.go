@@ -127,10 +127,10 @@ const (
 	MetricServeFrameCodec = "backfi_serve_frame_codec_seconds"
 	MetricServeConnsProto = "backfi_serve_connections_proto_total"
 
-	// MetricLinkCache counts excitation-cache lookups on the session-
-	// cache serving hot path (label outcome = hit | miss). A healthy
-	// steady-state session hits on every frame; misses flag tag-config
-	// churn forcing excitation rebuilds.
+	// MetricLinkCache counts excitation-template pool lookups (label
+	// outcome = hit | miss). A healthy steady-state session hits on
+	// every frame; misses flag new burst shapes (tag-config churn)
+	// forcing template builds.
 	MetricLinkCache = "backfi_link_excitation_cache_total"
 
 	// SLO metrics (DESIGN.md §5h). MetricSLOBurnRate is the rolling-

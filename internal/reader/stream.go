@@ -19,31 +19,30 @@ import (
 // SNRs where frames decode at all.
 const headerGuardSteps = 8 * fec.TailBits
 
-// Stream is the serving hot path's per-session decoder. It wraps a
-// Reader with state that amortizes across frames of one session:
+// Stream is the working memory of the windowed decoder
+// (Reader.DecodeStream), the single-tag link pipeline's decode stage:
 //
 //   - a sic.Reusable canceller retrained every frame with no
 //     steady-state allocation;
-//   - clean/reference/estimate scratch buffers reused across calls;
-//   - normal-equation scratch for the combined-channel estimate;
-//   - windowed processing: instead of cancelling and correlating over
-//     the whole capture, it processes [packetStart, header) first,
-//     reads the frame length from a bounded Viterbi pass, and extends
-//     the window to exactly the samples the frame occupies.
+//   - clean/reference/estimate buffers;
+//   - normal-equation scratch for the combined-channel estimate.
 //
+// Decoding is windowed: instead of cancelling and correlating over the
+// whole capture, it processes [packetStart, header) first, reads the
+// frame length from a bounded Viterbi pass, and extends the window to
+// exactly the samples the frame occupies.
+//
+// A Stream carries nothing from one decode to the next but buffer
+// capacity, so callers pool it process-wide; the zero value is ready.
 // Results are deterministic for identical inputs but NOT bit-identical
-// to Reader.Decode: the fast canceller assembles its normal equations
-// in a different summation order, and symbol estimates stop at the
-// frame boundary instead of covering the tag's post-frame silence
-// (Result.SymbolEstimates holds only the frame's symbols). The fast
-// serve path pins its own determinism contract (DESIGN.md §5g).
-//
-// Slices in a returned Result (SymbolEstimates, Hfb) alias the
-// stream's scratch and are valid only until the next Decode call;
-// Payload is freshly allocated. Not safe for concurrent use.
+// to Reader.Decode, the reference decoder: the fast canceller
+// assembles its normal equations in a different summation order, and
+// symbol estimates stop at the frame boundary instead of covering the
+// tag's post-frame silence (Result.SymbolEstimates holds only the
+// frame's symbols). A returned Result never aliases the Stream. Not
+// safe for concurrent use.
 type Stream struct {
-	r    *Reader
-	canc *sic.Reusable
+	canc sic.Reusable
 
 	clean []complex128
 	ref   []complex128
@@ -53,27 +52,15 @@ type Stream struct {
 	hfb   []complex128
 }
 
-// NewStream returns a session-scoped streaming decoder sharing r's
-// configuration and metrics.
-func (r *Reader) NewStream() (*Stream, error) {
-	canc, err := sic.NewReusable(r.cfg.SIC)
-	if err != nil {
-		return nil, err
+// DecodeStream processes one excitation packet with the same stage
+// structure and arguments as Decode, in s's working memory.
+func (r *Reader) DecodeStream(s *Stream, x, xTap, y []complex128, packetStart, packetLen int, tcfg tag.Config) (*Result, error) {
+	s.canc.Configure(r.cfg.SIC)
+	if L := r.cfg.ChannelTaps; s.gram == nil || s.gram.Rows != L {
+		s.gram = linalg.NewMatrix(L, L)
+		s.rhs = make([]complex128, L)
+		s.hfb = make([]complex128, L)
 	}
-	L := r.cfg.ChannelTaps
-	return &Stream{
-		r:    r,
-		canc: canc,
-		gram: linalg.NewMatrix(L, L),
-		rhs:  make([]complex128, L),
-		hfb:  make([]complex128, L),
-	}, nil
-}
-
-// Decode processes one excitation packet with the same stage structure
-// and arguments as Reader.Decode, reusing the stream's cached state.
-func (s *Stream) Decode(x, xTap, y []complex128, packetStart, packetLen int, tcfg tag.Config) (*Result, error) {
-	r := s.r
 	if err := tcfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -125,7 +112,7 @@ func (s *Stream) Decode(x, xTap, y []complex128, packetStart, packetLen int, tcf
 	pn := tag.PreambleSequence(tcfg.ID, tcfg.PreambleChips)
 	tspEst := tr.Start("channel_estimate")
 	spEst := r.m.spanChanEst.Start()
-	err = s.estimateHfbInto(x, s.clean, preStart, pn)
+	err = s.estimateHfbInto(r.cfg, x, s.clean, preStart, pn)
 	spEst.End()
 	tspEst.End()
 	if err != nil {
@@ -145,7 +132,7 @@ func (s *Stream) Decode(x, xTap, y []complex128, packetStart, packetLen int, tcf
 		offset += step
 		preStart += step
 		preEnd += step
-		if err := s.estimateHfbInto(x, s.clean, preStart, pn); err == nil {
+		if err := s.estimateHfbInto(r.cfg, x, s.clean, preStart, pn); err == nil {
 			s.ref = dsp.ConvolveRangeInto(s.ref, x, s.hfb, packetStart, hi)
 		}
 	}
@@ -236,9 +223,9 @@ func (s *Stream) Decode(x, xTap, y []complex128, packetStart, packetLen int, tcf
 	res := &Result{
 		Payload:              payload,
 		FrameOK:              frameOK,
-		SymbolEstimates:      ests,
+		SymbolEstimates:      append([]complex128(nil), ests...),
 		SIC:                  s.canc.Report(),
-		Hfb:                  s.hfb,
+		Hfb:                  append([]complex128(nil), s.hfb...),
 		PreambleCorr:         preCorr,
 		TimingOffset:         offset,
 		ViterbiCorrectedBits: corrected,
@@ -298,8 +285,8 @@ func (s *Stream) frameExtent(hdrEsts []complex128, tcfg tag.Config) (used, infoB
 // scratch instead of materializing the convolution matrix. The
 // solution lands in s.hfb. Sum order differs from the legacy
 // estimator, so taps agree to solver precision, not bit-for-bit.
-func (s *Stream) estimateHfbInto(x, clean []complex128, preStart int, pn []complex128) error {
-	L := s.r.cfg.ChannelTaps
+func (s *Stream) estimateHfbInto(cfg Config, x, clean []complex128, preStart int, pn []complex128) error {
+	L := cfg.ChannelTaps
 	g := s.gram
 	for i := range g.Data {
 		g.Data[i] = 0
@@ -336,7 +323,7 @@ func (s *Stream) estimateHfbInto(x, clean []complex128, preStart int, pn []compl
 		}
 	}
 	copy(s.hfb, s.rhs)
-	if err := linalg.SolveHermitianInPlace(g, s.hfb, s.r.cfg.Lambda); err != nil {
+	if err := linalg.SolveHermitianInPlace(g, s.hfb, cfg.Lambda); err != nil {
 		return fmt.Errorf("reader: channel estimate: %w", err)
 	}
 	return nil

@@ -9,13 +9,20 @@ import (
 	"backfi/internal/tag"
 )
 
-func mustStream(t *testing.T, rd *Reader) *Stream {
+// streamOf binds a fresh Stream to rd so the tests read like one
+// decoder object.
+type streamOf struct {
+	rd *Reader
+	s  Stream
+}
+
+func (b *streamOf) Decode(x, xTap, y []complex128, packetStart, packetLen int, tcfg tag.Config) (*Result, error) {
+	return b.rd.DecodeStream(&b.s, x, xTap, y, packetStart, packetLen, tcfg)
+}
+
+func mustStream(t *testing.T, rd *Reader) *streamOf {
 	t.Helper()
-	s, err := rd.NewStream()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
+	return &streamOf{rd: rd}
 }
 
 func TestStreamDecodeMatchesReader(t *testing.T) {

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"backfi/internal/core"
+	"backfi/internal/obs"
 )
 
 func binRequests() []Request {
@@ -194,7 +195,7 @@ func TestBinaryDecodeMalformed(t *testing.T) {
 	check([]byte{binKindResp, 0x00, 0xEE})                           // unknown response code
 }
 
-func startCacheServer(t *testing.T, cfg Config) *Server {
+func startSeededServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
 	if cfg.Addr == "" {
 		cfg.Addr = "localhost:0"
@@ -221,7 +222,7 @@ func startCacheServer(t *testing.T, cfg Config) *Server {
 // TestBinaryClientEndToEnd drives ping/decode/stats through the
 // negotiated binary protocol against a live server.
 func TestBinaryClientEndToEnd(t *testing.T) {
-	srv := startCacheServer(t, Config{SessionCache: true})
+	srv := startSeededServer(t, Config{})
 	c, err := DialClient(ClientConfig{Addr: srv.Addr(), Proto: "binary"})
 	if err != nil {
 		t.Fatal(err)
@@ -252,7 +253,7 @@ func TestBinaryClientEndToEnd(t *testing.T) {
 // announcing an unknown version gets the server's preamble echoed (so
 // it can report the skew) and then a closed connection.
 func TestBinaryVersionSkew(t *testing.T) {
-	srv := startCacheServer(t, Config{})
+	srv := startSeededServer(t, Config{})
 	conn, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -279,7 +280,7 @@ func TestBinaryVersionSkew(t *testing.T) {
 // both protocols. io.ReadFull over the buffered reader must reassemble
 // frames regardless of segmentation.
 func TestOneByteAtATimePeer(t *testing.T) {
-	srv := startCacheServer(t, Config{})
+	srv := startSeededServer(t, Config{})
 	trickle := func(conn net.Conn, b []byte) {
 		t.Helper()
 		for i := range b {
@@ -373,10 +374,12 @@ func TestFrameReaderBoundedRetention(t *testing.T) {
 }
 
 // responseStream collects one session's decode responses as canonical
-// JSON bytes — the §5g determinism currency.
-func responseStream(t *testing.T, addr, proto, session string, frames int) []byte {
+// JSON bytes — the §5g determinism currency. The handoff snapshot is
+// stripped: whether one rides on a response is the only thing
+// Config.Handoff changes.
+func responseStream(t *testing.T, addr, proto, session string, frames int, tracer *obs.Tracer) []byte {
 	t.Helper()
-	c, err := DialClient(ClientConfig{Addr: addr, Proto: proto})
+	c, err := DialClient(ClientConfig{Addr: addr, Proto: proto, Tracer: tracer})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,6 +391,7 @@ func responseStream(t *testing.T, addr, proto, session string, frames int) []byt
 		if err != nil {
 			t.Fatalf("%s frame %d: %v", proto, i, err)
 		}
+		resp.Handoff = nil
 		b, err := json.Marshal(resp)
 		if err != nil {
 			t.Fatal(err)
@@ -398,36 +402,54 @@ func responseStream(t *testing.T, addr, proto, session string, frames int) []byt
 	return out.Bytes()
 }
 
-// TestProtocolDeterminism pins the tentpole's contract: the decode
-// stream of a session is byte-identical across JSON vs binary
-// protocol, 1 vs 8 shards, batch bound 1 vs 16, and pooled vs
-// unpooled frame buffers, with the session cache on.
+// TestProtocolDeterminism is the serving layer's byte-identity
+// matrix: a session's decode stream is identical across shards {1, 8}
+// × protocol {json, binary} × tracing {off, every frame} × Handoff
+// {off, on} (snapshots stripped), and also with batch bound 1 and with
+// unpooled wire frame buffers. Every session runs the one pipeline and
+// the one RNG schedule, so no serving knob may move a byte.
 func TestProtocolDeterminism(t *testing.T) {
-	stream := func(shards, batch int, proto string, pooled bool) []byte {
-		framePoolDisabled.Store(!pooled)
+	type variant struct {
+		shards, batch int
+		proto         string
+		traced        bool
+		handoff       bool
+		pooled        bool
+	}
+	stream := func(v variant) []byte {
+		framePoolDisabled.Store(!v.pooled)
 		defer framePoolDisabled.Store(false)
-		srv := startCacheServer(t, Config{Shards: shards, BatchMax: batch, SessionCache: true})
+		var tracer *obs.Tracer
+		if v.traced {
+			tracer = obs.NewTracer(obs.TracerConfig{Seed: 7, SampleEvery: 1})
+		}
+		srv := startSeededServer(t, Config{Shards: v.shards, BatchMax: v.batch, Handoff: v.handoff, Tracer: tracer})
 		var out []byte
 		for _, sess := range []string{"det-a", "det-b"} {
-			out = append(out, responseStream(t, srv.Addr(), proto, sess, 6)...)
+			out = append(out, responseStream(t, srv.Addr(), v.proto, sess, 6, tracer)...)
+		}
+		if _, spans, _ := tracer.Stats(); v.traced && spans == 0 {
+			t.Errorf("%+v: tracer recorded no spans — the variant did not actually trace", v)
 		}
 		return out
 	}
-	ref := stream(4, 16, "json", true)
-	for _, tc := range []struct {
-		name          string
-		shards, batch int
-		proto         string
-		pooled        bool
-	}{
-		{"binary", 4, 16, "binary", true},
-		{"shards=1", 1, 16, "binary", true},
-		{"shards=8", 8, 16, "binary", true},
-		{"batch=1", 4, 1, "binary", true},
-		{"unpooled", 4, 16, "binary", false},
-	} {
-		if got := stream(tc.shards, tc.batch, tc.proto, tc.pooled); !bytes.Equal(got, ref) {
-			t.Errorf("%s: response stream diverged from JSON/shards=4/batch=16/pooled reference", tc.name)
+	ref := stream(variant{shards: 1, batch: 16, proto: "json", pooled: true})
+	var variants []variant
+	for _, shards := range []int{1, 8} {
+		for _, proto := range []string{"json", "binary"} {
+			for _, traced := range []bool{false, true} {
+				for _, handoff := range []bool{false, true} {
+					variants = append(variants, variant{shards, 16, proto, traced, handoff, true})
+				}
+			}
+		}
+	}
+	variants = append(variants,
+		variant{shards: 4, batch: 1, proto: "binary", pooled: true},
+		variant{shards: 4, batch: 16, proto: "binary", pooled: false})
+	for _, v := range variants[1:] {
+		if got := stream(v); !bytes.Equal(got, ref) {
+			t.Errorf("%+v: response stream diverged from the shards=1 JSON reference", v)
 		}
 	}
 }

@@ -44,9 +44,8 @@ func decodeStream(t *testing.T, c *Client, id string, from, to int) [][]byte {
 // frames on an origin node, the client installs the origin's last
 // snapshot on a survivor node, and the survivor's responses for the
 // remaining frames are byte-identical to an uninterrupted control node
-// — across both wire protocols, fixed and adaptive sessions, the
-// session-cache hot path, and a scripted fault timeline straddling the
-// cut.
+// — across both wire protocols, fixed, adaptive and faulted sessions,
+// and a scripted fault timeline straddling the cut.
 func TestHandoffResumeByteIdentical(t *testing.T) {
 	timeline, err := fault.NewTimeline([]fault.TimelineStep{
 		{Frame: 2, Severity: 0.5},
@@ -62,7 +61,10 @@ func TestHandoffResumeByteIdentical(t *testing.T) {
 	}{
 		{"fixed-json", "json", func(*Config) {}},
 		{"fixed-binary", "binary", func(*Config) {}},
-		{"hotpath-binary", "binary", func(c *Config) { c.SessionCache = true }},
+		{"faulted-binary", "binary", func(c *Config) {
+			p := fault.Standard(0.3)
+			c.Link.Faults = &p
+		}},
 		{"adaptive-binary", "binary", func(c *Config) {
 			c.Adapt = true
 			c.AdaptMinSymbolRateHz = 250e3
@@ -184,8 +186,8 @@ func TestHandoffSeqContinuity(t *testing.T) {
 // half-installed session.
 func TestHandoffRejections(t *testing.T) {
 	good := func() *HandoffState {
-		return &HandoffState{Version: HandoffVersion, Attempts: 2,
-			Seq: 1, Stats: SessionStats{FramesOffered: 1, PacketsSent: 2}}
+		return &HandoffState{Version: HandoffVersion, Attempts: 1,
+			Seq: 1, Stats: SessionStats{FramesOffered: 1, PacketsSent: 1}}
 	}
 
 	t.Run("disabled", func(t *testing.T) {
@@ -254,6 +256,51 @@ func TestHandoffRejections(t *testing.T) {
 }
 
 func isBadRequest(err error) bool { return errors.Is(err, ErrBadRequest) }
+
+// TestHandoffInstallBoundsReplay is the untrusted-snapshot regression:
+// restore replays work proportional to the snapshot's attempt counter
+// on the shard worker, so a forged counter (2³¹−1 attempts would stall
+// the shard for hours) must be refused fast as bad_request on either
+// protocol, as must counters no session under this node's retry budget
+// could produce — and the shard's other sessions keep decoding.
+func TestHandoffInstallBoundsReplay(t *testing.T) {
+	const huge = 1<<31 - 1
+	for _, proto := range []string{"json", "binary"} {
+		t.Run(proto, func(t *testing.T) {
+			s := startServer(t, Config{Link: core.DefaultLinkConfig(1), Shards: 1, MaxRetries: 2, Handoff: true})
+			c, err := DialClient(ClientConfig{Addr: s.Addr(), Proto: proto})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if _, err := c.Decode("bystander", sessionPayload("bystander", 0)); err != nil {
+				t.Fatal(err)
+			}
+			for name, hs := range map[string]*HandoffState{
+				"forged-attempts": {Version: HandoffVersion, Attempts: huge,
+					Stats: SessionStats{FramesOffered: huge, PacketsSent: huge}},
+				"past-replay-bound": {Version: HandoffVersion, Attempts: maxHandoffReplay + 1,
+					Stats: SessionStats{FramesOffered: maxHandoffReplay + 1, PacketsSent: maxHandoffReplay + 1}},
+				"attempts-beyond-retry-budget": {Version: HandoffVersion, Attempts: 10,
+					Stats: SessionStats{FramesOffered: 3, PacketsSent: 3}},
+				"packets-beyond-attempts": {Version: HandoffVersion, Attempts: 2,
+					Stats: SessionStats{FramesOffered: 2, PacketsSent: 3}},
+			} {
+				start := time.Now()
+				_, err := c.InstallHandoff("victim", hs)
+				if !isBadRequest(err) {
+					t.Fatalf("%s: install = %v, want bad_request", name, err)
+				}
+				if d := time.Since(start); d > 2*time.Second {
+					t.Fatalf("%s: rejection took %v", name, d)
+				}
+			}
+			if _, err := c.Decode("bystander", sessionPayload("bystander", 1)); err != nil {
+				t.Fatalf("shard stopped serving after rejected installs: %v", err)
+			}
+		})
+	}
+}
 
 // TestHandoffNotAttachedWithoutConfig pins that a non-handoff server's
 // decode responses stay byte-identical to the pre-§5j wire: no

@@ -51,8 +51,7 @@ const (
 	// OpPing is a connection liveness check answered inline.
 	OpPing = "ping"
 	// OpHandoff installs a session snapshot taken on another reader
-	// node (DESIGN.md §5j): the daemon builds a fresh migratable
-	// session, replays the scripted fault timeline up to the snapshot's
+	// node (DESIGN.md §5j): the daemon builds a fresh session, replays the scripted fault timeline up to the snapshot's
 	// frame count, restores link/controller/watchdog state, and the
 	// session's decode stream continues byte-identically from where the
 	// origin node left off. Requires Config.Handoff on the server.
@@ -179,8 +178,8 @@ type Response struct {
 const HandoffVersion = 1
 
 // HandoffState is the complete portable state of one serving session
-// (DESIGN.md §5j). It is deliberately tiny: migratable-mode sessions
-// derive every stochastic draw from (session seed, attempt ordinal),
+// (DESIGN.md §5j). It is deliberately tiny: every session derives
+// every stochastic draw from (session seed, attempt ordinal),
 // so the snapshot needs only counters — no waveforms, no RNG innards,
 // no tag configuration (the receiver re-derives the active config from
 // the controller index, or from the degraded flag for fixed sessions).

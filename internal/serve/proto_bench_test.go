@@ -136,14 +136,13 @@ func BenchmarkDecodeResponse(b *testing.B) {
 }
 
 // BenchmarkServeRoundTrip measures one full client→daemon→client
-// decode exchange over loopback per protocol, with the session cache
-// on (the serving configuration the binary protocol ships with).
+// decode exchange over loopback per protocol.
 func BenchmarkServeRoundTrip(b *testing.B) {
 	for _, proto := range []string{"json", "binary"} {
 		b.Run(proto, func(b *testing.B) {
 			link := core.DefaultLinkConfig(1)
 			link.Seed = 11
-			srv, err := NewServer(Config{Addr: "localhost:0", Link: link, SessionCache: true})
+			srv, err := NewServer(Config{Addr: "localhost:0", Link: link})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"backfi/internal/core"
+	"backfi/internal/fault"
 	"backfi/internal/obs"
 )
 
@@ -100,27 +101,45 @@ func runWorkload(t *testing.T, addr string, sessions []string, frames int) map[s
 // for shard counts 1 and 8, under -race. Each session's seed stream
 // derives from its id alone, and its jobs run in connection order
 // within one shard, so neither the shard count nor cross-session
-// interleaving may change a single byte.
+// interleaving may change a single byte. Half the sessions run under a
+// fault profile, and every frame borrows its waveform scratch from one
+// process-wide pool that clean and faulted sessions on every shard
+// share; a third run with pooling off (fresh zeroed buffers per frame)
+// pins that the shared scratch carries nothing between frames.
 func TestDeterministicAcrossShards(t *testing.T) {
 	link := core.DefaultLinkConfig(1)
 	link.Seed = 7
+	faulted := link
+	p := fault.Standard(0.3)
+	faulted.Faults = &p
 	sessions := []string{"alpha", "bravo", "charlie", "delta", "echo", "foxtrot"}
 	const frames = 3
-	run := func(shards int) map[string][]byte {
-		s := startServer(t, Config{
-			Link:       link,
-			Shards:     shards,
-			MaxRetries: 2,
-			Obs:        obs.NewRegistry(), // metrics must not perturb results
-		})
-		defer s.Shutdown(context.Background())
-		return runWorkload(t, s.Addr(), sessions, frames)
+	run := func(shards int, pooled bool) map[string][]byte {
+		defer core.SetScratchPooling(core.SetScratchPooling(pooled))
+		out := map[string][]byte{}
+		for i, l := range []core.LinkConfig{link, faulted} {
+			s := startServer(t, Config{
+				Link:       l,
+				Shards:     shards,
+				MaxRetries: 2,
+				Obs:        obs.NewRegistry(), // metrics must not perturb results
+			})
+			for id, blob := range runWorkload(t, s.Addr(), sessions[i*3:i*3+3], frames) {
+				out[id] = blob
+			}
+			s.Shutdown(context.Background())
+		}
+		return out
 	}
-	one := run(1)
-	eight := run(8)
+	one := run(1, true)
+	eight := run(8, true)
+	fresh := run(8, false)
 	for _, id := range sessions {
 		if string(one[id]) != string(eight[id]) {
 			t.Fatalf("session %s diverged between shard counts:\n1: %s\n8: %s", id, one[id], eight[id])
+		}
+		if string(eight[id]) != string(fresh[id]) {
+			t.Fatalf("session %s diverged between pooled and fresh scratch:\npooled: %s\nfresh:  %s", id, eight[id], fresh[id])
 		}
 	}
 }

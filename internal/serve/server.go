@@ -98,15 +98,9 @@ type Config struct {
 	// lift degraded mode (hysteresis against flapping). 0 defaults
 	// to 8.
 	WatchdogRecover int
-	// SessionCache turns on the per-session link cache
-	// (core.LinkConfig.SessionCache) for every session the daemon
-	// opens: the realized excitation and decoder scratch are reused
-	// across a session's frames instead of rebuilt per job, which is
-	// what lets batched jobs of one session share an excitation packet
-	// inside a shard's parallel pass. Off by default — the cached path
-	// is deterministic but draws the link RNG on a different schedule,
-	// so enabling it changes a session's realized decode stream (see
-	// DESIGN.md §5g).
+	// SessionCache has no effect: every session runs the one windowed
+	// pipeline over the server-wide excitation pool. It is kept only so
+	// configurations written against earlier builds still compile.
 	SessionCache bool
 	// Obs receives serving metrics (queue depth, admission outcomes,
 	// per-stage latency, batch sizes, session/connection gauges) and is
@@ -141,18 +135,15 @@ type Config struct {
 	// MultiTagMax bounds the payload-group size an mdecode request may
 	// carry. 0 defaults to 8.
 	MultiTagMax int
-	// Handoff makes every single-tag session portable (DESIGN.md §5j):
-	// sessions open in migratable mode (core.LinkConfig.Migratable —
-	// every stochastic draw becomes a pure function of the session seed
-	// and the link attempt ordinal), every successful decode response
-	// carries a versioned HandoffState snapshot, and the daemon accepts
-	// the handoff op to install a snapshot taken on another node.
-	// Migratable mode pins the RNG draw schedule differently from both
-	// legacy modes, so enabling it changes a session's realized decode
-	// stream — all nodes of a cluster must agree on this flag (and the
-	// rest of the serving configuration) for handoff to resume streams
-	// byte-identically. Multi-tag sessions are not portable and mdecode
-	// responses carry no snapshot.
+	// Handoff publishes session portability (DESIGN.md §5j): every
+	// successful decode response carries a versioned HandoffState
+	// snapshot, and the daemon accepts the handoff op to install a
+	// snapshot taken on another node. Every session follows the same
+	// per-attempt RNG schedule either way, so the flag never changes a
+	// decode stream — only whether snapshots travel. All nodes of a
+	// cluster must agree on the rest of the serving configuration for
+	// handoff to resume streams byte-identically. Multi-tag sessions
+	// are not portable and mdecode responses carry no snapshot.
 	Handoff bool
 	// Energy enables the energy-aware poll scheduler (DESIGN.md §5k):
 	// every single-tag session carries a deterministic supercap tank
@@ -235,7 +226,7 @@ func (c *Config) Validate() error {
 		}
 	}
 	if c.Handoff && c.Timeline != nil {
-		// Migratable restore replays the evolver at the session's
+		// Snapshot restore replays the evolver at the session's
 		// construction rho, not the historical rho schedule, so a
 		// mobility-bearing timeline would resume a migrated session on a
 		// diverged tap stream. Fail loudly at configuration time.
@@ -578,28 +569,30 @@ func (sh *shard) ensureSession(id string, jobs []*job) error {
 }
 
 // newSession clones the template at a seed offset, adaptive or fixed
-// per the serving configuration.
+// per the serving configuration, sharing the server's excitation pool.
 func (s *Server) newSession(seedOffset int64) (*core.Session, error) {
 	cfg := s.cfg.Link
 	cfg.Seed += seedOffset
-	if s.cfg.SessionCache {
-		cfg.SessionCache = true
-	}
-	if s.cfg.Handoff {
-		cfg.Migratable = true
-	}
+	var sess *core.Session
+	var err error
 	if s.cfg.Adapt {
-		return core.NewAdaptiveSession(cfg, s.cfg.CoherenceRho, s.cfg.MaxRetries, s.cfg.AdaptTuning, s.cfg.AdaptMinSymbolRateHz)
+		sess, err = core.NewAdaptiveSession(cfg, s.cfg.CoherenceRho, s.cfg.MaxRetries, s.cfg.AdaptTuning, s.cfg.AdaptMinSymbolRateHz)
+	} else {
+		sess, err = core.NewSession(cfg, s.cfg.CoherenceRho, s.cfg.MaxRetries)
 	}
-	return core.NewSession(cfg, s.cfg.CoherenceRho, s.cfg.MaxRetries)
+	if err != nil {
+		return nil, err
+	}
+	sess.Link().SetSlotPool(s.pool)
+	return sess, nil
 }
 
 // newMultiSession clones the template into a tags-wide multi-tag
-// session at a seed offset. Every multi-tag session shares the
+// session at a seed offset. Like single-tag sessions it shares the
 // server's slot pool: the excitation templates are a pure function of
-// (pool seed, slot shape), so sharing keeps outcomes identical while
-// 100k sessions retain one template set instead of 100k private
-// buffers (copy-on-write session state, DESIGN.md §5i).
+// the burst shape, so sharing keeps outcomes identical while 100k
+// sessions retain one template set instead of 100k private buffers
+// (DESIGN.md §5i).
 func (s *Server) newMultiSession(seedOffset int64, tags int) (*core.MultiTagSession, error) {
 	cfg := s.cfg.Link
 	cfg.Seed += seedOffset
@@ -700,14 +693,9 @@ func coreSessionStats(s SessionStats) core.SessionStats {
 }
 
 // captureHandoff snapshots a session into the wire HandoffState that
-// rides on a decode response (Config.Handoff). Returns nil if the
-// session cannot snapshot — callers attach nothing rather than fail
-// the decode that just succeeded.
+// rides on a decode response (Config.Handoff).
 func (sh *shard) captureHandoff(st *sessionState) *HandoffState {
-	snap, err := st.sess.Snapshot()
-	if err != nil {
-		return nil
-	}
+	snap := st.sess.Snapshot()
 	hs := &HandoffState{
 		Version:     HandoffVersion,
 		Attempts:    snap.Attempts,
@@ -735,8 +723,19 @@ func (sh *shard) captureHandoff(st *sessionState) *HandoffState {
 	return hs
 }
 
+// maxHandoffReplay bounds the attempts (and frames) a handoff install
+// replays, from a stall budget of one second: restoring replays the
+// channel evolver once per past attempt (0.45-0.5 µs each on a 2-vCPU
+// Xeon), so 2^21 attempts hold the installing shard's worker about a
+// second. An honest session outgrows the bound after 2^21 attempts —
+// about 5 h at 40 frames/s and three attempts a frame, 15 h at one —
+// and from then on its snapshots are refused with bad_request; the
+// cluster client then continues the session on its new owner without
+// the snapshot's state (DESIGN.md §5j).
+const maxHandoffReplay = 1 << 21
+
 // installHandoff realizes a snapshot taken on another node: build a
-// fresh migratable session for the id, replay the scripted fault
+// fresh session for the id, replay the scripted fault
 // timeline over the snapshot's frame count (reproducing the origin's
 // profile-switch sequence, which the injector seed schedule depends
 // on), restore link/controller state, and adopt the watchdog mode.
@@ -757,6 +756,18 @@ func (sh *shard) installHandoff(st *sessionState, j *job) Response {
 	}
 	if (hs.Ctrl != nil) != cfg.Adapt {
 		return reject("controller state %v does not match node adaptation %v", hs.Ctrl != nil, cfg.Adapt)
+	}
+	// The counters are untrusted and restore replays work proportional
+	// to them on this shard's worker, so bound the work before checking
+	// that they describe a session this node's retry budget could have
+	// produced.
+	if hs.Attempts > maxHandoffReplay || hs.Stats.FramesOffered > maxHandoffReplay {
+		return reject("snapshot of %d attempts over %d frames exceeds the replay bound %d",
+			hs.Attempts, hs.Stats.FramesOffered, maxHandoffReplay)
+	}
+	if hs.Stats.PacketsSent > hs.Attempts || hs.Attempts > (cfg.MaxRetries+1)*hs.Stats.FramesOffered {
+		return reject("snapshot counters inconsistent: %d packets sent, %d attempts, %d frames at %d retries",
+			hs.Stats.PacketsSent, hs.Attempts, hs.Stats.FramesOffered, cfg.MaxRetries)
 	}
 	sess, err := sh.srv.newSession(sessionSeed(j.session))
 	if err != nil {
@@ -1181,9 +1192,8 @@ type Server struct {
 	robust    tag.Config
 	ladderTop int
 
-	// pool shares multi-tag excitation templates across every session
-	// the daemon opens (SlotPool is internally locked; one pool serves
-	// all shards).
+	// pool shares excitation templates across every session the daemon
+	// opens (SlotPool is internally locked; one pool serves all shards).
 	pool *core.SlotPool
 
 	m serverMetrics

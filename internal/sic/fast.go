@@ -10,9 +10,11 @@ import (
 	"backfi/internal/obs"
 )
 
-// Reusable is the serving hot path's canceller: one instance per
-// session that is retrained every frame (the AR(1) channel decorrelates
-// too fast for stale taps to survive a step) but reuses every buffer —
+// Reusable is the windowed pipeline's canceller: retrained every frame
+// (the AR(1) channel decorrelates too fast for stale taps to survive a
+// step), it carries no state from one frame to the next except its
+// buffers, so it lives in pooled decode scratch and any frame of any
+// session may draw it. It reuses every buffer —
 // tap vectors, normal-equation workspaces, reconstruction scratch — so
 // steady-state retraining allocates nothing. It also works over sample
 // windows: training reads only the silent window and CancelRange
@@ -25,10 +27,10 @@ import (
 // serve path owns its determinism contract end to end (see DESIGN.md
 // §5g), so that is the intended trade.
 //
-// Not safe for concurrent use; the reader daemon keys one per session,
-// and sessions are serialized per shard.
+// Not safe for concurrent use; one frame owns it at a time.
 type Reusable struct {
 	cfg     Config
+	m       reusableMetrics
 	analog  []complex128
 	digital []complex128
 	report  Report
@@ -45,11 +47,53 @@ func NewReusable(cfg Config) (*Reusable, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Reusable{
-		cfg:     cfg,
-		analog:  make([]complex128, cfg.AnalogTaps),
-		digital: make([]complex128, cfg.DigitalTaps),
-	}, nil
+	c := &Reusable{}
+	c.Configure(cfg)
+	return c, nil
+}
+
+// Configure points the canceller at a validated cfg, resizing its tap
+// vectors and keeping its buffers. The zero Reusable is ready once
+// configured; Retrain overwrites every tap, so reconfiguring between
+// frames leaks nothing from the previous owner.
+func (c *Reusable) Configure(cfg Config) {
+	c.cfg = cfg
+	if c.m.reg != cfg.Obs {
+		c.m = newReusableMetrics(cfg.Obs)
+	}
+	c.analog = resize(c.analog, cfg.AnalogTaps)
+	c.digital = resize(c.digital, cfg.DigitalTaps)
+}
+
+// reusableMetrics holds the canceller's instruments, resolved once per
+// registry; all nil (no-op) without one. They match Train's.
+type reusableMetrics struct {
+	reg                            *obs.Registry
+	analogTrain, digitalTrain      *obs.Histogram
+	residualDBm, cancellationDepth *obs.Histogram
+}
+
+func newReusableMetrics(r *obs.Registry) reusableMetrics {
+	if r == nil {
+		return reusableMetrics{}
+	}
+	stage := func(name string) *obs.Histogram {
+		return r.Histogram(obs.MetricStageDuration, obs.HelpStageDuration, obs.DurationBuckets, "stage", name)
+	}
+	return reusableMetrics{
+		reg:               r,
+		analogTrain:       stage("sic_analog_train"),
+		digitalTrain:      stage("sic_digital_train"),
+		residualDBm:       r.Histogram(obs.MetricSICResidual, "Post-cancellation floor in dBm over the training window.", obs.DBBuckets),
+		cancellationDepth: r.Histogram(obs.MetricSICCancellation, "Total self-interference suppression in dB.", obs.DBBuckets),
+	}
+}
+
+func resize(b []complex128, n int) []complex128 {
+	if cap(b) < n {
+		return make([]complex128, n)
+	}
+	return b[:n]
 }
 
 // SetTrace points subsequent Retrain calls at the per-frame trace
@@ -71,6 +115,7 @@ func (c *Reusable) Retrain(xTap, xIdeal, y []complex128, start, stop int) error 
 	work := y
 	if cfg.AnalogTaps > 0 {
 		tsp := cfg.Trace.Start("sic_analog_train")
+		sp := c.m.analogTrain.Start()
 		hA, err := linalg.ToeplitzLSFast(&c.wsA, xTap, y, cfg.AnalogTaps, start, stop, cfg.Lambda)
 		if err != nil {
 			return fmt.Errorf("sic: analog estimate: %w", err)
@@ -86,12 +131,14 @@ func (c *Reusable) Retrain(xTap, xIdeal, y []complex128, start, stop int) error 
 		}
 		work = c.work
 		c.report.AfterAnalogDBm = dsp.DBm(dsp.Power(work[start:stop]))
+		sp.End()
 		tsp.End()
 	} else {
 		c.report.AfterAnalogDBm = c.report.BeforeDBm
 	}
 
 	tsp := cfg.Trace.Start("sic_digital_train")
+	sp := c.m.digitalTrain.Start()
 	hD, err := linalg.ToeplitzLSFast(&c.wsD, xIdeal, work, cfg.DigitalTaps, start, stop, cfg.Lambda)
 	if err != nil {
 		return fmt.Errorf("sic: digital estimate: %w", err)
@@ -105,7 +152,10 @@ func (c *Reusable) Retrain(xTap, xIdeal, y []complex128, start, stop int) error 
 	}
 	c.report.AfterDBm = dsp.DBm(pw / float64(stop-start))
 	c.report.CancellationDB = c.report.BeforeDBm - c.report.AfterDBm
+	sp.End()
 	tsp.End()
+	c.m.residualDBm.Observe(c.report.AfterDBm)
+	c.m.cancellationDepth.Observe(c.report.CancellationDB)
 	return nil
 }
 
