@@ -346,14 +346,14 @@ func (l *Link) SetFaultProfile(p *fault.Profile) error {
 const windowSlack = 64
 
 // frameScratch is one frame's waveform-sized working memory: the air
-// copy, the forward signal at the tag, its reflection, the reflection
-// through h_b, the AP receive buffer, and the decoder's scratch. It
-// comes from scratchPool for the duration of one exchange and goes
-// back before the result is returned, so no session retains a buffer
-// sized by the waveform.
+// copy, the forward signal at the tag, the tag's modulation sequence,
+// its reflection, the reflection through h_b, the AP receive buffer,
+// and the decoder's scratch. It comes from scratchPool for the
+// duration of one exchange and goes back before the result is
+// returned, so no session retains a buffer sized by the waveform.
 type frameScratch struct {
-	air, z, refl, bs, y []complex128
-	dec                 reader.Stream
+	air, z, mod, refl, bs, y []complex128
+	dec                      reader.Stream
 }
 
 var (
@@ -461,10 +461,11 @@ func (l *Link) exchange(x []complex128, packetStart int, payload []byte) (*Packe
 		return nil, fmt.Errorf("%w: wake timing off by %d samples", ErrTagNoWake, d)
 	}
 
-	m, plan, err := l.Tag.ModulationSequence(hi-packetStart, payload)
+	m, plan, err := l.Tag.ModulationSequenceInto(fs.mod, hi-packetStart, payload)
 	if err != nil {
 		return nil, err
 	}
+	fs.mod = m
 	// Tag-side faults: oscillator phase noise over the reflection, and
 	// preamble chips the modulator glitches.
 	l.inj.ApplyTagPhaseNoise(m)

@@ -109,20 +109,41 @@ func (r CodeRate) Fraction() float64 {
 	panic("fec: unknown code rate")
 }
 
-// puncturePattern returns the keep-mask over mother-code output bits
-// (period = len(pattern)), matching IEEE 802.11-2012 Sec. 18.3.5.6.
-func (r CodeRate) puncturePattern() []bool {
-	switch r {
-	case Rate12:
-		return []bool{true, true}
-	case Rate23:
+// puncturePatterns are the keep-masks over mother-code output bits
+// (period = len(pattern)), matching IEEE 802.11-2012 Sec. 18.3.5.6,
+// indexed by CodeRate. keptPrefix[r][i] counts the kept positions
+// among the first i of a period.
+var (
+	puncturePatterns = [...][]bool{
+		Rate12: {true, true},
 		// A1 B1 A2 (B2 stolen): keep, keep, keep, drop.
-		return []bool{true, true, true, false}
-	case Rate34:
+		Rate23: {true, true, true, false},
 		// A1 B1 B2 A3 (A2, B3 stolen).
-		return []bool{true, true, false, true, true, false}
+		Rate34: {true, true, false, true, true, false},
 	}
-	panic("fec: unknown code rate")
+	keptPrefix = buildKeptPrefix()
+)
+
+func buildKeptPrefix() [len(puncturePatterns)][]int {
+	var out [len(puncturePatterns)][]int
+	for r, pat := range puncturePatterns {
+		out[r] = make([]int, len(pat)+1)
+		for i, keep := range pat {
+			out[r][i+1] = out[r][i]
+			if keep {
+				out[r][i+1]++
+			}
+		}
+	}
+	return out
+}
+
+// puncturePattern returns the rate's shared, read-only keep-mask.
+func (r CodeRate) puncturePattern() []bool {
+	if r.Validate() != nil {
+		panic("fec: unknown code rate")
+	}
+	return puncturePatterns[r]
 }
 
 // Puncture removes the stolen bits of the given rate from a rate-1/2
@@ -143,17 +164,28 @@ func Puncture(coded []byte, rate CodeRate) []byte {
 // convention +1 → bit 0, −1 → bit 1, 0 → erasure. motherLen is the
 // desired output length (2 × number of trellis steps).
 func Depuncture(soft []float64, rate CodeRate, motherLen int) ([]float64, error) {
+	return DepunctureInto(nil, soft, rate, motherLen)
+}
+
+// DepunctureInto is Depuncture writing into dst's storage, which it
+// grows only when its capacity is short.
+func DepunctureInto(dst, soft []float64, rate CodeRate, motherLen int) ([]float64, error) {
 	pat := rate.puncturePattern()
-	out := make([]float64, motherLen)
+	if cap(dst) < motherLen {
+		dst = make([]float64, motherLen)
+	}
+	out := dst[:motherLen]
 	si := 0
-	for i := 0; i < motherLen; i++ {
-		if pat[i%len(pat)] {
-			if si >= len(soft) {
-				return nil, fmt.Errorf("fec: punctured stream too short: need > %d soft values", len(soft))
-			}
-			out[i] = soft[si]
-			si++
+	for i := range out {
+		if !pat[i%len(pat)] {
+			out[i] = 0
+			continue
 		}
+		if si >= len(soft) {
+			return nil, fmt.Errorf("fec: punctured stream too short: need > %d soft values", len(soft))
+		}
+		out[i] = soft[si]
+		si++
 	}
 	if si != len(soft) {
 		return nil, fmt.Errorf("fec: punctured stream length %d does not match mother length %d at rate %s", len(soft), motherLen, rate)
@@ -161,19 +193,17 @@ func Depuncture(soft []float64, rate CodeRate, motherLen int) ([]float64, error)
 	return out, nil
 }
 
-// PuncturedLength returns the number of transmitted coded bits for
-// nInfo information bits (with tail included if terminated) at the given
-// rate. It errors if the mother length doesn't align with the puncture
-// period, in which case the caller should pad.
+// PuncturedLength returns the number of transmitted coded bits left of
+// motherLen rate-1/2 coded bits after the rate's puncturing: whole
+// periods times the kept bits per period, plus the kept bits of the
+// partial period. It runs in constant time.
 func PuncturedLength(motherLen int, rate CodeRate) int {
-	pat := rate.puncturePattern()
-	n := 0
-	for i := 0; i < motherLen; i++ {
-		if pat[i%len(pat)] {
-			n++
-		}
+	period := len(rate.puncturePattern())
+	if motherLen <= 0 {
+		return 0
 	}
-	return n
+	kept := keptPrefix[rate]
+	return motherLen/period*kept[period] + kept[motherLen%period]
 }
 
 // HardToSoft converts hard bits to the soft convention (+1 → 0, −1 → 1).

@@ -5,32 +5,36 @@ import (
 	"math"
 )
 
-// viterbiTables holds the precomputed trellis structure of the (133,171)
-// code: for each state and input bit, the next state and the two
-// expected output bits.
-type viterbiTables struct {
-	nextState [NumStates][2]int
-	// outSign[s][b][i] is +1 if expected output bit i (0=A, 1=B) for
-	// transition (state s, input b) is 0, else −1; matches the soft
-	// convention so branch metrics are plain dot products.
-	outSign [NumStates][2][2]float64
+// butterflySign[j] holds the expected output bits (A, B) of the
+// transition from state 2j on input 0, one bit each (bit 0 = A,
+// bit 1 = B; a set bit means the coded bit is 1, soft sign −1).
+//
+// The trellis of the (133,171) code is made of 32 butterflies:
+// states 2j and 2j+1 both feed states j (input 0) and j+32 (input 1).
+// Both generators tap the input bit and the oldest register bit, so
+// flipping either one negates both expected outputs: the four branches
+// of a butterfly share one pair of signs, two with each polarity.
+var butterflySign = buildButterflySigns()
+
+func buildButterflySigns() (out [NumStates / 2]uint8) {
+	for j := range out {
+		window := uint32(2 * j)
+		out[j] = parity(window&G0) | parity(window&G1)<<1
+	}
+	return out
 }
 
-var trellis = buildTrellis()
-
-func buildTrellis() *viterbiTables {
-	t := &viterbiTables{}
-	for s := 0; s < NumStates; s++ {
-		for b := 0; b < 2; b++ {
-			window := uint32(s) | uint32(b)<<(ConstraintLength-1)
-			a := parity(window & G0)
-			bb := parity(window & G1)
-			t.nextState[s][b] = int(window >> 1)
-			t.outSign[s][b][0] = 1 - 2*float64(a)
-			t.outSign[s][b][1] = 1 - 2*float64(bb)
-		}
-	}
-	return t
+// Viterbi is the working memory of the soft-decision decoder of the
+// rate-1/2 mother code. The zero value is ready; a Viterbi reused
+// across decodes stops allocating once its buffers have grown to the
+// longest stream seen. Not safe for concurrent use.
+type Viterbi struct {
+	// surv[t] packs the survivor decisions of step t: bit s is set when
+	// the survivor entering state s came from the odd predecessor
+	// ((s<<1)&63 | 1) rather than the even one.
+	surv   []uint64
+	bits   []byte
+	mother []float64
 }
 
 // ViterbiDecode performs maximum-likelihood sequence decoding of the
@@ -42,7 +46,20 @@ func buildTrellis() *viterbiTables {
 // zeros (EncodeTerminated): the survivor ending in state 0 is chosen and
 // the tail is stripped from the returned bits. Otherwise the best final
 // state is used and all decisions are returned.
+//
+// The returned bits are the caller's; Viterbi.Decode is the
+// allocation-free form.
 func ViterbiDecode(soft []float64, terminated bool) ([]byte, error) {
+	return new(Viterbi).Decode(soft, terminated)
+}
+
+// Decode is ViterbiDecode in v's working memory. The returned bits
+// alias v and stay valid until v's next decode.
+//
+// Ties resolve deterministically: a state whose two candidate paths
+// have equal metrics keeps the one from the lower predecessor, and an
+// unterminated decode ends in the lowest state of maximal metric.
+func (v *Viterbi) Decode(soft []float64, terminated bool) ([]byte, error) {
 	if len(soft)%2 != 0 {
 		return nil, fmt.Errorf("fec: soft stream length %d is odd", len(soft))
 	}
@@ -53,38 +70,46 @@ func ViterbiDecode(soft []float64, terminated bool) ([]byte, error) {
 	if terminated && steps < TailBits {
 		return nil, fmt.Errorf("fec: %d steps too short for terminated trellis", steps)
 	}
+	if cap(v.surv) < steps {
+		v.surv = make([]uint64, steps)
+		v.bits = make([]byte, steps)
+	}
+	surv := v.surv[:steps]
 
 	negInf := math.Inf(-1)
-	metric := make([]float64, NumStates)
-	next := make([]float64, NumStates)
+	var bufs [2][NumStates]float64
+	metric, next := &bufs[0], &bufs[1]
 	for s := 1; s < NumStates; s++ {
 		metric[s] = negInf // encoder starts in state 0
 	}
-	// decisions[t*NumStates+s] packs the survivor entering state s at
-	// step t: predecessor state in the low bits, input bit in bit 7
-	// (NumStates = 64 fits in 6 bits).
-	decisions := make([]uint8, steps*NumStates)
-
-	for t := 0; t < steps; t++ {
+	for t := range surv {
 		sa, sb := soft[2*t], soft[2*t+1]
-		dec := decisions[t*NumStates : (t+1)*NumStates]
-		for i := range next {
-			next[i] = negInf
-		}
-		for s := 0; s < NumStates; s++ {
-			m := metric[s]
-			if m == negInf {
-				continue
+		// Branch terms by sign bit: bit clear adds the soft value,
+		// bit set subtracts it. Metrics accumulate as (m ± sa) ± sb.
+		ta := [2]float64{sa, -sa}
+		tb := [2]float64{sb, -sb}
+		var dec uint64
+		for j, sign := range butterflySign {
+			m0, m1 := metric[2*j], metric[2*j+1]
+			a, b := sign&1, sign>>1&1
+			x, y := ta[a], tb[b]
+			nx, ny := ta[a^1], tb[b^1]
+			// Input 0 into state j: state 2j emits (a, b), state 2j+1
+			// the complement.
+			lo := m0 + x + y
+			if c := m1 + nx + ny; c > lo {
+				lo = c
+				dec |= 1 << uint(j)
 			}
-			for b := 0; b < 2; b++ {
-				ns := trellis.nextState[s][b]
-				bm := m + sa*trellis.outSign[s][b][0] + sb*trellis.outSign[s][b][1]
-				if bm > next[ns] {
-					next[ns] = bm
-					dec[ns] = uint8(s) | uint8(b)<<7
-				}
+			// Input 1 into state j+32: the polarities swap.
+			hi := m0 + nx + ny
+			if c := m1 + x + y; c > hi {
+				hi = c
+				dec |= 1 << uint(j+NumStates/2)
 			}
+			next[j], next[j+NumStates/2] = lo, hi
 		}
+		surv[t] = dec
 		metric, next = next, metric
 	}
 
@@ -101,13 +126,13 @@ func ViterbiDecode(soft []float64, terminated bool) ([]byte, error) {
 		return nil, fmt.Errorf("fec: no survivor reaches the zero state")
 	}
 
-	// Traceback.
-	bits := make([]byte, steps)
+	// Traceback: the input bit that entered state s is its top bit, and
+	// its predecessor is s shifted up with the survivor bit below.
+	bits := v.bits[:steps]
 	s := final
 	for t := steps - 1; t >= 0; t-- {
-		d := decisions[t*NumStates+s]
-		bits[t] = d >> 7
-		s = int(d & 0x3F)
+		bits[t] = byte(s >> (ConstraintLength - 2))
+		s = (s<<1)&(NumStates-1) | int(surv[t]>>uint(s)&1)
 	}
 	if terminated {
 		bits = bits[:steps-TailBits]
@@ -120,15 +145,23 @@ func ViterbiDecode(soft []float64, terminated bool) ([]byte, error) {
 // (excluding tail); terminated indicates whether TailBits zeros were
 // appended before encoding.
 func DecodePunctured(soft []float64, rate CodeRate, nInfo int, terminated bool) ([]byte, error) {
+	return new(Viterbi).DecodePunctured(soft, rate, nInfo, terminated)
+}
+
+// DecodePunctured is the package-level DecodePunctured in v's working
+// memory. The returned bits alias v and stay valid until v's next
+// decode.
+func (v *Viterbi) DecodePunctured(soft []float64, rate CodeRate, nInfo int, terminated bool) ([]byte, error) {
 	steps := nInfo
 	if terminated {
 		steps += TailBits
 	}
-	mother, err := Depuncture(soft, rate, 2*steps)
+	mother, err := DepunctureInto(v.mother, soft, rate, 2*steps)
 	if err != nil {
 		return nil, err
 	}
-	bits, err := ViterbiDecode(mother, terminated)
+	v.mother = mother
+	bits, err := v.Decode(mother, terminated)
 	if err != nil {
 		return nil, err
 	}

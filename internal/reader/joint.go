@@ -216,7 +216,7 @@ func (r *Reader) decodeLayer(clean, ref []complex128, packetStart, packetLen, pr
 
 	tspVit := r.trace.Start("viterbi")
 	spVit := r.m.spanViterbi.Start()
-	payload, used, corrected, frameOK := r.decodeFrame(ests, tcfg)
+	payload, used, corrected, frameOK := new(frameDecoder).decodeFrame(ests, tcfg)
 	spVit.End()
 	tspVit.End()
 	if frameOK {

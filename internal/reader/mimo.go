@@ -129,7 +129,7 @@ func (r *Reader) DecodeMulti(x, xTap []complex128, ys [][]complex128, packetStar
 		}
 	}
 
-	payload, used, corrected, frameOK := r.decodeFrame(ests, tcfg)
+	payload, used, corrected, frameOK := new(frameDecoder).decodeFrame(ests, tcfg)
 	out.Payload = payload
 	out.FrameOK = frameOK
 	out.ViterbiCorrectedBits = corrected

@@ -306,7 +306,7 @@ func (r *Reader) Decode(x, xTap, y []complex128, packetStart, packetLen int, tcf
 	// length-aware decode.
 	tspVit := r.trace.Start("viterbi")
 	spVit := r.m.spanViterbi.Start()
-	payload, used, corrected, frameOK := r.decodeFrame(ests, tcfg)
+	payload, used, corrected, frameOK := new(frameDecoder).decodeFrame(ests, tcfg)
 	spVit.End()
 	tspVit.End()
 	if frameOK {
@@ -447,40 +447,55 @@ func (r *Reader) preambleCorrelation(clean, ref []complex128, preStart int, pn [
 	return cmplx.Abs(acc) / norm
 }
 
+// frameDecoder is the FEC/framing stage's working memory: the Viterbi
+// scratch and the demapped soft values. The zero value is ready; one
+// reused across frames stops allocating once its buffers have grown
+// (only the returned payload is new). Not safe for concurrent use.
+type frameDecoder struct {
+	vit  fec.Viterbi
+	soft []float64
+}
+
+// readLength runs an unterminated Viterbi pass over every whole trellis
+// step soft holds and returns the frame's 16-bit length header. ok is
+// false when soft is too short to carry the header.
+func (d *frameDecoder) readLength(soft []float64, coding fec.CodeRate) (n int, ok bool) {
+	steps := maxTrellisSteps(len(soft), coding)
+	if steps < 16+fec.TailBits {
+		return 0, false
+	}
+	need := fec.PuncturedLength(2*steps, coding)
+	bits, err := d.vit.DecodePunctured(soft[:need], coding, steps, false)
+	if err != nil {
+		return 0, false
+	}
+	for i := 0; i < 16; i++ {
+		n |= int(bits[i]) << uint(i)
+	}
+	return n, true
+}
+
 // decodeFrame runs soft demapping and FEC over symbol estimates,
 // reading the frame length from the decoded header. It returns the
 // payload (nil on failure), the number of symbols the frame occupied,
 // the number of coded bits the Viterbi decoder corrected (0 unless the
 // frame validated), and whether the CRC validated.
-func (r *Reader) decodeFrame(ests []complex128, tcfg tag.Config) ([]byte, int, int, bool) {
-	soft := tcfg.Mod.DemapSoft(ests)
+func (d *frameDecoder) decodeFrame(ests []complex128, tcfg tag.Config) ([]byte, int, int, bool) {
+	d.soft = tcfg.Mod.DemapSoftInto(d.soft, ests)
+	soft := d.soft
 	// First pass: unterminated Viterbi over everything to read the
 	// length header.
-	steps := maxTrellisSteps(len(soft), tcfg.Coding)
-	if steps < 16+fec.TailBits {
+	n, ok := d.readLength(soft, tcfg.Coding)
+	if !ok {
 		return nil, len(ests), 0, false
 	}
-	need := fec.PuncturedLength(2*steps, tcfg.Coding)
-	mother, err := fec.Depuncture(soft[:need], tcfg.Coding, 2*steps)
-	if err != nil {
-		return nil, len(ests), 0, false
-	}
-	bits, err := fec.ViterbiDecode(mother, false)
-	if err != nil {
-		return nil, len(ests), 0, false
-	}
-	n := int(bits[0]) | int(bits[1])<<1 | int(bits[2])<<2 | int(bits[3])<<3 |
-		int(bits[4])<<4 | int(bits[5])<<5 | int(bits[6])<<6 | int(bits[7])<<7 |
-		int(bits[8])<<8 | int(bits[9])<<9 | int(bits[10])<<10 | int(bits[11])<<11 |
-		int(bits[12])<<12 | int(bits[13])<<13 | int(bits[14])<<14 | int(bits[15])<<15
-	infoBits := tag.FrameInfoBits(n)
 	used := tag.SymbolsForPayload(n, tcfg.Coding, tcfg.Mod)
 	if used > len(ests) {
 		return nil, len(ests), 0, false
 	}
 	// Second pass: terminated decode over exactly the frame's symbols.
 	frameSoft := soft[:used*tcfg.Mod.BitsPerSymbol()]
-	payload, err := tag.DecodeFrameBits(frameSoft, tcfg.Coding, infoBits)
+	payload, err := tag.DecodeFrameBits(&d.vit, frameSoft, tcfg.Coding, tag.FrameInfoBits(n))
 	if err != nil {
 		return nil, used, 0, false
 	}

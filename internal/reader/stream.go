@@ -25,7 +25,8 @@ const headerGuardSteps = 8 * fec.TailBits
 //   - a sic.Reusable canceller retrained every frame with no
 //     steady-state allocation;
 //   - clean/reference/estimate buffers;
-//   - normal-equation scratch for the combined-channel estimate.
+//   - normal-equation scratch for the combined-channel estimate;
+//   - the FEC stage's demap, depuncture and Viterbi survivor buffers.
 //
 // Decoding is windowed: instead of cancelling and correlating over the
 // whole capture, it processes [packetStart, header) first, reads the
@@ -43,6 +44,7 @@ const headerGuardSteps = 8 * fec.TailBits
 // safe for concurrent use.
 type Stream struct {
 	canc sic.Reusable
+	fd   frameDecoder
 
 	clean []complex128
 	ref   []complex128
@@ -167,7 +169,7 @@ func (r *Reader) DecodeStream(s *Stream, x, xTap, y []complex128, packetStart, p
 	// Stage 3b: bounded header pass → frame extent.
 	tspVit := tr.Start("viterbi")
 	spVit := r.m.spanViterbi.Start()
-	used, infoBits, headerOK := s.frameExtent(s.ests[:nHdr], tcfg)
+	used, infoBits, headerOK := s.fd.frameExtent(s.ests[:nHdr], tcfg)
 	spVit.End()
 	tspVit.End()
 	nSyms := used
@@ -203,14 +205,15 @@ func (r *Reader) DecodeStream(s *Stream, x, xTap, y []complex128, packetStart, p
 	var corrected int
 	frameOK := false
 	if headerOK && used <= nAvail {
-		frameSoft := tcfg.Mod.DemapSoft(ests)
-		if p, err := tag.DecodeFrameBits(frameSoft[:used*bps], tcfg.Coding, infoBits); err == nil {
+		s.fd.soft = tcfg.Mod.DemapSoftInto(s.fd.soft, ests)
+		frameSoft := s.fd.soft[:used*bps]
+		if p, err := tag.DecodeFrameBits(&s.fd.vit, frameSoft, tcfg.Coding, infoBits); err == nil {
 			payload = p
-			corrected = correctedBits(frameSoft[:used*bps], payload, tcfg)
+			corrected = correctedBits(frameSoft, payload, tcfg)
 			frameOK = true
 		}
 	} else {
-		payload, used, corrected, frameOK = r.decodeFrame(ests, tcfg)
+		payload, used, corrected, frameOK = s.fd.decodeFrame(ests, tcfg)
 	}
 	spVit.End()
 	tspVit.End()
@@ -258,24 +261,11 @@ func (s *Stream) mrcInto(symStart, sps, guard, from, to int) {
 // frameExtent runs the bounded first Viterbi pass over the header
 // symbols and returns the frame's symbol count and info-bit length.
 // ok is false when the header cannot be read from the given symbols.
-func (s *Stream) frameExtent(hdrEsts []complex128, tcfg tag.Config) (used, infoBits int, ok bool) {
-	soft := tcfg.Mod.DemapSoft(hdrEsts)
-	steps := maxTrellisSteps(len(soft), tcfg.Coding)
-	if steps < 16+fec.TailBits {
+func (d *frameDecoder) frameExtent(hdrEsts []complex128, tcfg tag.Config) (used, infoBits int, ok bool) {
+	d.soft = tcfg.Mod.DemapSoftInto(d.soft, hdrEsts)
+	n, ok := d.readLength(d.soft, tcfg.Coding)
+	if !ok {
 		return 0, 0, false
-	}
-	need := fec.PuncturedLength(2*steps, tcfg.Coding)
-	mother, err := fec.Depuncture(soft[:need], tcfg.Coding, 2*steps)
-	if err != nil {
-		return 0, 0, false
-	}
-	bits, err := fec.ViterbiDecode(mother, false)
-	if err != nil {
-		return 0, 0, false
-	}
-	n := 0
-	for i := 0; i < 16; i++ {
-		n |= int(bits[i]) << uint(i)
 	}
 	return tag.SymbolsForPayload(n, tcfg.Coding, tcfg.Mod), tag.FrameInfoBits(n), true
 }

@@ -57,15 +57,17 @@ func EncodeFrameBits(payload []byte, coding fec.CodeRate, mod Modulation) []byte
 }
 
 // DecodeFrameBits inverts EncodeFrameBits from soft values: depuncture,
-// Viterbi, deframe. nInfoBits is the frame bit count (a multiple of 8).
-func DecodeFrameBits(soft []float64, coding fec.CodeRate, nInfoBits int) ([]byte, error) {
+// Viterbi, deframe, decoding in v's working memory. nInfoBits is the
+// frame bit count (a multiple of 8). The returned payload is the
+// caller's; it never aliases v.
+func DecodeFrameBits(v *fec.Viterbi, soft []float64, coding fec.CodeRate, nInfoBits int) ([]byte, error) {
 	// Trim pad soft bits so the punctured length matches.
 	steps := nInfoBits + fec.TailBits
 	needed := fec.PuncturedLength(2*steps, coding)
 	if len(soft) < needed {
 		return nil, fmt.Errorf("tag: %d soft bits, need %d", len(soft), needed)
 	}
-	bits, err := fec.DecodePunctured(soft[:needed], coding, nInfoBits, true)
+	bits, err := v.DecodePunctured(soft[:needed], coding, nInfoBits, true)
 	if err != nil {
 		return nil, err
 	}

@@ -137,22 +137,32 @@ func grayIndex(m Modulation, v int) int {
 // (+ → bit 0) with the max-log approximation over the PSK
 // constellation, weighted by the estimate magnitudes (MRC confidence).
 func (m Modulation) DemapSoft(points []complex128) []float64 {
-	if m == QAM16 {
-		return qam16DemapSoft(points)
-	}
+	return m.DemapSoftInto(nil, points)
+}
+
+// DemapSoftInto is DemapSoft writing into dst's storage, which it grows
+// only when its capacity is short.
+func (m Modulation) DemapSoftInto(dst []float64, points []complex128) []float64 {
 	k := m.BitsPerSymbol()
+	if cap(dst) < len(points)*k {
+		dst = make([]float64, len(points)*k)
+	}
+	out := dst[:len(points)*k]
+	if m == QAM16 {
+		qam16DemapSoft(out, points)
+		return out
+	}
 	n := m.Points()
 	// Precompute constellation with labels.
 	type entry struct {
 		pt    complex128
 		label int
 	}
-	table := make([]entry, n)
+	var table [16]entry
 	for p := 0; p < n; p++ {
 		s, c := math.Sincos(m.Phase(p))
 		table[p] = entry{complex(c, s), grayEncode(p)}
 	}
-	out := make([]float64, len(points)*k)
 	for pi, y := range points {
 		mag := cmplx.Abs(y)
 		var u complex128
@@ -161,7 +171,7 @@ func (m Modulation) DemapSoft(points []complex128) []float64 {
 		}
 		for bit := 0; bit < k; bit++ {
 			d0, d1 := math.Inf(1), math.Inf(1)
-			for _, e := range table {
+			for _, e := range table[:n] {
 				dr := real(u) - real(e.pt)
 				di := imag(u) - imag(e.pt)
 				d := dr*dr + di*di

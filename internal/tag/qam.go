@@ -84,10 +84,9 @@ func qam16DemapHard(points []complex128) []byte {
 	return out
 }
 
-// qam16DemapSoft computes max-log per-bit soft values, scaled by the
-// point magnitude like the PSK demapper.
-func qam16DemapSoft(points []complex128) []float64 {
-	out := make([]float64, len(points)*4)
+// qam16DemapSoft computes max-log per-bit soft values into out
+// (4 per point), scaled by the point magnitude like the PSK demapper.
+func qam16DemapSoft(out []float64, points []complex128) {
 	for pi, y := range points {
 		mag := cmplx.Abs(y)
 		for bit := 0; bit < 4; bit++ {
@@ -105,7 +104,6 @@ func qam16DemapSoft(points []complex128) []float64 {
 			out[pi*4+bit] = (d1 - d0) * (1 + mag)
 		}
 	}
-	return out
 }
 
 func sqAbs(v complex128) float64 { return real(v)*real(v) + imag(v)*imag(v) }

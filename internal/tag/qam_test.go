@@ -5,6 +5,8 @@ import (
 	"math/cmplx"
 	"math/rand"
 	"testing"
+
+	"backfi/internal/fec"
 )
 
 func TestQAM16Basics(t *testing.T) {
@@ -107,7 +109,7 @@ func TestQAM16FrameEncodeDecode(t *testing.T) {
 	for i, b := range coded {
 		soft[i] = 1 - 2*float64(b)
 	}
-	got, err := DecodeFrameBits(soft, 0, FrameInfoBits(len(payload)))
+	got, err := DecodeFrameBits(new(fec.Viterbi), soft, 0, FrameInfoBits(len(payload)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,7 @@ func TestQuickEncodeDecodeFrameBits(t *testing.T) {
 		payload := make([]byte, int(n)%120)
 		r.Read(payload)
 		soft := fec.HardToSoft(EncodeFrameBits(payload, coding, mod))
-		got, err := DecodeFrameBits(soft, coding, FrameInfoBits(len(payload)))
+		got, err := DecodeFrameBits(new(fec.Viterbi), soft, coding, FrameInfoBits(len(payload)))
 		return err == nil && bytes.Equal(got, payload)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

@@ -3,6 +3,7 @@ package tag
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"backfi/internal/fec"
 )
@@ -84,14 +85,43 @@ func (c Config) String() string {
 // PreambleSequence returns the tag's known pseudo-random preamble: one
 // BPSK phasor (±1) per 1 µs chip. Both the tag and the reader derive it
 // from the tag ID.
+//
+// The returned slice is shared by every caller asking for the same
+// (id, chips) and must not be modified.
 func PreambleSequence(id, chips int) []complex128 {
-	r := rand.New(rand.NewSource(0xbacf + int64(id)))
-	out := make([]complex128, chips)
-	for i := range out {
-		out[i] = complex(float64(2*r.Intn(2)-1), 0)
+	k := preambleKey{id, chips}
+	preambles.mu.Lock()
+	pn, ok := preambles.m[k]
+	preambles.mu.Unlock()
+	if ok {
+		return pn
 	}
-	return out
+	r := rand.New(rand.NewSource(0xbacf + int64(id)))
+	pn = make([]complex128, chips)
+	for i := range pn {
+		pn[i] = complex(float64(2*r.Intn(2)-1), 0)
+	}
+	preambles.mu.Lock()
+	if len(preambles.m) >= maxCachedPreambles {
+		clear(preambles.m)
+	}
+	preambles.m[k] = pn
+	preambles.mu.Unlock()
+	return pn
 }
+
+// maxCachedPreambles caps the preamble cache. Tag IDs are small in
+// practice (a reader serves a few tags, a group numbers its members
+// from 0), so the cap only matters to a caller sweeping IDs; it then
+// empties the cache and starts over.
+const maxCachedPreambles = 256
+
+type preambleKey struct{ id, chips int }
+
+var preambles = struct {
+	mu sync.Mutex
+	m  map[preambleKey][]complex128
+}{m: map[preambleKey][]complex128{}}
 
 // TxPlan records where each protocol phase of a tag transmission falls
 // within the excitation packet, for the reader and for ground-truthing
@@ -176,6 +206,12 @@ func (t *Tag) PayloadCapacity(packetSamples int) int {
 // again after the frame ends). It returns the plan describing the
 // layout.
 func (t *Tag) ModulationSequence(packetSamples int, payload []byte) ([]complex128, *TxPlan, error) {
+	return t.ModulationSequenceInto(nil, packetSamples, payload)
+}
+
+// ModulationSequenceInto is ModulationSequence writing the sequence
+// into dst's storage, which it grows only when its capacity is short.
+func (t *Tag) ModulationSequenceInto(dst []complex128, packetSamples int, payload []byte) ([]complex128, *TxPlan, error) {
 	cfg := t.Cfg
 	if cap := t.PayloadCapacity(packetSamples); len(payload) > cap {
 		return nil, nil, fmt.Errorf("tag: payload %d bytes exceeds capacity %d for %d-sample excitation", len(payload), cap, packetSamples)
@@ -183,7 +219,11 @@ func (t *Tag) ModulationSequence(packetSamples int, payload []byte) ([]complex12
 	coded := EncodeFrameBits(payload, cfg.Coding, cfg.Mod)
 	symbols := cfg.Mod.MapBits(coded)
 
-	m := make([]complex128, packetSamples)
+	if cap(dst) < packetSamples {
+		dst = make([]complex128, packetSamples)
+	}
+	m := dst[:packetSamples]
+	clear(m[:SilentSamples])
 	// Preamble chips.
 	pre := PreambleSequence(cfg.ID, cfg.PreambleChips)
 	idx := SilentSamples
@@ -201,6 +241,7 @@ func (t *Tag) ModulationSequence(packetSamples int, payload []byte) ([]complex12
 			idx++
 		}
 	}
+	clear(m[idx:])
 	plan := &TxPlan{
 		Cfg:         cfg,
 		SilentEnd:   SilentSamples,

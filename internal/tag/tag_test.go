@@ -120,7 +120,7 @@ func TestEncodeDecodeFrameBits(t *testing.T) {
 				t.Fatalf("%v/%v: coded bits %d not symbol-aligned", mod, coding, len(coded))
 			}
 			soft := fec.HardToSoft(coded)
-			got, err := DecodeFrameBits(soft, coding, FrameInfoBits(len(payload)))
+			got, err := DecodeFrameBits(new(fec.Viterbi), soft, coding, FrameInfoBits(len(payload)))
 			if err != nil {
 				t.Fatalf("%v/%v: %v", mod, coding, err)
 			}
