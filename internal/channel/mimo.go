@@ -39,8 +39,8 @@ func NewMIMOScenario(cfg Config, nrx int, r *rand.Rand) (*MIMOScenario, error) {
 		HF:         base.HF,
 		HEnv:       []Taps{base.HEnv},
 		HB:         []Taps{base.HB},
-		Noise:      base.Noise,
-		Distortion: base.Distortion,
+		Noise:      &base.Noise,
+		Distortion: &base.Distortion,
 	}
 	cfgFull := base.Cfg
 	for i := 1; i < nrx; i++ {

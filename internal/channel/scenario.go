@@ -163,9 +163,9 @@ type Scenario struct {
 	// channels.
 	HF, HB Taps
 	// Noise is the AP receiver's thermal noise source.
-	Noise *AWGN
+	Noise AWGN
 	// Distortion is the AP transmitter's hardware error source.
-	Distortion *TxDistortion
+	Distortion TxDistortion
 }
 
 // NewScenario draws one random placement realization. The configuration
@@ -193,14 +193,21 @@ func NewScenario(cfg Config, r *rand.Rand) (*Scenario, error) {
 	hf := RicianTaps(r, cfg.LinkTaps, cfg.RicianKdB, cfg.DecayPerTap).Scale(oneway).DelayTaps(delay)
 	hb := RicianTaps(r, cfg.LinkTaps, cfg.RicianKdB, cfg.DecayPerTap).Scale(oneway).DelayTaps(delay)
 
+	// A placement lives as long as its session, so its three channels
+	// share one backing array instead of three small allocations left
+	// scattered among the draws' temporaries.
+	taps := make(Taps, 0, len(henv)+len(hf)+len(hb))
+	taps = append(append(append(taps, henv...), hf...), hb...)
+	nf := len(henv) + len(hf)
+
 	noiseW := ThermalNoiseW(cfg.BandwidthHz, cfg.NoiseFigureDB)
 	return &Scenario{
 		Cfg:        cfg,
-		HEnv:       henv,
-		HF:         hf,
-		HB:         hb,
-		Noise:      NewAWGN(r, noiseW),
-		Distortion: NewTxDistortion(r, cfg.TxEVMdB),
+		HEnv:       taps[:len(henv):len(henv)],
+		HF:         taps[len(henv):nf:nf],
+		HB:         taps[nf:],
+		Noise:      *NewAWGN(r, noiseW),
+		Distortion: *NewTxDistortion(r, cfg.TxEVMdB),
 	}, nil
 }
 

@@ -211,13 +211,14 @@ type Link struct {
 	Cfg      LinkConfig
 	Scenario *channel.Scenario
 	Tag      *tag.Tag
-	rdr      *reader.Reader
+	rdr      reader.Reader
 	rng      *rand.Rand
 	inj      *fault.Injector
 	rate     wifi.Rate
 	m        linkMetrics
 	// pool memoizes excitation templates: private to the link (one
-	// template retained) unless SetSlotPool shares a pool.
+	// template retained, built on first use) unless SetSlotPool shares
+	// a pool.
 	pool *SlotPool
 	// faultEpoch counts SetFaultProfile calls; it salts each new
 	// injector's seed so successive profiles draw decorrelated streams.
@@ -246,45 +247,56 @@ const faultSeedSalt = 0x5fa017
 
 // NewLink draws a placement realization and builds the endpoints.
 func NewLink(cfg LinkConfig) (*Link, error) {
+	l := new(Link)
+	if err := l.init(cfg); err != nil {
+		return nil, err
+	}
+	var err error
+	if l.Tag, err = tag.New(cfg.Tag); err != nil {
+		return nil, err
+	}
+	if l.Scenario, err = channel.NewScenario(cfg.Channel, l.rng); err != nil {
+		return nil, err
+	}
+	return l, nil
+}
+
+// init validates cfg and sets up l's per-link machinery in place —
+// rate, reader, fault injector, RNG and metrics — without a placement
+// or a tag. A multi-tag link embeds a Link this way and places its own
+// tags on it.
+func (l *Link) init(cfg LinkConfig) error {
 	rate, err := wifi.RateByMbps(cfg.WiFiMbps)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if cfg.WiFiPSDUBytes <= 0 {
-		return nil, fmt.Errorf("core: WiFiPSDUBytes must be positive")
+		return fmt.Errorf("core: WiFiPSDUBytes must be positive")
 	}
-	tg, err := tag.New(cfg.Tag)
-	if err != nil {
-		return nil, err
+	if err := cfg.Tag.Validate(); err != nil {
+		return err
 	}
 	if cfg.Reader.Obs == nil {
 		cfg.Reader.Obs = cfg.Obs
 	}
 	rdr, err := reader.New(cfg.Reader)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	inj, err := fault.NewInjector(cfg.Faults, cfg.Seed^faultSeedSalt, tag.SampleRate, cfg.Obs)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	r := rng.New(cfg.Seed)
-	sc, err := channel.NewScenario(cfg.Channel, r)
-	if err != nil {
-		return nil, err
+	*l = Link{
+		Cfg:     cfg,
+		rdr:     *rdr,
+		rng:     rng.New(cfg.Seed),
+		inj:     inj,
+		rate:    rate,
+		injBase: cfg.Seed ^ faultSeedSalt,
+		m:       newLinkMetrics(cfg.Obs),
 	}
-	return &Link{
-		Cfg:      cfg,
-		Scenario: sc,
-		Tag:      tg,
-		rdr:      rdr,
-		rng:      r,
-		inj:      inj,
-		rate:     rate,
-		pool:     newSlotPool(1, maxPoolBytes),
-		injBase:  cfg.Seed ^ faultSeedSalt,
-		m:        newLinkMetrics(cfg.Obs),
-	}, nil
+	return nil
 }
 
 // reseedAttempt pins the link's RNG streams to attempt ordinal n —
@@ -400,6 +412,9 @@ func (l *Link) sizing(need int) int {
 // template returns the shared excitation template for a burst waking
 // tg with nppdu PPDUs at txPowerW.
 func (l *Link) template(tg *tag.Tag, txPowerW float64, nppdu int) ([]complex128, int, error) {
+	if l.pool == nil {
+		l.pool = newSlotPool(1, maxPoolBytes)
+	}
 	tsp := l.trace.Start("excitation_build")
 	sp := l.m.spanExcitation.Start()
 	x, packetStart, hit, err := l.pool.excitation(tg, l.rate, l.Cfg.WiFiPSDUBytes, txPowerW, nppdu)

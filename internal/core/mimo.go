@@ -45,7 +45,7 @@ func NewMIMOLink(cfg LinkConfig, nrx int) (*MIMOLink, error) {
 		NumRx:    nrx,
 		Scenario: sc,
 		Tag:      base.Tag,
-		rdr:      base.rdr,
+		rdr:      &base.rdr,
 		rng:      base.rng,
 		rate:     base.rate,
 	}, nil

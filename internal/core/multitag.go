@@ -2,11 +2,13 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"backfi/internal/channel"
 	"backfi/internal/dsp"
 	"backfi/internal/fault"
 	"backfi/internal/obs"
+	"backfi/internal/reader"
 	"backfi/internal/rng"
 	"backfi/internal/tag"
 )
@@ -37,7 +39,7 @@ type MultiTagLink struct {
 	Scenarios []*channel.Scenario
 	// base carries the shared per-link machinery: rng, rate, reader,
 	// excitation pool, fault injector, metrics, and trace context.
-	base *Link
+	base Link
 	// frame counts exchanges (RunPacket and RunSlot alike); it keys the
 	// impostor payload derivation so junk bytes are a pure function of
 	// (link seed, tag ID, frame index) — never of the shared RNG, whose
@@ -48,43 +50,66 @@ type MultiTagLink struct {
 // NewMultiTagLink builds a deployment: one tag per distance, with IDs
 // 0..n-1 and otherwise identical configuration.
 func NewMultiTagLink(cfg LinkConfig, distances []float64) (*MultiTagLink, error) {
-	if len(distances) == 0 {
-		return nil, fmt.Errorf("core: need at least one tag")
-	}
-	base, err := NewLink(cfg)
-	if err != nil {
+	m := new(MultiTagLink)
+	if err := m.init(cfg, distances); err != nil {
 		return nil, err
 	}
-	m := &MultiTagLink{Cfg: cfg, base: base}
+	return m, nil
+}
+
+// init builds the deployment in place. A deployment keeps its tags and
+// placements for life, so they share one array: a serving session's
+// state stays in a few dense allocations instead of a dozen small
+// ones scattered among each frame's temporaries.
+func (m *MultiTagLink) init(cfg LinkConfig, distances []float64) error {
+	if len(distances) == 0 {
+		return fmt.Errorf("core: need at least one tag")
+	}
+	if err := m.base.init(cfg); err != nil {
+		return err
+	}
+	// The members' placements override only the distance; the rest of
+	// the channel template must be valid as given.
+	if err := cfg.Channel.Validate(); err != nil {
+		return err
+	}
+	m.Cfg = cfg
+	members := make([]struct {
+		tag tag.Tag
+		sc  channel.Scenario
+	}, len(distances))
+	m.Tags = make([]*tag.Tag, len(distances))
+	m.Scenarios = make([]*channel.Scenario, len(distances))
 	for i, d := range distances {
 		tcfg := cfg.Tag
 		tcfg.ID = i
 		tg, err := tag.New(tcfg)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		chanCfg := cfg.Channel
 		chanCfg.DistanceM = d
-		sc, err := channel.NewScenario(chanCfg, base.rng)
+		sc, err := channel.NewScenario(chanCfg, m.base.rng)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		m.Tags = append(m.Tags, tg)
-		m.Scenarios = append(m.Scenarios, sc)
+		members[i].tag, members[i].sc = *tg, *sc
+		m.Tags[i], m.Scenarios[i] = &members[i].tag, &members[i].sc
 	}
-	return m, nil
+	return nil
 }
 
-// SetWakeGroup rebuilds every tag to wake on wakeID's sequence while
-// keeping its own PN preamble — the group-wake regime RunSlot decodes
-// jointly. Tag configurations and placements are unchanged.
+// SetWakeGroup rebuilds every tag in place to wake on wakeID's
+// sequence while keeping its own PN preamble — the group-wake regime
+// RunSlot decodes jointly. Tag configurations and placements are
+// unchanged.
 func (m *MultiTagLink) SetWakeGroup(wakeID int) error {
-	for i, tg := range m.Tags {
+	for _, tg := range m.Tags {
 		ng, err := tag.NewWithWake(tg.Cfg, wakeID)
 		if err != nil {
 			return err
 		}
-		m.Tags[i] = ng
+		*tg = *ng
 	}
 	return nil
 }
@@ -125,25 +150,131 @@ func impostorPayload(seed int64, tagID, frame, n int) []byte {
 	return body
 }
 
-// excitation realizes the wake burst + PPDU train for one exchange
-// that wakes tag i and leaves through its scenario's transmitter: the
-// shared template from the base link's pool, plus a per-frame air copy
-// carrying transmit distortion and front-end faults.
-func (m *MultiTagLink) excitation(i, nppdu int) (x, xAir []complex128, packetStart int, err error) {
-	sc := m.Scenarios[i]
-	x, packetStart, err = m.base.template(m.Tags[i], sc.TxPowerW(), nppdu)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	xAir = sc.Distortion.Apply(x)
-	m.base.inj.ApplyFrontEnd(xAir)
-	return x, xAir, packetStart, nil
-}
-
 // tagNeed is the post-wake sample budget for one tag's frame.
 func tagNeed(tcfg tag.Config, payloadBytes int) int {
 	return tag.SilentSamples + tcfg.PreambleSamples() +
 		tag.SymbolsForPayload(payloadBytes, tcfg.Coding, tcfg.Mod)*tcfg.SamplesPerSymbol()
+}
+
+// slotCapture is one multi-tag exchange as the AP received it, confined
+// to the window the longest frame occupies. The air copy and the
+// capture live in pooled frame scratch until release.
+type slotCapture struct {
+	fs *frameScratch
+	// x is the ideal excitation sliced to the window [0, hi); the air
+	// copy fs.air and the capture fs.y share its indexing.
+	x                      []complex128
+	packetStart, packetLen int
+	woke                   []bool
+	// plans[k] is polled[k]'s transmit plan; nil when it slept.
+	plans []*tag.TxPlan
+}
+
+func (c *slotCapture) release() { putScratch(c.fs) }
+
+// capture runs the channel half of RunPacket and RunSlot: one
+// excitation that wakes polled[0]'s wake group and leaves through its
+// scenario, every tag deciding from its own forward channel whether it
+// woke, and the woken reflections superposed at the AP. polled[k]
+// backscatters payloads[k]; any other tag that wakes is an impostor
+// sending junk keyed by (seed, tag ID, frame). Tag-side faults follow
+// the polled tags.
+//
+// Like Link.exchange it computes only the window [0, hi): hi covers the
+// longest frame any tag could send plus a symbol and the timing slack.
+// Transmit distortion, front-end faults, the forward channels and the
+// wake gate run over [0, hi); self-interference, the reflections, noise
+// and receiver faults over [packetStart, hi). Capture truncation is
+// drawn against the whole packet.
+func (m *MultiTagLink) capture(polled []int, payloads [][]byte) (*slotCapture, error) {
+	// The burst is sized for the polled frames; the window also covers
+	// the frame any other tag would send if it woke (an impostor's junk
+	// is as long as the first payload).
+	need, hiNeed, sps := 0, 0, 0
+	for i, tg := range m.Tags {
+		k := slices.Index(polled, i)
+		if k < 0 {
+			hiNeed = max(hiNeed, tagNeed(tg.Cfg, len(payloads[0])))
+		} else {
+			need = max(need, tagNeed(tg.Cfg, len(payloads[k])))
+		}
+		sps = max(sps, tg.Cfg.SamplesPerSymbol())
+	}
+	hiNeed = max(hiNeed, need)
+	frame := m.frame
+	m.frame++
+	m.base.m.packets.Inc()
+	lead := m.Scenarios[polled[0]]
+	x, packetStart, err := m.base.template(m.Tags[polled[0]], lead.TxPowerW(), m.base.sizing(need))
+	if err != nil {
+		return nil, err
+	}
+	packetLen := len(x) - packetStart
+	hi := min(packetStart+hiNeed+sps+windowSlack, len(x))
+	c := &slotCapture{
+		fs:          getScratch(),
+		x:           x[:hi],
+		packetStart: packetStart,
+		packetLen:   packetLen,
+		woke:        make([]bool, len(m.Tags)),
+		plans:       make([]*tag.TxPlan, len(polled)),
+	}
+	fs, inj := c.fs, m.base.inj
+
+	tspChan := m.base.trace.Start("channel_sim")
+	spChan := m.base.m.spanChannelSim.Start()
+	defer tspChan.End()
+	defer spChan.End()
+	fs.air = lead.Distortion.ApplyInto(fs.air, c.x)
+	inj.ApplyFrontEnd(fs.air)
+
+	// An injected wake fault corrupts the burst itself: every tag
+	// sharing the sequence sleeps through it.
+	wakeDropped := inj.DropWake()
+	if wakeDropped {
+		m.base.m.failWake.Inc()
+	}
+	fs.y = dsp.ConvolveRangeInto(fs.y, fs.air, lead.HEnv, packetStart, hi)
+	fs.refl = growTo(fs.refl, hi)
+	clear(fs.refl[:packetStart])
+	for i, tg := range m.Tags {
+		sc := m.Scenarios[i]
+		fs.z = dsp.ConvolveRangeInto(fs.z, fs.air, sc.HF, 0, hi)
+		_, woke := tg.TryWake(fs.z[:packetStart+tag.SilentSamples])
+		if c.woke[i] = woke && !wakeDropped; !c.woke[i] {
+			continue
+		}
+		k := slices.Index(polled, i)
+		var body []byte
+		if k >= 0 {
+			body = payloads[k]
+		} else {
+			body = impostorPayload(m.Cfg.Seed, tg.Cfg.ID, frame, len(payloads[0]))
+		}
+		mod, p, err := tg.ModulationSequenceInto(fs.mod, hi-packetStart, body)
+		if err != nil {
+			c.release()
+			return nil, err
+		}
+		fs.mod = mod
+		if k >= 0 {
+			c.plans[k] = p
+			inj.ApplyTagPhaseNoise(mod)
+			inj.CorruptPreamble(mod, p.SilentEnd, tg.Cfg.PreambleChips, tag.ChipSamples)
+		}
+		for n := packetStart; n < hi; n++ {
+			fs.refl[n] = fs.z[n] * mod[n-packetStart]
+		}
+		fs.bs = dsp.ConvolveRangeInto(fs.bs, fs.refl, sc.HB, packetStart, hi)
+		for n := packetStart; n < hi; n++ {
+			fs.y[n] += fs.bs[n]
+		}
+	}
+	lead.Noise.AddInPlaceRange(fs.y, packetStart, hi)
+	inj.AddInterference(fs.y[packetStart:hi])
+	inj.ApplyADC(fs.y[packetStart:hi])
+	inj.TruncateTail(fs.y, packetStart, packetLen)
+	return c, nil
 }
 
 // MultiTagResult reports one addressed exchange.
@@ -159,92 +290,39 @@ type MultiTagResult struct {
 
 // RunPacket polls one tag: the AP transmits that tag's wake sequence,
 // every tag's detector inspects it, and only tags whose correlator
-// matches backscatter. All active reflections superpose at the AP.
+// matches backscatter. All active reflections superpose at the AP,
+// which decodes the addressed tag with the windowed single-tag decoder.
 func (m *MultiTagLink) RunPacket(addressed int, payload []byte) (*MultiTagResult, error) {
 	if addressed < 0 || addressed >= len(m.Tags) {
 		return nil, fmt.Errorf("core: tag index %d out of range", addressed)
 	}
-	frame := m.frame
-	m.frame++
-	m.base.m.packets.Inc()
-	tgt := m.Tags[addressed]
-	nppdu := m.base.sizing(tagNeed(tgt.Cfg, len(payload)))
-
-	// The excitation carries the addressed tag's wake sequence.
-	x, xAir, packetStart, err := m.excitation(addressed, nppdu)
+	c, err := m.capture([]int{addressed}, [][]byte{payload})
 	if err != nil {
 		return nil, err
 	}
-	packetLen := len(x) - packetStart
-
-	tspChan := m.base.trace.Start("channel_sim")
-	spChan := m.base.m.spanChannelSim.Start()
-	res := &MultiTagResult{Addressed: addressed, Woke: make([]bool, len(m.Tags))}
-
-	// An injected wake fault corrupts the burst itself: the addressed
-	// tag sleeps through the poll. (Impostors sharing the sequence miss
-	// it too — it is the same burst.)
-	wakeDropped := m.base.inj.DropWake()
-	if wakeDropped {
-		m.base.m.failWake.Inc()
-	}
-
-	// Every tag sees the excitation through its own forward channel and
-	// decides independently whether it was addressed.
-	var plan *tag.TxPlan
-	total := m.Scenarios[addressed].HEnv.Apply(xAir)
-	for i, tg := range m.Tags {
-		sc := m.Scenarios[i]
-		z := sc.HF.Apply(xAir)
-		_, woke := tg.TryWake(z[:packetStart+tag.SilentSamples])
-		woke = woke && !wakeDropped
-		res.Woke[i] = woke
-		if !woke {
-			continue
-		}
-		// A woken tag backscatters its own frame. The addressed tag
-		// sends the caller's payload; an impostor (same wake sequence)
-		// sends junk derived from (seed, its ID, frame index).
-		body := payload
-		if i != addressed {
-			body = impostorPayload(m.Cfg.Seed, tg.Cfg.ID, frame, len(payload))
-		}
-		mSeq, p, err := tg.ModulationSequence(packetLen, body)
-		if err != nil {
-			return nil, err
-		}
-		if i == addressed {
-			plan = p
-			// Tag-side faults follow the addressed tag, as on the
-			// single-tag link.
-			m.base.inj.ApplyTagPhaseNoise(mSeq)
-			m.base.inj.CorruptPreamble(mSeq, p.SilentEnd, tg.Cfg.PreambleChips, tag.ChipSamples)
-		}
-		mFull := make([]complex128, len(x))
-		copy(mFull[packetStart:], mSeq)
-		total = dsp.Add(total, sc.HB.Apply(tag.Backscatter(z, mFull)))
-	}
-	y := m.Scenarios[addressed].Noise.Add(total)
-	m.base.inj.AddInterference(y)
-	m.base.inj.ApplyADC(y)
-	m.base.inj.TruncateTail(y, packetStart, packetLen)
-	spChan.End()
-	tspChan.End()
+	defer c.release()
 
 	tspDec := m.base.trace.Start("decode_total")
 	spDec := m.base.m.spanDecode.Start()
-	dec, err := m.base.rdr.Decode(x, xAir, y, packetStart, packetLen, tgt.Cfg)
+	dec, err := m.base.rdr.DecodeStream(&c.fs.dec, c.x, c.fs.air, c.fs.y, c.packetStart, len(c.x)-c.packetStart, m.Tags[addressed].Cfg)
 	spDec.End()
 	tspDec.End()
 	if err != nil {
 		return nil, err
 	}
+	pr := m.result(addressed, dec, payload, c.packetLen, c.plans[0])
+	return &MultiTagResult{Addressed: addressed, Woke: c.woke, Result: pr}, nil
+}
+
+// result scores tag i's decode against the payload it sent and records
+// it into the link metrics.
+func (m *MultiTagLink) result(i int, dec *reader.Result, sent []byte, packetLen int, plan *tag.TxPlan) *PacketResult {
 	pr := &PacketResult{
 		Decode:            dec,
-		Sent:              payload,
-		PayloadOK:         dec.FrameOK && bytesEqual(dec.Payload, payload),
+		Sent:              sent,
+		PayloadOK:         dec.FrameOK && bytesEqual(dec.Payload, sent),
 		ExcitationSamples: packetLen,
-		ExpectedSNRdB:     m.Scenarios[addressed].ExpectedSNRdB(),
+		ExpectedSNRdB:     m.Scenarios[i].ExpectedSNRdB(),
 		MeasuredSNRdB:     dec.SNRdB,
 	}
 	pr.Delivered = pr.PayloadOK
@@ -253,8 +331,7 @@ func (m *MultiTagLink) RunPacket(addressed int, payload []byte) (*MultiTagResult
 	}
 	pr.liftDiagnostics(dec)
 	m.base.observeResult(pr)
-	res.Result = pr
-	return res, nil
+	return pr
 }
 
 // SlotResult reports one group slot decoded jointly.
@@ -289,80 +366,19 @@ func (m *MultiTagLink) RunSlot(polled []int, payloads [][]byte) (*SlotResult, er
 	if len(polled) == 0 || len(polled) != len(payloads) {
 		return nil, fmt.Errorf("core: RunSlot needs matching polled/payloads, got %d/%d", len(polled), len(payloads))
 	}
-	inGroup := make(map[int]int, len(polled))
-	need := 0
 	for k, i := range polled {
 		if i < 0 || i >= len(m.Tags) {
 			return nil, fmt.Errorf("core: tag index %d out of range", i)
 		}
-		if _, dup := inGroup[i]; dup {
+		if slices.Index(polled[:k], i) >= 0 {
 			return nil, fmt.Errorf("core: tag %d polled twice in one slot", i)
 		}
-		inGroup[i] = k
-		if n := tagNeed(m.Tags[i].Cfg, len(payloads[k])); n > need {
-			need = n
-		}
 	}
-	frame := m.frame
-	m.frame++
-	m.base.m.packets.Inc()
-	lead := polled[0]
-	nppdu := m.base.sizing(need)
-
-	x, xAir, packetStart, err := m.excitation(lead, nppdu)
+	c, err := m.capture(polled, payloads)
 	if err != nil {
 		return nil, err
 	}
-	packetLen := len(x) - packetStart
-
-	tspChan := m.base.trace.Start("channel_sim")
-	spChan := m.base.m.spanChannelSim.Start()
-	res := &SlotResult{
-		Polled:  append([]int(nil), polled...),
-		Woke:    make([]bool, len(m.Tags)),
-		Results: make([]*PacketResult, len(polled)),
-	}
-	wakeDropped := m.base.inj.DropWake()
-	if wakeDropped {
-		m.base.m.failWake.Inc()
-	}
-	plans := make([]*tag.TxPlan, len(polled))
-	total := m.Scenarios[lead].HEnv.Apply(xAir)
-	for i, tg := range m.Tags {
-		sc := m.Scenarios[i]
-		z := sc.HF.Apply(xAir)
-		_, woke := tg.TryWake(z[:packetStart+tag.SilentSamples])
-		woke = woke && !wakeDropped
-		res.Woke[i] = woke
-		if !woke {
-			continue
-		}
-		k, isPolled := inGroup[i]
-		var body []byte
-		if isPolled {
-			body = payloads[k]
-		} else {
-			body = impostorPayload(m.Cfg.Seed, tg.Cfg.ID, frame, len(payloads[0]))
-		}
-		mSeq, p, err := tg.ModulationSequence(packetLen, body)
-		if err != nil {
-			return nil, err
-		}
-		if isPolled {
-			plans[k] = p
-			m.base.inj.ApplyTagPhaseNoise(mSeq)
-			m.base.inj.CorruptPreamble(mSeq, p.SilentEnd, tg.Cfg.PreambleChips, tag.ChipSamples)
-		}
-		mFull := make([]complex128, len(x))
-		copy(mFull[packetStart:], mSeq)
-		total = dsp.Add(total, sc.HB.Apply(tag.Backscatter(z, mFull)))
-	}
-	y := m.Scenarios[lead].Noise.Add(total)
-	m.base.inj.AddInterference(y)
-	m.base.inj.ApplyADC(y)
-	m.base.inj.TruncateTail(y, packetStart, packetLen)
-	spChan.End()
-	tspChan.End()
+	defer c.release()
 
 	// The reader decodes every provisioned member of the wake group,
 	// not just the polled subset: an unpolled member that woke (an
@@ -373,42 +389,33 @@ func (m *MultiTagLink) RunSlot(polled []int, payloads [][]byte) (*SlotResult, er
 	for k, i := range polled {
 		cfgs[k] = m.Tags[i].Cfg
 	}
+	wake := m.Tags[polled[0]].WakeID()
 	for i, tg := range m.Tags {
-		if _, isPolled := inGroup[i]; !isPolled && tg.WakeID() == m.Tags[lead].WakeID() {
+		if slices.Index(polled, i) < 0 && tg.WakeID() == wake {
 			cfgs = append(cfgs, tg.Cfg)
 		}
 	}
 	tspDec := m.base.trace.Start("decode_total")
 	spDec := m.base.m.spanDecode.Start()
-	jr, err := m.base.rdr.DecodeJoint(x, xAir, y, packetStart, packetLen, cfgs)
+	jr, err := m.base.rdr.DecodeJoint(&c.fs.dec, c.x, c.fs.air, c.fs.y, c.packetStart, len(c.x)-c.packetStart, cfgs)
 	spDec.End()
 	tspDec.End()
 	if err != nil {
 		return nil, err
 	}
-	res.Order = jr.Order
+	res := &SlotResult{
+		Polled:  slices.Clone(polled),
+		Woke:    c.woke,
+		Results: make([]*PacketResult, len(polled)),
+		Order:   jr.Order,
+	}
 	for k, i := range polled {
 		dec := jr.Tags[k]
 		if dec == nil {
 			continue
 		}
-		pr := &PacketResult{
-			Decode:            dec,
-			Sent:              payloads[k],
-			PayloadOK:         dec.FrameOK && bytesEqual(dec.Payload, payloads[k]),
-			ExcitationSamples: packetLen,
-			ExpectedSNRdB:     m.Scenarios[i].ExpectedSNRdB(),
-			MeasuredSNRdB:     dec.SNRdB,
-		}
-		pr.Delivered = pr.PayloadOK
-		if plans[k] != nil {
-			pr.TagAirtimeSec = float64(plans[k].End()-plans[k].SilentEnd) / tag.SampleRate
-			if pr.TagAirtimeSec > res.AirtimeSec {
-				res.AirtimeSec = pr.TagAirtimeSec
-			}
-		}
-		pr.liftDiagnostics(dec)
-		m.base.observeResult(pr)
+		pr := m.result(i, dec, payloads[k], c.packetLen, c.plans[k])
+		res.AirtimeSec = max(res.AirtimeSec, pr.TagAirtimeSec)
 		res.Results[k] = pr
 		if pr.Delivered {
 			res.Delivered++

@@ -73,7 +73,7 @@ const groupWakeID = 0
 // MultiTagSession runs a fixed tag group slot by slot. Like Session it
 // is confined to one shard goroutine — no internal locking.
 type MultiTagSession struct {
-	link   *MultiTagLink
+	link   MultiTagLink
 	polled []int
 	// Stats aggregates outcomes; read it between SendSlot calls.
 	Stats MultiTagStats
@@ -107,25 +107,24 @@ func NewMultiTagSession(cfg MultiTagSessionConfig) (*MultiTagSession, error) {
 		distances[k] = d
 		d *= ratio
 	}
-	link, err := NewMultiTagLink(cfg.Link, distances)
-	if err != nil {
+	s := &MultiTagSession{polled: make([]int, cfg.Tags)}
+	if err := s.link.init(cfg.Link, distances); err != nil {
 		return nil, err
 	}
-	if err := link.SetWakeGroup(groupWakeID); err != nil {
+	if err := s.link.SetWakeGroup(groupWakeID); err != nil {
 		return nil, err
 	}
 	if cfg.Pool != nil {
-		link.SetSlotPool(cfg.Pool)
+		s.link.SetSlotPool(cfg.Pool)
 	}
-	polled := make([]int, cfg.Tags)
-	for k := range polled {
-		polled[k] = k
+	for k := range s.polled {
+		s.polled[k] = k
 	}
-	return &MultiTagSession{link: link, polled: polled}, nil
+	return s, nil
 }
 
 // Link exposes the underlying deployment.
-func (s *MultiTagSession) Link() *MultiTagLink { return s.link }
+func (s *MultiTagSession) Link() *MultiTagLink { return &s.link }
 
 // Tags is the polled group size — the payload count every SendSlot
 // must carry.

@@ -2,8 +2,15 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
+	"math"
+	"runtime"
+	"runtime/debug"
 	"testing"
+
+	"backfi/internal/fault"
 )
 
 func slotPayloads(seed int64, slot, tags int) [][]byte {
@@ -57,7 +64,7 @@ func TestRunSlotJointDeliversCollidedTags(t *testing.T) {
 // Three stacked reflections on the default geometric ladder must still
 // peel apart. Placement is random per seed and some draws stack the
 // layers too closely for every slot to decode, so the bar is aggregate
-// delivery over a fixed seed range (253 of 270 polls at the time of
+// delivery over a fixed seed range (258 of 270 polls at the time of
 // writing).
 func TestRunSlotThreeLayers(t *testing.T) {
 	const seeds, slots, tags = 30, 3, 3
@@ -168,5 +175,175 @@ func TestSlotPoolSharingPreservesOutcomes(t *testing.T) {
 	c := run(nil)  // private excitation path
 	if a != b || a != c {
 		t.Fatalf("pooled/private outcomes diverge: %+v / %+v / %+v", a, b, c)
+	}
+}
+
+// goldenMultiTagHash pins the multi-tag pipeline's outcomes: the
+// windowed channel simulation, the joint decoder and the addressed
+// single-tag decode of MultiTagLink.RunPacket. Any change that moves a
+// wake verdict, a decoded bit, a CRC verdict, the cancellation order,
+// an SNR estimate or the SIC depth moves it.
+const goldenMultiTagHash = 0xa5e6b93f732e034e
+
+// TestMultiTagGolden hashes every outcome of 2-tag, 2-tag + impostor,
+// 3-tag and faulted 2-tag sessions, plus a round of addressed polls,
+// with frame scratch pooled and with fresh buffers per frame: pooled
+// scratch must carry nothing from one slot to the next.
+func TestMultiTagGolden(t *testing.T) {
+	for _, pooled := range []bool{true, false} {
+		prev := SetScratchPooling(pooled)
+		got, slots := multiTagGoldenHash(t)
+		SetScratchPooling(prev)
+		if got != goldenMultiTagHash {
+			t.Fatalf("pooled=%v: multi-tag golden hash %#x over %d slots, want %#x", pooled, got, slots, uint64(goldenMultiTagHash))
+		}
+	}
+}
+
+func multiTagGoldenHash(t *testing.T) (uint64, int) {
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	putResult := func(pr *PacketResult) {
+		if pr == nil {
+			put(math.MaxUint64)
+			return
+		}
+		res := pr.Decode
+		put(uint64(len(res.Payload)))
+		h.Write(res.Payload)
+		if res.FrameOK {
+			put(1)
+		} else {
+			put(0)
+		}
+		put(math.Float64bits(res.SNRdB))
+		put(math.Float64bits(pr.SICCancellationDB))
+		put(uint64(res.ViterbiCorrectedBits))
+	}
+	putWoke := func(woke []bool) {
+		var bits uint64
+		for i, w := range woke {
+			if w {
+				bits |= 1 << i
+			}
+		}
+		put(bits)
+	}
+	prof := fault.Standard(0.1)
+	slots := 0
+	for _, tc := range []struct {
+		tags     int
+		impostor bool
+		faults   *fault.Profile
+	}{{2, false, nil}, {2, true, nil}, {3, false, nil}, {2, false, &prof}} {
+		for seed := int64(2000); seed < 2004; seed++ {
+			cfg := DefaultLinkConfig(1)
+			cfg.Seed = seed
+			cfg.Faults = tc.faults
+			s, err := NewMultiTagSession(MultiTagSessionConfig{Link: cfg, Tags: tc.tags, Impostor: tc.impostor})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for slot := 0; slot < 6; slot++ {
+				res, err := s.SendSlot(slotPayloads(seed, slot, tc.tags))
+				if err != nil {
+					t.Fatal(err)
+				}
+				slots++
+				put(uint64(res.Delivered))
+				putWoke(res.Woke)
+				put(uint64(len(res.Order)))
+				for _, k := range res.Order {
+					put(uint64(k))
+				}
+				for _, pr := range res.Results {
+					putResult(pr)
+				}
+			}
+		}
+	}
+	cfg := DefaultLinkConfig(1)
+	cfg.Seed = 2100
+	m, err := NewMultiTagLink(cfg, []float64{1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for poll := 0; poll < 6; poll++ {
+		res, err := m.RunPacket(poll%3, slotPayloads(2100, poll, 1)[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		putWoke(res.Woke)
+		putResult(res.Result)
+	}
+	return h.Sum64(), slots
+}
+
+// sendSlotSession is the benchmark deployment: two polled tags from
+// 2 m on the default ladder, 24 B readings.
+func sendSlotSession(tb testing.TB) (*MultiTagSession, [][]byte) {
+	cfg := DefaultLinkConfig(2)
+	cfg.Seed = 31
+	s, err := NewMultiTagSession(MultiTagSessionConfig{Link: cfg, Tags: 2})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s, [][]byte{[]byte("reading-a-0123456789abcd"), []byte("reading-b-0123456789abcd")}
+}
+
+// maxSlotBytes bounds a steady-state slot's heap allocation: its
+// results and transmit plans, far below one capture (the windowed
+// capture alone is ~6000 samples, ~94 KiB per buffer).
+const maxSlotBytes = 64 << 10
+
+// TestSendSlotSteadyAllocs pins that a multi-tag slot runs in pooled
+// frame scratch: once warm, a slot allocates only its results, never a
+// waveform-sized buffer. GC is paused so the scratch pool is not
+// drained mid-measurement.
+func TestSendSlotSteadyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops pooled scratch at random")
+	}
+	s, pay := sendSlotSession(t)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for i := 0; i < 3; i++ {
+		if _, err := s.SendSlot(pay); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const slots = 40
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < slots; i++ {
+		if _, err := s.SendSlot(pay); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perSlot := (after.TotalAlloc - before.TotalAlloc) / slots
+	t.Logf("%d B, %d allocs per slot", perSlot, (after.Mallocs-before.Mallocs)/slots)
+	if perSlot >= maxSlotBytes {
+		t.Fatalf("steady-state slot allocates %d B, want < %d", perSlot, maxSlotBytes)
+	}
+}
+
+// BenchmarkSendSlot2Tags measures one steady-state 2-tag slot: windowed
+// channel simulation plus joint decode. CI checks its B/op against
+// maxSlotBytes.
+func BenchmarkSendSlot2Tags(b *testing.B) {
+	s, pay := sendSlotSession(b)
+	if _, err := s.SendSlot(pay); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.SendSlot(pay); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

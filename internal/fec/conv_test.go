@@ -2,6 +2,7 @@ package fec
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -170,5 +171,38 @@ func TestParityProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestPuncturedEncoderMatchesEncodePunctured(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	var e PuncturedEncoder
+	buf := make([]byte, 0, 4096)
+	for _, rate := range allRates {
+		for _, n := range []int{0, 1, 3, 27, 200} {
+			data := make([]byte, n)
+			r.Read(data)
+			want := EncodePunctured(BytesToBits(data), rate)
+			// Split the bytes across writes: the encoder state carries.
+			e.Reset(buf, rate)
+			e.Write(data[:n/2])
+			e.Write(data[n/2:])
+			got := e.Terminate()
+			if !slices.Equal(got, want) {
+				t.Fatalf("rate %s, %d bytes: streaming codeword differs", rate, n)
+			}
+			if n > 0 && &got[0] != &buf[:1][0] {
+				t.Fatalf("rate %s: encoder reallocated a large enough buffer", rate)
+			}
+		}
+	}
+}
+
+func TestCRC8UpdateChains(t *testing.T) {
+	data := []byte("backscatter frame body")
+	for cut := 0; cut <= len(data); cut++ {
+		if got := CRC8Update(CRC8(data[:cut]), data[cut:]); got != CRC8(data) {
+			t.Fatalf("cut %d: chained CRC %#x, want %#x", cut, got, CRC8(data))
+		}
 	}
 }

@@ -45,8 +45,11 @@ func FCS32(data []byte) uint32 {
 
 // CRC8 computes an 8-bit CRC with polynomial x^8+x^2+x+1 (0x07), used
 // by the tag packet header where a 4-byte FCS would be disproportionate.
-func CRC8(data []byte) byte {
-	var crc byte
+func CRC8(data []byte) byte { return CRC8Update(0, data) }
+
+// CRC8Update continues a CRC-8 over data from a running value crc, so a
+// checksum over several segments equals CRC8 of their concatenation.
+func CRC8Update(crc byte, data []byte) byte {
 	for _, d := range data {
 		crc ^= d
 		for i := 0; i < 8; i++ {

@@ -176,3 +176,56 @@ func (v *Viterbi) DecodePunctured(soft []float64, rate CodeRate, nInfo int, term
 func EncodePunctured(bits []byte, rate CodeRate) []byte {
 	return Puncture(EncodeTerminated(bits), rate)
 }
+
+// PuncturedEncoder is the streaming form of EncodePunctured over
+// bytes: it encodes each written byte's bits, least significant first
+// (BytesToBits order), with the mother code and keeps only the coded
+// bits the rate's puncture pattern transmits. The codeword goes into a
+// caller-owned buffer, so re-encoding a frame allocates nothing once
+// that buffer has grown. The zero value is not ready; call Reset.
+type PuncturedEncoder struct {
+	out   []byte
+	pat   []bool
+	state uint32
+	pos   int // mother-code bit index modulo len(pat)
+}
+
+// Reset starts a new codeword at rate from the all-zeros state,
+// writing into dst's storage.
+func (e *PuncturedEncoder) Reset(dst []byte, rate CodeRate) {
+	*e = PuncturedEncoder{out: dst[:0], pat: rate.puncturePattern()}
+}
+
+// Write encodes data's bits.
+func (e *PuncturedEncoder) Write(data []byte) {
+	for _, b := range data {
+		for i := 0; i < 8; i++ {
+			e.bit(b >> uint(i) & 1)
+		}
+	}
+}
+
+// Terminate encodes the TailBits zero tail, which returns the trellis
+// to the all-zeros state, and returns the punctured codeword.
+func (e *PuncturedEncoder) Terminate() []byte {
+	for i := 0; i < TailBits; i++ {
+		e.bit(0)
+	}
+	return e.out
+}
+
+func (e *PuncturedEncoder) bit(b byte) {
+	window := e.state | uint32(b)<<(ConstraintLength-1)
+	e.emit(parity(window & G0))
+	e.emit(parity(window & G1))
+	e.state = window >> 1
+}
+
+func (e *PuncturedEncoder) emit(c byte) {
+	if e.pat[e.pos] {
+		e.out = append(e.out, c)
+	}
+	if e.pos++; e.pos == len(e.pat) {
+		e.pos = 0
+	}
+}

@@ -73,7 +73,7 @@ func TestPreambleCacheUnchangedByDecode(t *testing.T) {
 	if _, err := mustStream(t, rd).Decode(sc.x, sc.x, sc.y, sc.packetStart, sc.packetLen, tcfg); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rd.DecodeJoint(sc.x, sc.x, sc.y, sc.packetStart, sc.packetLen, []tag.Config{tcfg}); err != nil {
+	if _, err := rd.DecodeJoint(new(Stream), sc.x, sc.x, sc.y, sc.packetStart, sc.packetLen, []tag.Config{tcfg}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := rd.DecodeMulti(sc.x, sc.x, [][]complex128{sc.y, sc.y}, sc.packetStart, sc.packetLen, tcfg); err != nil {

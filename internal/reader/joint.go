@@ -2,7 +2,6 @@ package reader
 
 import (
 	"fmt"
-	"math/cmplx"
 
 	"backfi/internal/dsp"
 	"backfi/internal/sic"
@@ -49,6 +48,17 @@ import (
 // Timing search is skipped: group members are slot-synchronized by the
 // protocol (they all wake on the same burst), so the nominal timing is
 // shared and a per-layer search could tear the layers apart.
+//
+// The decode is windowed and runs in a pooled Stream, like the
+// single-tag DecodeStream: one reusable canceller retrained on the
+// silent window, self-interference reconstructed only over the packet
+// window the caller passes (core.MultiTagLink slices the capture to the
+// samples its longest member frame occupies), per-candidate references
+// computed only over their preambles, and one frame decoder shared by
+// every layer. Decisions match the full-capture algorithm it replaced,
+// which survives as the test reference (joint_reference_test.go); the
+// fast canceller and the normal-equation channel fit round differently,
+// so numerics agree to solver precision, not bit for bit.
 
 // JointResult is the outcome of jointly decoding one collided
 // excitation.
@@ -69,9 +79,11 @@ type JointResult struct {
 	SIC sic.Report
 }
 
-// DecodeJoint decodes every tag in cfgs from one received excitation.
-// Arguments mirror Decode; all tags share packetStart timing.
-func (r *Reader) DecodeJoint(x, xTap, y []complex128, packetStart, packetLen int, cfgs []tag.Config) (*JointResult, error) {
+// DecodeJoint decodes every tag in cfgs from one received excitation
+// in s's working memory. Arguments mirror DecodeStream; all tags share
+// packetStart timing, and only [packetStart, packetStart+packetLen) is
+// cancelled and searched. A returned JointResult never aliases s.
+func (r *Reader) DecodeJoint(s *Stream, x, xTap, y []complex128, packetStart, packetLen int, cfgs []tag.Config) (*JointResult, error) {
 	if len(cfgs) == 0 {
 		return nil, fmt.Errorf("reader: joint decode of zero tags")
 	}
@@ -83,140 +95,135 @@ func (r *Reader) DecodeJoint(x, xTap, y []complex128, packetStart, packetLen int
 	if len(x) != len(y) || len(xTap) != len(y) {
 		return nil, fmt.Errorf("reader: x/xTap/y length mismatch %d/%d/%d", len(x), len(xTap), len(y))
 	}
-	if packetStart+packetLen > len(x) {
-		return nil, fmt.Errorf("reader: packet [%d,%d) exceeds %d samples", packetStart, packetStart+packetLen, len(x))
+	packetEnd := packetStart + packetLen
+	if packetEnd > len(x) {
+		return nil, fmt.Errorf("reader: packet [%d,%d) exceeds %d samples", packetStart, packetEnd, len(x))
 	}
+	s.configure(r.cfg)
 
 	// Shared stage 1: one SIC train/cancel for the whole group.
-	tspTrain := r.trace.Start("sic_train")
+	tr := r.trace
+	s.canc.SetTrace(tr)
+	tspTrain := tr.Start("sic_train")
 	spTrain := r.m.spanSICTrain.Start()
-	canc, err := sic.Train(r.cfg.SIC, xTap, x, y, packetStart, packetStart+tag.SilentSamples)
+	err := s.canc.Retrain(xTap, x, y, packetStart, packetStart+tag.SilentSamples)
 	spTrain.End()
 	tspTrain.End()
 	if err != nil {
 		r.m.failSICTrain.Inc()
 		return nil, fmt.Errorf("reader: %w", err)
 	}
-	tspCancel := r.trace.Start("sic_cancel")
+	tspCancel := tr.Start("sic_cancel")
 	spCancel := r.m.spanSICCancel.Start()
-	clean := canc.Cancel(xTap, x, y)
+	s.clean = s.canc.CancelRange(s.clean, xTap, x, y, packetStart, packetEnd)
 	spCancel.End()
 	tspCancel.End()
 
 	preStart := packetStart + tag.SilentSamples
-	jr := &JointResult{Tags: make([]*Result, len(cfgs)), SIC: canc.Report()}
-
-	remaining := make([]int, 0, len(cfgs))
-	for i := range cfgs {
-		remaining = append(remaining, i)
+	jr := &JointResult{
+		Tags:        make([]*Result, len(cfgs)),
+		Order:       make([]int, 0, len(cfgs)),
+		ResidualDBm: make([]float64, 0, len(cfgs)),
+		SIC:         s.canc.Report(),
 	}
-	for len(remaining) > 0 {
-		// Rank the remaining reflections by estimated received energy
-		// over their preamble windows.
+
+	// A tag whose preamble does not fit the packet is dropped (its entry
+	// stays nil) and counted once.
+	pending := s.pending[:0]
+	for i, c := range cfgs {
+		if preStart+c.PreambleSamples() > packetEnd {
+			r.m.failPreamble.Inc()
+			continue
+		}
+		pending = append(pending, i)
+	}
+	for len(pending) > 0 {
+		// Rank the pending reflections by estimated received energy over
+		// their preamble windows. A failed preamble fit is dropped and
+		// counted once: the fit's normal matrix depends only on the
+		// excitation and the PN, never on the shrinking residual, so it
+		// would fail again every round.
 		best, bestE := -1, 0.0
-		var bestHfb, bestRef []complex128
-		next := remaining[:0]
-		for _, i := range remaining {
+		next := pending[:0]
+		for _, i := range pending {
 			tcfg := cfgs[i]
-			if preStart+tcfg.PreambleSamples() > packetStart+packetLen {
-				r.m.failPreamble.Inc()
-				next = append(next, i) // skipped permanently below
-				continue
-			}
 			pn := tag.PreambleSequence(tcfg.ID, tcfg.PreambleChips)
-			tspEst := r.trace.Start("channel_estimate")
+			tspEst := tr.Start("channel_estimate")
 			spEst := r.m.spanChanEst.Start()
-			hfb, err := r.estimateHfb(x, clean, preStart, pn)
+			err := s.estimateHfbInto(r.cfg, x, s.clean, preStart, pn)
 			spEst.End()
 			tspEst.End()
 			if err != nil {
 				r.m.failChanEst.Inc()
-				next = append(next, i)
 				continue
 			}
-			ref := dsp.ConvolveSameInto(nil, x, hfb)
+			preEnd := preStart + tcfg.PreambleSamples()
+			s.ref = dsp.ConvolveRangeInto(s.ref, x, s.hfb, preStart, preEnd)
 			var e float64
-			for n := preStart; n < preStart+tcfg.PreambleSamples(); n++ {
-				e += real(ref[n])*real(ref[n]) + imag(ref[n])*imag(ref[n])
+			for _, v := range s.ref[preStart:preEnd] {
+				e += real(v)*real(v) + imag(v)*imag(v)
 			}
 			if best == -1 || e > bestE {
 				if best != -1 {
 					next = append(next, best)
 				}
-				best, bestE, bestHfb, bestRef = i, e, hfb, ref
+				best, bestE = i, e
+				s.hfb, s.best = s.best, s.hfb
 			} else {
 				next = append(next, i)
 			}
 		}
+		pending = next
 		if best == -1 {
-			// Nothing estimable this round; the survivors never will be
-			// (the residual only shrinks). Leave their entries nil.
 			break
 		}
-		remaining = next
 
 		tcfg := cfgs[best]
-		res, used := r.decodeLayer(clean, bestRef, packetStart, packetLen, preStart, tcfg)
+		s.ref = dsp.ConvolveRangeInto(s.ref, x, s.best, preStart, packetEnd)
+		res, used := r.decodeLayer(s, packetEnd, preStart, tcfg)
 		res.SIC = jr.SIC
-		res.Hfb = bestHfb
+		res.Hfb = append([]complex128(nil), s.best...)
 		jr.Tags[best] = res
 		jr.Order = append(jr.Order, best)
-
-		if len(remaining) > 0 {
-			mseq, frameEnd := reconstructModulation(res, used, preStart, tcfg)
-			for n := preStart; n < frameEnd && n < len(clean); n++ {
-				clean[n] -= mseq[n-preStart] * bestRef[n]
-			}
-		}
-		jr.ResidualDBm = append(jr.ResidualDBm, residualDBm(clean, preStart, packetStart+packetLen))
+		s.cancelLayer(res, used, preStart, tcfg)
+		jr.ResidualDBm = append(jr.ResidualDBm, residualDBm(s.clean, preStart, packetEnd))
 	}
+	s.pending = pending
 	return jr, nil
 }
 
 // decodeLayer is stages 3–4 of the single-tag chain (MRC + Viterbi)
-// against the current residual, at nominal protocol timing. The second
-// return is the symbol count the frame occupied — the cancellation
-// bound when the CRC failed and the payload length is untrusted.
-func (r *Reader) decodeLayer(clean, ref []complex128, packetStart, packetLen, preStart int, tcfg tag.Config) (*Result, int) {
+// against the stream's residual and reference, at nominal protocol
+// timing. The second return is the symbol count the frame occupied —
+// the cancellation bound when the CRC failed and the payload length is
+// untrusted.
+func (r *Reader) decodeLayer(s *Stream, packetEnd, preStart int, tcfg tag.Config) (*Result, int) {
 	pn := tag.PreambleSequence(tcfg.ID, tcfg.PreambleChips)
 	preEnd := preStart + tcfg.PreambleSamples()
-	preCorr := r.preambleCorrelation(clean, ref, preStart, pn)
+	preCorr := r.preambleCorrelation(s.clean, s.ref, preStart, pn)
 	r.m.preambleCorr.Observe(preCorr)
 
 	tspMRC := r.trace.Start("mrc")
 	spMRC := r.m.spanMRC.Start()
 	sps := tcfg.SamplesPerSymbol()
-	guard := r.cfg.ChannelTaps
-	if guard > sps/2 {
-		guard = sps / 2
-	}
-	nAvail := (packetStart + packetLen - preEnd) / sps
+	nAvail := (packetEnd - preEnd) / sps
 	if nAvail <= 0 {
 		r.m.failPayload.Inc()
 		spMRC.End()
 		tspMRC.End()
 		return &Result{PreambleCorr: preCorr}, 0
 	}
-	ests := make([]complex128, nAvail)
-	for s := 0; s < nAvail; s++ {
-		a := preEnd + s*sps + guard
-		b := preEnd + (s+1)*sps
-		var num complex128
-		var den float64
-		for n := a; n < b; n++ {
-			num += clean[n] * cmplx.Conj(ref[n])
-			den += real(ref[n])*real(ref[n]) + imag(ref[n])*imag(ref[n])
-		}
-		if den > 0 {
-			ests[s] = num / complex(den, 0)
-		}
+	if cap(s.ests) < nAvail {
+		s.ests = make([]complex128, nAvail)
 	}
+	s.mrcInto(preEnd, sps, min(r.cfg.ChannelTaps, sps/2), 0, nAvail)
+	ests := s.ests[:nAvail]
 	spMRC.End()
 	tspMRC.End()
 
 	tspVit := r.trace.Start("viterbi")
 	spVit := r.m.spanViterbi.Start()
-	payload, used, corrected, frameOK := new(frameDecoder).decodeFrame(ests, tcfg)
+	payload, used, corrected, frameOK := s.fd.decodeFrame(ests, tcfg)
 	spVit.End()
 	tspVit.End()
 	if frameOK {
@@ -227,46 +234,43 @@ func (r *Reader) decodeLayer(clean, ref []complex128, packetStart, packetLen, pr
 	res := &Result{
 		Payload:              payload,
 		FrameOK:              frameOK,
-		SymbolEstimates:      ests,
+		SymbolEstimates:      append([]complex128(nil), ests...),
 		PreambleCorr:         preCorr,
 		ViterbiCorrectedBits: corrected,
 	}
-	res.SNRdB = symbolSNRdB(ests[:used], tcfg.Mod)
+	res.SNRdB = s.fd.symbolSNRdB(ests[:used], tcfg.Mod)
 	return res, used
 }
 
-// reconstructModulation rebuilds the per-sample modulation m̂[n] the
-// decoded tag transmitted over [preStart, frameEnd): PN chips, then
-// payload symbols — exact when the CRC validated (re-encode), hard
-// symbol decisions over the frame's symbols otherwise.
-func reconstructModulation(res *Result, used, preStart int, tcfg tag.Config) ([]complex128, int) {
-	pn := tag.PreambleSequence(tcfg.ID, tcfg.PreambleChips)
-	sps := tcfg.SamplesPerSymbol()
-	var symbols []complex128
+// cancelLayer subtracts a decoded layer's reflection m̂[n]·ref[n] from
+// the stream's residual over the samples its frame occupied: the PN
+// chips, then the payload symbols — exact when the CRC validated
+// (re-encode), hard symbol decisions over the frame's symbols
+// otherwise. s.ref must hold the layer's reference.
+func (s *Stream) cancelLayer(res *Result, used, preStart int, tcfg tag.Config) {
 	if res.FrameOK {
-		coded := tag.EncodeFrameBits(res.Payload, tcfg.Coding, tcfg.Mod)
-		symbols = tcfg.Mod.MapBits(coded)
+		s.fd.bits = tag.EncodeFrameBitsInto(s.fd.bits, res.Payload, tcfg.Coding, tcfg.Mod)
 	} else {
-		if used > len(res.SymbolEstimates) {
-			used = len(res.SymbolEstimates)
-		}
-		hard := tcfg.Mod.DemapHard(res.SymbolEstimates[:used])
-		symbols = tcfg.Mod.MapBits(hard)
+		used = min(used, len(res.SymbolEstimates))
+		s.fd.bits = tcfg.Mod.DemapHardInto(s.fd.bits, res.SymbolEstimates[:used])
 	}
-	n := tcfg.PreambleSamples() + len(symbols)*sps
-	mseq := make([]complex128, n)
-	for c, chip := range pn {
-		for k := 0; k < tag.ChipSamples; k++ {
-			mseq[c*tag.ChipSamples+k] = chip
-		}
-	}
-	off := tcfg.PreambleSamples()
-	for s, sym := range symbols {
-		for k := 0; k < sps; k++ {
-			mseq[off+s*sps+k] = sym
+	s.fd.syms = tcfg.Mod.MapBitsInto(s.fd.syms, s.fd.bits)
+
+	clean, ref := s.clean, s.ref
+	n := preStart
+	for _, chip := range tag.PreambleSequence(tcfg.ID, tcfg.PreambleChips) {
+		for k := 0; k < tag.ChipSamples && n < len(clean); k++ {
+			clean[n] -= chip * ref[n]
+			n++
 		}
 	}
-	return mseq, preStart + n
+	sps := tcfg.SamplesPerSymbol()
+	for _, sym := range s.fd.syms {
+		for k := 0; k < sps && n < len(clean); k++ {
+			clean[n] -= sym * ref[n]
+			n++
+		}
+	}
 }
 
 // residualDBm is the power of the remaining signal over the tag frame

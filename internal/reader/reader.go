@@ -448,12 +448,16 @@ func (r *Reader) preambleCorrelation(clean, ref []complex128, preStart int, pn [
 }
 
 // frameDecoder is the FEC/framing stage's working memory: the Viterbi
-// scratch and the demapped soft values. The zero value is ready; one
-// reused across frames stops allocating once its buffers have grown
-// (only the returned payload is new). Not safe for concurrent use.
+// scratch, the demapped soft values, and the re-encode buffers behind
+// the corrected-bit count and the joint decoder's layer reconstruction.
+// The zero value is ready; one reused across frames stops allocating
+// once its buffers have grown (only the returned payload is new). Not
+// safe for concurrent use.
 type frameDecoder struct {
 	vit  fec.Viterbi
 	soft []float64
+	bits []byte       // re-encoded or hard-decided coded bits
+	syms []complex128 // their constellation points
 }
 
 // readLength runs an unterminated Viterbi pass over every whole trellis
@@ -499,15 +503,16 @@ func (d *frameDecoder) decodeFrame(ests []complex128, tcfg tag.Config) ([]byte, 
 	if err != nil {
 		return nil, used, 0, false
 	}
-	return payload, used, correctedBits(frameSoft, payload, tcfg), true
+	return payload, used, d.correctedBits(frameSoft, payload, tcfg), true
 }
 
 // correctedBits counts the coded-bit flips the Viterbi decoder fixed:
 // hard decisions on the received soft values vs the re-encoded decoded
 // frame. This is the receiver-side error tally — unlike RawBER it
 // needs no ground truth, so it works on real payloads.
-func correctedBits(frameSoft []float64, payload []byte, tcfg tag.Config) int {
-	reenc := tag.EncodeFrameBits(payload, tcfg.Coding, tcfg.Mod)
+func (d *frameDecoder) correctedBits(frameSoft []float64, payload []byte, tcfg tag.Config) int {
+	d.bits = tag.EncodeFrameBitsInto(d.bits, payload, tcfg.Coding, tcfg.Mod)
+	reenc := d.bits
 	n := min(len(reenc), len(frameSoft))
 	count := 0
 	for i := 0; i < n; i++ {
@@ -540,11 +545,18 @@ func maxTrellisSteps(softLen int, coding fec.CodeRate) int {
 
 // symbolSNRdB estimates post-MRC SNR from decision errors.
 func symbolSNRdB(ests []complex128, mod tag.Modulation) float64 {
+	return new(frameDecoder).symbolSNRdB(ests, mod)
+}
+
+// symbolSNRdB is symbolSNRdB making its symbol decisions in d's
+// scratch.
+func (d *frameDecoder) symbolSNRdB(ests []complex128, mod tag.Modulation) float64 {
 	if len(ests) == 0 {
 		return math.Inf(-1)
 	}
-	hard := mod.DemapHard(ests)
-	ideal := mod.MapBits(hard)
+	d.bits = mod.DemapHardInto(d.bits, ests)
+	d.syms = mod.MapBitsInto(d.syms, d.bits)
+	ideal := d.syms
 	// PSK decisions are phase-only; reference each decision at the
 	// packet's mean estimate amplitude so both phase and amplitude
 	// deviations count as noise.

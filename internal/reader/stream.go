@@ -19,8 +19,8 @@ import (
 // SNRs where frames decode at all.
 const headerGuardSteps = 8 * fec.TailBits
 
-// Stream is the working memory of the windowed decoder
-// (Reader.DecodeStream), the single-tag link pipeline's decode stage:
+// Stream is the working memory of the windowed decoders — the
+// single-tag Reader.DecodeStream and the multi-tag Reader.DecodeJoint:
 //
 //   - a sic.Reusable canceller retrained every frame with no
 //     steady-state allocation;
@@ -52,17 +52,28 @@ type Stream struct {
 	gram  *linalg.Matrix
 	rhs   []complex128
 	hfb   []complex128
+
+	// Joint decode only: the strongest candidate's taps so far and the
+	// tags still to peel.
+	best    []complex128
+	pending []int
+}
+
+// configure sizes s for the decoder configuration cfg.
+func (s *Stream) configure(cfg Config) {
+	s.canc.Configure(cfg.SIC)
+	if L := cfg.ChannelTaps; s.gram == nil || s.gram.Rows != L {
+		s.gram = linalg.NewMatrix(L, L)
+		s.rhs = make([]complex128, L)
+		s.hfb = make([]complex128, L)
+		s.best = make([]complex128, L)
+	}
 }
 
 // DecodeStream processes one excitation packet with the same stage
 // structure and arguments as Decode, in s's working memory.
 func (r *Reader) DecodeStream(s *Stream, x, xTap, y []complex128, packetStart, packetLen int, tcfg tag.Config) (*Result, error) {
-	s.canc.Configure(r.cfg.SIC)
-	if L := r.cfg.ChannelTaps; s.gram == nil || s.gram.Rows != L {
-		s.gram = linalg.NewMatrix(L, L)
-		s.rhs = make([]complex128, L)
-		s.hfb = make([]complex128, L)
-	}
+	s.configure(r.cfg)
 	if err := tcfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -209,7 +220,7 @@ func (r *Reader) DecodeStream(s *Stream, x, xTap, y []complex128, packetStart, p
 		frameSoft := s.fd.soft[:used*bps]
 		if p, err := tag.DecodeFrameBits(&s.fd.vit, frameSoft, tcfg.Coding, infoBits); err == nil {
 			payload = p
-			corrected = correctedBits(frameSoft, payload, tcfg)
+			corrected = s.fd.correctedBits(frameSoft, payload, tcfg)
 			frameOK = true
 		}
 	} else {
@@ -233,7 +244,7 @@ func (r *Reader) DecodeStream(s *Stream, x, xTap, y []complex128, packetStart, p
 		TimingOffset:         offset,
 		ViterbiCorrectedBits: corrected,
 	}
-	res.SNRdB = symbolSNRdB(ests[:min(used, len(ests))], tcfg.Mod)
+	res.SNRdB = s.fd.symbolSNRdB(ests[:min(used, len(ests))], tcfg.Mod)
 	return res, nil
 }
 

@@ -26,11 +26,17 @@ func (s *Source) Uint64() uint64 {
 // Int63 returns a non-negative pseudo-random 63-bit integer.
 func (s *Source) Int63() int64 { return int64(s.Uint64() >> 1) }
 
-// New returns a *rand.Rand over a Source seeded with seed.
+// New returns a *rand.Rand over a Source seeded with seed. The
+// generator and its source share one allocation: a session holds its
+// streams for life, and one object stays denser in the heap than two.
 func New(seed int64) *rand.Rand {
-	src := &Source{}
-	src.Seed(seed)
-	return rand.New(src)
+	p := new(struct {
+		r   rand.Rand
+		src Source
+	})
+	p.src.Seed(seed)
+	p.r = *rand.New(&p.src)
+	return &p.r
 }
 
 // Mix derives a decorrelated seed from (base, n) with the SplitMix64

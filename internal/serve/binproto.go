@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -188,13 +189,25 @@ func putFrameBuf(b *[]byte) {
 }
 
 // internTable deduplicates the session-id strings a connection keeps
-// sending: the first occurrence allocates, every later frame reuses
-// the same string (map lookup keyed by []byte conversion does not
-// allocate). Bounded so a client cycling ids cannot grow it without
-// limit — past the bound ids still decode, they just allocate.
-const maxInterned = 4096
+// sending: the first occurrence is copied into the table, every later
+// frame reuses the same string (map lookup keyed by []byte conversion
+// does not allocate). It is bounded so a client cycling ids cannot
+// grow it: when full it starts over, so the ids a connection is using
+// now stay interned while ids it has churned past are released instead
+// of pinning memory for the connection's lifetime. The strings of one
+// generation share one buffer; an id that outlives its entry (a
+// session's map key) keeps only that buffer alive, not a 24-byte
+// object in a span of per-request garbage.
+const maxInterned = 64
 
-type internTable struct{ m map[string]string }
+// internIDBytes is the buffer a generation starts with: room for
+// maxInterned ids of typical length.
+const internIDBytes = maxInterned * 32
+
+type internTable struct {
+	m   map[string]string
+	buf strings.Builder
+}
 
 func (t *internTable) get(b []byte) string {
 	if len(b) == 0 {
@@ -203,13 +216,17 @@ func (t *internTable) get(b []byte) string {
 	if s, ok := t.m[string(b)]; ok {
 		return s
 	}
-	s := string(b)
-	if len(t.m) < maxInterned {
+	if t.m == nil || len(t.m) >= maxInterned {
+		clear(t.m)
 		if t.m == nil {
 			t.m = make(map[string]string)
 		}
-		t.m[s] = s
+		t.buf = strings.Builder{}
+		t.buf.Grow(internIDBytes)
 	}
+	t.buf.Write(b)
+	s := t.buf.String()[t.buf.Len()-len(b):]
+	t.m[s] = s
 	return s
 }
 

@@ -6,11 +6,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 
 	"backfi/internal/core"
 	"backfi/internal/obs"
@@ -458,4 +460,31 @@ func bufioReader(r io.Reader) *bufio.Reader { return bufio.NewReader(r) }
 
 func le32(b []byte, v uint32) {
 	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
+}
+
+// The intern table stays bounded under id churn by starting over, and
+// every id it hands out keeps its bytes after the generation that
+// packed it has been dropped.
+func TestInternTableStartsOver(t *testing.T) {
+	var names internTable
+	got := make([]string, 0, 3*maxInterned)
+	for i := 0; i < 3*maxInterned; i++ {
+		id := fmt.Sprintf("churned-session-%05d", i)
+		s := names.get([]byte(id))
+		if s != id {
+			t.Fatalf("get(%q) = %q", id, s)
+		}
+		if again := names.get([]byte(id)); unsafe.StringData(again) != unsafe.StringData(s) {
+			t.Fatalf("id %q interned twice within one generation", id)
+		}
+		if len(names.m) > maxInterned {
+			t.Fatalf("%d entries interned, bound %d", len(names.m), maxInterned)
+		}
+		got = append(got, s)
+	}
+	for i, s := range got {
+		if want := fmt.Sprintf("churned-session-%05d", i); s != want {
+			t.Fatalf("id %d reads %q after later generations, want %q", i, s, want)
+		}
+	}
 }

@@ -356,6 +356,9 @@ type shard struct {
 	depthG   *obs.Gauge
 	liveG    *obs.Gauge
 	sessions map[string]*sessionState
+	// slab holds the unused sessionStates of the current allocation
+	// (newState).
+	slab []sessionState
 	// nsessions / nevicted mirror len(sessions) and the eviction count
 	// for readers outside the worker goroutine (Server.Sessions).
 	nsessions atomic.Int64
@@ -388,7 +391,7 @@ func (sh *shard) run() {
 	defer sh.srv.shardWg.Done()
 	var tickC <-chan time.Time
 	if ttl := sh.srv.cfg.SessionTTL; ttl > 0 {
-		period := ttl / 2
+		period := ttl / 8
 		if period < time.Millisecond {
 			period = time.Millisecond
 		}
@@ -433,6 +436,8 @@ func (sh *shard) evict(now time.Time) {
 			m.degraded.Add(-1)
 		}
 		delete(sh.sessions, id)
+		// The state's slab outlives it; drop what it points at.
+		*st = sessionState{}
 		sh.nsessions.Add(-1)
 		sh.nevicted.Add(1)
 		m.sessions.Add(-1)
@@ -524,7 +529,7 @@ func (sh *shard) process(batch []*job) {
 func (sh *shard) ensureSession(id string, jobs []*job) error {
 	st, ok := sh.sessions[id]
 	if !ok {
-		st = &sessionState{}
+		st = sh.newState()
 	}
 	for _, j := range jobs {
 		switch {
@@ -566,6 +571,23 @@ func (sh *shard) ensureSession(id string, jobs []*job) error {
 		sh.srv.m.sessions.Add(1)
 	}
 	return nil
+}
+
+// stateSlab is how many sessionStates a shard allocates at once.
+// Sessions open and idle out in arrival order, so a slab's states die
+// together: under churn the live states stay packed, where one
+// allocation per session would leave each in its own span of
+// per-request garbage after GC.
+const stateSlab = 16
+
+// newState returns a zeroed sessionState from the shard's current slab.
+func (sh *shard) newState() *sessionState {
+	if len(sh.slab) == 0 {
+		sh.slab = make([]sessionState, stateSlab)
+	}
+	st := &sh.slab[0]
+	sh.slab = sh.slab[1:]
+	return st
 }
 
 // newSession clones the template at a seed offset, adaptive or fixed

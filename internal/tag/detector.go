@@ -77,9 +77,15 @@ func (d *EnergyDetector) Detect(rx []complex128, seq []byte) (int, bool) {
 	if len(rx) < len(seq)*WakeBitSamples {
 		return 0, false
 	}
-	// Envelope → per-bit energy decisions.
+	// Envelope → per-bit energy decisions. A wake scan covers a few
+	// dozen bits, so the envelope lives on the stack.
 	nbits := len(rx) / WakeBitSamples
-	env := make([]float64, nbits)
+	var envBuf [256]float64
+	env := envBuf[:0]
+	if nbits > len(envBuf) {
+		env = make([]float64, 0, nbits)
+	}
+	env = env[:nbits]
 	for i := range env {
 		var e float64
 		for k := 0; k < WakeBitSamples; k++ {
@@ -100,17 +106,12 @@ func (d *EnergyDetector) Detect(rx []complex128, seq []byte) (int, bool) {
 		return 0, false
 	}
 	thresh := peak / 4
-	bits := make([]byte, nbits)
-	for i, e := range env {
-		if e >= thresh {
-			bits[i] = 1
-		}
-	}
-	// Sliding correlation.
+	// Sliding correlation of the comparator bits (envelope ≥ threshold
+	// reads 1) against the sequence.
 	for off := 0; off+len(seq) <= nbits; off++ {
 		match := 0
 		for i, s := range seq {
-			if bits[off+i] == s {
+			if (env[off+i] >= thresh) == (s == 1) {
 				match++
 			}
 		}

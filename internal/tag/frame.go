@@ -47,9 +47,26 @@ func ParseFrame(frame []byte) ([]byte, error) {
 // frame bytes → bits → terminated convolutional encoding → puncturing,
 // padded to a whole number of PSK symbols.
 func EncodeFrameBits(payload []byte, coding fec.CodeRate, mod Modulation) []byte {
-	bits := fec.BytesToBits(BuildFrame(payload))
-	coded := fec.EncodePunctured(bits, coding)
+	return EncodeFrameBitsInto(nil, payload, coding, mod)
+}
+
+// EncodeFrameBitsInto is EncodeFrameBits writing into dst's storage,
+// which it grows only when its capacity is short. It streams the frame
+// through the encoder instead of building the frame bytes and bits.
+func EncodeFrameBitsInto(dst, payload []byte, coding fec.CodeRate, mod Modulation) []byte {
+	var hdr [frameHeaderBytes]byte
+	binary.LittleEndian.PutUint16(hdr[:], uint16(len(payload)))
+	trailer := [frameTrailerBytes]byte{fec.CRC8Update(fec.CRC8(hdr[:]), payload)}
 	k := mod.BitsPerSymbol()
+	if n := SymbolsForPayload(len(payload), coding, mod) * k; cap(dst) < n {
+		dst = make([]byte, 0, n)
+	}
+	var enc fec.PuncturedEncoder
+	enc.Reset(dst, coding)
+	enc.Write(hdr[:])
+	enc.Write(payload)
+	enc.Write(trailer[:])
+	coded := enc.Terminate()
 	for len(coded)%k != 0 {
 		coded = append(coded, 0)
 	}

@@ -7,6 +7,8 @@ import (
 	"slices"
 	"sync"
 	"testing"
+
+	"backfi/internal/fec"
 )
 
 // dirty returns a buffer of capacity n filled with garbage, so an Into
@@ -115,4 +117,58 @@ func TestPreambleSequenceConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+func TestEncodeFrameBitsIntoMatches(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	buf := make([]byte, 0, 8192)
+	for _, coding := range []fec.CodeRate{fec.Rate12, fec.Rate23, fec.Rate34} {
+		for _, mod := range AllModulations {
+			for _, n := range []int{0, 1, 24, 300} {
+				payload := make([]byte, n)
+				r.Read(payload)
+				// The frame-bytes path the streaming encoder replaced.
+				want := fec.EncodePunctured(fec.BytesToBits(BuildFrame(payload)), coding)
+				for len(want)%mod.BitsPerSymbol() != 0 {
+					want = append(want, 0)
+				}
+				got := EncodeFrameBitsInto(buf, payload, coding, mod)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s %s, %d B: EncodeFrameBitsInto differs", coding, mod, n)
+				}
+				if &got[0] != &buf[:1][0] {
+					t.Fatalf("%s %s: EncodeFrameBitsInto reallocated a large enough buffer", coding, mod)
+				}
+				if SymbolsForPayload(n, coding, mod) != len(got)/mod.BitsPerSymbol() {
+					t.Fatalf("%s %s, %d B: codeword length disagrees with SymbolsForPayload", coding, mod, n)
+				}
+			}
+		}
+	}
+}
+
+// TestSymbolIntoFormsZeroAlloc pins the re-encode path the reader runs
+// per decoded frame — encode, map, decide — at zero allocations once
+// its buffers have grown, with results equal to the allocating forms.
+func TestSymbolIntoFormsZeroAlloc(t *testing.T) {
+	payload := []byte("reading-0123456789abcdef")
+	for _, mod := range AllModulations {
+		var bits, hard []byte
+		var syms []complex128
+		run := func() {
+			bits = EncodeFrameBitsInto(bits, payload, fec.Rate12, mod)
+			syms = mod.MapBitsInto(syms, bits)
+			hard = mod.DemapHardInto(hard, syms)
+		}
+		run()
+		if !slices.Equal(syms, mod.MapBits(EncodeFrameBits(payload, fec.Rate12, mod))) || !slices.Equal(hard, mod.DemapHard(syms)) {
+			t.Fatalf("%s: Into forms differ from the allocating forms", mod)
+		}
+		if !slices.Equal(hard, bits) {
+			t.Fatalf("%s: noiseless decisions do not return the coded bits", mod)
+		}
+		if n := testing.AllocsPerRun(20, run); n != 0 {
+			t.Fatalf("%s: %v allocs per re-encode, want 0", mod, n)
+		}
+	}
 }

@@ -101,14 +101,20 @@ func (m Modulation) Phase(s int) float64 {
 // Gray labeling, so adjacent phases differ in one bit. len(bits) must be
 // a multiple of BitsPerSymbol.
 func (m Modulation) MapBits(bits []byte) []complex128 {
+	return m.MapBitsInto(nil, bits)
+}
+
+// MapBitsInto is MapBits writing into dst's storage, which it grows
+// only when its capacity is short.
+func (m Modulation) MapBitsInto(dst []complex128, bits []byte) []complex128 {
 	if m == QAM16 {
-		return qam16Map(bits)
+		return qam16Map(dst, bits)
 	}
 	k := m.BitsPerSymbol()
 	if len(bits)%k != 0 {
 		panic("tag: bit count not a multiple of bits per symbol")
 	}
-	out := make([]complex128, len(bits)/k)
+	out := grow(dst, len(bits)/k)
 	for i := range out {
 		v := 0
 		for j := 0; j < k; j++ {
@@ -191,12 +197,18 @@ func (m Modulation) DemapSoftInto(dst []float64, points []complex128) []float64 
 
 // DemapHard slices phasors to bit labels.
 func (m Modulation) DemapHard(points []complex128) []byte {
+	return m.DemapHardInto(nil, points)
+}
+
+// DemapHardInto is DemapHard writing into dst's storage, which it
+// grows only when its capacity is short.
+func (m Modulation) DemapHardInto(dst []byte, points []complex128) []byte {
 	if m == QAM16 {
-		return qam16DemapHard(points)
+		return qam16DemapHard(dst, points)
 	}
 	k := m.BitsPerSymbol()
 	n := m.Points()
-	out := make([]byte, 0, len(points)*k)
+	out := growBits(dst, len(points)*k)
 	for _, y := range points {
 		// Nearest phase: quantize the angle.
 		theta := cmplx.Phase(y)
@@ -210,4 +222,22 @@ func (m Modulation) DemapHard(points []complex128) []byte {
 		}
 	}
 	return out
+}
+
+// grow returns dst resized to n, reallocating only when its capacity
+// is short. Contents are unspecified.
+func grow(dst []complex128, n int) []complex128 {
+	if cap(dst) < n {
+		return make([]complex128, n)
+	}
+	return dst[:n]
+}
+
+// growBits returns an empty slice with room for n bits, reusing dst's
+// storage when its capacity allows.
+func growBits(dst []byte, n int) []byte {
+	if cap(dst) < n {
+		return make([]byte, 0, n)
+	}
+	return dst[:0]
 }

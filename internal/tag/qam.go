@@ -55,11 +55,11 @@ func QAM16AveragePower() float64 {
 }
 
 // qam16Map converts bits (multiples of 4) to reflection states.
-func qam16Map(bits []byte) []complex128 {
+func qam16Map(dst []complex128, bits []byte) []complex128 {
 	if len(bits)%4 != 0 {
 		panic("tag: QAM16 bit count not a multiple of 4")
 	}
-	out := make([]complex128, len(bits)/4)
+	out := grow(dst, len(bits)/4)
 	for i := range out {
 		v := int(bits[4*i])<<3 | int(bits[4*i+1])<<2 | int(bits[4*i+2])<<1 | int(bits[4*i+3])
 		out[i] = qam16Points[v]
@@ -69,8 +69,8 @@ func qam16Map(bits []byte) []complex128 {
 
 // qam16DemapHard slices points to bit labels by nearest constellation
 // point (amplitude matters, unlike PSK).
-func qam16DemapHard(points []complex128) []byte {
-	out := make([]byte, 0, len(points)*4)
+func qam16DemapHard(dst []byte, points []complex128) []byte {
+	out := growBits(dst, 4*len(points))
 	for _, y := range points {
 		best := math.Inf(1)
 		bi := 0

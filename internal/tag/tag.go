@@ -154,8 +154,8 @@ func (p *TxPlan) End() int {
 // Tag is a BackFi IoT sensor.
 type Tag struct {
 	Cfg      Config
-	Detector *EnergyDetector
-	wakeSeq  []byte
+	Detector EnergyDetector
+	wakeSeq  [WakeBits]byte
 	wakeID   int
 }
 
@@ -164,7 +164,7 @@ func New(cfg Config) (*Tag, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Tag{Cfg: cfg, Detector: NewEnergyDetector(), wakeSeq: WakeSequence(cfg.ID), wakeID: cfg.ID}, nil
+	return newTag(cfg, cfg.ID), nil
 }
 
 // NewWithWake returns a tag whose wake correlator listens for wakeID's
@@ -180,11 +180,17 @@ func NewWithWake(cfg Config, wakeID int) (*Tag, error) {
 	if wakeID < 0 {
 		return nil, fmt.Errorf("tag: negative wake ID %d", wakeID)
 	}
-	return &Tag{Cfg: cfg, Detector: NewEnergyDetector(), wakeSeq: WakeSequence(wakeID), wakeID: wakeID}, nil
+	return newTag(cfg, wakeID), nil
+}
+
+func newTag(cfg Config, wakeID int) *Tag {
+	t := &Tag{Cfg: cfg, Detector: *NewEnergyDetector(), wakeID: wakeID}
+	copy(t.wakeSeq[:], WakeSequence(wakeID))
+	return t
 }
 
 // WakeSeq returns the tag's 16-bit wake sequence.
-func (t *Tag) WakeSeq() []byte { return t.wakeSeq }
+func (t *Tag) WakeSeq() []byte { return t.wakeSeq[:] }
 
 // WakeID returns the ID whose sequence the tag wakes on — Cfg.ID
 // unless the tag was built with NewWithWake.
@@ -273,5 +279,5 @@ func Backscatter(z, m []complex128) []complex128 {
 // contain this tag's wake preamble, returning the sample index where
 // the excitation packet starts.
 func (t *Tag) TryWake(rx []complex128) (int, bool) {
-	return t.Detector.Detect(rx, t.wakeSeq)
+	return t.Detector.Detect(rx, t.wakeSeq[:])
 }
