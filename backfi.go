@@ -147,17 +147,11 @@ func EPB(mod TagModulation, coding CodeRate, symbolRateHz float64) (float64, err
 	return energy.EPB(mod, coding, symbolRateHz)
 }
 
-// MIMO extension (paper Sec. 7): multiple receive antennas at the AP
-// add spatial diversity on top of the temporal MRC gain.
-type (
-	// MIMOLink is a BackFi link with multiple AP receive antennas.
-	MIMOLink = core.MIMOLink
-	// MIMOPacketResult reports one multi-antenna exchange.
-	MIMOPacketResult = core.MIMOPacketResult
-)
-
-// NewMIMOLink draws a placement with nrx receive antennas.
-func NewMIMOLink(cfg LinkConfig, nrx int) (*MIMOLink, error) {
+// NewMIMOLink draws a placement with nrx AP receive antennas (paper
+// Sec. 7): the extra antennas add spatial diversity on top of the
+// temporal MRC gain. Its results carry per-antenna diagnostics in
+// Decode.PerAntennaSNRdB and Decode.PerAntennaSIC.
+func NewMIMOLink(cfg LinkConfig, nrx int) (*Link, error) {
 	return core.NewMIMOLink(cfg, nrx)
 }
 

@@ -87,7 +87,7 @@ func main() {
 	packets := flag.Int("packets", 1, "number of packet exchanges")
 	seed := flag.Int64("seed", 1, "random seed")
 	excitation := flag.String("excitation", "wifi", "excitation signal: wifi | 11b | zigbee | ble | white")
-	antennas := flag.Int("antennas", 1, "AP receive antennas (MIMO extension, wifi excitation only)")
+	antennas := flag.Int("antennas", 1, "AP receive antennas (MIMO extension)")
 	impair := flag.Float64("impair", 0, "RF impairment severity in [0,1]: 0 = ideal front end, >0 applies the standard fault profile (DESIGN.md §5d)")
 	cfoHz := flag.Float64("cfo", 0, "carrier frequency offset in Hz on the excitation air path (overrides -impair's CFO)")
 	interfDuty := flag.Float64("interf-duty", 0, "co-channel interference duty cycle in [0,1) (overrides -impair's interference)")
@@ -173,29 +173,10 @@ func main() {
 		})
 	}
 
-	if *antennas > 1 && *excitation != "wifi" {
-		log.Fatal("-antennas requires the wifi excitation")
-	}
 	ok := 0
 	for p := 0; p < *packets; p++ {
 		cfg.Seed = *seed + int64(p)
-		if *antennas > 1 {
-			mlink, err := backfi.NewMIMOLink(cfg, *antennas)
-			if err != nil {
-				log.Fatal(err)
-			}
-			mres, err := mlink.RunPacket(mlink.RandomPayload(*bytes))
-			if err != nil {
-				log.Fatal(err)
-			}
-			if mres.PayloadOK {
-				ok++
-			}
-			fmt.Printf("packet %d (%d antennas): decoded=%v joint SNR=%.1f dB per-antenna=%v\n",
-				p, *antennas, mres.PayloadOK, mres.JointSNRdB, mres.PerAntennaSNRdB)
-			continue
-		}
-		link, err := backfi.NewLink(cfg)
+		link, err := backfi.NewMIMOLink(cfg, *antennas)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -217,6 +198,9 @@ func main() {
 		fmt.Printf("  expected SNR        %.1f dB per sample, %.1f dB post-MRC\n",
 			res.ExpectedSNRdB, res.ExpectedMRCSNRdB)
 		fmt.Printf("  measured SNR        %.1f dB post-MRC\n", res.MeasuredSNRdB)
+		if per := res.Decode.PerAntennaSNRdB; per != nil {
+			fmt.Printf("  per-antenna SNR     %.1f dB\n", per)
+		}
 		fmt.Printf("  preamble corr       %.3f (sync offset %+d samples)\n", res.PreambleCorr, res.SyncOffsetSamples)
 		fmt.Printf("  raw coded BER       %.2e (%d/%d), Viterbi corrected %d bits\n",
 			res.RawBER(), res.RawBitErrors, res.RawBits, res.ViterbiCorrectedBits)

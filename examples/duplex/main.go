@@ -72,13 +72,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("uplink (4 antennas): ok=%v SNR=%.1f dB (per antenna:", mres.PayloadOK, mres.JointSNRdB)
-	for _, s := range mres.PerAntennaSNRdB {
+	fmt.Printf("uplink (4 antennas): ok=%v SNR=%.1f dB (per antenna:", mres.PayloadOK, mres.MeasuredSNRdB)
+	for _, s := range mres.Decode.PerAntennaSNRdB {
 		fmt.Printf(" %.1f", s)
 	}
 	fmt.Println(" dB)")
 	fmt.Printf("spatial diversity gain: %.1f dB over the mean single chain\n",
-		mres.JointSNRdB-mean(mres.PerAntennaSNRdB))
+		mres.MeasuredSNRdB-mean(mres.Decode.PerAntennaSNRdB))
 }
 
 // parseCommand applies a "set k=v ..." command to a tag configuration.

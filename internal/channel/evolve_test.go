@@ -6,39 +6,6 @@ import (
 	"testing"
 )
 
-func TestMIMOScenarioStructure(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
-	m := mustMIMOScenario(DefaultConfig(2), 3, r)
-	if m.NumRx() != 3 {
-		t.Fatalf("NumRx = %d", m.NumRx())
-	}
-	if len(m.HEnv) != 3 || len(m.HB) != 3 {
-		t.Fatalf("per-antenna channels missing: %d/%d", len(m.HEnv), len(m.HB))
-	}
-	// Antenna channels must be distinct realizations (independent
-	// fading is the point of diversity).
-	same := true
-	for i := range m.HB[0] {
-		if m.HB[0][i] != m.HB[1][i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("antenna channels identical — no diversity")
-	}
-	// Single forward channel shared.
-	if m.HF.Gain() == 0 {
-		t.Fatal("forward channel missing")
-	}
-}
-
-func TestMIMOScenarioRejectsZeroAntennas(t *testing.T) {
-	if _, err := NewMIMOScenario(DefaultConfig(1), 0, rand.New(rand.NewSource(1))); err == nil {
-		t.Fatal("expected error for zero antennas")
-	}
-}
-
 func TestEvolverStationaryStatistics(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	s := mustScenario(DefaultConfig(2), r)

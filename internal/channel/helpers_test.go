@@ -13,14 +13,6 @@ func mustScenario(cfg Config, r *rand.Rand) *Scenario {
 	return s
 }
 
-func mustMIMOScenario(cfg Config, nrx int, r *rand.Rand) *MIMOScenario {
-	m, err := NewMIMOScenario(cfg, nrx, r)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 func mustEvolver(r *rand.Rand, rho float64, s *Scenario) *Evolver {
 	e, err := NewEvolver(r, rho, s)
 	if err != nil {

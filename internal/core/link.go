@@ -7,9 +7,11 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -229,7 +231,14 @@ type Link struct {
 	// trace is the per-frame trace context (DESIGN.md §5h); the serving
 	// layer reassigns it before each RunPacket. Zero = tracing off.
 	trace obs.TraceCtx
+	// rx holds the AP's receive chains past the first (NewMIMOLink);
+	// chain 0 is Scenario's.
+	rx []rxChain
 }
+
+// rxChain is one AP receive antenna's view of a placement: its own
+// self-interference channel and its own backward channel from the tag.
+type rxChain struct{ HEnv, HB channel.Taps }
 
 // SetTrace points the next RunPacket at a per-frame trace context and
 // propagates it down the pipeline (reader stages, SIC training). The
@@ -303,7 +312,8 @@ func (l *Link) init(cfg LinkConfig) error {
 // the session schedule (DESIGN.md §5j). The main stream (transmit
 // distortion, AWGN) and the fault stream reseed in O(1) to pure
 // functions of their base seeds and n; the channel evolver's stream is
-// owned by the session and reseeded there. Session.Send drives it.
+// owned by the session and reseeded there. Session.Send drives it per
+// attempt, MultiTagSession.SendSlot per slot.
 func (l *Link) reseedAttempt(n int) {
 	l.rng.Seed(rng.Mix(l.Cfg.Seed, n))
 	l.inj.Reseed(rng.Mix(l.injBase, n))
@@ -358,14 +368,15 @@ func (l *Link) SetFaultProfile(p *fault.Profile) error {
 const windowSlack = 64
 
 // frameScratch is one frame's waveform-sized working memory: the air
-// copy, the forward signal at the tag, the tag's modulation sequence,
-// its reflection, the reflection through h_b, the AP receive buffer,
-// and the decoder's scratch. It comes from scratchPool for the
-// duration of one exchange and goes back before the result is
-// returned, so no session retains a buffer sized by the waveform.
+// copy, the forward signal at a tag, the tag's modulation sequence, its
+// reflection, the reflection through h_b, and one AP capture and one
+// decoder per receive chain. It comes from scratchPool for the duration
+// of one exchange and goes back before the result is returned, so no
+// session retains a buffer sized by the waveform.
 type frameScratch struct {
-	air, z, mod, refl, bs, y []complex128
-	dec                      reader.Stream
+	air, z, mod, refl, bs []complex128
+	y                     [][]complex128
+	dec                   []reader.Stream
 }
 
 var (
@@ -431,123 +442,236 @@ func (l *Link) template(tg *tag.Tag, txPowerW float64, nppdu int) ([]complex128,
 // exchange is the single-tag link pipeline, shared by RunPacket and
 // RunCustomExcitation: the excitation x (ideal baseband, never
 // written — it may be a shared template) goes on the air, the tag
-// wakes and backscatters, and the AP decodes with the windowed
-// decoder. Every channel, noise and fault operation is confined to the
-// window [0, hi) the frame occupies (plus timing slack); nothing past
-// hi is computed. packetStart is the tag's timing origin in x.
+// wakes and backscatters, and the AP decodes every receive chain with
+// the windowed decoder. Nothing past the window the frame occupies
+// (plus timing slack) is computed. packetStart is the tag's timing
+// origin in x.
 func (l *Link) exchange(x []complex128, packetStart int, payload []byte) (*PacketResult, error) {
-	l.m.packets.Inc()
 	tcfg := l.Tag.Cfg
-	packetLen := len(x) - packetStart
 	hi := min(packetStart+tagNeed(tcfg, len(payload))+tcfg.SamplesPerSymbol()+windowSlack, len(x))
-	x = x[:hi]
+	b := burst{
+		x:           x[:hi],
+		packetStart: packetStart,
+		packetLen:   len(x) - packetStart,
+		tags:        []*tag.Tag{l.Tag},
+		scs:         []*channel.Scenario{l.Scenario},
+		polled:      []int{0},
+		payloads:    [][]byte{payload},
+	}
 	fs := getScratch()
 	defer putScratch(fs)
+	if err := l.capture(fs, &b); err != nil {
+		return nil, err
+	}
+	res, err := l.decode(fs, &b, tcfg)
+	if err != nil {
+		return nil, err
+	}
+	return l.result(l.Scenario, tcfg, res, payload, b.packetLen, b.plans[0]), nil
+}
 
-	tspChan := l.trace.Start("channel_sim")
-	spChan := l.m.spanChannelSim.Start()
+// burst is one exchange as capture simulates it. x is the ideal
+// excitation sliced to the window [0, hi) the captures share; packetLen
+// is the whole packet's length past packetStart, the tags' timing
+// origin. tags[i] sits at placement scs[i]; polled[k] backscatters
+// payloads[k], and any other tag that wakes is an impostor sending junk
+// keyed by frame. capture sets woke[i] for the tags that woke on time
+// and plans[k], polled[k]'s transmit plan (nil when it slept).
+type burst struct {
+	x                      []complex128
+	packetStart, packetLen int
+	tags                   []*tag.Tag
+	scs                    []*channel.Scenario
+	polled                 []int
+	payloads               [][]byte
+	frame                  int
+	woke                   []bool
+	plans                  []*tag.TxPlan
+}
+
+// capture is the channel half of every exchange, K tags × N receive
+// chains: single-tag, multi-tag slot and multi-antenna alike. It leaves
+// chain c's capture in fs.y[c], computing only the window [0, hi). The
+// stages run in one order: transmit distortion and front-end faults;
+// the injected wake drop; per tag, its forward channel and wake gate (a
+// tag that wakes off-time counts as asleep), phase noise and preamble
+// corruption (polled tags only) and its reflection through each chain's
+// backward channel; then per chain, chain 0 first, thermal noise,
+// interference, the ADC and capture truncation over [packetStart, hi).
+// When no tag wakes it returns an ErrTagNoWake error before drawing any
+// noise. Chains past the first belong to a single-tag link
+// (NewMIMOLink) and carry that tag's backward channel.
+func (l *Link) capture(fs *frameScratch, b *burst) error {
+	l.m.packets.Inc()
+	x, ps, hi := b.x, b.packetStart, len(b.x)
+	lead, inj := b.scs[b.polled[0]], l.inj
+	b.woke = make([]bool, len(b.tags))
+	b.plans = make([]*tag.TxPlan, len(b.polled))
+
+	tsp := l.trace.Start("channel_sim")
+	sp := l.m.spanChannelSim.Start()
+	defer tsp.End()
+	defer sp.End()
 
 	// Air: the transmitted waveform carries hardware distortion the
 	// receiver cannot reconstruct, plus any injected front-end
 	// impairments (CFO/SCO) — the reader's ideal copy x keeps its own
 	// clock, so these degrade cancellation and channel estimation.
-	fs.air = l.Scenario.Distortion.ApplyInto(fs.air, x)
-	l.inj.ApplyFrontEnd(fs.air)
-	xAir := fs.air
-
-	// Tag side: forward channel, then wake detection. The tag scans
-	// only the region after the CTS-to-SELF (its envelope detector
-	// ignores the constant-on CTS burst, which cannot match the
-	// balanced wake sequence).
-	fs.z = dsp.ConvolveRangeInto(fs.z, xAir, l.Scenario.HF, 0, hi)
-	if l.inj.DropWake() {
+	fs.air = lead.Distortion.ApplyInto(fs.air, x)
+	inj.ApplyFrontEnd(fs.air)
+	// An injected wake fault corrupts the burst itself: every tag
+	// sharing the sequence sleeps through it.
+	if inj.DropWake() {
 		l.m.failWake.Inc()
-		return nil, fmt.Errorf("%w: injected wake fault at %.2g m", ErrTagNoWake, l.Cfg.Channel.DistanceM)
-	}
-	wakeIdx, ok := l.Tag.TryWake(fs.z[:packetStart+tag.SilentSamples])
-	if !ok {
-		l.m.failWake.Inc()
-		return nil, fmt.Errorf("%w at %.2g m", ErrTagNoWake, l.Cfg.Channel.DistanceM)
-	}
-	// The detector quantizes to 1 µs bits; snap to the true PPDU start
-	// (within one bit period, as the real tag's comparator clock does).
-	if d := wakeIdx - packetStart; d < -tag.WakeBitSamples || d > tag.WakeBitSamples {
-		l.m.failWakeTiming.Inc()
-		return nil, fmt.Errorf("%w: wake timing off by %d samples", ErrTagNoWake, d)
+		return fmt.Errorf("%w: injected wake fault at %.2g m", ErrTagNoWake, lead.Cfg.DistanceM)
 	}
 
-	m, plan, err := l.Tag.ModulationSequenceInto(fs.mod, hi-packetStart, payload)
-	if err != nil {
-		return nil, err
+	nrx := 1 + len(l.rx)
+	for len(fs.y) < nrx {
+		fs.y = append(fs.y, nil)
+		fs.dec = append(fs.dec, reader.Stream{})
 	}
-	fs.mod = m
-	// Tag-side faults: oscillator phase noise over the reflection, and
-	// preamble chips the modulator glitches.
-	l.inj.ApplyTagPhaseNoise(m)
-	l.inj.CorruptPreamble(m, plan.SilentEnd, tcfg.PreambleChips, tag.ChipSamples)
-
-	// Reflection z·m (zero before the packet, so the h_b convolution's
-	// look-back reads defined samples) and the backward channel.
 	fs.refl = growTo(fs.refl, hi)
-	for n := 0; n < packetStart; n++ {
-		fs.refl[n] = 0
+	clear(fs.refl[:ps])
+	var noWake error
+	woken := false
+	for i, tg := range b.tags {
+		sc := b.scs[i]
+		k := slices.Index(b.polled, i)
+		// Tag side: forward channel, then wake detection. The tag scans
+		// only the region after the CTS-to-SELF (its envelope detector
+		// ignores the constant-on CTS burst, which cannot match the
+		// balanced wake sequence).
+		fs.z = dsp.ConvolveRangeInto(fs.z, fs.air, sc.HF, 0, hi)
+		wakeIdx, ok := tg.TryWake(fs.z[:ps+tag.SilentSamples])
+		if !ok {
+			if k >= 0 {
+				l.m.failWake.Inc()
+			}
+			if noWake == nil {
+				noWake = fmt.Errorf("%w at %.2g m", ErrTagNoWake, sc.Cfg.DistanceM)
+			}
+			continue
+		}
+		// The detector quantizes to 1 µs bits; the tag snaps to the true
+		// PPDU start only within one bit period (as the real tag's
+		// comparator clock does).
+		if d := wakeIdx - ps; d < -tag.WakeBitSamples || d > tag.WakeBitSamples {
+			l.m.failWakeTiming.Inc()
+			if noWake == nil {
+				noWake = fmt.Errorf("%w: wake timing off by %d samples", ErrTagNoWake, d)
+			}
+			continue
+		}
+		body := b.payloads[0]
+		if k >= 0 {
+			body = b.payloads[k]
+		} else {
+			body = impostorPayload(l.Cfg.Seed, tg.Cfg.ID, b.frame, len(body))
+		}
+		mod, plan, err := tg.ModulationSequenceInto(fs.mod, hi-ps, body)
+		if err != nil {
+			return err
+		}
+		fs.mod = mod
+		if k >= 0 {
+			b.plans[k] = plan
+			// Tag-side faults: oscillator phase noise over the reflection,
+			// and preamble chips the modulator glitches.
+			inj.ApplyTagPhaseNoise(mod)
+			inj.CorruptPreamble(mod, plan.SilentEnd, tg.Cfg.PreambleChips, tag.ChipSamples)
+		}
+		if !woken {
+			// The first reflection: every chain's capture starts from the
+			// self-interference the AP receives over the packet window.
+			for c := range nrx {
+				fs.y[c] = dsp.ConvolveRangeInto(fs.y[c], fs.air, l.chain(c, lead).HEnv, ps, hi)
+			}
+		}
+		b.woke[i], woken = true, true
+		// Reflection z·m (zero before the packet, so the h_b convolution's
+		// look-back reads defined samples) through each chain's backward
+		// channel.
+		for n := ps; n < hi; n++ {
+			fs.refl[n] = fs.z[n] * mod[n-ps]
+		}
+		for c := range nrx {
+			fs.bs = dsp.ConvolveRangeInto(fs.bs, fs.refl, l.chain(c, sc).HB, ps, hi)
+			y := fs.y[c]
+			for n := ps; n < hi; n++ {
+				y[n] += fs.bs[n]
+			}
+		}
 	}
-	for n := packetStart; n < hi; n++ {
-		fs.refl[n] = fs.z[n] * m[n-packetStart]
+	if !woken {
+		return noWake
 	}
-	fs.bs = dsp.ConvolveRangeInto(fs.bs, fs.refl, l.Scenario.HB, packetStart, hi)
+	// AP receive: thermal noise, then receiver-side faults over the
+	// packet window: interference bursts, the real ADC, and capture
+	// truncation (drawn against the whole packet, so only a cut reaching
+	// back into the window matters).
+	for c := range nrx {
+		y := fs.y[c]
+		lead.Noise.AddInPlaceRange(y, ps, hi)
+		inj.AddInterference(y[ps:hi])
+		inj.ApplyADC(y[ps:hi])
+		inj.TruncateTail(y, ps, b.packetLen)
+	}
+	return nil
+}
 
-	// AP receive: self-interference + backscatter + thermal noise, then
-	// receiver-side faults over the packet window: interference bursts,
-	// the real ADC, and capture truncation (drawn against the whole
-	// packet, so only a cut reaching back into the window matters).
-	fs.y = dsp.ConvolveRangeInto(fs.y, xAir, l.Scenario.HEnv, packetStart, hi)
-	for n := packetStart; n < hi; n++ {
-		fs.y[n] += fs.bs[n]
+// chain returns receive chain c's self-interference and backward
+// channels for a tag placed at sc: chain 0 is the placement itself,
+// later chains are the link's extra antennas.
+func (l *Link) chain(c int, sc *channel.Scenario) rxChain {
+	if c == 0 {
+		return rxChain{HEnv: sc.HEnv, HB: sc.HB}
 	}
-	l.Scenario.Noise.AddInPlaceRange(fs.y, packetStart, hi)
-	l.inj.AddInterference(fs.y[packetStart:hi])
-	l.inj.ApplyADC(fs.y[packetStart:hi])
-	l.inj.TruncateTail(fs.y, packetStart, packetLen)
-	spChan.End()
-	tspChan.End()
+	return l.rx[c-1]
+}
 
-	tspDec := l.trace.Start("decode_total")
-	spDec := l.m.spanDecode.Start()
-	res, err := l.rdr.DecodeStream(&fs.dec, x, xAir, fs.y, packetStart, hi-packetStart, tcfg)
-	spDec.End()
-	tspDec.End()
-	if err != nil {
-		return nil, err
-	}
+// decode runs the windowed decoder over every receive chain's capture.
+func (l *Link) decode(fs *frameScratch, b *burst, tcfg tag.Config) (*reader.Result, error) {
+	nrx := 1 + len(l.rx)
+	tsp := l.trace.Start("decode_total")
+	sp := l.m.spanDecode.Start()
+	res, err := l.rdr.DecodeStream(fs.dec[:nrx], b.x, fs.air, fs.y[:nrx], b.packetStart, len(b.x)-b.packetStart, tcfg)
+	sp.End()
+	tsp.End()
+	return res, err
+}
 
-	// Ground-truth comparisons.
+// result scores a tag's decode against the payload it sent (plan is its
+// transmit plan, nil when it slept) and records it into the link
+// metrics. sc is the tag's placement.
+func (l *Link) result(sc *channel.Scenario, tcfg tag.Config, res *reader.Result, sent []byte, packetLen int, plan *tag.TxPlan) *PacketResult {
 	pr := &PacketResult{
 		Decode:            res,
-		Sent:              payload,
+		Sent:              sent,
 		ExcitationSamples: packetLen,
-		TagAirtimeSec:     float64(plan.End()-plan.SilentEnd) / tag.SampleRate,
-		ExpectedSNRdB:     l.Scenario.ExpectedSNRdB(),
+		ExpectedSNRdB:     sc.ExpectedSNRdB(),
 		MeasuredSNRdB:     res.SNRdB,
 	}
 	pr.liftDiagnostics(res)
 	sps := tcfg.SamplesPerSymbol()
 	guard := min(l.Cfg.Reader.ChannelTaps, sps/2)
 	floorW := dsp.UnDBm(pr.SICResidualDBm)
-	pr.ExpectedMRCSNRdB = dsp.SNRdB(l.Scenario.BackscatterRxPowerW(), floorW) + dsp.DB(float64(sps-guard))
-	pr.PayloadOK = res.FrameOK && bytesEqual(res.Payload, payload)
+	pr.ExpectedMRCSNRdB = dsp.SNRdB(sc.BackscatterRxPowerW(), floorW) + dsp.DB(float64(sps-guard))
+	pr.PayloadOK = res.FrameOK && bytes.Equal(res.Payload, sent)
 	pr.Delivered = pr.PayloadOK
-
-	// Raw coded-bit errors over the frame's symbols.
-	hard := tcfg.Mod.DemapHard(res.SymbolEstimates[:min(len(plan.Symbols), len(res.SymbolEstimates))])
-	for i, b := range plan.CodedBits[:min(len(plan.CodedBits), len(hard))] {
-		if hard[i] != b {
-			pr.RawBitErrors++
+	if plan != nil {
+		pr.TagAirtimeSec = float64(plan.End()-plan.SilentEnd) / tag.SampleRate
+		// Raw coded-bit errors over the frame's symbols.
+		hard := tcfg.Mod.DemapHard(res.SymbolEstimates[:min(len(plan.Symbols), len(res.SymbolEstimates))])
+		for i, b := range plan.CodedBits[:min(len(plan.CodedBits), len(hard))] {
+			if hard[i] != b {
+				pr.RawBitErrors++
+			}
+			pr.RawBits++
 		}
-		pr.RawBits++
 	}
 	l.observeResult(pr)
-	return pr, nil
+	return pr
 }
 
 // growTo returns b resized to n samples, reallocating only when its
@@ -575,16 +699,4 @@ func (l *Link) RandomPayload(n int) []byte {
 	p := make([]byte, n)
 	l.rng.Read(p)
 	return p
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

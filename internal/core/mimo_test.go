@@ -2,8 +2,26 @@ package core
 
 import (
 	"bytes"
+	"errors"
+	"math"
+	"reflect"
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"testing"
+
+	"backfi/internal/dsp"
+	"backfi/internal/fault"
+	"backfi/internal/obs"
 )
+
+func meanDB(v []float64) float64 {
+	var m float64
+	for _, s := range v {
+		m += s
+	}
+	return m / float64(len(v))
+}
 
 func TestMIMODecodesAndCombines(t *testing.T) {
 	cfg := DefaultLinkConfig(2)
@@ -20,18 +38,13 @@ func TestMIMODecodesAndCombines(t *testing.T) {
 	if !res.PayloadOK || !bytes.Equal(res.Decode.Payload, payload) {
 		t.Fatal("3-antenna link should decode at 2 m")
 	}
-	if len(res.PerAntennaSNRdB) != 3 || len(res.Decode.PerAntennaSIC) != 3 {
+	if len(res.Decode.PerAntennaSNRdB) != 3 || len(res.Decode.PerAntennaSIC) != 3 {
 		t.Fatalf("per-antenna diagnostics missing: %d / %d",
-			len(res.PerAntennaSNRdB), len(res.Decode.PerAntennaSIC))
+			len(res.Decode.PerAntennaSNRdB), len(res.Decode.PerAntennaSIC))
 	}
 	// The joint combine must beat the average single antenna.
-	var mean float64
-	for _, s := range res.PerAntennaSNRdB {
-		mean += s
-	}
-	mean /= 3
-	if res.JointSNRdB <= mean {
-		t.Fatalf("joint SNR %v not above per-antenna mean %v", res.JointSNRdB, mean)
+	if mean := meanDB(res.Decode.PerAntennaSNRdB); res.MeasuredSNRdB <= mean {
+		t.Fatalf("joint SNR %v not above per-antenna mean %v", res.MeasuredSNRdB, mean)
 	}
 }
 
@@ -51,11 +64,7 @@ func TestMIMOGainOverSISO(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var mean float64
-		for _, s := range res.PerAntennaSNRdB {
-			mean += s
-		}
-		gain += res.JointSNRdB - mean/4
+		gain += res.MeasuredSNRdB - meanDB(res.Decode.PerAntennaSNRdB)
 	}
 	gain /= reps
 	if gain < 3 {
@@ -63,6 +72,8 @@ func TestMIMOGainOverSISO(t *testing.T) {
 	}
 }
 
+// A one-antenna MIMO link is the single-antenna link: same placement,
+// same draws, and a result equal to Link.RunPacket's field for field.
 func TestMIMOSingleAntennaMatchesSISOBehaviour(t *testing.T) {
 	cfg := DefaultLinkConfig(1)
 	cfg.Seed = 9
@@ -77,8 +88,19 @@ func TestMIMOSingleAntennaMatchesSISOBehaviour(t *testing.T) {
 	if !res.PayloadOK {
 		t.Fatal("single-antenna MIMO link should decode at 1 m")
 	}
-	if len(res.PerAntennaSNRdB) != 1 {
-		t.Fatalf("%d per-antenna entries", len(res.PerAntennaSNRdB))
+	if res.Decode.PerAntennaSNRdB != nil || res.Decode.PerAntennaSIC != nil {
+		t.Fatal("a single chain carries no per-antenna diagnostics")
+	}
+	siso, err := NewLink(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := siso.RunPacket(siso.RandomPayload(40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res, want) {
+		t.Fatalf("1-antenna link diverged from Link.RunPacket:\nmimo: %+v\nsiso: %+v", res, want)
 	}
 }
 
@@ -90,6 +112,27 @@ func TestMIMOValidation(t *testing.T) {
 	bad.Tag.SymbolRateHz = 0
 	if _, err := NewMIMOLink(bad, 2); err == nil {
 		t.Fatal("expected config validation error")
+	}
+}
+
+// Every extra chain is its own placement draw: distinct
+// self-interference and backward channels (independent fading is the
+// point of diversity) behind the one forward channel.
+func TestMIMOChainStructure(t *testing.T) {
+	link, err := NewMIMOLink(DefaultLinkConfig(2), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(link.rx) != 2 {
+		t.Fatalf("%d extra chains, want 2", len(link.rx))
+	}
+	for c := 0; c < 3; c++ {
+		for d := c + 1; d < 3; d++ {
+			a, b := link.chain(c, link.Scenario), link.chain(d, link.Scenario)
+			if slices.Equal(a.HB, b.HB) || slices.Equal(a.HEnv, b.HEnv) {
+				t.Fatalf("chains %d and %d share a channel: no diversity", c, d)
+			}
+		}
 	}
 }
 
@@ -118,5 +161,179 @@ func TestMIMOExtendsRange(t *testing.T) {
 	}
 	if s1, s4 := success(1), success(4); s4 < s1 {
 		t.Fatalf("4 antennas (%d/5) worse than 1 (%d/5) at 6 m", s4, s1)
+	}
+}
+
+// The multi-antenna link runs the single-tag pipeline, so faults,
+// metrics and tracing reach it: a faulted 2-chain link injects faults,
+// and a traced 2-chain frame records the pipeline's spans.
+func TestMIMOFaultsMetricsTracing(t *testing.T) {
+	t.Run("faults", func(t *testing.T) {
+		reg := obs.NewRegistry()
+		prof := fault.Standard(0.6)
+		cfg := DefaultLinkConfig(2)
+		cfg.Obs = reg
+		cfg.Faults = &prof
+		link, err := NewMIMOLink(cfg, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 4; i++ {
+			if _, err := link.RunPacket(link.RandomPayload(24)); err != nil && !errors.Is(err, ErrTagNoWake) {
+				t.Fatal(err)
+			}
+		}
+		var injected int64
+		for _, c := range reg.Snapshot().Counters {
+			if c.Name == obs.MetricFaultsInjected {
+				injected += c.Value
+			}
+		}
+		if injected == 0 {
+			t.Fatalf("faulted 2-chain link injected no faults (%s)", obs.MetricFaultsInjected)
+		}
+	})
+	t.Run("tracing", func(t *testing.T) {
+		tracer := obs.NewTracer(obs.TracerConfig{Seed: 1})
+		link, err := NewMIMOLink(DefaultLinkConfig(2), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		link.SetTrace(tracer.Head("mimo", 0))
+		if _, err := link.RunPacket(link.RandomPayload(24)); err != nil {
+			t.Fatal(err)
+		}
+		spans := map[string]int{}
+		for _, ev := range tracer.Events() {
+			spans[ev.Name]++
+		}
+		for _, name := range []string{"channel_sim", "sic_train", "viterbi"} {
+			if spans[name] == 0 {
+				t.Errorf("no %q span recorded; got %v", name, spans)
+			}
+		}
+	})
+}
+
+// Custom excitations run on every receive chain with no extra code: a
+// 2-chain link decodes a ZigBee excitation.
+func TestMIMOZigbeeExcitation(t *testing.T) {
+	cfg := DefaultLinkConfig(1)
+	cfg.Tag.SymbolRateHz = 500e3
+	cfg.Seed = 6
+	link, err := NewMIMOLink(cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := link.RandomPayload(24)
+	exc := buildZigbeeExcitation(t, link, 320+link.Tag.Cfg.PreambleSamples()+40*600)
+	res, err := link.RunCustomExcitation(exc, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.PayloadOK || len(res.Decode.PerAntennaSNRdB) != 2 {
+		t.Fatalf("2-chain BackFi over Zigbee failed: ok %v, SNR %.1f dB, per antenna %v",
+			res.PayloadOK, res.MeasuredSNRdB, res.Decode.PerAntennaSNRdB)
+	}
+}
+
+// TestMRCGainOracle holds cross-antenna MRC to theory: with the same
+// channels on every chain, independent noise and ideal hardware, N
+// chains gain 10·log10(N) dB over one. Averaged over 50 packets, joint
+// SNR minus the mean per-antenna SNR must be within 0.75 dB of it.
+func TestMRCGainOracle(t *testing.T) {
+	for _, nrx := range []int{2, 4} {
+		want := dsp.DB(float64(nrx))
+		var gain float64
+		packets := 0
+		for seed := int64(1); packets < 50; seed++ {
+			cfg := DefaultLinkConfig(mrcOracleDistanceM)
+			cfg.Seed = 500 + seed
+			cfg.Channel.TxEVMdB = math.Inf(-1)
+			link, err := NewMIMOLink(cfg, nrx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for c := range link.rx {
+				link.rx[c] = link.chain(0, link.Scenario)
+			}
+			res, err := link.RunPacket(link.RandomPayload(24))
+			if errors.Is(err, ErrTagNoWake) {
+				continue
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			gain += res.MeasuredSNRdB - meanDB(res.Decode.PerAntennaSNRdB)
+			packets++
+		}
+		gain /= float64(packets)
+		t.Logf("%d chains: mean MRC gain %.2f dB over %d packets (theory %.2f dB)", nrx, gain, packets, want)
+		if math.Abs(gain-want) > 0.75 {
+			t.Errorf("%d chains: mean MRC gain %.2f dB, want %.2f ± 0.75 dB", nrx, gain, want)
+		}
+	}
+}
+
+// mrcOracleDistanceM puts each chain's post-MRC SNR where thermal noise
+// dominates and symbol decisions are reliable, the regime the
+// 10·log10(N) law describes.
+const mrcOracleDistanceM = 5
+
+// mimoSteadyLink is the 4-chain benchmark deployment: 24 B at 2 m.
+func mimoSteadyLink(tb testing.TB) (*Link, []byte) {
+	cfg := DefaultLinkConfig(2)
+	cfg.Seed = 17
+	link, err := NewMIMOLink(cfg, 4)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return link, link.RandomPayload(24)
+}
+
+// TestMIMOSteadyAllocs pins that a 4-chain frame runs in pooled frame
+// scratch: once warm, a frame allocates only its results, never a
+// waveform-sized buffer (maxSlotBytes, as for multi-tag slots).
+func TestMIMOSteadyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops pooled scratch at random")
+	}
+	link, pay := mimoSteadyLink(t)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for i := 0; i < 3; i++ {
+		if _, err := link.RunPacket(pay); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const frames = 40
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < frames; i++ {
+		if _, err := link.RunPacket(pay); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perFrame := (after.TotalAlloc - before.TotalAlloc) / frames
+	t.Logf("%d B, %d allocs per frame", perFrame, (after.Mallocs-before.Mallocs)/frames)
+	if perFrame >= maxSlotBytes {
+		t.Fatalf("steady-state 4-chain frame allocates %d B, want < %d", perFrame, maxSlotBytes)
+	}
+}
+
+// BenchmarkRunPacket4Rx measures one steady-state 4-chain frame:
+// windowed channel simulation plus the multi-chain decode. CI checks
+// its B/op against maxSlotBytes.
+func BenchmarkRunPacket4Rx(b *testing.B) {
+	link, pay := mimoSteadyLink(b)
+	if _, err := link.RunPacket(pay); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := link.RunPacket(pay); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

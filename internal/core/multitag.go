@@ -1,14 +1,13 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
 	"backfi/internal/channel"
-	"backfi/internal/dsp"
 	"backfi/internal/fault"
 	"backfi/internal/obs"
-	"backfi/internal/reader"
 	"backfi/internal/rng"
 	"backfi/internal/tag"
 )
@@ -42,8 +41,8 @@ type MultiTagLink struct {
 	base Link
 	// frame counts exchanges (RunPacket and RunSlot alike); it keys the
 	// impostor payload derivation so junk bytes are a pure function of
-	// (link seed, tag ID, frame index) — never of the shared RNG, whose
-	// draw schedule must stay identical whatever the wake outcomes.
+	// (link seed, tag ID, frame index) — never of the shared RNG — and
+	// MultiTagSession reseeds the shared streams from it every slot.
 	frame int
 }
 
@@ -156,40 +155,16 @@ func tagNeed(tcfg tag.Config, payloadBytes int) int {
 		tag.SymbolsForPayload(payloadBytes, tcfg.Coding, tcfg.Mod)*tcfg.SamplesPerSymbol()
 }
 
-// slotCapture is one multi-tag exchange as the AP received it, confined
-// to the window the longest frame occupies. The air copy and the
-// capture live in pooled frame scratch until release.
-type slotCapture struct {
-	fs *frameScratch
-	// x is the ideal excitation sliced to the window [0, hi); the air
-	// copy fs.air and the capture fs.y share its indexing.
-	x                      []complex128
-	packetStart, packetLen int
-	woke                   []bool
-	// plans[k] is polled[k]'s transmit plan; nil when it slept.
-	plans []*tag.TxPlan
-}
-
-func (c *slotCapture) release() { putScratch(c.fs) }
-
-// capture runs the channel half of RunPacket and RunSlot: one
-// excitation that wakes polled[0]'s wake group and leaves through its
-// scenario, every tag deciding from its own forward channel whether it
-// woke, and the woken reflections superposed at the AP. polled[k]
-// backscatters payloads[k]; any other tag that wakes is an impostor
-// sending junk keyed by (seed, tag ID, frame). Tag-side faults follow
-// the polled tags.
+// capture runs the channel half of RunPacket and RunSlot through the
+// base link's capture: one excitation that wakes polled[0]'s wake group
+// and leaves through its placement, every tag deciding from its own
+// forward channel whether it woke. polled[k] backscatters payloads[k];
+// any other tag that wakes is an impostor.
 //
-// Like Link.exchange it computes only the window [0, hi): hi covers the
-// longest frame any tag could send plus a symbol and the timing slack.
-// Transmit distortion, front-end faults, the forward channels and the
-// wake gate run over [0, hi); self-interference, the reflections, noise
-// and receiver faults over [packetStart, hi). Capture truncation is
-// drawn against the whole packet.
-func (m *MultiTagLink) capture(polled []int, payloads [][]byte) (*slotCapture, error) {
-	// The burst is sized for the polled frames; the window also covers
-	// the frame any other tag would send if it woke (an impostor's junk
-	// is as long as the first payload).
+// The burst is sized for the polled frames; the window also covers the
+// frame any other tag would send if it woke (an impostor's junk is as
+// long as the first payload), plus a symbol and the timing slack.
+func (m *MultiTagLink) capture(fs *frameScratch, polled []int, payloads [][]byte) (*burst, error) {
 	need, hiNeed, sps := 0, 0, 0
 	for i, tg := range m.Tags {
 		k := slices.Index(polled, i)
@@ -203,78 +178,21 @@ func (m *MultiTagLink) capture(polled []int, payloads [][]byte) (*slotCapture, e
 	hiNeed = max(hiNeed, need)
 	frame := m.frame
 	m.frame++
-	m.base.m.packets.Inc()
-	lead := m.Scenarios[polled[0]]
-	x, packetStart, err := m.base.template(m.Tags[polled[0]], lead.TxPowerW(), m.base.sizing(need))
+	x, packetStart, err := m.base.template(m.Tags[polled[0]], m.Scenarios[polled[0]].TxPowerW(), m.base.sizing(need))
 	if err != nil {
 		return nil, err
 	}
-	packetLen := len(x) - packetStart
-	hi := min(packetStart+hiNeed+sps+windowSlack, len(x))
-	c := &slotCapture{
-		fs:          getScratch(),
-		x:           x[:hi],
+	b := &burst{
+		x:           x[:min(packetStart+hiNeed+sps+windowSlack, len(x))],
 		packetStart: packetStart,
-		packetLen:   packetLen,
-		woke:        make([]bool, len(m.Tags)),
-		plans:       make([]*tag.TxPlan, len(polled)),
+		packetLen:   len(x) - packetStart,
+		tags:        m.Tags,
+		scs:         m.Scenarios,
+		polled:      polled,
+		payloads:    payloads,
+		frame:       frame,
 	}
-	fs, inj := c.fs, m.base.inj
-
-	tspChan := m.base.trace.Start("channel_sim")
-	spChan := m.base.m.spanChannelSim.Start()
-	defer tspChan.End()
-	defer spChan.End()
-	fs.air = lead.Distortion.ApplyInto(fs.air, c.x)
-	inj.ApplyFrontEnd(fs.air)
-
-	// An injected wake fault corrupts the burst itself: every tag
-	// sharing the sequence sleeps through it.
-	wakeDropped := inj.DropWake()
-	if wakeDropped {
-		m.base.m.failWake.Inc()
-	}
-	fs.y = dsp.ConvolveRangeInto(fs.y, fs.air, lead.HEnv, packetStart, hi)
-	fs.refl = growTo(fs.refl, hi)
-	clear(fs.refl[:packetStart])
-	for i, tg := range m.Tags {
-		sc := m.Scenarios[i]
-		fs.z = dsp.ConvolveRangeInto(fs.z, fs.air, sc.HF, 0, hi)
-		_, woke := tg.TryWake(fs.z[:packetStart+tag.SilentSamples])
-		if c.woke[i] = woke && !wakeDropped; !c.woke[i] {
-			continue
-		}
-		k := slices.Index(polled, i)
-		var body []byte
-		if k >= 0 {
-			body = payloads[k]
-		} else {
-			body = impostorPayload(m.Cfg.Seed, tg.Cfg.ID, frame, len(payloads[0]))
-		}
-		mod, p, err := tg.ModulationSequenceInto(fs.mod, hi-packetStart, body)
-		if err != nil {
-			c.release()
-			return nil, err
-		}
-		fs.mod = mod
-		if k >= 0 {
-			c.plans[k] = p
-			inj.ApplyTagPhaseNoise(mod)
-			inj.CorruptPreamble(mod, p.SilentEnd, tg.Cfg.PreambleChips, tag.ChipSamples)
-		}
-		for n := packetStart; n < hi; n++ {
-			fs.refl[n] = fs.z[n] * mod[n-packetStart]
-		}
-		fs.bs = dsp.ConvolveRangeInto(fs.bs, fs.refl, sc.HB, packetStart, hi)
-		for n := packetStart; n < hi; n++ {
-			fs.y[n] += fs.bs[n]
-		}
-	}
-	lead.Noise.AddInPlaceRange(fs.y, packetStart, hi)
-	inj.AddInterference(fs.y[packetStart:hi])
-	inj.ApplyADC(fs.y[packetStart:hi])
-	inj.TruncateTail(fs.y, packetStart, packetLen)
-	return c, nil
+	return b, m.base.capture(fs, b)
 }
 
 // MultiTagResult reports one addressed exchange.
@@ -292,46 +210,25 @@ type MultiTagResult struct {
 // every tag's detector inspects it, and only tags whose correlator
 // matches backscatter. All active reflections superpose at the AP,
 // which decodes the addressed tag with the windowed single-tag decoder.
+// When no tag wakes the error wraps ErrTagNoWake, as Link.RunPacket's
+// does.
 func (m *MultiTagLink) RunPacket(addressed int, payload []byte) (*MultiTagResult, error) {
 	if addressed < 0 || addressed >= len(m.Tags) {
 		return nil, fmt.Errorf("core: tag index %d out of range", addressed)
 	}
-	c, err := m.capture([]int{addressed}, [][]byte{payload})
+	fs := getScratch()
+	defer putScratch(fs)
+	b, err := m.capture(fs, []int{addressed}, [][]byte{payload})
 	if err != nil {
 		return nil, err
 	}
-	defer c.release()
-
-	tspDec := m.base.trace.Start("decode_total")
-	spDec := m.base.m.spanDecode.Start()
-	dec, err := m.base.rdr.DecodeStream(&c.fs.dec, c.x, c.fs.air, c.fs.y, c.packetStart, len(c.x)-c.packetStart, m.Tags[addressed].Cfg)
-	spDec.End()
-	tspDec.End()
+	tcfg := m.Tags[addressed].Cfg
+	dec, err := m.base.decode(fs, b, tcfg)
 	if err != nil {
 		return nil, err
 	}
-	pr := m.result(addressed, dec, payload, c.packetLen, c.plans[0])
-	return &MultiTagResult{Addressed: addressed, Woke: c.woke, Result: pr}, nil
-}
-
-// result scores tag i's decode against the payload it sent and records
-// it into the link metrics.
-func (m *MultiTagLink) result(i int, dec *reader.Result, sent []byte, packetLen int, plan *tag.TxPlan) *PacketResult {
-	pr := &PacketResult{
-		Decode:            dec,
-		Sent:              sent,
-		PayloadOK:         dec.FrameOK && bytesEqual(dec.Payload, sent),
-		ExcitationSamples: packetLen,
-		ExpectedSNRdB:     m.Scenarios[i].ExpectedSNRdB(),
-		MeasuredSNRdB:     dec.SNRdB,
-	}
-	pr.Delivered = pr.PayloadOK
-	if plan != nil {
-		pr.TagAirtimeSec = float64(plan.End()-plan.SilentEnd) / tag.SampleRate
-	}
-	pr.liftDiagnostics(dec)
-	m.base.observeResult(pr)
-	return pr
+	pr := m.base.result(m.Scenarios[addressed], tcfg, dec, payload, b.packetLen, b.plans[0])
+	return &MultiTagResult{Addressed: addressed, Woke: b.woke, Result: pr}, nil
 }
 
 // SlotResult reports one group slot decoded jointly.
@@ -361,7 +258,8 @@ type SlotResult struct {
 // reflections by joint successive cancellation. payloads[k] is what
 // Polled[k] backscatters. Unpolled tags that wake on the group
 // sequence backscatter impostor junk and are cancelled or absorbed as
-// interference; they are never decoded.
+// interference; they are never decoded. A slot no tag woke for returns
+// an empty result: nothing delivered, nothing decoded.
 func (m *MultiTagLink) RunSlot(polled []int, payloads [][]byte) (*SlotResult, error) {
 	if len(polled) == 0 || len(polled) != len(payloads) {
 		return nil, fmt.Errorf("core: RunSlot needs matching polled/payloads, got %d/%d", len(polled), len(payloads))
@@ -374,11 +272,21 @@ func (m *MultiTagLink) RunSlot(polled []int, payloads [][]byte) (*SlotResult, er
 			return nil, fmt.Errorf("core: tag %d polled twice in one slot", i)
 		}
 	}
-	c, err := m.capture(polled, payloads)
-	if err != nil {
+	fs := getScratch()
+	defer putScratch(fs)
+	b, err := m.capture(fs, polled, payloads)
+	if err != nil && !errors.Is(err, ErrTagNoWake) {
 		return nil, err
 	}
-	defer c.release()
+	res := &SlotResult{
+		Polled:  slices.Clone(polled),
+		Woke:    b.woke,
+		Results: make([]*PacketResult, len(polled)),
+	}
+	if err != nil {
+		// No tag woke: the slot delivered nothing.
+		return res, nil
+	}
 
 	// The reader decodes every provisioned member of the wake group,
 	// not just the polled subset: an unpolled member that woke (an
@@ -397,24 +305,19 @@ func (m *MultiTagLink) RunSlot(polled []int, payloads [][]byte) (*SlotResult, er
 	}
 	tspDec := m.base.trace.Start("decode_total")
 	spDec := m.base.m.spanDecode.Start()
-	jr, err := m.base.rdr.DecodeJoint(&c.fs.dec, c.x, c.fs.air, c.fs.y, c.packetStart, len(c.x)-c.packetStart, cfgs)
+	jr, err := m.base.rdr.DecodeJoint(&fs.dec[0], b.x, fs.air, fs.y[0], b.packetStart, len(b.x)-b.packetStart, cfgs)
 	spDec.End()
 	tspDec.End()
 	if err != nil {
 		return nil, err
 	}
-	res := &SlotResult{
-		Polled:  slices.Clone(polled),
-		Woke:    c.woke,
-		Results: make([]*PacketResult, len(polled)),
-		Order:   jr.Order,
-	}
+	res.Order = jr.Order
 	for k, i := range polled {
 		dec := jr.Tags[k]
 		if dec == nil {
 			continue
 		}
-		pr := m.result(i, dec, payloads[k], c.packetLen, c.plans[k])
+		pr := m.base.result(m.Scenarios[i], m.Tags[i].Cfg, dec, payloads[k], b.packetLen, b.plans[k])
 		res.AirtimeSec = max(res.AirtimeSec, pr.TagAirtimeSec)
 		res.Results[k] = pr
 		if pr.Delivered {

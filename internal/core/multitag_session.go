@@ -142,11 +142,14 @@ func (s *MultiTagSession) SetFaultProfile(p *fault.Profile) error {
 // the outcome into Stats. Exactly one excitation per call — multi-tag
 // slots carry no ARQ (a lost tag-frame is the next slot's problem at
 // the application layer), so stats stay a pure function of the slot
-// stream.
+// stream. Every slot reseeds the link's streams from its slot index,
+// the per-attempt schedule Session uses (DESIGN.md §5j): slot k's draws
+// are a pure function of (seed, k), whatever earlier slots drew.
 func (s *MultiTagSession) SendSlot(payloads [][]byte) (*SlotResult, error) {
 	if len(payloads) != len(s.polled) {
 		return nil, fmt.Errorf("core: slot carries %d payloads for a %d-tag group", len(payloads), len(s.polled))
 	}
+	s.link.base.reseedAttempt(s.link.frame)
 	res, err := s.link.RunSlot(s.polled, payloads)
 	if err != nil {
 		return nil, err

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"reflect"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -131,6 +132,40 @@ func TestMultiTagSessionDeterministic(t *testing.T) {
 	}
 }
 
+// Every slot reseeds from its index, so slot k's outcome is a pure
+// function of (configuration, k): a fresh session whose frame counter
+// is set to k plays slot k exactly as a session that played slots
+// 0..k-1 first — faulted, with an impostor, whatever earlier slots woke.
+func TestMultiTagSlotIndependentOfHistory(t *testing.T) {
+	prof := fault.Standard(0.3)
+	mk := func() *MultiTagSession {
+		cfg := DefaultLinkConfig(1)
+		cfg.Seed = 88
+		cfg.Faults = &prof
+		s, err := NewMultiTagSession(MultiTagSessionConfig{Link: cfg, Tags: 2, Impostor: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	seq := mk()
+	for k := 0; k < 6; k++ {
+		want, err := seq.SendSlot(slotPayloads(88, k, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		alone := mk()
+		alone.link.frame = k
+		got, err := alone.SendSlot(slotPayloads(88, k, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("slot %d alone diverged from slot %d in sequence:\nalone: %+v\nseq:   %+v", k, k, got, want)
+		}
+	}
+}
+
 // Impostor bytes are a pure function of (seed, tag, frame).
 func TestImpostorPayloadPure(t *testing.T) {
 	a := impostorPayload(9, 3, 14, 32)
@@ -183,7 +218,7 @@ func TestSlotPoolSharingPreservesOutcomes(t *testing.T) {
 // single-tag decode of MultiTagLink.RunPacket. Any change that moves a
 // wake verdict, a decoded bit, a CRC verdict, the cancellation order,
 // an SNR estimate or the SIC depth moves it.
-const goldenMultiTagHash = 0xa5e6b93f732e034e
+const goldenMultiTagHash = 0x9d7b4ecdcfcc04d9
 
 // TestMultiTagGolden hashes every outcome of 2-tag, 2-tag + impostor,
 // 3-tag and faulted 2-tag sessions, plus a round of addressed polls,

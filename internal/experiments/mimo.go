@@ -58,7 +58,7 @@ func MIMOExtension(opt Options) ([]MIMORow, error) {
 			if res.PayloadOK {
 				ok++
 			}
-			snr += res.JointSNRdB
+			snr += res.MeasuredSNRdB
 		}
 		row.SuccessRate = float64(ok) / float64(opt.Trials)
 		if n > 0 {

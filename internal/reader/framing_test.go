@@ -76,7 +76,7 @@ func TestPreambleCacheUnchangedByDecode(t *testing.T) {
 	if _, err := rd.DecodeJoint(new(Stream), sc.x, sc.x, sc.y, sc.packetStart, sc.packetLen, []tag.Config{tcfg}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rd.DecodeMulti(sc.x, sc.x, [][]complex128{sc.y, sc.y}, sc.packetStart, sc.packetLen, tcfg); err != nil {
+	if _, err := rd.DecodeStream(make([]Stream, 2), sc.x, sc.x, [][]complex128{sc.y, sc.y}, sc.packetStart, sc.packetLen, tcfg); err != nil {
 		t.Fatal(err)
 	}
 	got := tag.PreambleSequence(tcfg.ID, tcfg.PreambleChips)

@@ -92,32 +92,14 @@ func (r *Reader) DecodeJoint(s *Stream, x, xTap, y []complex128, packetStart, pa
 			return nil, err
 		}
 	}
-	if len(x) != len(y) || len(xTap) != len(y) {
-		return nil, fmt.Errorf("reader: x/xTap/y length mismatch %d/%d/%d", len(x), len(xTap), len(y))
-	}
 	packetEnd := packetStart + packetLen
-	if packetEnd > len(x) {
-		return nil, fmt.Errorf("reader: packet [%d,%d) exceeds %d samples", packetStart, packetEnd, len(x))
+	if err := checkCapture(x, xTap, [][]complex128{y}, packetStart, packetLen); err != nil {
+		return nil, err
 	}
-	s.configure(r.cfg)
-
 	// Shared stage 1: one SIC train/cancel for the whole group.
-	tr := r.trace
-	s.canc.SetTrace(tr)
-	tspTrain := tr.Start("sic_train")
-	spTrain := r.m.spanSICTrain.Start()
-	err := s.canc.Retrain(xTap, x, y, packetStart, packetStart+tag.SilentSamples)
-	spTrain.End()
-	tspTrain.End()
-	if err != nil {
-		r.m.failSICTrain.Inc()
-		return nil, fmt.Errorf("reader: %w", err)
+	if err := r.retrain(s, x, xTap, y, packetStart, packetEnd); err != nil {
+		return nil, err
 	}
-	tspCancel := tr.Start("sic_cancel")
-	spCancel := r.m.spanSICCancel.Start()
-	s.clean = s.canc.CancelRange(s.clean, xTap, x, y, packetStart, packetEnd)
-	spCancel.End()
-	tspCancel.End()
 
 	preStart := packetStart + tag.SilentSamples
 	jr := &JointResult{
@@ -148,17 +130,10 @@ func (r *Reader) DecodeJoint(s *Stream, x, xTap, y []complex128, packetStart, pa
 		for _, i := range pending {
 			tcfg := cfgs[i]
 			pn := tag.PreambleSequence(tcfg.ID, tcfg.PreambleChips)
-			tspEst := tr.Start("channel_estimate")
-			spEst := r.m.spanChanEst.Start()
-			err := s.estimateHfbInto(r.cfg, x, s.clean, preStart, pn)
-			spEst.End()
-			tspEst.End()
-			if err != nil {
-				r.m.failChanEst.Inc()
+			preEnd := preStart + tcfg.PreambleSamples()
+			if r.fit(s, x, preStart, pn, preStart, preEnd) != nil {
 				continue
 			}
-			preEnd := preStart + tcfg.PreambleSamples()
-			s.ref = dsp.ConvolveRangeInto(s.ref, x, s.hfb, preStart, preEnd)
 			var e float64
 			for _, v := range s.ref[preStart:preEnd] {
 				e += real(v)*real(v) + imag(v)*imag(v)
@@ -216,29 +191,11 @@ func (r *Reader) decodeLayer(s *Stream, packetEnd, preStart int, tcfg tag.Config
 	if cap(s.ests) < nAvail {
 		s.ests = make([]complex128, nAvail)
 	}
-	s.mrcInto(preEnd, sps, min(r.cfg.ChannelTaps, sps/2), 0, nAvail)
-	ests := s.ests[:nAvail]
+	s.mrcInto(nil, preEnd, sps, min(r.cfg.ChannelTaps, sps/2), 0, nAvail)
 	spMRC.End()
 	tspMRC.End()
-
-	tspVit := r.trace.Start("viterbi")
-	spVit := r.m.spanViterbi.Start()
-	payload, used, corrected, frameOK := s.fd.decodeFrame(ests, tcfg)
-	spVit.End()
-	tspVit.End()
-	if frameOK {
-		r.m.viterbiBits.Observe(float64(corrected))
-	} else {
-		r.m.failFrameCRC.Inc()
-	}
-	res := &Result{
-		Payload:              payload,
-		FrameOK:              frameOK,
-		SymbolEstimates:      append([]complex128(nil), ests...),
-		PreambleCorr:         preCorr,
-		ViterbiCorrectedBits: corrected,
-	}
-	res.SNRdB = s.fd.symbolSNRdB(ests[:used], tcfg.Mod)
+	res, used := r.frame(s, s.ests[:nAvail], tcfg, 0, false)
+	res.PreambleCorr = preCorr
 	return res, used
 }
 

@@ -13,23 +13,21 @@ import (
 	"backfi/internal/dsp"
 	"backfi/internal/fec"
 	"backfi/internal/obs"
-	"backfi/internal/sic"
 	"backfi/internal/tag"
 )
 
 // decodeJointReference is the full-capture joint decoder DecodeJoint
 // replaced, kept verbatim as the reference the windowed decoder is held
-// to: the dense sic.Train canceller, Cancel over the whole capture,
+// to: a canceller cancelling the whole capture,
 // every candidate's reference convolved over the whole capture, a fresh
 // frame decoder per layer, and the per-sample modulation rebuilt into a
 // new buffer. It still re-checks an unfittable tag every round, and it
 // leaves the last layer uncancelled.
 func decodeJointReference(r *Reader, x, xTap, y []complex128, packetStart, packetLen int, cfgs []tag.Config) (*JointResult, error) {
-	canc, err := sic.Train(r.cfg.SIC, xTap, x, y, packetStart, packetStart+tag.SilentSamples)
+	canc, clean, err := cancelFull(r.cfg.SIC, xTap, x, y, packetStart)
 	if err != nil {
 		return nil, fmt.Errorf("reader: %w", err)
 	}
-	clean := canc.Cancel(xTap, x, y)
 
 	preStart := packetStart + tag.SilentSamples
 	jr := &JointResult{Tags: make([]*Result, len(cfgs)), SIC: canc.Report()}
@@ -115,7 +113,7 @@ func decodeLayerReference(r *Reader, clean, ref []complex128, packetStart, packe
 			ests[s] = num / complex(den, 0)
 		}
 	}
-	payload, used, corrected, frameOK := new(frameDecoder).decodeFrame(ests, tcfg)
+	payload, used, corrected, frameOK := new(frameDecoder).decodeFrame(ests, tcfg, 0, 0, false)
 	res := &Result{
 		Payload:              payload,
 		FrameOK:              frameOK,

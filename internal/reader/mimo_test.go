@@ -11,51 +11,71 @@ import (
 	"backfi/internal/tag"
 )
 
-// buildMultiScene synthesizes a two-antenna received packet.
-func buildMultiScene(t *testing.T, seed int64, tcfg tag.Config, payloadN int, bsGainDB float64) (*scene, [][]complex128) {
+// mimoScene is one tag frame as nrx AP antennas receive it, built the
+// way core's multi-antenna link builds it but without the core package:
+// a white excitation leaves with the first placement's transmit
+// distortion and forward channel; every receive chain sees its own
+// placement's self-interference and backward channel and its own noise;
+// the capture stops at the window the frame occupies.
+type mimoScene struct {
+	x, xAir                []complex128
+	ys                     [][]complex128
+	packetStart, packetLen int
+	tcfg                   tag.Config
+	payload                []byte
+}
+
+func buildMIMOScene(t testing.TB, seed int64, nrx int, distanceM float64) *mimoScene {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
+	const packetStart = 1200
+	tcfg := qpskCfg()
+	payload := make([]byte, 24)
+	r.Read(payload)
+	sps := tcfg.SamplesPerSymbol()
+	hi := packetStart + tag.SilentSamples + tcfg.PreambleSamples() +
+		tag.SymbolsForPayload(len(payload), tcfg.Coding, tcfg.Mod)*sps + sps + 64
+
+	scs := make([]*channel.Scenario, nrx)
+	for c := range scs {
+		s, err := channel.NewScenario(channel.DefaultConfig(distanceM), r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scs[c] = s
+	}
+	lead := scs[0]
+	sigma := math.Sqrt(lead.TxPowerW() / 2)
+	sc := &mimoScene{packetStart: packetStart, packetLen: hi - packetStart, tcfg: tcfg, payload: payload}
+	sc.x = make([]complex128, hi)
+	for i := range sc.x {
+		sc.x[i] = complex(r.NormFloat64()*sigma, r.NormFloat64()*sigma)
+	}
+	sc.xAir = lead.Distortion.Apply(sc.x)
 	tg, err := tag.New(tcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload := make([]byte, payloadN)
-	r.Read(payload)
-
-	need := tag.SilentSamples + tcfg.PreambleSamples() +
-		tag.SymbolsForPayload(payloadN, tcfg.Coding, tcfg.Mod)*tcfg.SamplesPerSymbol() + 400
-	txW := dsp.UnDBm(20)
-	sigma := math.Sqrt(txW / 2)
-	x := make([]complex128, 500+need)
-	for i := range x {
-		x[i] = complex(r.NormFloat64()*sigma, r.NormFloat64()*sigma)
-	}
-	packetStart := 500
-	packetLen := len(x) - packetStart
-
-	hf := channel.RicianTaps(r, 3, 10, 0.5).Scale(bsGainDB / 2)
-	m, plan, err := tg.ModulationSequence(packetLen, payload)
+	m, _, err := tg.ModulationSequence(sc.packetLen, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mFull := make([]complex128, len(x))
+	mFull := make([]complex128, hi)
 	copy(mFull[packetStart:], m)
-	reflected := tag.Backscatter(hf.Apply(x), mFull)
-
-	noise := channel.NewAWGN(r, channel.ThermalNoiseW(20e6, 6))
-	var ys [][]complex128
-	for a := 0; a < 2; a++ {
-		henv := channel.RayleighTaps(r, 8, 0.5).Scale(-20)
-		hb := channel.RicianTaps(r, 3, 10, 0.5).Scale(bsGainDB / 2)
-		ys = append(ys, noise.Add(dsp.Add(henv.Apply(x), hb.Apply(reflected))))
+	refl := tag.Backscatter(lead.HF.Apply(sc.xAir), mFull)
+	for _, s := range scs {
+		sc.ys = append(sc.ys, lead.Noise.Add(dsp.Add(s.HEnv.Apply(sc.xAir), s.HB.Apply(refl))))
 	}
-	return &scene{x: x, packetStart: packetStart, packetLen: packetLen, tcfg: tcfg, plan: plan, payload: payload}, ys
+	return sc
+}
+
+func (sc *mimoScene) decode(rd *Reader) (*Result, error) {
+	return rd.DecodeStream(make([]Stream, len(sc.ys)), sc.x, sc.xAir, sc.ys, sc.packetStart, sc.packetLen, sc.tcfg)
 }
 
 func TestDecodeMultiRecoversPayload(t *testing.T) {
-	sc, ys := buildMultiScene(t, 1, qpskCfg(), 60, -70)
-	rd := mustNew(DefaultConfig())
-	res, err := rd.DecodeMulti(sc.x, sc.x, ys, sc.packetStart, sc.packetLen, sc.tcfg)
+	sc := buildMIMOScene(t, 1, 2, 2)
+	res, err := sc.decode(mustNew(DefaultConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,21 +93,70 @@ func TestDecodeMultiRecoversPayload(t *testing.T) {
 }
 
 func TestDecodeMultiValidation(t *testing.T) {
-	sc, ys := buildMultiScene(t, 2, qpskCfg(), 8, -60)
+	sc := buildMIMOScene(t, 2, 2, 2)
 	rd := mustNew(DefaultConfig())
-	if _, err := rd.DecodeMulti(sc.x, sc.x, nil, sc.packetStart, sc.packetLen, sc.tcfg); err == nil {
+	ss := make([]Stream, 2)
+	if _, err := rd.DecodeStream(nil, sc.x, sc.xAir, nil, sc.packetStart, sc.packetLen, sc.tcfg); err == nil {
 		t.Fatal("expected error for no antennas")
 	}
-	short := [][]complex128{ys[0][:10]}
-	if _, err := rd.DecodeMulti(sc.x, sc.x, short, sc.packetStart, sc.packetLen, sc.tcfg); err == nil {
+	if _, err := rd.DecodeStream(ss[:1], sc.x, sc.xAir, sc.ys, sc.packetStart, sc.packetLen, sc.tcfg); err == nil {
+		t.Fatal("expected error for a stream per chain missing")
+	}
+	short := [][]complex128{sc.ys[0], sc.ys[1][:10]}
+	if _, err := rd.DecodeStream(ss, sc.x, sc.xAir, short, sc.packetStart, sc.packetLen, sc.tcfg); err == nil {
 		t.Fatal("expected error for length mismatch")
 	}
 	bad := sc.tcfg
 	bad.SymbolRateHz = 0
-	if _, err := rd.DecodeMulti(sc.x, sc.x, ys, sc.packetStart, sc.packetLen, bad); err == nil {
+	if _, err := rd.DecodeStream(ss, sc.x, sc.xAir, sc.ys, sc.packetStart, sc.packetLen, bad); err == nil {
 		t.Fatal("expected tag config error")
 	}
-	if _, err := rd.DecodeMulti(sc.x, sc.x, ys, sc.packetStart, tag.SilentSamples+10, sc.tcfg); err == nil {
+	if _, err := rd.DecodeStream(ss, sc.x, sc.xAir, sc.ys, sc.packetStart, tag.SilentSamples+10, sc.tcfg); err == nil {
 		t.Fatal("expected too-short error")
+	}
+}
+
+// TestDecodeMultiMatchesReference holds the windowed multi-chain
+// DecodeStream to the full-capture reference on 300 captures — 2 and 4
+// antennas from 3 to 7 m: the same payloads and CRC verdicts, and the
+// same joint SNR to 0.1 dB.
+func TestDecodeMultiMatchesReference(t *testing.T) {
+	if testing.Short() {
+		t.Skip("300 multi-antenna decodes against the full-capture reference")
+	}
+	rd := mustNew(DefaultConfig())
+	ss := make([]Stream, 4)
+	captures, delivered, worstDB := 0, 0, 0.0
+	for _, nrx := range []int{2, 4} {
+		for _, d := range []float64{3, 4, 5, 6, 7} {
+			for i := 0; i < 30; i++ {
+				seed := int64(1000*nrx) + int64(100*d) + int64(i)
+				sc := buildMIMOScene(t, seed, nrx, d)
+				want, err := decodeMultiReference(rd, sc.x, sc.xAir, sc.ys, sc.packetStart, sc.packetLen, sc.tcfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := rd.DecodeStream(ss[:nrx], sc.x, sc.xAir, sc.ys, sc.packetStart, sc.packetLen, sc.tcfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				captures++
+				if got.FrameOK != want.FrameOK || !bytes.Equal(got.Payload, want.Payload) {
+					t.Fatalf("%d rx %.0f m seed %d: FrameOK %v payload %x, reference %v %x", nrx, d, seed, got.FrameOK, got.Payload, want.FrameOK, want.Payload)
+				}
+				if got.FrameOK && bytes.Equal(got.Payload, sc.payload) {
+					delivered++
+				}
+				diff := math.Abs(got.SNRdB - want.SNRdB)
+				worstDB = max(worstDB, diff)
+				if diff > 0.1 {
+					t.Fatalf("%d rx %.0f m seed %d: joint SNR %.3f dB, reference %.3f dB", nrx, d, seed, got.SNRdB, want.SNRdB)
+				}
+			}
+		}
+	}
+	t.Logf("%d captures agree (%d delivered); worst joint SNR gap %.2g dB", captures, delivered, worstDB)
+	if delivered == 0 || delivered == captures {
+		t.Fatalf("%d of %d delivered: the captures must exercise both verdicts", delivered, captures)
 	}
 }

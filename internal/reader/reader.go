@@ -14,7 +14,6 @@ import (
 
 	"backfi/internal/dsp"
 	"backfi/internal/fec"
-	"backfi/internal/linalg"
 	"backfi/internal/obs"
 	"backfi/internal/sic"
 	"backfi/internal/tag"
@@ -91,6 +90,12 @@ type Result struct {
 	// corrected inside the frame: hard decisions on the received soft
 	// values vs the re-encoded decoded frame. 0 when the frame failed.
 	ViterbiCorrectedBits int
+	// PerAntennaSIC and PerAntennaSNRdB report each receive chain's own
+	// cancellation and standalone post-MRC symbol SNR (diagnostics; the
+	// payload is decoded from the cross-antenna combine). Both are nil
+	// for a single-antenna decode, whose SIC and SNRdB already say it.
+	PerAntennaSIC   []sic.Report
+	PerAntennaSNRdB []float64
 }
 
 // readerMetrics holds the decoder's instrument handles, resolved once
@@ -151,16 +156,13 @@ type Reader struct {
 	trace obs.TraceCtx
 }
 
-// SetTrace points subsequent decodes (Decode and Stream.Decode alike)
+// SetTrace points subsequent decodes (DecodeStream and DecodeJoint)
 // at the per-frame trace context (DESIGN.md §5h): each pipeline stage
 // records a span onto it, including the SIC training sub-stages. The
 // zero value disables tracing; the serving layer reassigns it per
 // frame. Not safe concurrently with a running decode — same contract
 // as the Reader itself.
-func (r *Reader) SetTrace(t obs.TraceCtx) {
-	r.trace = t
-	r.cfg.SIC.Trace = t
-}
+func (r *Reader) SetTrace(t obs.TraceCtx) { r.trace = t }
 
 // New returns a Reader, rejecting bad configuration with an error
 // (never a panic).
@@ -172,194 +174,6 @@ func New(cfg Config) (*Reader, error) {
 		cfg.SIC.Obs = cfg.Obs
 	}
 	return &Reader{cfg: cfg, m: newReaderMetrics(cfg.Obs)}, nil
-}
-
-// Decode processes one excitation packet.
-//
-//	x           — the ideal transmitted samples (wake + PPDU), known to the AP
-//	xTap        — the PA-output copy wired into the analog canceller
-//	              (carries transmit distortion; pass x for ideal hardware)
-//	y           — the received samples, same indexing as x
-//	packetStart — index where the excitation PPDU (and tag timing) begins
-//	packetLen   — PPDU length in samples
-//	tcfg        — the tag's negotiated configuration
-//
-// The tag is silent for tag.SilentSamples after packetStart, sends its
-// PN preamble, then payload symbols (tag.TxPlan layout).
-func (r *Reader) Decode(x, xTap, y []complex128, packetStart, packetLen int, tcfg tag.Config) (*Result, error) {
-	if err := tcfg.Validate(); err != nil {
-		return nil, err
-	}
-	if len(x) != len(y) || len(xTap) != len(y) {
-		return nil, fmt.Errorf("reader: x/xTap/y length mismatch %d/%d/%d", len(x), len(xTap), len(y))
-	}
-	if packetStart+packetLen > len(x) {
-		return nil, fmt.Errorf("reader: packet [%d,%d) exceeds %d samples", packetStart, packetStart+packetLen, len(x))
-	}
-
-	// Stage 1: self-interference cancellation, trained on the silent
-	// window (the tag backscatters nothing there).
-	tspTrain := r.trace.Start("sic_train")
-	spTrain := r.m.spanSICTrain.Start()
-	canc, err := sic.Train(r.cfg.SIC, xTap, x, y, packetStart, packetStart+tag.SilentSamples)
-	spTrain.End()
-	tspTrain.End()
-	if err != nil {
-		r.m.failSICTrain.Inc()
-		return nil, fmt.Errorf("reader: %w", err)
-	}
-	tspCancel := r.trace.Start("sic_cancel")
-	spCancel := r.m.spanSICCancel.Start()
-	clean := canc.Cancel(xTap, x, y)
-	spCancel.End()
-	tspCancel.End()
-
-	// Stage 2: combined-channel estimation from the tag preamble.
-	preStart := packetStart + tag.SilentSamples
-	preEnd := preStart + tcfg.PreambleSamples()
-	if preEnd > packetStart+packetLen {
-		r.m.failPreamble.Inc()
-		return nil, fmt.Errorf("reader: packet too short for tag preamble")
-	}
-	pn := tag.PreambleSequence(tcfg.ID, tcfg.PreambleChips)
-	tspEst := r.trace.Start("channel_estimate")
-	spEst := r.m.spanChanEst.Start()
-	hfb, err := r.estimateHfb(x, clean, preStart, pn)
-	spEst.End()
-	tspEst.End()
-	if err != nil {
-		r.m.failChanEst.Inc()
-		return nil, err
-	}
-
-	// Reference signal: what the backscatter looks like for unit
-	// modulation. The buffer is reused when the timing search below
-	// re-estimates the channel.
-	ref := dsp.ConvolveSameInto(nil, x, hfb)
-
-	// Symbol timing: search around the nominal position using the PN
-	// matched filter, re-estimating the channel at each winner until
-	// the grid settles (a badly misaligned first estimate flattens the
-	// metric, so one pass can stop short of the true offset).
-	tspTiming := r.trace.Start("timing_search")
-	spTiming := r.m.spanTiming.Start()
-	offset := 0
-	for pass := 0; pass < 3; pass++ {
-		step := r.searchTiming(clean, ref, preStart, pn)
-		if step == 0 {
-			break
-		}
-		offset += step
-		preStart += step
-		preEnd += step
-		if h2, err := r.estimateHfb(x, clean, preStart, pn); err == nil {
-			hfb = h2
-			ref = dsp.ConvolveSameInto(ref, x, hfb)
-		}
-	}
-	spTiming.End()
-	tspTiming.End()
-	if offset != 0 {
-		r.m.timingAdjusted.Inc()
-	}
-	r.m.timingOffset.Observe(math.Abs(float64(offset)))
-
-	// Preamble sanity: chip-wise MRC against the known PN.
-	preCorr := r.preambleCorrelation(clean, ref, preStart, pn)
-	r.m.preambleCorr.Observe(preCorr)
-
-	// Stage 3: per-symbol MRC (paper Eq. 7).
-	tspMRC := r.trace.Start("mrc")
-	spMRC := r.m.spanMRC.Start()
-	symStart := preEnd
-	sps := tcfg.SamplesPerSymbol()
-	guard := r.cfg.ChannelTaps
-	if guard > sps/2 {
-		guard = sps / 2
-	}
-	nAvail := (packetStart + packetLen - symStart) / sps
-	if nAvail <= 0 {
-		r.m.failPayload.Inc()
-		return nil, fmt.Errorf("reader: no room for payload symbols")
-	}
-	ests := make([]complex128, nAvail)
-	for s := 0; s < nAvail; s++ {
-		a := symStart + s*sps + guard
-		b := symStart + (s+1)*sps
-		var num complex128
-		var den float64
-		for n := a; n < b; n++ {
-			num += clean[n] * cmplx.Conj(ref[n])
-			den += real(ref[n])*real(ref[n]) + imag(ref[n])*imag(ref[n])
-		}
-		if den > 0 {
-			ests[s] = num / complex(den, 0)
-		}
-	}
-
-	spMRC.End()
-	tspMRC.End()
-
-	// Stage 4: demap, Viterbi, deframe. The frame's own length header
-	// tells us where the payload symbols end; symbols after the frame
-	// are the tag's post-frame silence and are discarded by the
-	// length-aware decode.
-	tspVit := r.trace.Start("viterbi")
-	spVit := r.m.spanViterbi.Start()
-	payload, used, corrected, frameOK := new(frameDecoder).decodeFrame(ests, tcfg)
-	spVit.End()
-	tspVit.End()
-	if frameOK {
-		r.m.viterbiBits.Observe(float64(corrected))
-	} else {
-		r.m.failFrameCRC.Inc()
-	}
-
-	res := &Result{
-		Payload:              payload,
-		FrameOK:              frameOK,
-		SymbolEstimates:      ests,
-		SIC:                  canc.Report(),
-		Hfb:                  hfb,
-		PreambleCorr:         preCorr,
-		TimingOffset:         offset,
-		ViterbiCorrectedBits: corrected,
-	}
-	res.SNRdB = symbolSNRdB(ests[:used], tcfg.Mod)
-	return res, nil
-}
-
-// estimateHfb solves least squares for the combined channel using
-// preamble samples where the PN chip is constant across the whole
-// channel span (so y[n] = chip · (x⊛h_fb)[n] exactly).
-func (r *Reader) estimateHfb(x, clean []complex128, preStart int, pn []complex128) ([]complex128, error) {
-	L := r.cfg.ChannelTaps
-	var rows []int
-	for c := range pn {
-		chipStart := preStart + c*tag.ChipSamples
-		for n := chipStart + L - 1; n < chipStart+tag.ChipSamples; n++ {
-			rows = append(rows, n)
-		}
-	}
-	if len(rows) < 2*L {
-		return nil, fmt.Errorf("reader: only %d usable preamble samples for %d taps", len(rows), L)
-	}
-	a := linalg.NewMatrix(len(rows), L)
-	b := make([]complex128, len(rows))
-	for ri, n := range rows {
-		chip := pn[(n-preStart)/tag.ChipSamples]
-		for k := 0; k < L; k++ {
-			if idx := n - k; idx >= 0 {
-				a.Set(ri, k, chip*x[idx])
-			}
-		}
-		b[ri] = clean[n]
-	}
-	hfb, err := linalg.LeastSquares(a, b, r.cfg.Lambda)
-	if err != nil {
-		return nil, fmt.Errorf("reader: channel estimate: %w", err)
-	}
-	return hfb, nil
 }
 
 // searchTiming slides the chip grid ±TimingSearch samples around the
@@ -479,27 +293,23 @@ func (d *frameDecoder) readLength(soft []float64, coding fec.CodeRate) (n int, o
 	return n, true
 }
 
-// decodeFrame runs soft demapping and FEC over symbol estimates,
-// reading the frame length from the decoded header. It returns the
-// payload (nil on failure), the number of symbols the frame occupied,
-// the number of coded bits the Viterbi decoder corrected (0 unless the
-// frame validated), and whether the CRC validated.
-func (d *frameDecoder) decodeFrame(ests []complex128, tcfg tag.Config) ([]byte, int, int, bool) {
+// decodeFrame demaps symbol estimates and runs the terminated Viterbi
+// decode of the frame they carry. A sized frame occupies ests[:used]
+// and carries infoBits; otherwise the length header is first read by an
+// unterminated pass over every estimate. It returns the payload (nil on
+// failure), the number of symbols the frame occupied, the number of
+// coded bits the Viterbi decoder corrected (0 unless the frame
+// validated), and whether the CRC validated.
+func (d *frameDecoder) decodeFrame(ests []complex128, tcfg tag.Config, used, infoBits int, sized bool) ([]byte, int, int, bool) {
 	d.soft = tcfg.Mod.DemapSoftInto(d.soft, ests)
-	soft := d.soft
-	// First pass: unterminated Viterbi over everything to read the
-	// length header.
-	n, ok := d.readLength(soft, tcfg.Coding)
-	if !ok {
-		return nil, len(ests), 0, false
+	if !sized {
+		n, ok := d.readLength(d.soft, tcfg.Coding)
+		if used, infoBits = tag.SymbolsForPayload(n, tcfg.Coding, tcfg.Mod), tag.FrameInfoBits(n); !ok || used > len(ests) {
+			return nil, len(ests), 0, false
+		}
 	}
-	used := tag.SymbolsForPayload(n, tcfg.Coding, tcfg.Mod)
-	if used > len(ests) {
-		return nil, len(ests), 0, false
-	}
-	// Second pass: terminated decode over exactly the frame's symbols.
-	frameSoft := soft[:used*tcfg.Mod.BitsPerSymbol()]
-	payload, err := tag.DecodeFrameBits(&d.vit, frameSoft, tcfg.Coding, tag.FrameInfoBits(n))
+	frameSoft := d.soft[:used*tcfg.Mod.BitsPerSymbol()]
+	payload, err := tag.DecodeFrameBits(&d.vit, frameSoft, tcfg.Coding, infoBits)
 	if err != nil {
 		return nil, used, 0, false
 	}
@@ -543,13 +353,8 @@ func maxTrellisSteps(softLen int, coding fec.CodeRate) int {
 	return lo
 }
 
-// symbolSNRdB estimates post-MRC SNR from decision errors.
-func symbolSNRdB(ests []complex128, mod tag.Modulation) float64 {
-	return new(frameDecoder).symbolSNRdB(ests, mod)
-}
-
-// symbolSNRdB is symbolSNRdB making its symbol decisions in d's
-// scratch.
+// symbolSNRdB estimates post-MRC SNR from decision errors, making its
+// symbol decisions in d's scratch.
 func (d *frameDecoder) symbolSNRdB(ests []complex128, mod tag.Modulation) float64 {
 	if len(ests) == 0 {
 		return math.Inf(-1)

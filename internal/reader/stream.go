@@ -19,29 +19,24 @@ import (
 // SNRs where frames decode at all.
 const headerGuardSteps = 8 * fec.TailBits
 
-// Stream is the working memory of the windowed decoders — the
-// single-tag Reader.DecodeStream and the multi-tag Reader.DecodeJoint:
-//
-//   - a sic.Reusable canceller retrained every frame with no
-//     steady-state allocation;
-//   - clean/reference/estimate buffers;
-//   - normal-equation scratch for the combined-channel estimate;
-//   - the FEC stage's demap, depuncture and Viterbi survivor buffers.
+// Stream is one receive chain's working memory for the windowed
+// decoders DecodeStream and DecodeJoint: a sic.Reusable canceller
+// retrained every frame, clean/reference/estimate buffers, the
+// normal-equation scratch of the combined-channel estimate, and the FEC
+// stage's buffers. Steady-state decoding allocates only its results.
 //
 // Decoding is windowed: instead of cancelling and correlating over the
 // whole capture, it processes [packetStart, header) first, reads the
 // frame length from a bounded Viterbi pass, and extends the window to
-// exactly the samples the frame occupies.
+// exactly the samples the frame occupies. Results are deterministic but
+// not bit-identical to the full-capture reference decoders
+// (reference_test.go): the normal-equation channel fit rounds
+// differently, and symbol estimates stop at the frame boundary instead
+// of covering the tag's post-frame silence.
 //
 // A Stream carries nothing from one decode to the next but buffer
-// capacity, so callers pool it process-wide; the zero value is ready.
-// Results are deterministic for identical inputs but NOT bit-identical
-// to Reader.Decode, the reference decoder: the fast canceller
-// assembles its normal equations in a different summation order, and
-// symbol estimates stop at the frame boundary instead of covering the
-// tag's post-frame silence (Result.SymbolEstimates holds only the
-// frame's symbols). A returned Result never aliases the Stream. Not
-// safe for concurrent use.
+// capacity, so callers pool it process-wide; the zero value is ready. A
+// returned Result never aliases it. Not safe for concurrent use.
 type Stream struct {
 	canc sic.Reusable
 	fd   frameDecoder
@@ -70,33 +65,29 @@ func (s *Stream) configure(cfg Config) {
 	}
 }
 
-// DecodeStream processes one excitation packet with the same stage
-// structure and arguments as Decode, in s's working memory.
-func (r *Reader) DecodeStream(s *Stream, x, xTap, y []complex128, packetStart, packetLen int, tcfg tag.Config) (*Result, error) {
-	s.configure(r.cfg)
+// DecodeStream decodes one tag transmission received on one or more AP
+// antennas (paper Sec. 7: extra receive chains add diversity gain).
+// ys[c] is receive chain c's capture, aligned with x, and ss[c] its
+// working memory; xTap is the PA-output copy every chain's analog
+// canceller taps. The tag is silent for tag.SilentSamples after
+// packetStart, sends its PN preamble, then payload symbols (tag.TxPlan
+// layout); nothing past packetStart+packetLen is read.
+//
+// Each chain retrains its own canceller on the silent window and fits
+// its own combined channel. Symbol timing comes from chain 0's PN
+// matched filter (the tag's clock is common to all antennas), and the
+// per-symbol MRC (paper Eq. 7) sums across antennas as well as across
+// samples. With one chain the result carries no per-antenna fields.
+func (r *Reader) DecodeStream(ss []Stream, x, xTap []complex128, ys [][]complex128, packetStart, packetLen int, tcfg tag.Config) (*Result, error) {
+	if len(ys) == 0 || len(ss) != len(ys) {
+		return nil, fmt.Errorf("reader: %d streams for %d receive chains", len(ss), len(ys))
+	}
 	if err := tcfg.Validate(); err != nil {
 		return nil, err
 	}
-	if len(x) != len(y) || len(xTap) != len(y) {
-		return nil, fmt.Errorf("reader: x/xTap/y length mismatch %d/%d/%d", len(x), len(xTap), len(y))
+	if err := checkCapture(x, xTap, ys, packetStart, packetLen); err != nil {
+		return nil, err
 	}
-	if packetStart+packetLen > len(x) {
-		return nil, fmt.Errorf("reader: packet [%d,%d) exceeds %d samples", packetStart, packetStart+packetLen, len(x))
-	}
-
-	// Stage 1: retrain the reusable canceller on the silent window.
-	tr := r.trace
-	s.canc.SetTrace(tr)
-	tspTrain := tr.Start("sic_train")
-	spTrain := r.m.spanSICTrain.Start()
-	err := s.canc.Retrain(xTap, x, y, packetStart, packetStart+tag.SilentSamples)
-	spTrain.End()
-	tspTrain.End()
-	if err != nil {
-		r.m.failSICTrain.Inc()
-		return nil, fmt.Errorf("reader: %w", err)
-	}
-
 	preStart := packetStart + tag.SilentSamples
 	preEnd := preStart + tcfg.PreambleSamples()
 	packetEnd := packetStart + packetLen
@@ -105,36 +96,28 @@ func (r *Reader) DecodeStream(s *Stream, x, xTap, y []complex128, packetStart, p
 		return nil, fmt.Errorf("reader: packet too short for tag preamble")
 	}
 
-	// Initial window: silent + preamble + timing slack + enough payload
-	// symbols for the bounded header pass.
+	// Stage 1: retrain every chain's canceller on the silent window and
+	// cancel the initial window: silent + preamble + timing slack +
+	// enough payload symbols for the bounded header pass.
 	sps := tcfg.SamplesPerSymbol()
 	bps := tcfg.Mod.BitsPerSymbol()
 	headerSoft := fec.PuncturedLength(2*(16+headerGuardSteps), tcfg.Coding)
 	headerSyms := (headerSoft + bps - 1) / bps
-	hi := preEnd + r.cfg.TimingSearch + headerSyms*sps
-	if hi > packetEnd {
-		hi = packetEnd
+	hi := min(preEnd+r.cfg.TimingSearch+headerSyms*sps, packetEnd)
+	for c := range ss {
+		if err := r.retrain(&ss[c], x, xTap, ys[c], packetStart, hi); err != nil {
+			return nil, err
+		}
 	}
-	tspCancel := tr.Start("sic_cancel")
-	spCancel := r.m.spanSICCancel.Start()
-	s.clean = s.canc.CancelRange(s.clean, xTap, x, y, packetStart, hi)
-	spCancel.End()
-	tspCancel.End()
 
-	// Stage 2: channel estimation + timing, windowed.
+	// Stage 2: channel estimation + timing on chain 0, windowed; the
+	// other chains fit their own channels at chain 0's timing.
+	s := &ss[0]
 	pn := tag.PreambleSequence(tcfg.ID, tcfg.PreambleChips)
-	tspEst := tr.Start("channel_estimate")
-	spEst := r.m.spanChanEst.Start()
-	err = s.estimateHfbInto(r.cfg, x, s.clean, preStart, pn)
-	spEst.End()
-	tspEst.End()
-	if err != nil {
-		r.m.failChanEst.Inc()
+	if err := r.fit(s, x, preStart, pn, packetStart, hi); err != nil {
 		return nil, err
 	}
-	s.ref = dsp.ConvolveRangeInto(s.ref, x, s.hfb, packetStart, hi)
-
-	tspTiming := tr.Start("timing_search")
+	tspTiming := r.trace.Start("timing_search")
 	spTiming := r.m.spanTiming.Start()
 	offset := 0
 	for pass := 0; pass < 3; pass++ {
@@ -155,9 +138,13 @@ func (r *Reader) DecodeStream(s *Stream, x, xTap, y []complex128, packetStart, p
 		r.m.timingAdjusted.Inc()
 	}
 	r.m.timingOffset.Observe(math.Abs(float64(offset)))
-
 	preCorr := r.preambleCorrelation(s.clean, s.ref, preStart, pn)
 	r.m.preambleCorr.Observe(preCorr)
+	for c := 1; c < len(ss); c++ {
+		if err := r.fit(&ss[c], x, preStart, pn, packetStart, hi); err != nil {
+			return nil, err
+		}
+	}
 
 	// Stage 3a: MRC over just the header symbols.
 	symStart := preEnd
@@ -168,98 +155,159 @@ func (r *Reader) DecodeStream(s *Stream, x, xTap, y []complex128, packetStart, p
 		return nil, fmt.Errorf("reader: no room for payload symbols")
 	}
 	nHdr := min(headerSyms, nAvail)
-	tspMRC := tr.Start("mrc")
+	tspMRC := r.trace.Start("mrc")
 	spMRC := r.m.spanMRC.Start()
 	if cap(s.ests) < nAvail {
 		s.ests = make([]complex128, nAvail)
 	}
-	s.mrcInto(symStart, sps, guard, 0, nHdr)
+	s.mrcInto(ss[1:], symStart, sps, guard, 0, nHdr)
 	spMRC.End()
 	tspMRC.End()
 
 	// Stage 3b: bounded header pass → frame extent.
-	tspVit := tr.Start("viterbi")
+	tspVit := r.trace.Start("viterbi")
 	spVit := r.m.spanViterbi.Start()
-	used, infoBits, headerOK := s.fd.frameExtent(s.ests[:nHdr], tcfg)
+	used, infoBits, sized := s.fd.frameExtent(s.ests[:nHdr], tcfg)
 	spVit.End()
 	tspVit.End()
-	nSyms := used
-	if !headerOK || used > nAvail {
+	if sized = sized && used <= nAvail; !sized {
 		// A frame we cannot size (noise, or a length header pointing past
 		// the packet). Fall back to the legacy whole-capture behavior so
 		// failures are diagnosed identically: process everything and let
-		// decodeFrame report the failure.
-		nSyms = nAvail
+		// the decode re-read the header from every symbol.
+		used = nAvail
 	}
 
 	// Extend the processing window to exactly the frame's samples.
-	hi2 := symStart + nSyms*sps
-	if hi2 > hi {
-		tspCancel := tr.Start("sic_cancel")
+	if hi2 := symStart + used*sps; hi2 > hi {
+		tspCancel := r.trace.Start("sic_cancel")
 		spCancel := r.m.spanSICCancel.Start()
-		s.clean = s.canc.CancelRange(s.clean, xTap, x, y, hi, hi2)
-		s.ref = dsp.ConvolveRangeInto(s.ref, x, s.hfb, hi, hi2)
+		for c := range ss {
+			sc := &ss[c]
+			sc.clean = sc.canc.CancelRange(sc.clean, xTap, x, ys[c], hi, hi2)
+			sc.ref = dsp.ConvolveRangeInto(sc.ref, x, sc.hfb, hi, hi2)
+		}
 		spCancel.End()
 		tspCancel.End()
 	}
-	tspMRC = tr.Start("mrc")
+	tspMRC = r.trace.Start("mrc")
 	spMRC = r.m.spanMRC.Start()
-	s.mrcInto(symStart, sps, guard, nHdr, nSyms)
+	s.mrcInto(ss[1:], symStart, sps, guard, nHdr, used)
 	spMRC.End()
 	tspMRC.End()
-	ests := s.ests[:nSyms]
 
 	// Stage 4: terminated decode over the frame symbols.
-	tspVit = tr.Start("viterbi")
-	spVit = r.m.spanViterbi.Start()
-	var payload []byte
-	var corrected int
-	frameOK := false
-	if headerOK && used <= nAvail {
-		s.fd.soft = tcfg.Mod.DemapSoftInto(s.fd.soft, ests)
-		frameSoft := s.fd.soft[:used*bps]
-		if p, err := tag.DecodeFrameBits(&s.fd.vit, frameSoft, tcfg.Coding, infoBits); err == nil {
-			payload = p
-			corrected = s.fd.correctedBits(frameSoft, payload, tcfg)
-			frameOK = true
+	res, used := r.frame(s, s.ests[:used], tcfg, infoBits, sized)
+	res.SIC = s.canc.Report()
+	res.Hfb = append([]complex128(nil), s.hfb...)
+	res.PreambleCorr = preCorr
+	res.TimingOffset = offset
+	if len(ss) > 1 {
+		// Diagnostics: each chain's standalone SIC and post-MRC SNR over
+		// the frame's symbols.
+		for c := range ss {
+			sc := &ss[c]
+			if cap(sc.ests) < used {
+				sc.ests = make([]complex128, used)
+			}
+			sc.mrcInto(nil, symStart, sps, guard, 0, used)
+			res.PerAntennaSIC = append(res.PerAntennaSIC, sc.canc.Report())
+			res.PerAntennaSNRdB = append(res.PerAntennaSNRdB, s.fd.symbolSNRdB(sc.ests[:used], tcfg.Mod))
 		}
-	} else {
-		payload, used, corrected, frameOK = s.fd.decodeFrame(ests, tcfg)
 	}
-	spVit.End()
-	tspVit.End()
-	if frameOK {
+	return res, nil
+}
+
+// checkCapture rejects captures the decoders cannot read: one not
+// aligned with the excitation copies, or a packet running past them.
+func checkCapture(x, xTap []complex128, ys [][]complex128, packetStart, packetLen int) error {
+	for _, y := range ys {
+		if len(x) != len(y) || len(xTap) != len(y) {
+			return fmt.Errorf("reader: x/xTap/y length mismatch %d/%d/%d", len(x), len(xTap), len(y))
+		}
+	}
+	if packetStart+packetLen > len(x) {
+		return fmt.Errorf("reader: packet [%d,%d) exceeds %d samples", packetStart, packetStart+packetLen, len(x))
+	}
+	return nil
+}
+
+// retrain is stage 1 of every decode: s's reusable canceller retrained
+// on the silent window after packetStart, then capture y cancelled over
+// [packetStart, hi).
+func (r *Reader) retrain(s *Stream, x, xTap, y []complex128, packetStart, hi int) error {
+	s.configure(r.cfg)
+	s.canc.SetTrace(r.trace)
+	tsp := r.trace.Start("sic_train")
+	sp := r.m.spanSICTrain.Start()
+	err := s.canc.Retrain(xTap, x, y, packetStart, packetStart+tag.SilentSamples)
+	sp.End()
+	tsp.End()
+	if err != nil {
+		r.m.failSICTrain.Inc()
+		return fmt.Errorf("reader: %w", err)
+	}
+	tsp = r.trace.Start("sic_cancel")
+	sp = r.m.spanSICCancel.Start()
+	s.clean = s.canc.CancelRange(s.clean, xTap, x, y, packetStart, hi)
+	sp.End()
+	tsp.End()
+	return nil
+}
+
+// fit estimates s's combined channel from the preamble at preStart and
+// convolves its reference over [lo, hi).
+func (r *Reader) fit(s *Stream, x []complex128, preStart int, pn []complex128, lo, hi int) error {
+	tsp := r.trace.Start("channel_estimate")
+	sp := r.m.spanChanEst.Start()
+	err := s.estimateHfbInto(r.cfg, x, s.clean, preStart, pn)
+	sp.End()
+	tsp.End()
+	if err != nil {
+		r.m.failChanEst.Inc()
+		return err
+	}
+	s.ref = dsp.ConvolveRangeInto(s.ref, x, s.hfb, lo, hi)
+	return nil
+}
+
+// frame is stage 4 of every decode: demap and Viterbi-decode the symbol
+// estimates ests into a Result (see frameDecoder.decodeFrame for used,
+// infoBits and sized). It returns the symbol count the frame occupied.
+func (r *Reader) frame(s *Stream, ests []complex128, tcfg tag.Config, infoBits int, sized bool) (*Result, int) {
+	tsp := r.trace.Start("viterbi")
+	sp := r.m.spanViterbi.Start()
+	payload, used, corrected, ok := s.fd.decodeFrame(ests, tcfg, len(ests), infoBits, sized)
+	sp.End()
+	tsp.End()
+	if ok {
 		r.m.viterbiBits.Observe(float64(corrected))
 	} else {
 		r.m.failFrameCRC.Inc()
 	}
-
 	res := &Result{
 		Payload:              payload,
-		FrameOK:              frameOK,
+		FrameOK:              ok,
 		SymbolEstimates:      append([]complex128(nil), ests...),
-		SIC:                  s.canc.Report(),
-		Hfb:                  append([]complex128(nil), s.hfb...),
-		PreambleCorr:         preCorr,
-		TimingOffset:         offset,
 		ViterbiCorrectedBits: corrected,
+		SNRdB:                s.fd.symbolSNRdB(ests[:used], tcfg.Mod),
 	}
-	res.SNRdB = s.fd.symbolSNRdB(ests[:min(used, len(ests))], tcfg.Mod)
-	return res, nil
+	return res, used
 }
 
 // mrcInto fills s.ests[from:to) with the per-symbol MRC estimates
-// (paper Eq. 7) from the stream's clean/ref buffers.
-func (s *Stream) mrcInto(symStart, sps, guard, from, to int) {
-	clean, ref := s.clean, s.ref
+// (paper Eq. 7) from s's clean/ref buffers combined with those of the
+// extra receive chains: each symbol's sums start from s's and add the
+// other chains in order, so no extra chains is single-antenna MRC.
+func (s *Stream) mrcInto(extra []Stream, symStart, sps, guard, from, to int) {
 	for sym := from; sym < to; sym++ {
 		a := symStart + sym*sps + guard
 		b := symStart + (sym+1)*sps
-		var num complex128
-		var den float64
-		for n := a; n < b; n++ {
-			num += clean[n] * cmplx.Conj(ref[n])
-			den += real(ref[n])*real(ref[n]) + imag(ref[n])*imag(ref[n])
+		num, den := s.mrcSums(a, b)
+		for c := range extra {
+			n, d := extra[c].mrcSums(a, b)
+			num += n
+			den += d
 		}
 		if den > 0 {
 			s.ests[sym] = num / complex(den, 0)
@@ -267,6 +315,17 @@ func (s *Stream) mrcInto(symStart, sps, guard, from, to int) {
 			s.ests[sym] = 0
 		}
 	}
+}
+
+// mrcSums returns one chain's MRC numerator Σ clean·ref* and
+// denominator Σ |ref|² over samples [a, b).
+func (s *Stream) mrcSums(a, b int) (num complex128, den float64) {
+	clean, ref := s.clean, s.ref
+	for n := a; n < b; n++ {
+		num += clean[n] * cmplx.Conj(ref[n])
+		den += real(ref[n])*real(ref[n]) + imag(ref[n])*imag(ref[n])
+	}
+	return num, den
 }
 
 // frameExtent runs the bounded first Viterbi pass over the header
@@ -281,11 +340,13 @@ func (d *frameDecoder) frameExtent(hdrEsts []complex128, tcfg tag.Config) (used,
 	return tag.SymbolsForPayload(n, tcfg.Coding, tcfg.Mod), tag.FrameInfoBits(n), true
 }
 
-// estimateHfbInto solves the same preamble least-squares problem as
-// estimateHfb, assembling the normal equations directly into reused
-// scratch instead of materializing the convolution matrix. The
-// solution lands in s.hfb. Sum order differs from the legacy
-// estimator, so taps agree to solver precision, not bit-for-bit.
+// estimateHfbInto solves least squares for the combined channel using
+// preamble samples where the PN chip is constant across the whole
+// channel span (so y[n] = chip · (x⊛h_fb)[n] exactly), assembling the
+// normal equations directly into reused scratch instead of
+// materializing the convolution matrix. The solution lands in s.hfb.
+// Taps agree with the dense reference fit (reference_test.go) to solver
+// precision, not bit for bit.
 func (s *Stream) estimateHfbInto(cfg Config, x, clean []complex128, preStart int, pn []complex128) error {
 	L := cfg.ChannelTaps
 	g := s.gram

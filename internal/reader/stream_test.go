@@ -13,11 +13,11 @@ import (
 // decoder object.
 type streamOf struct {
 	rd *Reader
-	s  Stream
+	s  [1]Stream
 }
 
 func (b *streamOf) Decode(x, xTap, y []complex128, packetStart, packetLen int, tcfg tag.Config) (*Result, error) {
-	return b.rd.DecodeStream(&b.s, x, xTap, y, packetStart, packetLen, tcfg)
+	return b.rd.DecodeStream(b.s[:], x, xTap, [][]complex128{y}, packetStart, packetLen, tcfg)
 }
 
 func mustStream(t *testing.T, rd *Reader) *streamOf {

@@ -21,16 +21,16 @@ import (
 // reconstructs interference only where the decoder will look, instead
 // of over the whole capture.
 //
-// Numerics: Retrain solves the same ridge normal equations as Train
-// via linalg.ToeplitzLSFast, which sums the Gram in a different order —
-// results are deterministic but not bit-identical to Train. The fast
-// serve path owns its determinism contract end to end (see DESIGN.md
-// §5g), so that is the intended trade.
+// Numerics: Retrain solves the same ridge normal equations as the dense
+// reference canceller (reference_test.go) via linalg.ToeplitzLSFast,
+// which sums the Gram in a different order — results are deterministic
+// but not bit-identical to the reference.
 //
 // Not safe for concurrent use; one frame owns it at a time.
 type Reusable struct {
 	cfg     Config
 	m       reusableMetrics
+	trace   obs.TraceCtx
 	analog  []complex128
 	digital []complex128
 	report  Report
@@ -66,7 +66,7 @@ func (c *Reusable) Configure(cfg Config) {
 }
 
 // reusableMetrics holds the canceller's instruments, resolved once per
-// registry; all nil (no-op) without one. They match Train's.
+// registry; all nil (no-op) without one.
 type reusableMetrics struct {
 	reg                            *obs.Registry
 	analogTrain, digitalTrain      *obs.Histogram
@@ -99,12 +99,14 @@ func resize(b []complex128, n int) []complex128 {
 // SetTrace points subsequent Retrain calls at the per-frame trace
 // context (DESIGN.md §5h). The zero value disables tracing; the ctx is
 // a 2-word copy, so per-frame reassignment costs nothing.
-func (c *Reusable) SetTrace(t obs.TraceCtx) { c.cfg.Trace = t }
+func (c *Reusable) SetTrace(t obs.TraceCtx) { c.trace = t }
 
 // Retrain re-estimates both cancellation stages from the silent window
-// [start, stop) of y, exactly as Train does but into the receiver's
-// preallocated state. xTap/xIdeal are the PA-output and ideal transmit
-// copies; only their samples up to stop are read.
+// [start, stop) of y — the tag's silent period, when only the AP's own
+// transmission (and noise) is on the air — into the receiver's
+// preallocated state. xTap is the PA-output copy the analog stage taps
+// (including transmit distortion) and xIdeal the clean baseband copy
+// the digital stage uses; only their samples up to stop are read.
 func (c *Reusable) Retrain(xTap, xIdeal, y []complex128, start, stop int) error {
 	cfg := c.cfg
 	if stop-start < cfg.DigitalTaps*2 {
@@ -114,7 +116,7 @@ func (c *Reusable) Retrain(xTap, xIdeal, y []complex128, start, stop int) error 
 
 	work := y
 	if cfg.AnalogTaps > 0 {
-		tsp := cfg.Trace.Start("sic_analog_train")
+		tsp := c.trace.Start("sic_analog_train")
 		sp := c.m.analogTrain.Start()
 		hA, err := linalg.ToeplitzLSFast(&c.wsA, xTap, y, cfg.AnalogTaps, start, stop, cfg.Lambda)
 		if err != nil {
@@ -137,7 +139,7 @@ func (c *Reusable) Retrain(xTap, xIdeal, y []complex128, start, stop int) error 
 		c.report.AfterAnalogDBm = c.report.BeforeDBm
 	}
 
-	tsp := cfg.Trace.Start("sic_digital_train")
+	tsp := c.trace.Start("sic_digital_train")
 	sp := c.m.digitalTrain.Start()
 	hD, err := linalg.ToeplitzLSFast(&c.wsD, xIdeal, work, cfg.DigitalTaps, start, stop, cfg.Lambda)
 	if err != nil {
@@ -190,9 +192,11 @@ func (c *Reusable) CancelRange(dst, xTap, xIdeal, y []complex128, lo, hi int) []
 // Report returns the training-window power summary of the last Retrain.
 func (c *Reusable) Report() Report { return c.report }
 
-// quantizeTapsInto is quantizeTaps writing into a caller-owned slice
-// (len(dst) == len(taps)) so the hot path's per-frame analog
-// requantization allocates nothing.
+// quantizeTapsInto models analog tuning hardware: each tap's magnitude
+// is quantized to 2^magBits uniform steps of the maximum magnitude, and
+// its phase to 2^phaseBits steps. It writes into a caller-owned slice
+// (len(dst) == len(taps)) so the per-frame analog requantization
+// allocates nothing.
 func quantizeTapsInto(dst, taps []complex128, magBits, phaseBits int) {
 	maxMag := 0.0
 	for _, t := range taps {
