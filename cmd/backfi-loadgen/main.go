@@ -589,9 +589,9 @@ func runChurn(addr, proto string, workers, churnN, tags, slotsMax, payloadBytes 
 					}
 				}
 				if slots == 0 {
-					// The common case: the id registers (its session is
-					// realized server-side) and never returns — the state the
-					// TTL sweep exists to reclaim.
+					// The common case: the id registers (the server opens its
+					// session state, though no core session) and never
+					// returns — the state the TTL sweep exists to reclaim.
 					r.probes++
 					if _, err := c.Stats(id); err != nil {
 						r.failed++

@@ -99,6 +99,15 @@ const (
 	binKindResp        = 0x81
 )
 
+// binOps maps each request kind byte to its op ("" = no such kind).
+var binOps = [...]string{
+	binKindDecode:      OpDecode,
+	binKindStats:       OpStats,
+	binKindPing:        OpPing,
+	binKindMultiDecode: OpMultiDecode,
+	binKindHandoff:     OpHandoff,
+}
+
 // Response flag bits.
 const (
 	binFlagOK        = 1 << 0
@@ -279,22 +288,51 @@ func appendF64(dst []byte, v float64) []byte {
 	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 }
 
-// appendHandoff appends one handoff block (layout in the package
-// comment). Shared by 0x05 requests and bit6 responses so the snapshot
-// round-trips bit-identically through either direction.
-func appendHandoff(dst []byte, h *HandoffState) ([]byte, error) {
+// appendStats appends one stats block: the counts, then the floats.
+// Shared by response stats and the handoff block.
+func appendStats(dst []byte, st *SessionStats) ([]byte, error) {
 	var err error
-	st := &h.Stats
-	for _, v := range [...]int{h.Version, h.Attempts, h.Seq, h.TimelineCur,
-		st.FramesOffered, st.FramesDelivered, st.PacketsSent, st.PayloadBits,
-		st.ACKsDropped, st.NoWakes, st.Backoffs, st.ConfigSwitches} {
+	for _, v := range [...]int{st.FramesOffered, st.FramesDelivered, st.PacketsSent,
+		st.PayloadBits, st.ACKsDropped, st.NoWakes, st.Backoffs, st.ConfigSwitches} {
 		if dst, err = appendCount(dst, v); err != nil {
 			return dst, err
 		}
 	}
 	dst = appendF64(dst, st.AirtimeSec)
 	dst = appendF64(dst, st.BackoffSec)
-	dst = appendF64(dst, st.BitRateBps)
+	return appendF64(dst, st.BitRateBps), nil
+}
+
+// takeStats pops one stats block into st.
+func takeStats(b []byte, st *SessionStats) ([]byte, error) {
+	var err error
+	for _, p := range [...]*int{&st.FramesOffered, &st.FramesDelivered, &st.PacketsSent,
+		&st.PayloadBits, &st.ACKsDropped, &st.NoWakes, &st.Backoffs, &st.ConfigSwitches} {
+		if *p, b, err = takeUvarint(b); err != nil {
+			return b, err
+		}
+	}
+	for _, p := range [...]*float64{&st.AirtimeSec, &st.BackoffSec, &st.BitRateBps} {
+		if *p, b, err = takeF64(b); err != nil {
+			return b, err
+		}
+	}
+	return b, nil
+}
+
+// appendHandoff appends one handoff block (layout in the package
+// comment). Shared by 0x05 requests and bit6 responses so the snapshot
+// round-trips bit-identically through either direction.
+func appendHandoff(dst []byte, h *HandoffState) ([]byte, error) {
+	var err error
+	for _, v := range [...]int{h.Version, h.Attempts, h.Seq, h.TimelineCur} {
+		if dst, err = appendCount(dst, v); err != nil {
+			return dst, err
+		}
+	}
+	if dst, err = appendStats(dst, &h.Stats); err != nil {
+		return dst, err
+	}
 	var flags byte
 	if h.Degraded {
 		flags |= binHODegraded
@@ -336,22 +374,13 @@ func appendHandoff(dst []byte, h *HandoffState) ([]byte, error) {
 // snapshot the caller can retain past the frame buffer's reuse.
 func takeHandoff(b []byte) (*HandoffState, []byte, error) {
 	h := &HandoffState{}
-	st := &h.Stats
 	var err error
-	for _, p := range [...]*int{&h.Version, &h.Attempts, &h.Seq, &h.TimelineCur,
-		&st.FramesOffered, &st.FramesDelivered, &st.PacketsSent, &st.PayloadBits,
-		&st.ACKsDropped, &st.NoWakes, &st.Backoffs, &st.ConfigSwitches} {
+	for _, p := range [...]*int{&h.Version, &h.Attempts, &h.Seq, &h.TimelineCur} {
 		if *p, b, err = takeUvarint(b); err != nil {
 			return nil, b, err
 		}
 	}
-	if st.AirtimeSec, b, err = takeF64(b); err != nil {
-		return nil, b, err
-	}
-	if st.BackoffSec, b, err = takeF64(b); err != nil {
-		return nil, b, err
-	}
-	if st.BitRateBps, b, err = takeF64(b); err != nil {
+	if b, err = takeStats(b, &h.Stats); err != nil {
 		return nil, b, err
 	}
 	if len(b) == 0 {
@@ -401,18 +430,12 @@ func takeHandoff(b []byte) (*HandoffState, []byte, error) {
 // free when dst has capacity.
 func appendRequestBinary(dst []byte, req *Request) ([]byte, error) {
 	var kind byte
-	switch req.Op {
-	case OpDecode:
-		kind = binKindDecode
-	case OpStats:
-		kind = binKindStats
-	case OpPing:
-		kind = binKindPing
-	case OpMultiDecode:
-		kind = binKindMultiDecode
-	case OpHandoff:
-		kind = binKindHandoff
-	default:
+	for k, op := range binOps {
+		if op != "" && op == req.Op {
+			kind = byte(k)
+		}
+	}
+	if kind == 0 {
 		return dst, fmt.Errorf("serve: op %q has no binary encoding", req.Op)
 	}
 	dst = append(dst, kind)
@@ -458,40 +481,26 @@ func decodeRequestBinary(body []byte, req *Request, names *internTable) error {
 	if len(body) == 0 {
 		return errFrameTruncated
 	}
-	switch body[0] {
-	case binKindDecode:
-		req.Op = OpDecode
-	case binKindStats:
-		req.Op = OpStats
-	case binKindPing:
-		req.Op = OpPing
-	case binKindMultiDecode:
-		req.Op = OpMultiDecode
-	case binKindHandoff:
-		req.Op = OpHandoff
-	default:
+	if int(body[0]) >= len(binOps) || binOps[body[0]] == "" {
 		return errFrameKind
 	}
+	req.Op = binOps[body[0]]
 	rest := body[1:]
 	s, rest, err := takeBytes(rest)
 	if err != nil {
 		return err
 	}
 	req.Session = names.get(s)
-	// The reused Request must not leak a stale snapshot into later
-	// frames on this connection.
-	req.Handoff = nil
-	// Both payload shapes reset the other: the Request struct is reused
-	// across a connection's frames, and a stale Payloads from an earlier
-	// mdecode must not leak into a plain decode (and vice versa).
-	if body[0] == binKindHandoff {
-		req.Payload = req.Payload[:0]
-		req.Payloads = req.Payloads[:0]
+	// The Request is reused across a connection's frames: reset every
+	// op-specific field, so a stale snapshot or payload shape from an
+	// earlier frame never leaks into this one.
+	req.Handoff, req.Payload, req.Payloads = nil, req.Payload[:0], req.Payloads[:0]
+	switch body[0] {
+	case binKindHandoff:
 		if req.Handoff, rest, err = takeHandoff(rest); err != nil {
 			return err
 		}
-	} else if body[0] == binKindMultiDecode {
-		req.Payload = req.Payload[:0]
+	case binKindMultiDecode:
 		var n int
 		if n, rest, err = takeUvarint(rest); err != nil {
 			return err
@@ -510,13 +519,12 @@ func decodeRequestBinary(body []byte, req *Request, names *internTable) error {
 			}
 			req.Payloads[i] = append(req.Payloads[i][:0], p...)
 		}
-	} else {
-		req.Payloads = req.Payloads[:0]
+	default:
 		var p []byte
 		if p, rest, err = takeBytes(rest); err != nil {
 			return err
 		}
-		req.Payload = append(req.Payload[:0], p...)
+		req.Payload = append(req.Payload, p...)
 	}
 	req.TimeoutMs, rest, err = takeUvarint(rest)
 	if err != nil {
@@ -588,16 +596,10 @@ func appendResponseBinary(dst []byte, resp *Response) ([]byte, error) {
 		}
 	}
 	dst = appendF64(dst, resp.SNRdB)
-	if st := resp.Stats; st != nil {
-		for _, v := range [...]int{st.FramesOffered, st.FramesDelivered, st.PacketsSent,
-			st.PayloadBits, st.ACKsDropped, st.NoWakes, st.Backoffs, st.ConfigSwitches} {
-			if dst, err = appendCount(dst, v); err != nil {
-				return dst, err
-			}
+	if resp.Stats != nil {
+		if dst, err = appendStats(dst, resp.Stats); err != nil {
+			return dst, err
 		}
-		dst = appendF64(dst, st.AirtimeSec)
-		dst = appendF64(dst, st.BackoffSec)
-		dst = appendF64(dst, st.BitRateBps)
 	}
 	if len(resp.Tags) > 0 {
 		dst = binary.AppendUvarint(dst, uint64(len(resp.Tags)))
@@ -674,23 +676,10 @@ func decodeResponseBinary(body []byte, resp *Response, names *internTable, stats
 		if statsBuf == nil {
 			statsBuf = &SessionStats{}
 		}
-		st := statsBuf
-		for _, p := range [...]*int{&st.FramesOffered, &st.FramesDelivered, &st.PacketsSent,
-			&st.PayloadBits, &st.ACKsDropped, &st.NoWakes, &st.Backoffs, &st.ConfigSwitches} {
-			if *p, rest, err = takeUvarint(rest); err != nil {
-				return err
-			}
-		}
-		if st.AirtimeSec, rest, err = takeF64(rest); err != nil {
+		if rest, err = takeStats(rest, statsBuf); err != nil {
 			return err
 		}
-		if st.BackoffSec, rest, err = takeF64(rest); err != nil {
-			return err
-		}
-		if st.BitRateBps, rest, err = takeF64(rest); err != nil {
-			return err
-		}
-		resp.Stats = st
+		resp.Stats = statsBuf
 	}
 	resp.Tags = nil
 	if flags&binFlagTags != 0 {

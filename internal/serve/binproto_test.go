@@ -297,13 +297,14 @@ func TestOneByteAtATimePeer(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer conn.Close()
-		var frame bytes.Buffer
-		if err := WriteFrame(&frame, Request{Op: OpPing}); err != nil {
+		trickle(conn, jsonFrame(t, &Request{Op: OpPing}))
+		var codec wireCodec
+		rb, err := codec.reader(bufioReader(conn)).read()
+		if err != nil {
 			t.Fatal(err)
 		}
-		trickle(conn, frame.Bytes())
 		var resp Response
-		if err := ReadFrame(bufioReader(conn), &resp); err != nil {
+		if err := codec.decodeResponse(rb, &resp); err != nil {
 			t.Fatal(err)
 		}
 		if !resp.OK {

@@ -88,27 +88,6 @@ type ClientConfig struct {
 	SessionTTL time.Duration
 }
 
-func (c ClientConfig) redialBase() time.Duration {
-	if c.RedialBase > 0 {
-		return c.RedialBase
-	}
-	return 50 * time.Millisecond
-}
-
-func (c ClientConfig) redialMax() time.Duration {
-	if c.RedialMax > 0 {
-		return c.RedialMax
-	}
-	return 2 * time.Second
-}
-
-func (c ClientConfig) cooldown() time.Duration {
-	if c.BreakerCooldown > 0 {
-		return c.BreakerCooldown
-	}
-	return time.Second
-}
-
 // ClientHealth is a snapshot of the client's self-healing activity.
 type ClientHealth struct {
 	// Dials counts successful connection establishments (including the
@@ -168,13 +147,11 @@ type Client struct {
 	bw     *bufio.Writer
 	closed bool
 
-	// Binary-protocol state: the frame reader with its bounded reused
-	// body buffer, the reused encode buffer, and the session intern
-	// table. All nil/zero on JSON connections.
-	binary bool
-	fr     *frameReader
-	wbuf   []byte
-	names  internTable
+	// Wire state: the protocol codec, the frame reader with its bounded
+	// reused body buffer, and the reused encode buffer.
+	codec wireCodec
+	fr    *frameReader
+	wbuf  []byte
 
 	jitter *rand.Rand // seeded; guarded by mu
 	// sessions holds per-session state (breaker, trace index, cached
@@ -204,9 +181,18 @@ func DialClient(cfg ClientConfig) (*Client, error) {
 	default:
 		return nil, fmt.Errorf("serve: unknown protocol %q (want json or binary)", cfg.Proto)
 	}
+	if cfg.RedialBase <= 0 {
+		cfg.RedialBase = 50 * time.Millisecond
+	}
+	if cfg.RedialMax <= 0 {
+		cfg.RedialMax = 2 * time.Second
+	}
+	if cfg.BreakerCooldown <= 0 {
+		cfg.BreakerCooldown = time.Second
+	}
 	c := &Client{
 		cfg:      cfg,
-		binary:   cfg.Proto == "binary",
+		codec:    wireCodec{bin: cfg.Proto == "binary"},
 		jitter:   newJitter(cfg.JitterSeed),
 		sessions: make(map[string]*clientSession),
 		now:      time.Now,
@@ -230,14 +216,14 @@ func (c *Client) connect() error {
 	c.conn = conn
 	c.br = bufio.NewReader(conn)
 	c.bw = bufio.NewWriter(conn)
-	if c.binary {
+	if c.codec.bin {
 		if err := c.negotiate(); err != nil {
 			conn.Close()
 			c.conn, c.br, c.bw = nil, nil, nil
 			return err
 		}
-		c.fr = &frameReader{br: c.br, le: true}
 	}
+	c.fr = c.codec.reader(c.br)
 	c.health.Dials++
 	return nil
 }
@@ -313,25 +299,25 @@ func (c *Client) TrackedSessions() int {
 // seeded stream (uniform in [d/2, d], so backoff never degenerates to
 // zero but two clients with the same seed still agree).
 func (c *Client) redialDelay(attempt int) time.Duration {
-	d := c.cfg.redialBase() << uint(attempt-1)
-	if max := c.cfg.redialMax(); d > max || d <= 0 {
+	d := c.cfg.RedialBase << uint(attempt-1)
+	if max := c.cfg.RedialMax; d > max || d <= 0 {
 		d = max
 	}
 	half := d / 2
 	return half + time.Duration(c.jitter.Int63n(int64(half)+1))
 }
 
-// track returns (creating if a configured feature needs one) the
-// session's state entry and stamps its idle clock. Returns nil for
-// sessionless calls (ping) and when no feature wants per-session
-// state — the zero-config client keeps an empty map. Caller holds mu.
-func (c *Client) track(session string) *clientSession {
+// track returns (creating if need or a configured feature wants one)
+// the session's state entry and stamps its idle clock. Returns nil for
+// sessionless calls (ping) and when nothing wants per-session state —
+// the zero-config client keeps an empty map. Caller holds mu.
+func (c *Client) track(session string, need bool) *clientSession {
 	if session == "" {
 		return nil
 	}
 	cs := c.sessions[session]
 	if cs == nil {
-		if c.cfg.BreakerThreshold <= 0 && c.cfg.Tracer == nil {
+		if !need && c.cfg.BreakerThreshold <= 0 && c.cfg.Tracer == nil {
 			return nil
 		}
 		cs = &clientSession{}
@@ -373,7 +359,7 @@ func (c *Client) breakerAllow(cs *clientSession, session string) error {
 	if !b.open {
 		return nil
 	}
-	if c.now().Sub(b.openedAt) < c.cfg.cooldown() || b.probing {
+	if c.now().Sub(b.openedAt) < c.cfg.BreakerCooldown || b.probing {
 		c.health.BreakerFastFails++
 		return fmt.Errorf("%w: session %q cooling down", ErrBreakerOpen, session)
 	}
@@ -418,17 +404,15 @@ func (c *Client) exchange(req *Request) (*Response, error) {
 			return nil, err
 		}
 	}
-	if c.binary {
-		b := append(c.wbuf[:0], 0, 0, 0, 0)
-		b, err := appendRequestBinary(b, req)
-		if err != nil {
-			return nil, err
-		}
-		c.wbuf = b
-		if _, err := c.bw.Write(finishBinaryFrame(b)); err != nil {
-			return nil, err
-		}
-	} else if err := WriteFrame(c.bw, req); err != nil {
+	b, err := c.codec.appendRequest(append(c.wbuf[:0], 0, 0, 0, 0), req)
+	if err != nil {
+		return nil, fmt.Errorf("serve: marshal frame: %w", err)
+	}
+	if len(b)-4 > MaxFrameBytes {
+		return nil, fmt.Errorf("serve: frame of %d bytes exceeds cap %d", len(b)-4, MaxFrameBytes)
+	}
+	c.wbuf = b
+	if _, err := c.bw.Write(c.codec.finishFrame(b)); err != nil {
 		return nil, err
 	}
 	if err := c.bw.Flush(); err != nil {
@@ -439,19 +423,14 @@ func (c *Client) exchange(req *Request) (*Response, error) {
 			return nil, err
 		}
 	}
-	var resp Response
-	if c.binary {
-		body, err := c.fr.read()
-		if err != nil {
-			return nil, fmt.Errorf("serve: read response: %w", err)
+	body, err := c.fr.read()
+	if err == nil {
+		resp := new(Response)
+		if err = c.codec.decodeResponse(body, resp); err == nil {
+			return resp, nil
 		}
-		if err := decodeResponseBinary(body, &resp, &c.names, nil); err != nil {
-			return nil, fmt.Errorf("serve: read response: %w", err)
-		}
-	} else if err := ReadFrame(c.br, &resp); err != nil {
-		return nil, fmt.Errorf("serve: read response: %w", err)
 	}
-	return &resp, nil
+	return nil, fmt.Errorf("serve: read response: %w", err)
 }
 
 // do runs one request/response round trip, healing a broken connection
@@ -466,7 +445,7 @@ func (c *Client) do(req *Request) (*Response, error) {
 		return nil, ErrClientClosed
 	}
 	c.sweepSessions()
-	cs := c.track(req.Session)
+	cs := c.track(req.Session, false)
 	if err := c.breakerAllow(cs, req.Session); err != nil {
 		return nil, err
 	}
@@ -494,11 +473,7 @@ func (c *Client) do(req *Request) (*Response, error) {
 		// servers attach one per decode); this is what a cluster client
 		// installs on a survivor node after a failure.
 		if cs == nil {
-			cs = &clientSession{}
-			if c.cfg.SessionTTL > 0 {
-				cs.lastUsed = c.now()
-			}
-			c.sessions[req.Session] = cs
+			cs = c.track(req.Session, true)
 		}
 		cs.handoff = resp.Handoff
 	}
@@ -548,26 +523,28 @@ func (c *Client) doLocked(req *Request) (*Response, error) {
 	return nil, errors.Join(ErrConnBroken, lastErr)
 }
 
-// Decode submits one application frame for the session and returns the
-// outcome. Typed rejections (ErrQueueFull, ErrDraining, ErrDeadline)
-// come back as the error with the response still populated, so callers
-// can distinguish backpressure from transport failure with errors.Is.
-func (c *Client) Decode(session string, payload []byte) (*Response, error) {
-	resp, err := c.do(&Request{Op: OpDecode, Session: session, Payload: payload})
+// call runs one round trip and maps the response to its typed error;
+// the response stays populated on typed rejections.
+func (c *Client) call(req *Request) (*Response, error) {
+	resp, err := c.do(req)
 	if err != nil {
 		return nil, err
 	}
 	return resp, resp.Err()
 }
 
+// Decode submits one application frame for the session and returns the
+// outcome. Typed rejections (ErrQueueFull, ErrDraining, ErrDeadline)
+// come back as the error with the response still populated, so callers
+// can distinguish backpressure from transport failure with errors.Is.
+func (c *Client) Decode(session string, payload []byte) (*Response, error) {
+	return c.call(&Request{Op: OpDecode, Session: session, Payload: payload})
+}
+
 // DecodeTimeout is Decode with an explicit per-job deadline in
 // milliseconds, overriding the server default.
 func (c *Client) DecodeTimeout(session string, payload []byte, timeoutMs int) (*Response, error) {
-	resp, err := c.do(&Request{Op: OpDecode, Session: session, Payload: payload, TimeoutMs: timeoutMs})
-	if err != nil {
-		return nil, err
-	}
-	return resp, resp.Err()
+	return c.call(&Request{Op: OpDecode, Session: session, Payload: payload, TimeoutMs: timeoutMs})
 }
 
 // MultiDecode offers one payload per tag of the session's multi-tag
@@ -575,11 +552,7 @@ func (c *Client) DecodeTimeout(session string, payload []byte, timeoutMs int) (*
 // session fixes its group size; later calls must match it. Per-tag
 // outcomes come back in Response.Tags, aligned with payloads.
 func (c *Client) MultiDecode(session string, payloads [][]byte) (*Response, error) {
-	resp, err := c.do(&Request{Op: OpMultiDecode, Session: session, Payloads: payloads})
-	if err != nil {
-		return nil, err
-	}
-	return resp, resp.Err()
+	return c.call(&Request{Op: OpMultiDecode, Session: session, Payloads: payloads})
 }
 
 // InstallHandoff submits a handoff snapshot for the session: the
@@ -587,21 +560,14 @@ func (c *Client) MultiDecode(session string, payloads [][]byte) (*Response, erro
 // its fault timeline, and restores the snapshot so the session's next
 // decode continues the origin node's stream byte-identically.
 func (c *Client) InstallHandoff(session string, hs *HandoffState) (*Response, error) {
-	resp, err := c.do(&Request{Op: OpHandoff, Session: session, Handoff: hs})
-	if err != nil {
-		return nil, err
-	}
-	return resp, resp.Err()
+	return c.call(&Request{Op: OpHandoff, Session: session, Handoff: hs})
 }
 
 // Stats returns the session's accumulated statistics, ordered after
 // every decode the session has answered.
 func (c *Client) Stats(session string) (*SessionStats, error) {
-	resp, err := c.do(&Request{Op: OpStats, Session: session})
+	resp, err := c.call(&Request{Op: OpStats, Session: session})
 	if err != nil {
-		return nil, err
-	}
-	if err := resp.Err(); err != nil {
 		return nil, err
 	}
 	if resp.Stats == nil {
@@ -612,11 +578,8 @@ func (c *Client) Stats(session string) (*SessionStats, error) {
 
 // Ping checks daemon liveness.
 func (c *Client) Ping() error {
-	resp, err := c.do(&Request{Op: OpPing})
-	if err != nil {
-		return err
-	}
-	return resp.Err()
+	_, err := c.call(&Request{Op: OpPing})
+	return err
 }
 
 // Close drops the connection permanently; the client will not redial.

@@ -61,12 +61,13 @@ func DefaultEnergyTank() energy.TankConfig {
 	}
 }
 
-// DefaultEnergyBackoff is the dark-probe backoff installed when
-// Config.Energy is on and Config.EnergyBackoff is zero: 20 ms doubling
-// to a 2.56 s ceiling. A dark session is protected from the TTL sweep
-// until its streak's delay reaches the ceiling (see evict), so
-// harnesses asserting that guard derive the ceiling streak from this
-// same policy rather than hard-coding it.
+// DefaultEnergyBackoff is the dark-probe backoff of every energy-gated
+// session: the k-th consecutive dark poll stands for Delay(k) seconds
+// of virtual banking time (truncated binary exponential, accounted —
+// never slept), 20 ms doubling to a 2.56 s ceiling. A dark session is
+// protected from the TTL sweep until its streak's delay reaches the
+// ceiling (see evict), so harnesses asserting that guard derive the
+// ceiling streak from this same policy rather than hard-coding it.
 func DefaultEnergyBackoff() core.BackoffPolicy {
 	return core.BackoffPolicy{BaseSec: 0.02, MaxSec: 2.56}
 }
@@ -100,7 +101,7 @@ func (sh *shard) energyGate(st *sessionState, j *job) (Response, bool) {
 	// function of the harvest trace.
 	slots := 1
 	if st.darkStreak > 0 {
-		d := cfg.EnergyBackoff.Delay(st.darkStreak)
+		d := DefaultEnergyBackoff().Delay(st.darkStreak)
 		st.darkSec += d
 		if n := int(d / st.tank.Config().SlotSeconds); n > slots {
 			slots = n

@@ -211,12 +211,11 @@ func TestEnergyDarkPollsLeaveSessionUntouched(t *testing.T) {
 func TestEnergyEvictionSparesDarkSessions(t *testing.T) {
 	const ttl = 40 * time.Millisecond
 	s := startServer(t, Config{
-		Link:          core.DefaultLinkConfig(1),
-		Shards:        1,
-		Energy:        true,
-		EnergyTank:    foreverDarkTank(),
-		EnergyBackoff: core.BackoffPolicy{BaseSec: 0.02, MaxSec: 2.56},
-		SessionTTL:    ttl,
+		Link:       core.DefaultLinkConfig(1),
+		Shards:     1,
+		Energy:     true,
+		EnergyTank: foreverDarkTank(),
+		SessionTTL: ttl,
 	})
 	c, err := Dial(s.Addr())
 	if err != nil {
@@ -224,7 +223,8 @@ func TestEnergyEvictionSparesDarkSessions(t *testing.T) {
 	}
 	defer c.Close()
 	// "dark" has an active streak (2 polls → Delay(2)=40ms < 2.56s
-	// ceiling); "idle" has a session and tank but no streak.
+	// ceiling); "idle" has only asked for stats, so it has state but no
+	// streak (and no core session or tank).
 	for i := 0; i < 2; i++ {
 		if _, err := c.Decode("dark", sessionPayload("dark", 0)); !errors.Is(err, ErrTagDark) {
 			t.Fatalf("want tag_dark, got %v", err)
@@ -278,7 +278,6 @@ func TestEnergyConfigValidation(t *testing.T) {
 		"energy+handoff":   {Energy: true, Handoff: true},
 		"severity>1":       {EnergySeverity: 1.5},
 		"severity NaN":     {EnergySeverity: math.NaN()},
-		"negative backoff": {EnergyBackoff: core.BackoffPolicy{BaseSec: -1}},
 		"handoff+mobility": {Handoff: true, Timeline: wild},
 		"invalid tank":     {Energy: true, EnergyTank: &badTank},
 	} {

@@ -3,11 +3,13 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
 
 	"backfi/internal/core"
+	"backfi/internal/fault"
 	"backfi/internal/obs"
 )
 
@@ -214,5 +216,187 @@ func TestSessionEviction(t *testing.T) {
 	}
 	if again.Seq != 1 || again.Delivered != first.Delivered || again.SNRdB != first.SNRdB {
 		t.Fatalf("re-opened session diverged: first %+v, again %+v", first, again)
+	}
+}
+
+// TestMultiTagStatsAfterStats pins that a stats on a fresh id leaves
+// the id's kind open: stats → two group slots → stats reports the
+// group, with every polled tag-frame a frame and every slot a packet.
+func TestMultiTagStatsAfterStats(t *testing.T) {
+	s := startServer(t, Config{Shards: 1})
+	cl, err := Dial(s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	const tags, slots = 2, 2
+	if _, err := cl.Stats("g"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < slots; i++ {
+		if _, err := cl.MultiDecode("g", slotPayloads("g", i, tags)); err != nil {
+			t.Fatalf("slot %d: %v", i, err)
+		}
+	}
+	st, err := cl.Stats("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.FramesOffered != slots*tags || st.PacketsSent != slots {
+		t.Fatalf("group stats after an early stats = %+v, want %d frames over %d packets", st, slots*tags, slots)
+	}
+}
+
+// TestMultiTagTimeline pins that the scripted fault timeline reaches
+// group sessions: a step at frame 0 is crossed by the first slot,
+// counts as a fault switch, changes the slot stream against a
+// no-timeline control, and lands identically on 1 and 8 shards.
+func TestMultiTagTimeline(t *testing.T) {
+	link := core.DefaultLinkConfig(1)
+	link.Seed = 1003
+	const slots = 3
+	run := func(tl *fault.Timeline, shards int) ([]byte, int64) {
+		s := startServer(t, Config{Link: link, Shards: shards, Timeline: tl, Obs: obs.NewRegistry()})
+		cl, err := DialClient(ClientConfig{Addr: s.Addr(), Proto: "binary"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		var stream []Response
+		for i := 0; i < slots; i++ {
+			resp, err := cl.MultiDecode("grp", slotPayloads("grp", i, 2))
+			if err != nil {
+				t.Fatalf("slot %d: %v", i, err)
+			}
+			stream = append(stream, *resp)
+		}
+		b, _ := json.Marshal(stream)
+		return b, s.m.faultSwitch.Value()
+	}
+	control, switches := run(nil, 1)
+	if switches != 0 {
+		t.Fatalf("control run counted %d fault switches", switches)
+	}
+	tl := chaosTimeline(t, "0:0.7")
+	one, switches := run(tl, 1)
+	if switches != 1 {
+		t.Fatalf("fault switches = %d over a step at frame 0, want 1", switches)
+	}
+	if string(one) == string(control) {
+		t.Fatal("timeline step left the group's slot stream unchanged")
+	}
+	if eight, _ := run(tl, 8); string(eight) != string(one) {
+		t.Fatalf("group stream under a timeline diverged across shards:\n%s\nvs\n%s", one, eight)
+	}
+}
+
+// TestSessionKindFixed pins the one-kind-per-id contract: a decode on
+// a group id, an mdecode on a single-tag id and a handoff onto a group
+// id are bad_request, and the session's next response is byte-identical
+// to a control run that never saw the rejected op.
+func TestSessionKindFixed(t *testing.T) {
+	link := core.DefaultLinkConfig(1)
+	link.Seed = 1005
+	group := func(cl *Client, slot int) (*Response, error) {
+		return cl.MultiDecode("id", slotPayloads("id", slot, 2))
+	}
+	single := func(cl *Client, frame int) (*Response, error) {
+		return cl.Decode("id", sessionPayload("id", frame))
+	}
+	hs := &HandoffState{Version: HandoffVersion}
+	cases := map[string]struct {
+		first, next func(*Client, int) (*Response, error)
+		reject      func(*Client) error
+	}{
+		"decode-on-group": {group, group, func(cl *Client) error {
+			_, err := cl.Decode("id", sessionPayload("id", 9))
+			return err
+		}},
+		"mdecode-on-single": {single, single, func(cl *Client) error {
+			_, err := cl.MultiDecode("id", slotPayloads("id", 9, 2))
+			return err
+		}},
+		"handoff-onto-group": {group, group, func(cl *Client) error {
+			_, err := cl.InstallHandoff("id", hs)
+			return err
+		}},
+	}
+	for name, c := range cases {
+		t.Run(name, func(t *testing.T) {
+			run := func(rejected bool) []byte {
+				s := startServer(t, Config{Link: link, Shards: 1, Handoff: true})
+				cl, err := Dial(s.Addr())
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer cl.Close()
+				if _, err := c.first(cl, 0); err != nil {
+					t.Fatal(err)
+				}
+				if rejected {
+					if err := c.reject(cl); !errors.Is(err, ErrBadRequest) {
+						t.Fatalf("cross-kind op: err = %v, want bad_request", err)
+					}
+				}
+				resp, err := c.next(cl, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, _ := json.Marshal(resp)
+				return b
+			}
+			if got, want := run(true), run(false); string(got) != string(want) {
+				t.Fatalf("rejected op perturbed the session:\n%s\nvs control\n%s", got, want)
+			}
+		})
+	}
+}
+
+// TestStatsOpensNoSession pins that stats never realizes a core
+// session: a fresh id answers a fresh session's zero stats (with the
+// template bit rate when the rate can move), holds state that counts
+// in Sessions(), and is reclaimed by the TTL sweep.
+func TestStatsOpensNoSession(t *testing.T) {
+	s, err := NewServer(Config{Shards: 1, Adapt: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := s.shards[0]
+	st := sh.ensureSession("fresh")
+	j := &job{op: OpStats, session: "fresh", enqueued: time.Now(), resp: make(chan Response, 1)}
+	sh.serveJob(st, j)
+	resp := <-j.resp
+	if !resp.OK || resp.Seq != 0 || resp.Stats == nil {
+		t.Fatalf("stats on a fresh id: %+v", resp)
+	}
+	want := SessionStats{BitRateBps: core.DefaultLinkConfig(1).Tag.BitRate()}
+	if *resp.Stats != want {
+		t.Fatalf("fresh stats = %+v, want %+v", *resp.Stats, want)
+	}
+	if st.sess != nil || st.multi != nil || st.tank != nil {
+		t.Fatal("stats realized a core session")
+	}
+
+	srv := startServer(t, Config{Shards: 2, SessionTTL: 40 * time.Millisecond})
+	cl, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	const ids = 6
+	for i := 0; i < ids; i++ {
+		if _, err := cl.Stats(fmt.Sprintf("probe-%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := srv.Sessions() + srv.Evictions(); got != ids {
+		t.Fatalf("%d sessions opened or evicted, want %d", got, ids)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.Sessions() != 0 && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if srv.Sessions() != 0 || srv.Evictions() != ids {
+		t.Fatalf("after the TTL: %d live, %d evicted, want 0 and %d", srv.Sessions(), srv.Evictions(), ids)
 	}
 }

@@ -14,11 +14,11 @@
 package serve
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 )
 
 // Wire format: every message is a frame — a 4-byte big-endian length
@@ -232,7 +232,8 @@ func (h *HandoffState) Validate() error {
 
 // CtrlState mirrors adapt.State on the wire: the rate controller's
 // complete decision state, so the receiving node's controller makes the
-// same next decision the origin's would have.
+// same next decision the origin's would have. Its fields match
+// adapt.State one for one, so the two convert directly.
 type CtrlState struct {
 	Index       int     `json:"idx"`
 	Ceiling     int     `json:"ceiling"`
@@ -302,40 +303,74 @@ func (r *Response) Err() error {
 	}
 }
 
-// WriteFrame marshals v and writes it as one length-prefixed frame.
-func WriteFrame(w io.Writer, v any) error {
-	body, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("serve: marshal frame: %w", err)
-	}
-	if len(body) > MaxFrameBytes {
-		return fmt.Errorf("serve: frame of %d bytes exceeds cap %d", len(body), MaxFrameBytes)
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err = w.Write(body)
-	return err
+// wireCodec is one connection's wire protocol, shared by the server's
+// connection loop and the client's exchange: the legacy JSON framing
+// (big-endian length, JSON body) when bin is false, the binary framing
+// (DESIGN.md §5g: little-endian length, binary body) when true. A
+// binary codec interns session ids and, on the server, decodes every
+// request into one reused Request; a JSON codec unmarshals each
+// request into a fresh one.
+type wireCodec struct {
+	bin   bool
+	names internTable
+	req   Request
 }
 
-// ReadFrame reads one length-prefixed frame into v. Oversized frames
-// fail with ErrBadRequest before any body allocation.
-func ReadFrame(r io.Reader, v any) error {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return err
+// reader returns a frame reader for the protocol's length prefix.
+func (c *wireCodec) reader(br *bufio.Reader) *frameReader {
+	return &frameReader{br: br, le: c.bin}
+}
+
+// finishFrame writes the body length into the 4 bytes reserved at the
+// front of frame.
+func (c *wireCodec) finishFrame(frame []byte) []byte {
+	if c.bin {
+		return finishBinaryFrame(frame)
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxFrameBytes {
-		return fmt.Errorf("%w: frame of %d bytes exceeds cap %d", ErrBadRequest, n, MaxFrameBytes)
+	binary.BigEndian.PutUint32(frame[:4], uint32(len(frame)-4))
+	return frame
+}
+
+// decodeRequest decodes one request body. A binary request is valid
+// until the next call.
+func (c *wireCodec) decodeRequest(body []byte) (*Request, error) {
+	if c.bin {
+		return &c.req, decodeRequestBinary(body, &c.req, &c.names)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return err
+	req := new(Request)
+	if err := json.Unmarshal(body, req); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	if err := json.Unmarshal(body, v); err != nil {
+	return req, nil
+}
+
+// appendResponse appends resp's body to dst.
+func (c *wireCodec) appendResponse(dst []byte, resp *Response) ([]byte, error) {
+	if c.bin {
+		return appendResponseBinary(dst, resp)
+	}
+	// Marshal a copy, so resp itself never escapes to the heap on the
+	// binary path.
+	r := *resp
+	body, err := json.Marshal(&r)
+	return append(dst, body...), err
+}
+
+// appendRequest appends req's body to dst.
+func (c *wireCodec) appendRequest(dst []byte, req *Request) ([]byte, error) {
+	if c.bin {
+		return appendRequestBinary(dst, req)
+	}
+	body, err := json.Marshal(req)
+	return append(dst, body...), err
+}
+
+// decodeResponse decodes one response body into resp.
+func (c *wireCodec) decodeResponse(body []byte, resp *Response) error {
+	if c.bin {
+		return decodeResponseBinary(body, resp, &c.names, nil)
+	}
+	if err := json.Unmarshal(body, resp); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	return nil

@@ -8,14 +8,33 @@ import (
 	"testing"
 )
 
-func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	in := Request{Op: OpDecode, Session: "alpha", Payload: []byte("reading-42"), TimeoutMs: 250}
-	if err := WriteFrame(&buf, &in); err != nil {
+// jsonFrame frames a JSON request through the legacy codec, as a
+// client writes it.
+func jsonFrame(t *testing.T, req *Request) []byte {
+	t.Helper()
+	var codec wireCodec
+	b, err := codec.appendRequest([]byte{0, 0, 0, 0}, req)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var out Request
-	if err := ReadFrame(&buf, &out); err != nil {
+	return codec.finishFrame(b)
+}
+
+// readJSONRequest reads one legacy frame and decodes it as the server
+// does.
+func readJSONRequest(wire []byte) (*Request, error) {
+	var codec wireCodec
+	body, err := codec.reader(bufioReader(bytes.NewReader(wire))).read()
+	if err != nil {
+		return nil, err
+	}
+	return codec.decodeRequest(body)
+}
+
+func TestFrameRoundTrip(t *testing.T) {
+	in := Request{Op: OpDecode, Session: "alpha", Payload: []byte("reading-42"), TimeoutMs: 250}
+	out, err := readJSONRequest(jsonFrame(t, &in))
+	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Op != in.Op || out.Session != in.Session || out.TimeoutMs != in.TimeoutMs || !bytes.Equal(out.Payload, in.Payload) {
@@ -28,26 +47,26 @@ func TestFrameOversizeRejected(t *testing.T) {
 	// the body is allocated or consumed.
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], MaxFrameBytes+1)
-	err := ReadFrame(bytes.NewReader(hdr[:]), &Request{})
-	if !errors.Is(err, ErrBadRequest) {
+	if _, err := readJSONRequest(hdr[:]); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("oversize read error = %v, want ErrBadRequest", err)
 	}
 	// Write side: a body beyond the cap must refuse to hit the wire.
-	var buf bytes.Buffer
-	big := Request{Op: OpDecode, Session: "x", Payload: bytes.Repeat([]byte{1}, MaxFrameBytes)}
-	if err := WriteFrame(&buf, &big); err == nil {
-		t.Fatal("oversize frame written")
+	s := startServer(t, Config{Shards: 1})
+	c, err := Dial(s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Decode("x", bytes.Repeat([]byte{1}, MaxFrameBytes)); err == nil || !strings.Contains(err.Error(), "exceeds cap") {
+		t.Fatalf("oversize frame error = %v, want the frame cap", err)
 	}
 }
 
 func TestFrameBadJSON(t *testing.T) {
-	var buf bytes.Buffer
 	body := []byte("{not json")
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	buf.Write(hdr[:])
-	buf.Write(body)
-	if err := ReadFrame(&buf, &Request{}); !errors.Is(err, ErrBadRequest) {
+	if _, err := readJSONRequest(append(hdr[:], body...)); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("bad JSON error = %v, want ErrBadRequest", err)
 	}
 }

@@ -155,7 +155,7 @@ func TestBackpressureTypedRejection(t *testing.T) {
 	}
 	sh := s.shards[0]
 	mk := func() *job {
-		return &job{op: OpDecode, session: "x", payload: []byte("p"), enqueued: time.Now(), resp: make(chan Response, 1)}
+		return &job{op: OpDecode, session: "x", payloads: [][]byte{[]byte("p")}, enqueued: time.Now(), resp: make(chan Response, 1)}
 	}
 	for i := 0; i < 3; i++ {
 		if err := sh.enqueue(mk()); err != nil {
@@ -261,17 +261,14 @@ func TestDeadlineExceededBeforeSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	sh := s.shards[0]
-	if err := sh.ensureSession("x", []*job{{op: OpDecode}}); err != nil {
-		t.Fatal(err)
-	}
-	before := sh.sessions["x"].sess.Stats
+	st := sh.ensureSession("x")
 	j := &job{
-		op: OpDecode, session: "x", payload: []byte("p"),
+		op: OpDecode, session: "x", payloads: [][]byte{[]byte("p")},
 		enqueued: time.Now().Add(-time.Second),
 		deadline: time.Now().Add(-time.Millisecond),
 		resp:     make(chan Response, 1),
 	}
-	sh.serveJob(sh.sessions["x"], j)
+	sh.serveJob(st, j)
 	resp := <-j.resp
 	if resp.Code != CodeDeadline {
 		t.Fatalf("code = %q, want %q", resp.Code, CodeDeadline)
@@ -279,7 +276,7 @@ func TestDeadlineExceededBeforeSession(t *testing.T) {
 	if !errors.Is(resp.Err(), ErrDeadline) {
 		t.Fatalf("err = %v, want ErrDeadline", resp.Err())
 	}
-	if sh.sessions["x"].sess.Stats != before {
+	if st.sess != nil || st.multi != nil || st.seq != 0 {
 		t.Fatal("expired job touched session state")
 	}
 }
@@ -300,11 +297,8 @@ func TestJobPanicIsolated(t *testing.T) {
 		t.Fatalf("code = %q, want %q after a panic", resp.Code, CodeError)
 	}
 	// The shard survives: a real job on the same shard still works.
-	if err := sh.ensureSession("ghost", []*job{{op: OpDecode}}); err != nil {
-		t.Fatal(err)
-	}
 	j2 := &job{op: OpStats, session: "ghost", enqueued: time.Now(), resp: make(chan Response, 1)}
-	sh.serveJob(sh.sessions["ghost"], j2)
+	sh.serveJob(sh.ensureSession("ghost"), j2)
 	if resp := <-j2.resp; !resp.OK {
 		t.Fatalf("shard broken after panic: %+v", resp)
 	}

@@ -3,8 +3,6 @@ package serve
 import (
 	"bufio"
 	"context"
-	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -70,9 +68,6 @@ type Config struct {
 	// template rate. Off, the daemon serves exactly as before —
 	// byte-identical response streams.
 	Adapt bool
-	// AdaptTuning overrides controller thresholds; zero-valued fields
-	// take the adapt package defaults.
-	AdaptTuning adapt.Config
 	// AdaptMinSymbolRateHz restricts the ladder (and the watchdog's
 	// robust fallback) to symbol rates at or above it — the slowest
 	// rungs cost real decode CPU per frame. 0 keeps all 36 rungs.
@@ -143,7 +138,8 @@ type Config struct {
 	// decode stream — only whether snapshots travel. All nodes of a
 	// cluster must agree on the rest of the serving configuration for
 	// handoff to resume streams byte-identically. Multi-tag sessions
-	// are not portable and mdecode responses carry no snapshot.
+	// are not portable: mdecode responses carry no snapshot, and a
+	// handoff onto a group id is bad_request.
 	Handoff bool
 	// Energy enables the energy-aware poll scheduler (DESIGN.md §5k):
 	// every single-tag session carries a deterministic supercap tank
@@ -165,12 +161,6 @@ type Config struct {
 	// serving default, which is scaled to the serving cadence so
 	// EnergySeverity sweeps the full live→dark range (see energy.go).
 	EnergyTank *energy.TankConfig
-	// EnergyBackoff shapes the dark-tag probe backoff: the k-th
-	// consecutive dark poll stands for Delay(k) seconds of virtual
-	// banking time (truncated binary exponential, accounted — never
-	// slept). Zero defaults to {20 ms, 2.56 s}. A dark session is not
-	// TTL-evictable until its streak has reached the MaxSec ceiling.
-	EnergyBackoff core.BackoffPolicy
 }
 
 // Validate checks the configuration without filling defaults.
@@ -205,14 +195,8 @@ func (c *Config) Validate() error {
 	if c.MultiTagMax < 0 {
 		return fmt.Errorf("serve: negative multi-tag bound %d", c.MultiTagMax)
 	}
-	if err := c.AdaptTuning.Defaults().Validate(); err != nil {
-		return err
-	}
 	if math.IsNaN(c.EnergySeverity) || c.EnergySeverity < 0 || c.EnergySeverity > 1 {
 		return fmt.Errorf("serve: energy severity %v outside [0,1]", c.EnergySeverity)
-	}
-	if c.EnergyBackoff.BaseSec < 0 || c.EnergyBackoff.MaxSec < 0 {
-		return fmt.Errorf("serve: negative energy backoff")
 	}
 	if c.Energy && c.Handoff {
 		return fmt.Errorf("serve: energy scheduler state (tank, probe backoff) is not portable — Energy and Handoff are mutually exclusive")
@@ -269,9 +253,6 @@ func (c Config) withDefaults() Config {
 	if c.MultiTagMax == 0 {
 		c.MultiTagMax = 8
 	}
-	if c.Energy && c.EnergyBackoff == (core.BackoffPolicy{}) {
-		c.EnergyBackoff = DefaultEnergyBackoff()
-	}
 	return c
 }
 
@@ -279,9 +260,11 @@ func (c Config) withDefaults() Config {
 type job struct {
 	op      string
 	session string
-	payload []byte
-	// payloads is the mdecode payload group (nil on every other op).
+	// payloads is the decode payload group: the K payloads of an
+	// mdecode, or a decode's one payload held in one (a decode is a
+	// group of one, with no allocation of its own). Nil on other ops.
 	payloads [][]byte
+	one      [1][]byte
 	// handoff is the snapshot to install (nil on every op but handoff).
 	handoff  *HandoffState
 	enqueued time.Time
@@ -292,7 +275,8 @@ type job struct {
 	// response channel receive (the channel send orders the write).
 	tctx obs.TraceCtx
 	// batchStart is when the job's shard batch began processing,
-	// stamped only when tracing is configured (zero otherwise).
+	// stamped only when tracing or eviction is configured (zero
+	// otherwise).
 	batchStart time.Time
 	// resp is buffered (cap 1): serveJob never blocks on a slow or
 	// vanished connection handler.
@@ -303,18 +287,21 @@ func (j *job) respond(r Response) { j.resp <- r }
 
 // sessionState is one live session plus its decode sequence counter.
 // Only its owning shard touches it, and within one batch only the
-// goroutine assigned to its session id, so no lock is needed. Both
-// session shapes are realized lazily — an id that only ever decodes
-// multi-tag slots never pays for a single-tag link, and vice versa —
-// which is what keeps 100k+ churned ids affordable.
+// goroutine assigned to its session id, so no lock is needed. The core
+// session is realized lazily by the id's first decode — an id that
+// only ever asks for stats costs no link at all, which is what keeps
+// 100k+ churned ids affordable.
 type sessionState struct {
-	sess *core.Session
-	// multi is the id's multi-tag session, realized by its first
-	// mdecode; that first request fixes the group size for the id's
-	// lifetime.
+	// sess / multi is the id's one core session, never both: a decode
+	// or a handoff install realizes the single-tag sess, an mdecode of
+	// K payloads the K-tag group multi. The kind and the group size
+	// are fixed for the id's lifetime; a decode of the other kind is
+	// bad_request.
+	sess  *core.Session
 	multi *core.MultiTagSession
 	// lastUsed is the batch timestamp of the id's most recent job,
-	// stamped on the shard worker goroutine (only when eviction is on).
+	// stamped on the shard worker goroutine (zero unless eviction or
+	// tracing is on).
 	lastUsed time.Time
 	seq      int
 	// timelineCur is the session's cursor into the scripted fault
@@ -330,7 +317,7 @@ type sessionState struct {
 	savedTag  tag.Config
 	// Energy-aware poll scheduler state (DESIGN.md §5k, energy.go):
 	// the session's supercap tank (nil when Config.Energy is off or the
-	// id is multi-tag-only), the consecutive-dark-poll streak driving
+	// id is not single-tag), the consecutive-dark-poll streak driving
 	// the probe backoff, the virtual seconds that backoff has stood
 	// for, and the liveness EWMA (probability a poll finds the tag
 	// awake).
@@ -339,6 +326,13 @@ type sessionState struct {
 	darkSec     float64
 	liveness    float64
 	livenessSet bool
+}
+
+// linkCtl is what the decode arm sets on either session kind before
+// its core call.
+type linkCtl interface {
+	SetTrace(obs.TraceCtx)
+	SetFaultProfile(*fault.Profile) error
 }
 
 // shard owns an id-partition of the session space: a bounded job
@@ -425,10 +419,9 @@ func (sh *shard) evict(now time.Time) {
 		// A DARK-but-tracked session is not idle garbage: its tank and
 		// probe-backoff streak are what make the eventual wake resume
 		// byte-identical, so it stays until the backoff has reached its
-		// ceiling (an uncapped policy protects it indefinitely).
+		// ceiling.
 		if st.darkStreak > 0 {
-			bp := sh.srv.cfg.EnergyBackoff
-			if bp.MaxSec <= 0 || bp.Delay(st.darkStreak) < bp.MaxSec {
+			if bp := DefaultEnergyBackoff(); bp.Delay(st.darkStreak) < bp.MaxSec {
 				continue
 			}
 		}
@@ -466,51 +459,32 @@ func (sh *shard) collect(first *job) []*job {
 }
 
 // process runs one batch: group jobs by session preserving admission
-// order, realize any new sessions sequentially (map writes stay on
+// order, open any new session states sequentially (map writes stay on
 // this goroutine), then fan the distinct sessions out into
 // parallel.ForEach — each session's jobs run sequentially in admission
 // order inside its slot, which is the §5e determinism contract.
 func (sh *shard) process(batch []*job) {
 	sh.depthG.Set(float64(sh.depth.Add(-int64(len(batch)))))
 	sh.srv.m.batchJobs.Observe(float64(len(batch)))
-	if sh.srv.cfg.Tracer != nil {
-		now := time.Now()
-		for _, j := range batch {
-			j.batchStart = now
-		}
+	// The batch start stamps job traces and session idle clocks; the
+	// clock is read only when tracing or eviction needs it.
+	var now time.Time
+	if sh.srv.cfg.Tracer != nil || sh.srv.cfg.SessionTTL > 0 {
+		now = time.Now()
 	}
 	order := make([]string, 0, len(batch))
 	bySess := make(map[string][]*job, len(batch))
 	for _, j := range batch {
+		j.batchStart = now
 		if _, ok := bySess[j.session]; !ok {
 			order = append(order, j.session)
+			sh.ensureSession(j.session).lastUsed = now
 		}
 		bySess[j.session] = append(bySess[j.session], j)
 	}
-	for _, id := range order {
-		if err := sh.ensureSession(id, bySess[id]); err != nil {
-			for _, j := range bySess[id] {
-				sh.srv.m.jobsError.Inc()
-				j.respond(Response{Code: CodeError, Error: err.Error(), Session: id})
-			}
-			delete(bySess, id)
-		}
-	}
-	live := order[:0]
-	for _, id := range order {
-		if _, ok := bySess[id]; ok {
-			live = append(live, id)
-		}
-	}
-	if sh.srv.cfg.SessionTTL > 0 {
-		now := time.Now()
-		for _, id := range live {
-			sh.sessions[id].lastUsed = now
-		}
-	}
-	parallel.ForEach(len(live), sh.srv.cfg.BatchWorkers, func(i int) {
-		st := sh.sessions[live[i]]
-		for _, j := range bySess[live[i]] {
+	parallel.ForEach(len(order), sh.srv.cfg.BatchWorkers, func(i int) {
+		st := sh.sessions[order[i]]
+		for _, j := range bySess[order[i]] {
 			sh.serveJob(st, j)
 		}
 	})
@@ -519,58 +493,19 @@ func (sh *shard) process(batch []*job) {
 	}
 }
 
-// ensureSession realizes whatever session shapes this batch's jobs
-// need for id. The seed derives from the id alone (plus the template
-// seed), so the same id opens the same session stream under any shard
-// count. A stats job realizes nothing by itself when a multi-tag
-// session already exists — it reports on what is there — but on a
-// fresh id it opens the single-tag session, preserving the legacy
-// zero-stats answer.
-func (sh *shard) ensureSession(id string, jobs []*job) error {
+// ensureSession opens id's state if it has none. It realizes no core
+// session — the id's first decode does (see bind) — so every map write
+// stays on the worker goroutine while the batch's sessions decode in
+// parallel.
+func (sh *shard) ensureSession(id string) *sessionState {
 	st, ok := sh.sessions[id]
 	if !ok {
 		st = sh.newState()
-	}
-	for _, j := range jobs {
-		switch {
-		case j.op == OpMultiDecode:
-			if st.multi != nil {
-				continue
-			}
-			m, err := sh.srv.newMultiSession(sessionSeed(id), len(j.payloads))
-			if err != nil {
-				return fmt.Errorf("serve: open multi-tag session %q: %w", id, err)
-			}
-			st.multi = m
-		case j.op == OpStats && st.multi != nil:
-			// Report on the multi-tag session; no realization.
-		case j.op == OpHandoff:
-			// Install replaces whatever session exists; realizing one
-			// here would be wasted work.
-		default:
-			if st.sess != nil {
-				continue
-			}
-			sess, err := sh.srv.newSession(sessionSeed(id))
-			if err != nil {
-				return fmt.Errorf("serve: open session %q: %w", id, err)
-			}
-			st.sess = sess
-			if sh.srv.cfg.Energy {
-				tank, err := sh.srv.newTank(sessionSeed(id))
-				if err != nil {
-					return fmt.Errorf("serve: open tank %q: %w", id, err)
-				}
-				st.tank = tank
-			}
-		}
-	}
-	if !ok {
 		sh.sessions[id] = st
 		sh.nsessions.Add(1)
 		sh.srv.m.sessions.Add(1)
 	}
-	return nil
+	return st
 }
 
 // stateSlab is how many sessionStates a shard allocates at once.
@@ -598,7 +533,7 @@ func (s *Server) newSession(seedOffset int64) (*core.Session, error) {
 	var sess *core.Session
 	var err error
 	if s.cfg.Adapt {
-		sess, err = core.NewAdaptiveSession(cfg, s.cfg.CoherenceRho, s.cfg.MaxRetries, s.cfg.AdaptTuning, s.cfg.AdaptMinSymbolRateHz)
+		sess, err = core.NewAdaptiveSession(cfg, s.cfg.CoherenceRho, s.cfg.MaxRetries, adapt.Config{}, s.cfg.AdaptMinSymbolRateHz)
 	} else {
 		sess, err = core.NewSession(cfg, s.cfg.CoherenceRho, s.cfg.MaxRetries)
 	}
@@ -729,18 +664,8 @@ func (sh *shard) captureHandoff(st *sessionState) *HandoffState {
 		Degraded:    st.degraded,
 	}
 	if c := snap.Ctrl; c != nil {
-		hs.Ctrl = &CtrlState{
-			Index:       c.Index,
-			Ceiling:     c.Ceiling,
-			Attempts:    c.Attempts,
-			ConsecFail:  c.ConsecFail,
-			ConsecGood:  c.ConsecGood,
-			SinceSwitch: c.SinceSwitch,
-			EWMABER:     c.EWMABER,
-			EWMASet:     c.EWMASet,
-			FloorDBm:    c.FloorDBm,
-			FloorSet:    c.FloorSet,
-		}
+		wc := CtrlState(*c)
+		hs.Ctrl = &wc
 	}
 	return hs
 }
@@ -775,6 +700,9 @@ func (sh *shard) installHandoff(st *sessionState, j *job) Response {
 	hs := j.handoff
 	if !cfg.Handoff {
 		return reject("handoff not enabled on this node")
+	}
+	if st.multi != nil {
+		return reject("session is a %d-tag group; groups are not portable", st.multi.Tags())
 	}
 	if (hs.Ctrl != nil) != cfg.Adapt {
 		return reject("controller state %v does not match node adaptation %v", hs.Ctrl != nil, cfg.Adapt)
@@ -818,18 +746,8 @@ func (sh *shard) installHandoff(st *sessionState, j *job) Response {
 	}
 	snap := core.SessionSnapshot{Attempts: hs.Attempts, Stats: coreSessionStats(hs.Stats)}
 	if c := hs.Ctrl; c != nil {
-		snap.Ctrl = &adapt.State{
-			Index:       c.Index,
-			Ceiling:     c.Ceiling,
-			Attempts:    c.Attempts,
-			ConsecFail:  c.ConsecFail,
-			ConsecGood:  c.ConsecGood,
-			SinceSwitch: c.SinceSwitch,
-			EWMABER:     c.EWMABER,
-			EWMASet:     c.EWMASet,
-			FloorDBm:    c.FloorDBm,
-			FloorSet:    c.FloorSet,
-		}
+		cs := adapt.State(*c)
+		snap.Ctrl = &cs
 	}
 	if err := sess.RestoreSnapshot(snap); err != nil {
 		return reject("restore: %v", err)
@@ -890,210 +808,248 @@ func (sh *shard) serveJob(st *sessionState, j *job) {
 		j.respond(Response{Code: CodeDeadline, Error: ErrDeadline.Error(), Session: j.session})
 		return
 	}
-	cfg := &sh.srv.cfg
 	switch j.op {
 	case OpStats:
-		if st.sess == nil && st.multi != nil {
-			// Multi-tag-only session: synthesize the legacy stats shape
-			// from slot outcomes. A tag-frame is a frame; a slot is one
-			// packet (one excitation).
-			ms := st.multi.Stats
-			j.respond(Response{OK: true, Code: CodeOK, Session: j.session, Seq: st.seq, Stats: &SessionStats{
-				FramesOffered:   ms.TagsPolled,
-				FramesDelivered: ms.TagsDelivered,
-				PacketsSent:     ms.SlotsOffered,
-				PayloadBits:     ms.PayloadBits,
-				AirtimeSec:      ms.AirtimeSec,
-			}})
-			return
-		}
-		ws := new(SessionStats)
-		*ws = wireSessionStats(st.sess.Stats)
-		if cfg.Adapt || cfg.WatchdogAfter > 0 {
-			ws.BitRateBps = st.sess.Link().Tag.Cfg.BitRate()
-		}
-		j.respond(Response{OK: true, Code: CodeOK, Session: j.session, Seq: st.seq, Degraded: st.degraded, Stats: ws})
-	case OpDecode:
-		// Energy gate first: a dark-tag poll must be answered before
-		// anything below mutates the session (trace head-sampling reads
-		// but does not mutate; the timeline advance and the decode do).
-		// Dark polls deliberately skip the SLO too — the reader's error
-		// budget should not burn because the tag has no energy.
-		if st.tank != nil {
-			if resp, dark := sh.energyGate(st, j); dark {
-				j.respond(resp)
-				return
-			}
-		}
-		// Resolve the job's trace context: a propagated client id wins;
-		// otherwise head-sample deterministically on (session id, offered
-		// frame index) — the same decision a tracing client at the same
-		// frame would make, so sampled traces line up end to end. With no
-		// tracer configured tctx stays zero and nothing below reads a
-		// clock for tracing.
-		tctx := j.tctx
-		if cfg.Tracer != nil {
-			if !tctx.Enabled() {
-				tctx = cfg.Tracer.Head(j.session, st.sess.Stats.FramesOffered)
-			}
-			j.tctx = tctx
-			if tctx.Enabled() {
-				// The queue-wait and batch stages ended before the sampling
-				// decision existed; record them retroactively.
-				now := time.Now()
-				if !j.batchStart.IsZero() {
-					tctx.Record("queue_wait", j.enqueued, j.batchStart.Sub(j.enqueued))
-					tctx.Record("batch", j.batchStart, now.Sub(j.batchStart))
-				} else {
-					tctx.Record("queue_wait", j.enqueued, now.Sub(j.enqueued))
-				}
-			}
-			st.sess.SetTrace(tctx)
-		}
-		// Scripted chaos: cross any timeline steps due at this frame
-		// index before the exchange. The index is the session's own
-		// offered-frame count, so the script lands on the same frames
-		// under any shard or worker count.
-		if cur, p, switched := cfg.Timeline.Advance(st.timelineCur, st.sess.Stats.FramesOffered); switched {
-			st.timelineCur = cur
-			if err := st.sess.SetFaultProfile(p); err != nil {
-				m.jobsError.Inc()
-				sh.srv.cfg.SLO.Record(false, time.Since(j.enqueued).Seconds())
-				j.respond(Response{Code: CodeError, Error: err.Error(), Session: j.session})
-				return
-			}
-			m.faultSwitch.Inc()
-			sh.srv.cfg.Flight.Record(obs.FlightFaultSwitch, j.session,
-				fmt.Sprintf("timeline step %d at frame %d", st.timelineCur, st.sess.Stats.FramesOffered), tctx.ID())
-		}
-		tsp := tctx.Start("decode")
-		sp := m.stageDecode.Start()
-		before := st.sess.Stats
-		res, delivered, err := st.sess.Send(j.payload)
-		sp.End()
-		tsp.End()
-		if err != nil {
-			m.jobsError.Inc()
-			sh.srv.cfg.SLO.Record(false, time.Since(j.enqueued).Seconds())
-			j.respond(Response{Code: CodeError, Error: err.Error(), Session: j.session})
-			return
-		}
-		// SIC-health watchdog: a residual stuck above the threshold
-		// means the canceller is leaking and every decode at the current
-		// rate is suspect — force the robust rung until it clears.
-		// All-no-wake exchanges (res == nil) carry no residual
-		// measurement and leave the watchdog state untouched.
-		if cfg.WatchdogAfter > 0 && res != nil {
-			if res.SICResidualDBm > cfg.WatchdogResidualDBm {
-				st.hot, st.cool = st.hot+1, 0
-			} else {
-				st.cool, st.hot = st.cool+1, 0
-			}
-			if !st.degraded && st.hot >= cfg.WatchdogAfter {
-				sh.setDegraded(st, true)
-				// A watchdog trip is an anomaly: record it with the frame's
-				// trace id (linking the dump to the sampled trace) and
-				// auto-dump the flight ring if a path is armed.
-				sh.srv.cfg.Flight.Anomaly(obs.FlightWatchdogTrip, j.session,
-					fmt.Sprintf("residual %.1f dBm above %.1f dBm for %d frames", res.SICResidualDBm, cfg.WatchdogResidualDBm, cfg.WatchdogAfter), tctx.ID())
-			} else if st.degraded && st.cool >= cfg.WatchdogRecover {
-				sh.setDegraded(st, false)
-				sh.srv.cfg.Flight.Record(obs.FlightWatchdogClear, j.session,
-					fmt.Sprintf("healthy for %d frames", cfg.WatchdogRecover), tctx.ID())
-			}
-		}
-		after := st.sess.Stats
-		if st.tank != nil {
-			sh.energyDrain(st, after.AirtimeSec-before.AirtimeSec)
-		}
-		if d := after.ConfigSwitches - before.ConfigSwitches; d > 0 {
-			m.cfgSwitch.Add(int64(d))
-			sh.srv.cfg.Flight.Record(obs.FlightConfigSwitch, j.session,
-				fmt.Sprintf("%d ladder moves, now %.0f bps", d, st.sess.Link().Tag.Cfg.BitRate()), tctx.ID())
-		}
-		st.seq++
-		m.jobsDone.Inc()
-		sh.srv.cfg.SLO.Record(delivered, time.Since(j.enqueued).Seconds())
-		resp := Response{
-			OK:          true,
-			Code:        CodeOK,
-			Session:     j.session,
-			Seq:         st.seq,
-			Delivered:   delivered,
-			Attempts:    after.PacketsSent - before.PacketsSent,
-			NoWakes:     after.NoWakes - before.NoWakes,
-			ACKsDropped: after.ACKsDropped - before.ACKsDropped,
-			Degraded:    st.degraded,
-		}
-		if res != nil {
-			resp.PayloadOK = res.PayloadOK
-			resp.SNRdB = res.MeasuredSNRdB
-		}
-		if cfg.Handoff {
-			resp.Handoff = sh.captureHandoff(st)
-		}
-		j.respond(resp)
+		j.respond(sh.stats(st, j))
+	case OpDecode, OpMultiDecode:
+		j.respond(sh.decode(st, j))
 	case OpHandoff:
 		j.respond(sh.installHandoff(st, j))
-	case OpMultiDecode:
-		if got, want := len(j.payloads), st.multi.Tags(); got != want {
-			j.respond(Response{Code: CodeBadRequest, Session: j.session,
-				Error: fmt.Sprintf("serve: slot carries %d payloads; session group size was fixed at %d by its first mdecode", got, want)})
-			return
+	default:
+		j.respond(Response{Code: CodeBadRequest, Error: fmt.Sprintf("serve: unknown op %q", j.op), Session: j.session})
+	}
+}
+
+// stats answers a stats job without realizing anything. A group
+// reports the single-tag shape synthesized from slot outcomes: a
+// tag-frame is a frame and a slot is one packet (one excitation). An
+// id with no session yet reports a fresh session's zero stats.
+func (sh *shard) stats(st *sessionState, j *job) Response {
+	cfg := &sh.srv.cfg
+	ws := new(SessionStats)
+	rated := cfg.Adapt || cfg.WatchdogAfter > 0
+	switch {
+	case st.multi != nil:
+		ms := st.multi.Stats
+		*ws = SessionStats{
+			FramesOffered:   ms.TagsPolled,
+			FramesDelivered: ms.TagsDelivered,
+			PacketsSent:     ms.SlotsOffered,
+			PayloadBits:     ms.PayloadBits,
+			AirtimeSec:      ms.AirtimeSec,
 		}
-		tctx := j.tctx
-		if cfg.Tracer != nil {
-			if !tctx.Enabled() {
-				tctx = cfg.Tracer.Head(j.session, st.multi.Stats.SlotsOffered)
-			}
-			j.tctx = tctx
-			if tctx.Enabled() {
-				now := time.Now()
-				if !j.batchStart.IsZero() {
-					tctx.Record("queue_wait", j.enqueued, j.batchStart.Sub(j.enqueued))
-					tctx.Record("batch", j.batchStart, now.Sub(j.batchStart))
-				} else {
-					tctx.Record("queue_wait", j.enqueued, now.Sub(j.enqueued))
-				}
-			}
-			st.multi.SetTrace(tctx)
+	case st.sess != nil:
+		*ws = wireSessionStats(st.sess.Stats)
+		if rated {
+			ws.BitRateBps = st.sess.Link().Tag.Cfg.BitRate()
 		}
-		tsp := tctx.Start("decode")
-		sp := m.stageDecode.Start()
-		res, err := st.multi.SendSlot(j.payloads)
-		sp.End()
-		tsp.End()
+	case rated:
+		ws.BitRateBps = sh.srv.freshBitRate
+	}
+	return Response{OK: true, Code: CodeOK, Session: j.session, Seq: st.seq, Degraded: st.degraded, Stats: ws}
+}
+
+// bind realizes the id's core session on its first decode — a
+// single-tag session (plus its tank in energy mode) for decode, a
+// len(payloads)-tag group for mdecode — and checks every later decode
+// against that kind and group size. A mismatch returns the bad_request
+// message and leaves the session alone; err is a failure to realize.
+// The seed derives from the id alone (plus the template seed), so the
+// same id opens the same session stream under any shard count.
+func (sh *shard) bind(st *sessionState, j *job) (bad string, err error) {
+	seed := sessionSeed(j.session)
+	switch {
+	case st.sess == nil && st.multi == nil && j.op == OpDecode:
+		sess, err := sh.srv.newSession(seed)
 		if err != nil {
-			m.jobsError.Inc()
-			sh.srv.cfg.SLO.Record(false, time.Since(j.enqueued).Seconds())
-			j.respond(Response{Code: CodeError, Error: err.Error(), Session: j.session})
-			return
+			return "", fmt.Errorf("serve: open session %q: %w", j.session, err)
 		}
-		st.seq++
-		m.jobsDone.Inc()
-		delivered := res.Delivered == len(j.payloads)
-		sh.srv.cfg.SLO.Record(delivered, time.Since(j.enqueued).Seconds())
-		resp := Response{
-			OK:        true,
-			Code:      CodeOK,
-			Session:   j.session,
-			Seq:       st.seq,
-			Delivered: delivered,
-			Attempts:  1,
-			Tags:      make([]TagResult, len(res.Results)),
+		if sh.srv.cfg.Energy {
+			if st.tank, err = sh.srv.newTank(seed); err != nil {
+				return "", fmt.Errorf("serve: open tank %q: %w", j.session, err)
+			}
 		}
-		for k, pr := range res.Results {
+		st.sess = sess
+	case st.sess == nil && st.multi == nil:
+		if st.multi, err = sh.srv.newMultiSession(seed, len(j.payloads)); err != nil {
+			return "", fmt.Errorf("serve: open multi-tag session %q: %w", j.session, err)
+		}
+	case j.op == OpDecode && st.sess == nil:
+		return fmt.Sprintf("serve: session %q is a %d-tag group; decode it with mdecode", j.session, st.multi.Tags()), nil
+	case j.op == OpMultiDecode && st.multi == nil:
+		return fmt.Sprintf("serve: session %q is single-tag; decode it with decode", j.session), nil
+	case j.op == OpMultiDecode && len(j.payloads) != st.multi.Tags():
+		return fmt.Sprintf("serve: slot carries %d payloads; session group size was fixed at %d by its first mdecode", len(j.payloads), st.multi.Tags()), nil
+	}
+	return "", nil
+}
+
+// decode is the one decode arm of decode and mdecode: energy gate,
+// head sampling and the fault timeline on the session's offered-frame
+// index, one decode span around the core call (Send or SendSlot), then
+// the Seq, SLO and response. Watchdog, energy drain and handoff
+// snapshots are single-tag only.
+func (sh *shard) decode(st *sessionState, j *job) Response {
+	cfg := &sh.srv.cfg
+	m := &sh.srv.m
+	fail := func(err error) Response {
+		m.jobsError.Inc()
+		cfg.SLO.Record(false, time.Since(j.enqueued).Seconds())
+		return Response{Code: CodeError, Error: err.Error(), Session: j.session}
+	}
+	if bad, err := sh.bind(st, j); bad != "" {
+		return Response{Code: CodeBadRequest, Error: bad, Session: j.session}
+	} else if err != nil {
+		return fail(err)
+	}
+	// Energy gate first: a dark-tag poll must be answered before
+	// anything below mutates the session (trace head-sampling reads
+	// but does not mutate; the timeline advance and the decode do).
+	// Dark polls deliberately skip the SLO too — the reader's error
+	// budget should not burn because the tag has no energy.
+	if st.tank != nil {
+		if resp, dark := sh.energyGate(st, j); dark {
+			return resp
+		}
+	}
+	// The session's offered-frame index — frames for a single-tag
+	// session, slots for a group — keys head sampling and the timeline.
+	ctl, frame := linkCtl(st.multi), 0
+	if st.sess != nil {
+		ctl, frame = st.sess, st.sess.Stats.FramesOffered
+	} else {
+		frame = st.multi.Stats.SlotsOffered
+	}
+	// Resolve the job's trace context: a propagated client id wins;
+	// otherwise head-sample deterministically on (session id, offered
+	// frame index) — the same decision a tracing client at the same
+	// frame would make, so sampled traces line up end to end. With no
+	// tracer configured tctx stays zero and nothing below reads a
+	// clock for tracing.
+	tctx := j.tctx
+	if cfg.Tracer != nil {
+		if !tctx.Enabled() {
+			tctx = cfg.Tracer.Head(j.session, frame)
+		}
+		j.tctx = tctx
+		if tctx.Enabled() {
+			// The queue-wait and batch stages ended before the sampling
+			// decision existed; record them retroactively.
+			now := time.Now()
+			if !j.batchStart.IsZero() {
+				tctx.Record("queue_wait", j.enqueued, j.batchStart.Sub(j.enqueued))
+				tctx.Record("batch", j.batchStart, now.Sub(j.batchStart))
+			} else {
+				tctx.Record("queue_wait", j.enqueued, now.Sub(j.enqueued))
+			}
+		}
+		ctl.SetTrace(tctx)
+	}
+	// Scripted chaos: cross any timeline steps due at this frame index
+	// before the exchange. The index is the session's own offered-frame
+	// count, so the script lands on the same frames under any shard or
+	// worker count.
+	if cur, p, switched := cfg.Timeline.Advance(st.timelineCur, frame); switched {
+		st.timelineCur = cur
+		if err := ctl.SetFaultProfile(p); err != nil {
+			return fail(err)
+		}
+		m.faultSwitch.Inc()
+		cfg.Flight.Record(obs.FlightFaultSwitch, j.session,
+			fmt.Sprintf("timeline step %d at frame %d", st.timelineCur, frame), tctx.ID())
+	}
+	var (
+		before    core.SessionStats
+		res       *core.PacketResult
+		slot      *core.SlotResult
+		delivered bool
+		err       error
+	)
+	tsp := tctx.Start("decode")
+	sp := m.stageDecode.Start()
+	if st.sess != nil {
+		before = st.sess.Stats
+		res, delivered, err = st.sess.Send(j.payloads[0])
+	} else {
+		slot, err = st.multi.SendSlot(j.payloads)
+	}
+	sp.End()
+	tsp.End()
+	if err != nil {
+		return fail(err)
+	}
+	st.seq++
+	resp := Response{OK: true, Code: CodeOK, Session: j.session, Seq: st.seq}
+	if st.sess != nil {
+		sh.afterSend(st, j, tctx, res, before, delivered, &resp)
+	} else {
+		delivered = slot.Delivered == len(j.payloads)
+		resp.Delivered, resp.Attempts = delivered, 1
+		resp.Tags = make([]TagResult, len(slot.Results))
+		for k, pr := range slot.Results {
 			t := &resp.Tags[k]
-			t.Woke = res.Woke[k]
+			t.Woke = slot.Woke[k]
 			if pr != nil {
 				t.Delivered = pr.Delivered
 				t.PayloadOK = pr.PayloadOK
 				t.SNRdB = pr.MeasuredSNRdB
 			}
 		}
-		j.respond(resp)
-	default:
-		j.respond(Response{Code: CodeBadRequest, Error: fmt.Sprintf("serve: unknown op %q", j.op), Session: j.session})
+	}
+	m.jobsDone.Inc()
+	cfg.SLO.Record(delivered, time.Since(j.enqueued).Seconds())
+	return resp
+}
+
+// afterSend is the single-tag tail of the decode arm: feed the SIC
+// watchdog, drain the frame's energy, record ladder moves, and fill
+// the frame's response fields and handoff snapshot.
+func (sh *shard) afterSend(st *sessionState, j *job, tctx obs.TraceCtx, res *core.PacketResult, before core.SessionStats, delivered bool, resp *Response) {
+	cfg := &sh.srv.cfg
+	// SIC-health watchdog: a residual stuck above the threshold means
+	// the canceller is leaking and every decode at the current rate is
+	// suspect — force the robust rung until it clears. All-no-wake
+	// exchanges (res == nil) carry no residual measurement and leave
+	// the watchdog state untouched.
+	if cfg.WatchdogAfter > 0 && res != nil {
+		if res.SICResidualDBm > cfg.WatchdogResidualDBm {
+			st.hot, st.cool = st.hot+1, 0
+		} else {
+			st.cool, st.hot = st.cool+1, 0
+		}
+		if !st.degraded && st.hot >= cfg.WatchdogAfter {
+			sh.setDegraded(st, true)
+			// A watchdog trip is an anomaly: record it with the frame's
+			// trace id (linking the dump to the sampled trace) and
+			// auto-dump the flight ring if a path is armed.
+			cfg.Flight.Anomaly(obs.FlightWatchdogTrip, j.session,
+				fmt.Sprintf("residual %.1f dBm above %.1f dBm for %d frames", res.SICResidualDBm, cfg.WatchdogResidualDBm, cfg.WatchdogAfter), tctx.ID())
+		} else if st.degraded && st.cool >= cfg.WatchdogRecover {
+			sh.setDegraded(st, false)
+			cfg.Flight.Record(obs.FlightWatchdogClear, j.session,
+				fmt.Sprintf("healthy for %d frames", cfg.WatchdogRecover), tctx.ID())
+		}
+	}
+	after := st.sess.Stats
+	if st.tank != nil {
+		sh.energyDrain(st, after.AirtimeSec-before.AirtimeSec)
+	}
+	if d := after.ConfigSwitches - before.ConfigSwitches; d > 0 {
+		sh.srv.m.cfgSwitch.Add(int64(d))
+		cfg.Flight.Record(obs.FlightConfigSwitch, j.session,
+			fmt.Sprintf("%d ladder moves, now %.0f bps", d, st.sess.Link().Tag.Cfg.BitRate()), tctx.ID())
+	}
+	resp.Delivered = delivered
+	resp.Attempts = after.PacketsSent - before.PacketsSent
+	resp.NoWakes = after.NoWakes - before.NoWakes
+	resp.ACKsDropped = after.ACKsDropped - before.ACKsDropped
+	resp.Degraded = st.degraded
+	if res != nil {
+		resp.PayloadOK = res.PayloadOK
+		resp.SNRdB = res.MeasuredSNRdB
+	}
+	if cfg.Handoff {
+		resp.Handoff = sh.captureHandoff(st)
 	}
 }
 
@@ -1131,12 +1087,15 @@ type serverMetrics struct {
 	darkAsleep   *obs.Counter
 	darkBackoff  *obs.Counter
 
-	// Wire-protocol instruments, one per negotiated protocol.
-	connsJSON, connsBin    *obs.Counter
-	wireRxJSON, wireTxJSON *obs.Counter
-	wireRxBin, wireTxBin   *obs.Counter
-	encJSON, decJSON       *obs.Histogram
-	encBin, decBin         *obs.Histogram
+	// Wire-protocol instruments, one set per negotiated protocol.
+	json, bin wireMetrics
+}
+
+// wireMetrics is one wire protocol's instruments: accepted
+// connections, bytes each way, and per-frame codec latency.
+type wireMetrics struct {
+	conns, rx, tx *obs.Counter
+	enc, dec      *obs.Histogram
 }
 
 func newServerMetrics(r *obs.Registry) serverMetrics {
@@ -1149,11 +1108,20 @@ func newServerMetrics(r *obs.Registry) serverMetrics {
 	stage := func(name string) *obs.Histogram {
 		return r.Histogram(obs.MetricServeJobStage, "Per-stage serving latency.", obs.LatencyBuckets, "stage", name)
 	}
-	wire := func(dir, proto string) *obs.Counter {
-		return r.Counter(obs.MetricServeWireBytes, "Bytes on the serve wire, by direction and protocol.", "dir", dir, "proto", proto)
-	}
-	codec := func(op, proto string) *obs.Histogram {
-		return r.Histogram(obs.MetricServeFrameCodec, "Per-frame encode/decode latency by protocol.", obs.LatencyBuckets, "op", op, "proto", proto)
+	wire := func(proto string) wireMetrics {
+		bytes := func(dir string) *obs.Counter {
+			return r.Counter(obs.MetricServeWireBytes, "Bytes on the serve wire, by direction and protocol.", "dir", dir, "proto", proto)
+		}
+		codec := func(op string) *obs.Histogram {
+			return r.Histogram(obs.MetricServeFrameCodec, "Per-frame encode/decode latency by protocol.", obs.LatencyBuckets, "op", op, "proto", proto)
+		}
+		return wireMetrics{
+			conns: r.Counter(obs.MetricServeConnsProto, "Accepted connections by negotiated protocol.", "proto", proto),
+			rx:    bytes("rx"),
+			tx:    bytes("tx"),
+			enc:   codec("encode"),
+			dec:   codec("decode"),
+		}
 	}
 	return serverMetrics{
 		jobsAdmitted: outcome("admitted"),
@@ -1179,17 +1147,8 @@ func newServerMetrics(r *obs.Registry) serverMetrics {
 		handoffRej:   r.Counter(obs.MetricServeHandoffs, "Handoff snapshots installed, by outcome.", "outcome", "rejected"),
 		darkAsleep:   r.Counter(obs.MetricServeDarkPolls, "Polls answered tag_dark without spending a decode, by reason.", "reason", "asleep"),
 		darkBackoff:  r.Counter(obs.MetricServeDarkPolls, "Polls answered tag_dark without spending a decode, by reason.", "reason", "backoff"),
-
-		connsJSON:  r.Counter(obs.MetricServeConnsProto, "Accepted connections by negotiated protocol.", "proto", "json"),
-		connsBin:   r.Counter(obs.MetricServeConnsProto, "Accepted connections by negotiated protocol.", "proto", "binary"),
-		wireRxJSON: wire("rx", "json"),
-		wireTxJSON: wire("tx", "json"),
-		wireRxBin:  wire("rx", "binary"),
-		wireTxBin:  wire("tx", "binary"),
-		encJSON:    codec("encode", "json"),
-		decJSON:    codec("decode", "json"),
-		encBin:     codec("encode", "binary"),
-		decBin:     codec("decode", "binary"),
+		json:         wire("json"),
+		bin:          wire("binary"),
 	}
 }
 
@@ -1213,6 +1172,9 @@ type Server struct {
 	// ceiling index that re-opens the full ladder on recovery.
 	robust    tag.Config
 	ladderTop int
+	// freshBitRate is a fresh session's tag bit rate, which stats
+	// reports for an id with no session yet when the rate can move.
+	freshBitRate float64
 
 	// pool shares excitation templates across every session the daemon
 	// opens (SlotPool is internally locked; one pool serves all shards).
@@ -1248,9 +1210,11 @@ func NewServer(cfg Config) (*Server, error) {
 	// Realize the template once so configuration errors (link and
 	// controller alike) surface at construction, not on the first
 	// decode of some future session.
-	if _, err := s.newSession(0); err != nil {
+	tmpl, err := s.newSession(0)
+	if err != nil {
 		return nil, fmt.Errorf("serve: link template: %w", err)
 	}
+	s.freshBitRate = tmpl.Link().Tag.Cfg.BitRate()
 	s.shards = make([]*shard, cfg.Shards)
 	for i := range s.shards {
 		s.shards[i] = &shard{
@@ -1335,20 +1299,72 @@ func (s *Server) handleConn(c net.Conn) {
 	if err != nil {
 		return
 	}
+	var codec wireCodec
 	if first[0] == binPreamble[0] {
-		s.serveBinary(br, bw)
-		return
+		if !negotiate(br, bw) {
+			return
+		}
+		codec.bin = true
 	}
-	s.serveJSON(br, bw)
+	s.serveConn(br, bw, &codec)
 }
 
-// serveJSON is the legacy request loop, unchanged on the wire: the
-// only structural difference from the original handler is that frame
-// bodies land in one bounded reused buffer per connection instead of
-// a fresh allocation per frame.
-func (s *Server) serveJSON(br *bufio.Reader, bw *bufio.Writer) {
-	s.m.connsJSON.Inc()
-	fr := &frameReader{br: br}
+// negotiate validates a binary connection's preamble and echoes the
+// server's own (the version handshake). The echo goes out whether or
+// not the versions match: the client reads it and decides. On skew the
+// connection closes after the echo, so the client surfaces a version
+// error rather than a framing one.
+func negotiate(br *bufio.Reader, bw *bufio.Writer) bool {
+	var pre [4]byte
+	if _, err := io.ReadFull(br, pre[:]); err != nil {
+		return false
+	}
+	if pre[0] != binPreamble[0] || pre[1] != binPreamble[1] || pre[2] != binPreamble[2] {
+		return false
+	}
+	if _, err := bw.Write(binPreamble[:]); err != nil {
+		return false
+	}
+	if err := bw.Flush(); err != nil {
+		return false
+	}
+	return pre[3] == binVersion
+}
+
+// serveConn is the request loop of both wire protocols. The frame read
+// buffer and the pooled response buffer are reused across the
+// connection's frames, and a binary codec also reuses its request and
+// session intern table, so the binary steady state decodes and encodes
+// without heap allocation. Payload aliasing is safe because dispatch
+// blocks until the job answered — the next frame is not read while a
+// job still references the buffer.
+func (s *Server) serveConn(br *bufio.Reader, bw *bufio.Writer, codec *wireCodec) {
+	wm := &s.m.json
+	if codec.bin {
+		wm = &s.m.bin
+	}
+	wm.conns.Inc()
+	fr := codec.reader(br)
+	buf := getFrameBuf()
+	defer putFrameBuf(buf)
+	// reply writes resp as one frame; false means the connection is done.
+	reply := func(resp *Response) bool {
+		t0 := time.Now()
+		b, err := codec.appendResponse(append((*buf)[:0], 0, 0, 0, 0), resp)
+		wm.enc.Observe(time.Since(t0).Seconds())
+		if err != nil || len(b)-4 > MaxFrameBytes {
+			return false
+		}
+		*buf = b
+		if _, err := bw.Write(codec.finishFrame(b)); err != nil {
+			return false
+		}
+		if err := bw.Flush(); err != nil {
+			return false
+		}
+		wm.tx.Add(int64(len(b)))
+		return true
+	}
 	traced := s.cfg.Tracer != nil
 	for {
 		var readStart time.Time
@@ -1360,154 +1376,40 @@ func (s *Server) serveJSON(br *bufio.Reader, bw *bufio.Writer) {
 			// A malformed-but-framed request gets a typed answer before
 			// the connection drops; transport errors (EOF) just close.
 			if errors.Is(err, ErrBadRequest) {
-				_ = WriteFrame(bw, Response{Code: CodeBadRequest, Error: err.Error()})
-				_ = bw.Flush()
+				reply(&Response{Code: CodeBadRequest, Error: err.Error()})
 			}
 			return
 		}
-		s.m.wireRxJSON.Add(int64(len(body)) + 4)
-		var req Request
+		wm.rx.Add(int64(len(body)) + 4)
 		t0 := time.Now()
-		uerr := json.Unmarshal(body, &req)
-		s.m.decJSON.Observe(time.Since(t0).Seconds())
-		if uerr != nil {
-			_ = WriteFrame(bw, Response{Code: CodeBadRequest, Error: fmt.Sprintf("%v: %v", ErrBadRequest, uerr)})
-			_ = bw.Flush()
+		req, err := codec.decodeRequest(body)
+		wm.dec.Observe(time.Since(t0).Seconds())
+		if err != nil {
+			reply(&Response{Code: CodeBadRequest, Error: err.Error()})
 			return
 		}
 		var readDur time.Duration
 		if traced {
 			readDur = time.Since(readStart)
 		}
-		resp, tctx := s.dispatchCtx(&req)
+		resp, tctx := s.dispatch(req)
 		// The read span predates the sampling decision; record it
 		// retroactively against the job's resolved context.
 		tctx.Record("conn_read", readStart, readDur)
 		wsp := tctx.Start("resp_write")
-		t0 = time.Now()
-		wb, err := json.Marshal(resp)
-		s.m.encJSON.Observe(time.Since(t0).Seconds())
-		if err != nil || len(wb) > MaxFrameBytes {
-			return
-		}
-		var hdr [4]byte
-		binary.BigEndian.PutUint32(hdr[:], uint32(len(wb)))
-		if _, err := bw.Write(hdr[:]); err != nil {
-			return
-		}
-		if _, err := bw.Write(wb); err != nil {
-			return
-		}
-		if err := bw.Flush(); err != nil {
+		if !reply(&resp) {
 			return
 		}
 		wsp.End()
-		s.m.wireTxJSON.Add(int64(len(wb)) + 4)
-	}
-}
-
-// serveBinary validates the negotiation preamble, echoes the server's
-// own (the version handshake), and serves binary frames. The request
-// struct, its payload buffer, the frame read buffer, and the session
-// intern table are all reused across the connection's frames: steady
-// state decodes and encodes without heap allocation. Payload aliasing
-// is safe because dispatch blocks until the job answered — the next
-// frame is not read while a job still references the buffer.
-func (s *Server) serveBinary(br *bufio.Reader, bw *bufio.Writer) {
-	var pre [4]byte
-	if _, err := io.ReadFull(br, pre[:]); err != nil {
-		return
-	}
-	if pre[0] != binPreamble[0] || pre[1] != binPreamble[1] || pre[2] != binPreamble[2] {
-		return
-	}
-	// Echo our preamble whether or not the versions match: the client
-	// reads it and decides. On skew we close after the echo — the
-	// client surfaces a version error rather than a framing one.
-	if _, err := bw.Write(binPreamble[:]); err != nil {
-		return
-	}
-	if err := bw.Flush(); err != nil {
-		return
-	}
-	if pre[3] != binVersion {
-		return
-	}
-	s.m.connsBin.Inc()
-	fr := &frameReader{br: br, le: true}
-	var names internTable
-	var req Request
-	buf := getFrameBuf()
-	defer putFrameBuf(buf)
-	fail := func(err error) {
-		b := append((*buf)[:0], 0, 0, 0, 0)
-		b, eerr := appendResponseBinary(b, &Response{Code: CodeBadRequest, Error: err.Error()})
-		if eerr != nil {
-			return
-		}
-		*buf = b
-		_, _ = bw.Write(finishBinaryFrame(b))
-		_ = bw.Flush()
-	}
-	traced := s.cfg.Tracer != nil
-	for {
-		var readStart time.Time
-		if traced {
-			readStart = time.Now()
-		}
-		body, err := fr.read()
-		if err != nil {
-			if errors.Is(err, ErrBadRequest) {
-				fail(err)
-			}
-			return
-		}
-		s.m.wireRxBin.Add(int64(len(body)) + 4)
-		t0 := time.Now()
-		derr := decodeRequestBinary(body, &req, &names)
-		s.m.decBin.Observe(time.Since(t0).Seconds())
-		if derr != nil {
-			fail(derr)
-			return
-		}
-		var readDur time.Duration
-		if traced {
-			readDur = time.Since(readStart)
-		}
-		resp, tctx := s.dispatchCtx(&req)
-		tctx.Record("conn_read", readStart, readDur)
-		wsp := tctx.Start("resp_write")
-		b := append((*buf)[:0], 0, 0, 0, 0)
-		t0 = time.Now()
-		b, eerr := appendResponseBinary(b, &resp)
-		s.m.encBin.Observe(time.Since(t0).Seconds())
-		if eerr != nil {
-			return
-		}
-		*buf = b
-		if _, err := bw.Write(finishBinaryFrame(b)); err != nil {
-			return
-		}
-		if err := bw.Flush(); err != nil {
-			return
-		}
-		wsp.End()
-		s.m.wireTxBin.Add(int64(len(b)))
 	}
 }
 
 // dispatch validates one request, admits it to its session's shard,
-// and waits for the result.
-func (s *Server) dispatch(req *Request) Response {
-	resp, _ := s.dispatchCtx(req)
-	return resp
-}
-
-// dispatchCtx is dispatch plus the job's resolved trace context, read
-// back after the response-channel receive (which orders serveJob's
-// head-sampling write). Connection handlers use it to attach their
-// conn_read / resp_write spans to the same trace.
-func (s *Server) dispatchCtx(req *Request) (Response, obs.TraceCtx) {
+// and waits for the result. It also returns the job's resolved trace
+// context, read back after the response-channel receive (which orders
+// serveJob's head-sampling write), so the connection loop can attach
+// its conn_read / resp_write spans to the same trace.
+func (s *Server) dispatch(req *Request) (Response, obs.TraceCtx) {
 	tctx := s.cfg.Tracer.Join(req.Trace)
 	switch req.Op {
 	case OpPing:
@@ -1519,44 +1421,52 @@ func (s *Server) dispatchCtx(req *Request) (Response, obs.TraceCtx) {
 	if req.Session == "" {
 		return Response{Code: CodeBadRequest, Error: "serve: missing session id"}, tctx
 	}
-	if req.Op == OpDecode && len(req.Payload) == 0 {
-		return Response{Code: CodeBadRequest, Error: "serve: empty payload", Session: req.Session}, tctx
-	}
-	if req.Op == OpHandoff {
-		if err := req.Handoff.Validate(); err != nil {
-			return Response{Code: CodeBadRequest, Error: err.Error(), Session: req.Session}, tctx
-		}
-	}
-	if req.Op == OpMultiDecode {
-		if len(req.Payloads) == 0 {
-			return Response{Code: CodeBadRequest, Error: "serve: empty payload group", Session: req.Session}, tctx
-		}
-		if len(req.Payloads) > s.cfg.MultiTagMax {
-			return Response{Code: CodeBadRequest, Error: fmt.Sprintf("serve: %d payloads exceeds the %d-tag bound", len(req.Payloads), s.cfg.MultiTagMax), Session: req.Session}, tctx
-		}
-		for _, p := range req.Payloads {
-			if len(p) == 0 {
-				return Response{Code: CodeBadRequest, Error: "serve: empty payload in group", Session: req.Session}, tctx
-			}
-		}
-	}
-	if s.draining.Load() {
-		s.m.jobsRejDrain.Inc()
-		if req.Op == OpDecode || req.Op == OpMultiDecode {
-			s.cfg.SLO.Record(false, 0)
-		}
-		return Response{Code: CodeDraining, Error: ErrDraining.Error(), Session: req.Session}, tctx
+	bad := func(msg string) (Response, obs.TraceCtx) {
+		return Response{Code: CodeBadRequest, Error: msg, Session: req.Session}, tctx
 	}
 	j := &job{
 		op:       req.Op,
 		session:  req.Session,
-		payload:  req.Payload,
 		payloads: req.Payloads,
 		handoff:  req.Handoff,
-		enqueued: time.Now(),
 		tctx:     tctx,
-		resp:     make(chan Response, 1),
 	}
+	decode := req.Op == OpDecode || req.Op == OpMultiDecode
+	if req.Op == OpDecode {
+		j.one[0] = req.Payload
+		j.payloads = j.one[:]
+	}
+	if req.Op == OpHandoff {
+		if err := req.Handoff.Validate(); err != nil {
+			return bad(err.Error())
+		}
+	}
+	if decode {
+		if len(j.payloads) == 0 {
+			return bad("serve: empty payload group")
+		}
+		if len(j.payloads) > s.cfg.MultiTagMax {
+			return bad(fmt.Sprintf("serve: %d payloads exceeds the %d-tag bound", len(j.payloads), s.cfg.MultiTagMax))
+		}
+		for _, p := range j.payloads {
+			if len(p) > 0 {
+				continue
+			}
+			if req.Op == OpDecode {
+				return bad("serve: empty payload")
+			}
+			return bad("serve: empty payload in group")
+		}
+	}
+	if s.draining.Load() {
+		s.m.jobsRejDrain.Inc()
+		if decode {
+			s.cfg.SLO.Record(false, 0)
+		}
+		return Response{Code: CodeDraining, Error: ErrDraining.Error(), Session: req.Session}, tctx
+	}
+	j.enqueued = time.Now()
+	j.resp = make(chan Response, 1)
 	timeout := s.cfg.JobTimeout
 	if req.TimeoutMs > 0 {
 		timeout = time.Duration(req.TimeoutMs) * time.Millisecond
@@ -1573,7 +1483,7 @@ func (s *Server) dispatchCtx(req *Request) (Response, obs.TraceCtx) {
 			ctr = s.m.jobsRejDrain
 		}
 		ctr.Inc()
-		if req.Op == OpDecode || req.Op == OpMultiDecode {
+		if decode {
 			s.cfg.SLO.Record(false, time.Since(j.enqueued).Seconds())
 		}
 		return Response{Code: code, Error: err.Error(), Session: req.Session}, tctx
@@ -1626,24 +1536,11 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.shutdown.Do(func() {
 		ctx, cancel := context.WithTimeout(ctx, s.cfg.DrainTimeout)
 		defer cancel()
-		s.draining.Store(true)
-		if s.ln != nil {
-			s.ln.Close()
-		}
-		for _, sh := range s.shards {
-			sh.mu.Lock()
-			sh.draining = true
-			close(sh.q)
-			sh.mu.Unlock()
-		}
+		s.stop(false)
 		err = waitCtx(ctx, &s.shardWg)
 		// Every admitted job has answered (or drain timed out); drop
 		// the connections so handlers unblock from their reads.
-		s.mu.Lock()
-		for c := range s.conns {
-			c.Close()
-		}
-		s.mu.Unlock()
+		s.closeConns()
 		if werr := waitCtx(ctx, &s.connWg); err == nil {
 			err = werr
 		}
@@ -1660,23 +1557,34 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // exit after flushing their queues to nowhere. Shares Shutdown's
 // once-guard, so Kill then Shutdown (or vice versa) acts once.
 func (s *Server) Kill() {
-	s.shutdown.Do(func() {
-		s.draining.Store(true)
-		if s.ln != nil {
-			s.ln.Close()
-		}
-		s.mu.Lock()
-		for c := range s.conns {
-			c.Close()
-		}
-		s.mu.Unlock()
-		for _, sh := range s.shards {
-			sh.mu.Lock()
-			sh.draining = true
-			close(sh.q)
-			sh.mu.Unlock()
-		}
-	})
+	s.shutdown.Do(func() { s.stop(true) })
+}
+
+// stop marks the daemon draining, closes the listener, closes the
+// live connections first when hard, and closes every shard queue.
+func (s *Server) stop(hard bool) {
+	s.draining.Store(true)
+	if s.ln != nil {
+		s.ln.Close()
+	}
+	if hard {
+		s.closeConns()
+	}
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		sh.draining = true
+		close(sh.q)
+		sh.mu.Unlock()
+	}
+}
+
+// closeConns closes every live connection.
+func (s *Server) closeConns() {
+	s.mu.Lock()
+	for c := range s.conns {
+		c.Close()
+	}
+	s.mu.Unlock()
 }
 
 // waitCtx waits for wg, bounded by ctx.

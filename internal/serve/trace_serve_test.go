@@ -313,8 +313,8 @@ func TestMultiDecodeHeadSampling(t *testing.T) {
 		if _, err := c.MultiDecode("grp", group); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.Decode("grp", bytes.Repeat([]byte{3}, 24)); err != nil {
-			t.Fatal(err)
+		if _, err := c.Decode("grp", bytes.Repeat([]byte{3}, 24)); !errors.Is(err, ErrBadRequest) {
+			t.Fatalf("decode on a group id: err = %v, want bad_request", err)
 		}
 		// mdecode consumed index 0, so the plain decode is index 1: the
 		// two ops share one per-session counter.
@@ -343,8 +343,8 @@ func TestMultiDecodeHeadSampling(t *testing.T) {
 				if _, err := c.MultiDecode("mix", [][]byte{payload}); err != nil {
 					t.Fatal(err)
 				}
-			} else if _, err := c.Decode("mix", payload); err != nil {
-				t.Fatal(err)
+			} else if _, err := c.Decode("mix", payload); !errors.Is(err, ErrBadRequest) {
+				t.Fatalf("decode on a group id: err = %v, want bad_request", err)
 			}
 		}
 		// The sampling decision is a pure function of (seed, session,
