@@ -162,6 +162,15 @@ func energySoak(p energyParams) {
 		len(cells), base.DeliveryRate, last.DeliveryRate, last.Wakes)
 }
 
+// coldTank is the soak's tank: the serving default opened 60% charged,
+// so a starved harvest drains it inside the soak instead of coasting
+// on a full-capacity seed.
+func coldTank() energy.TankConfig {
+	tank := serve.DefaultEnergyTank()
+	tank.InitialJ = 0.6 * tank.CapacityJ
+	return tank
+}
+
 // energySoakOne boots one energy-aware daemon at the severity and
 // drives the closed-loop workload through it, retrying through dark
 // episodes. The SIC watchdog stays off here — its isolation from dark
@@ -176,10 +185,7 @@ func energySoakOne(p energyParams, severity float64) (*energyCell, error) {
 	if p.flightOut != "" {
 		flight.SetDumpPath(p.flightOut)
 	}
-	// Cold start: open the bank 60% charged so a starved harvest drains
-	// it inside the soak instead of coasting on a full-capacity seed.
-	tank := serve.DefaultEnergyTank()
-	tank.InitialJ = 0.6 * tank.CapacityJ
+	tank := coldTank()
 	srv, err := serve.NewServer(serve.Config{
 		Addr:           "localhost:0",
 		Link:           p.link,

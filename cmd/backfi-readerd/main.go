@@ -47,7 +47,7 @@ func main() {
 	minSymRate := flag.Float64("min-symrate", 0, "with -adapt, restrict the ladder to symbol rates ≥ this (slow rungs cost real decode CPU; 0 keeps all 36)")
 	timeline := flag.String("timeline", "", "scripted fault timeline frame:severity[,frame:severity...] applied per session (overrides -impair; empty = none)")
 	wildTimeline := flag.String("wild-timeline", "", "like -timeline but severities map through Wild instead of Standard: the tag picks up walking speed (Doppler fading) and moderate RF impairments (DESIGN.md §5k; mutually exclusive with -timeline)")
-	energy := flag.Bool("energy", false, "energy-aware poll scheduler: each session carries a deterministic supercap tank; polls on a dark tag are answered tag_dark with truncated-exponential probe backoff and resume gap-free on wake (DESIGN.md §5k; incompatible with -handoff)")
+	energy := flag.Bool("energy", false, "energy-aware poll scheduler: each session carries a deterministic supercap tank; polls on a dark tag are answered tag_dark with truncated-exponential probe backoff and resume gap-free on wake (DESIGN.md §5k)")
 	harvestSev := flag.Float64("harvest-severity", 0, "harvest scarcity in [0,1] for the session tanks: 0 = every 5 ms slot banks the full ambient harvest, 1 = every slot is scarce (implies -energy when > 0)")
 	wdAfter := flag.Int("watchdog-after", 0, "SIC-health watchdog: consecutive unhealthy frames before a session degrades to the robust configuration (0 disables)")
 	wdResidual := flag.Float64("watchdog-residual", -80, "SIC residual threshold in dBm above which a frame counts unhealthy")

@@ -235,10 +235,10 @@ func (c *Client) place(session string, rt *route, trace uint64) (*serve.Client, 
 				c.markDown(owner, session, trace, err)
 				continue
 			case errors.Is(err, serve.ErrBadRequest):
-				// The owner refuses this snapshot for good (past its
-				// replay bound, or the nodes disagree on config):
-				// keep serving the session there without its state
-				// rather than failing every later frame.
+				// The owner refuses this snapshot for good (the nodes
+				// disagree on config or placement): keep serving the
+				// session there without its state rather than failing
+				// every later frame.
 				c.cfg.Flight.Record(obs.FlightHandoffReject, session,
 					fmt.Sprintf("seq %d on %s: %v", snap.Seq, owner, err), trace)
 			default:

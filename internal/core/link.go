@@ -223,11 +223,9 @@ type Link struct {
 	// a pool.
 	pool *SlotPool
 	// faultEpoch counts SetFaultProfile calls; it salts each new
-	// injector's seed so successive profiles draw decorrelated streams.
+	// injector's base seed (faultBase) so successive profiles draw
+	// decorrelated streams.
 	faultEpoch int
-	// injBase is the current injector's base seed (epoch-salted); a
-	// session mixes the attempt ordinal into it per attempt.
-	injBase int64
 	// trace is the per-frame trace context (DESIGN.md §5h); the serving
 	// layer reassigns it before each RunPacket. Zero = tracing off.
 	trace obs.TraceCtx
@@ -253,6 +251,10 @@ func (l *Link) SetTrace(t obs.TraceCtx) {
 // faultSeedSalt decorrelates the injector's RNG stream from the link's
 // main stream, which is seeded with cfg.Seed directly.
 const faultSeedSalt = 0x5fa017
+
+// faultBase is the injector's base seed at a fault epoch; a session
+// mixes the attempt ordinal into it per attempt.
+func faultBase(seed int64, epoch int) int64 { return seed ^ faultSeedSalt + int64(epoch)*15485863 }
 
 // NewLink draws a placement realization and builds the endpoints.
 func NewLink(cfg LinkConfig) (*Link, error) {
@@ -292,18 +294,17 @@ func (l *Link) init(cfg LinkConfig) error {
 	if err != nil {
 		return err
 	}
-	inj, err := fault.NewInjector(cfg.Faults, cfg.Seed^faultSeedSalt, tag.SampleRate, cfg.Obs)
+	inj, err := fault.NewInjector(cfg.Faults, faultBase(cfg.Seed, 0), tag.SampleRate, cfg.Obs)
 	if err != nil {
 		return err
 	}
 	*l = Link{
-		Cfg:     cfg,
-		rdr:     *rdr,
-		rng:     rng.New(cfg.Seed),
-		inj:     inj,
-		rate:    rate,
-		injBase: cfg.Seed ^ faultSeedSalt,
-		m:       newLinkMetrics(cfg.Obs),
+		Cfg:  cfg,
+		rdr:  *rdr,
+		rng:  rng.New(cfg.Seed),
+		inj:  inj,
+		rate: rate,
+		m:    newLinkMetrics(cfg.Obs),
 	}
 	return nil
 }
@@ -316,7 +317,7 @@ func (l *Link) init(cfg LinkConfig) error {
 // attempt, MultiTagSession.SendSlot per slot.
 func (l *Link) reseedAttempt(n int) {
 	l.rng.Seed(rng.Mix(l.Cfg.Seed, n))
-	l.inj.Reseed(rng.Mix(l.injBase, n))
+	l.inj.Reseed(rng.Mix(faultBase(l.Cfg.Seed, l.faultEpoch), n))
 }
 
 // SetSlotPool shares excitation templates with every other link
@@ -351,13 +352,12 @@ func (l *Link) SetTagConfig(cfg tag.Config) error {
 // profiles draw decorrelated fault streams. Nil (or an all-zero
 // profile) switches faults off.
 func (l *Link) SetFaultProfile(p *fault.Profile) error {
-	inj, err := fault.NewInjector(p, l.Cfg.Seed^faultSeedSalt+int64(l.faultEpoch+1)*15485863, tag.SampleRate, l.Cfg.Obs)
+	inj, err := fault.NewInjector(p, faultBase(l.Cfg.Seed, l.faultEpoch+1), tag.SampleRate, l.Cfg.Obs)
 	if err != nil {
 		return err
 	}
 	l.faultEpoch++
 	l.inj = inj
-	l.injBase = l.Cfg.Seed ^ faultSeedSalt + int64(l.faultEpoch)*15485863
 	l.Cfg.Faults = p
 	return nil
 }

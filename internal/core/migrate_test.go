@@ -1,7 +1,10 @@
 package core
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"backfi/internal/adapt"
@@ -223,5 +226,77 @@ func TestSnapshotGuardrails(t *testing.T) {
 	snap.Ctrl = &ctrlState
 	if err := fresh.RestoreSnapshot(snap); err == nil {
 		t.Fatal("controller-presence mismatch did not error")
+	}
+}
+
+// TestRestoreCopiesState pins that restore installs the snapshot's
+// state instead of rebuilding it: the restored session's taps equal
+// the snapshot's exactly — also for an attempt ordinal no replay could
+// reach — and its own snapshot round-trips.
+func TestRestoreCopiesState(t *testing.T) {
+	cfg := DefaultLinkConfig(2.5)
+	cfg.Seed = 11
+	first, err := NewSession(cfg, 0.9, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range payloads(6, 24) {
+		recordFrame(t, first, p)
+	}
+	snap := first.Snapshot()
+	snap.Attempts = 1 << 40
+	snap.Stats.FramesOffered = 1 << 40
+	second, err := NewSession(cfg, 0.9, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := second.RestoreSnapshot(snap); err != nil {
+		t.Fatal(err)
+	}
+	sc := second.Link().Scenario
+	for i, p := range [...][2][]complex128{{sc.HEnv, snap.HEnv}, {sc.HF, snap.HF}, {sc.HB, snap.HB}} {
+		if !slices.Equal(p[0], p[1]) {
+			t.Fatalf("tap set %d after restore = %v, want the snapshot's %v", i, p[0], p[1])
+		}
+	}
+	if got := second.Snapshot(); !reflect.DeepEqual(got, snap) {
+		t.Fatalf("snapshot of the restored session = %+v, want %+v", got, snap)
+	}
+	if _, _, err := second.Send(make([]byte, 24)); err != nil {
+		t.Fatalf("Send after restoring 2^40 attempts: %v", err)
+	}
+}
+
+// TestRestoreRejectsForeignTaps pins the tap checks: wrong tap counts,
+// non-finite taps and a leakage tap from another placement are refused
+// without touching the session.
+func TestRestoreRejectsForeignTaps(t *testing.T) {
+	cfg := DefaultLinkConfig(1)
+	src, err := NewSession(cfg, 0.9, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, mut := range map[string]func(*SessionSnapshot){
+		"short HF":     func(s *SessionSnapshot) { s.HF = s.HF[:len(s.HF)-1] },
+		"long HB":      func(s *SessionSnapshot) { s.HB = append(s.HB, 0) },
+		"nan tap":      func(s *SessionSnapshot) { s.HEnv[1] = complex(math.NaN(), 0) },
+		"inf tap":      func(s *SessionSnapshot) { s.HB[0] = complex(0, math.Inf(-1)) },
+		"leakage":      func(s *SessionSnapshot) { s.HEnv[0] *= 1.5 },
+		"neg epoch":    func(s *SessionSnapshot) { s.FaultEpoch = -1 },
+		"missing taps": func(s *SessionSnapshot) { s.HEnv, s.HF, s.HB = nil, nil, nil },
+	} {
+		snap := src.Snapshot()
+		mut(&snap)
+		dst, err := NewSession(cfg, 0.9, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := dst.Snapshot()
+		if err := dst.RestoreSnapshot(snap); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		if !reflect.DeepEqual(dst.Snapshot(), before) {
+			t.Errorf("%s: rejected restore changed the session", name)
+		}
 	}
 }

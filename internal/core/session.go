@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/cmplx"
 	"math/rand"
+	"slices"
 
 	"backfi/internal/adapt"
 	"backfi/internal/channel"
@@ -216,7 +218,7 @@ const MobilityPacketIntervalSec = 5e-3
 // (floored by the session's static baseline); a profile without
 // mobility restores the baseline. Because the mapping lives here, every
 // caller — the serving layer's frame-indexed timeline, its handoff
-// replay, and the chaos harness — applies identical ρ switches at
+// install, and the chaos harness — applies identical ρ switches at
 // identical frame ordinals, which is what keeps mobile tap evolutions
 // bit-identical for any worker or shard count.
 func (s *Session) SetFaultProfile(p *fault.Profile) error {
@@ -304,16 +306,21 @@ func (s *Session) Send(payload []byte) (*PacketResult, bool, error) {
 }
 
 // SessionSnapshot is a session's complete resumable state (DESIGN.md
-// §5j): the attempt ordinal (which pins every RNG stream), the
-// accumulated stats, and the rate controller's state when one is
-// attached. Everything else a resumed session needs — placement
-// realization, excitation template, evolver tap trajectory — is
-// recomputed from (link seed, Attempts) at restore, which is what
-// keeps the snapshot tens of bytes instead of megabytes of waveform.
+// §5j): the attempt ordinal (which pins every RNG stream), the evolved
+// channel taps, the link's fault epoch, the accumulated stats, and the
+// rate controller's state when one is attached. Restore copies these
+// values in O(1); the placement draw and excitation template are
+// recomputed from the link seed, and the current ρ from the fault
+// profile the caller applies before restoring.
 type SessionSnapshot struct {
 	// Attempts is the total RunPacket attempts started (frames plus
 	// retries plus wake misses).
 	Attempts int
+	// HEnv, HF and HB are the scenario's taps as the evolver left them.
+	HEnv, HF, HB channel.Taps
+	// FaultEpoch counts the fault-profile switches the link has applied;
+	// it salts the fault stream's per-attempt seeds.
+	FaultEpoch int
 	// Stats is the accumulated session history.
 	Stats SessionStats
 	// Ctrl carries the adapt controller state; nil for fixed-rate
@@ -321,11 +328,12 @@ type SessionSnapshot struct {
 	Ctrl *adapt.State
 }
 
-// Snapshot captures the session for handoff. The per-attempt reseed
-// schedule makes every RNG stream position recoverable from the
-// attempt ordinal alone, so every session snapshots.
+// Snapshot captures the session for handoff. The taps are copies, so
+// the snapshot stays valid while the session keeps sending.
 func (s *Session) Snapshot() SessionSnapshot {
-	snap := SessionSnapshot{Attempts: s.attempts, Stats: s.Stats}
+	sc := s.link.Scenario
+	snap := SessionSnapshot{Attempts: s.attempts, Stats: s.Stats, FaultEpoch: s.link.faultEpoch,
+		HEnv: slices.Clone(sc.HEnv), HF: slices.Clone(sc.HF), HB: slices.Clone(sc.HB)}
 	if s.Controller != nil {
 		st := s.Controller.State()
 		snap.Ctrl = &st
@@ -333,23 +341,34 @@ func (s *Session) Snapshot() SessionSnapshot {
 	return snap
 }
 
-// RestoreSnapshot fast-forwards a freshly built session to a snapshot
-// taken on another node: the evolver's tap trajectory is
-// replayed in O(Attempts · taps) by re-drawing each past attempt's
-// innovations (no decode work), the controller state is installed and
-// its rung applied to the link, and the attempt ordinal and stats are
-// adopted. The receiving session must be unused and constructed from
-// the identical link configuration; the next Send then continues the
-// decode stream byte-identically with the original's.
+// RestoreSnapshot installs a snapshot taken on another node into a
+// freshly built session in O(1): taps, fault epoch, attempt ordinal and
+// stats are copied, and the controller state is installed with its
+// rung applied to the link. The receiving session must be unused and
+// built from the identical link configuration, with the fault profile
+// the origin last applied already set; the next Send then continues
+// the decode stream byte-identically with the original's. The taps
+// must be finite and as many as the receiver's, and the leakage tap
+// (HEnv[0], which never evolves) must equal the receiver's own — a
+// cheap check that both nodes drew the same placement.
 func (s *Session) RestoreSnapshot(snap SessionSnapshot) error {
 	if s.attempts != 0 || s.Stats != (SessionStats{}) {
 		return fmt.Errorf("core: restore into used session (%d attempts)", s.attempts)
 	}
-	if snap.Attempts < 0 {
-		return fmt.Errorf("core: snapshot attempt ordinal %d negative", snap.Attempts)
+	if snap.Attempts < 0 || snap.FaultEpoch < 0 {
+		return fmt.Errorf("core: snapshot ordinal %d or fault epoch %d negative", snap.Attempts, snap.FaultEpoch)
 	}
 	if (snap.Ctrl != nil) != (s.Controller != nil) {
 		return fmt.Errorf("core: snapshot controller presence mismatch")
+	}
+	sc := s.link.Scenario
+	for i, p := range [...][2]channel.Taps{{snap.HEnv, sc.HEnv}, {snap.HF, sc.HF}, {snap.HB, sc.HB}} {
+		if len(p[0]) != len(p[1]) || slices.ContainsFunc(p[0], func(v complex128) bool { return cmplx.IsNaN(v) || cmplx.IsInf(v) }) {
+			return fmt.Errorf("core: snapshot tap set %d is not %d finite taps", i, len(p[1]))
+		}
+	}
+	if len(sc.HEnv) > 0 && snap.HEnv[0] != sc.HEnv[0] {
+		return fmt.Errorf("core: snapshot leakage tap %v differs from this placement's %v", snap.HEnv[0], sc.HEnv[0])
 	}
 	if snap.Ctrl != nil {
 		if err := s.Controller.Restore(*snap.Ctrl); err != nil {
@@ -359,13 +378,10 @@ func (s *Session) RestoreSnapshot(snap SessionSnapshot) error {
 			return err
 		}
 	}
-	// Replay the evolver schedule: ordinal 0 never steps, every later
-	// ordinal reseeds then steps once (the Send rule).
-	base := s.link.Cfg.Seed ^ evolverSalt
-	for j := 1; j < snap.Attempts; j++ {
-		s.evolverRNG.Seed(rng.Mix(base, j))
-		s.evolver.Step()
-	}
+	copy(sc.HEnv, snap.HEnv)
+	copy(sc.HF, snap.HF)
+	copy(sc.HB, snap.HB)
+	s.link.faultEpoch = snap.FaultEpoch
 	s.attempts = snap.Attempts
 	s.Stats = snap.Stats
 	return nil

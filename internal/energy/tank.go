@@ -185,16 +185,6 @@ func (t *Tank) State() TankState { return t.state }
 // Config returns the tank's configuration (with defaults filled).
 func (t *Tank) Config() TankConfig { return t.cfg }
 
-// ChargeJ returns the banked charge in joules.
-func (t *Tank) ChargeJ() float64 { return t.chargeJ }
-
-// Slot returns how many poll slots the tank has stepped through.
-func (t *Tank) Slot() int { return t.slot }
-
-// SpentJ returns the total transmit energy drained so far — the
-// numerator of joules-per-delivered-bit accounting.
-func (t *Tank) SpentJ() float64 { return t.spentJ }
-
 // slotMix hashes (seed, slot) into a uniform availability draw via a
 // splitmix64 finalizer, so the harvest trace is a pure function of
 // both and independent of call ordering anywhere else.
@@ -265,4 +255,34 @@ func (t *Tank) Drain(joules float64) TankState {
 		t.state = TankDark
 	}
 	return t.state
+}
+
+// TankSnapshot is a tank's whole running state: the banked charge, the
+// energy state, the poll slot, and the transmit energy drained so far
+// (the numerator of joules-per-delivered-bit). The harvest trace is a
+// pure function of (Seed, slot), so a tank rebuilt from the same
+// config and restored from a snapshot continues exactly where the
+// original left off.
+type TankSnapshot struct {
+	ChargeJ float64   `json:"charge_j"`
+	State   TankState `json:"state"`
+	Slot    int       `json:"slot"`
+	SpentJ  float64   `json:"spent_j"`
+}
+
+// Snapshot captures the tank's running state.
+func (t *Tank) Snapshot() TankSnapshot {
+	return TankSnapshot{ChargeJ: t.chargeJ, State: t.state, Slot: t.slot, SpentJ: t.spentJ}
+}
+
+// Restore installs a snapshot, rejecting values no tank of this
+// config could hold: a charge outside [0, CapacityJ], a negative or
+// non-finite spend, a negative slot, or an unknown state.
+func (t *Tank) Restore(s TankSnapshot) error {
+	if !(s.ChargeJ >= 0 && s.ChargeJ <= t.cfg.CapacityJ) || !(s.SpentJ >= 0 && s.SpentJ <= math.MaxFloat64) ||
+		s.Slot < 0 || s.State < TankDark || s.State > TankLive {
+		return fmt.Errorf("energy: snapshot %+v out of range", s)
+	}
+	t.chargeJ, t.state, t.slot, t.spentJ = s.ChargeJ, s.State, s.Slot, s.SpentJ
+	return nil
 }

@@ -55,8 +55,8 @@ func TestTankDeterminism(t *testing.T) {
 	b, _ := NewTank(cfg)
 	for i := 0; i < 500; i++ {
 		sa, sb := a.StepSlot(), b.StepSlot()
-		if sa != sb || a.ChargeJ() != b.ChargeJ() {
-			t.Fatalf("slot %d: diverged (%v %.3g J vs %v %.3g J)", i, sa, a.ChargeJ(), sb, b.ChargeJ())
+		if sa != sb || a.Snapshot().ChargeJ != b.Snapshot().ChargeJ {
+			t.Fatalf("slot %d: diverged (%v %.3g J vs %v %.3g J)", i, sa, a.Snapshot().ChargeJ, sb, b.Snapshot().ChargeJ)
 		}
 		if sa == TankLive && i%3 == 0 {
 			a.Drain(1.2e-7)
@@ -75,7 +75,7 @@ func TestTankDeterminism(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		c.StepSlot()
 		d.StepSlot()
-		if c.ChargeJ() != d.ChargeJ() {
+		if c.Snapshot().ChargeJ != d.Snapshot().ChargeJ {
 			diverged = true
 			break
 		}
@@ -122,7 +122,7 @@ func TestTankHysteresisCycle(t *testing.T) {
 	if !sawWaking {
 		t.Fatal("tank skipped the WAKING boot slot")
 	}
-	if tk.SpentJ() <= 0 {
+	if tk.Snapshot().SpentJ <= 0 {
 		t.Fatal("drain accounting lost the spent energy")
 	}
 }
@@ -168,5 +168,48 @@ func TestSustainableDutyCycleNonFinite(t *testing.T) {
 	}
 	if _, err := SustainableDutyCycle(tag.BPSK, fec.Rate12, 1e6, HarvestedPowerW); err != nil {
 		t.Errorf("finite harvest rejected: %v", err)
+	}
+}
+
+// A tank restored from a snapshot continues the original's trace
+// exactly, and Restore refuses values no tank could hold.
+func TestTankSnapshotRestore(t *testing.T) {
+	cfg := DefaultTankConfig(3)
+	cfg.Severity = 0.8
+	a, err := NewTank(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		a.StepSlot()
+		a.Drain(1e-7)
+	}
+	b, _ := NewTank(cfg)
+	if err := b.Restore(a.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		sa, sb := a.StepSlot(), b.StepSlot()
+		a.Drain(5e-8)
+		b.Drain(5e-8)
+		if sa != sb || a.Snapshot() != b.Snapshot() {
+			t.Fatalf("slot %d: restored tank diverged: %+v vs %+v", i, b.Snapshot(), a.Snapshot())
+		}
+	}
+	for name, s := range map[string]TankSnapshot{
+		"nan charge":     {ChargeJ: math.NaN(), State: TankLive},
+		"over capacity":  {ChargeJ: 2 * cfg.CapacityJ, State: TankLive},
+		"negative slot":  {Slot: -1},
+		"inf spent":      {SpentJ: math.Inf(1)},
+		"negative spent": {SpentJ: -1},
+		"unknown state":  {State: TankLive + 1},
+	} {
+		before := b.Snapshot()
+		if err := b.Restore(s); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		if b.Snapshot() != before {
+			t.Errorf("%s: rejected restore changed the tank", name)
+		}
 	}
 }

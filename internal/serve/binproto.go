@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -33,7 +34,7 @@ import (
 //	  — or, for 0x04 —
 //	uvarint payload count | per payload: uvarint length | bytes
 //	  — or, for 0x05 —
-//	handoff block (layout below)
+//	handoff block
 //	uvarint timeout_ms
 //	[extension, optional: flags (1 byte: bit0 trace) | u64 LE trace id]
 //
@@ -63,22 +64,14 @@ import (
 //	  bit1 payload_ok, bit2 woke) | f64 LE snr_db]
 //	[handoff block, when bit6]
 //
-// Handoff block (identical in 0x05 requests and bit6 responses):
+// The handoff block (0x05 requests and bit6 responses) is
 //
-//	uvarint version | attempts | seq | timeline_cur
-//	uvarint frames_offered | frames_delivered | packets_sent |
-//	        payload_bits | acks_dropped | no_wakes | backoffs |
-//	        config_switches
-//	f64 LE airtime_sec | backoff_sec | bit_rate_bps
-//	flags (1 byte: bit0 degraded, bit1 ctrl present)
-//	uvarint wd_hot | wd_cool
-//	[ctrl, when bit1:
-//	  uvarint idx | ceiling | attempts | consec_fail | consec_good |
-//	          since_switch
-//	  f64 LE ewma_ber | floor_dbm
-//	  flags (1 byte: bit0 ewma_set, bit1 floor_set)]
+//	uvarint length | JSON(HandoffState)
 //
-// Every integer on the wire is a count (non-negative); the codec
+// — the encoding the JSON protocol uses, so a snapshot field is defined
+// once, in the HandoffState struct.
+//
+// Every varint on the wire is a count (non-negative); the codec
 // rejects anything else at encode time so the decoder never needs
 // signed varints. The decoder only ever slices the frame body it was
 // handed — declared lengths are checked against the remaining bytes
@@ -117,18 +110,6 @@ const (
 	binFlagStats     = 1 << 4
 	binFlagTags      = 1 << 5
 	binFlagHandoff   = 1 << 6
-)
-
-// Handoff-block flag bits.
-const (
-	binHODegraded = 1 << 0
-	binHOCtrl     = 1 << 1
-)
-
-// Controller sub-block flag bits inside the handoff block.
-const (
-	binHOEWMASet  = 1 << 0
-	binHOFloorSet = 1 << 1
 )
 
 // Per-tag flag bits inside the response tags block.
@@ -289,7 +270,6 @@ func appendF64(dst []byte, v float64) []byte {
 }
 
 // appendStats appends one stats block: the counts, then the floats.
-// Shared by response stats and the handoff block.
 func appendStats(dst []byte, st *SessionStats) ([]byte, error) {
 	var err error
 	for _, v := range [...]int{st.FramesOffered, st.FramesDelivered, st.PacketsSent,
@@ -320,110 +300,27 @@ func takeStats(b []byte, st *SessionStats) ([]byte, error) {
 	return b, nil
 }
 
-// appendHandoff appends one handoff block (layout in the package
-// comment). Shared by 0x05 requests and bit6 responses so the snapshot
-// round-trips bit-identically through either direction.
-func appendHandoff(dst []byte, h *HandoffState) ([]byte, error) {
-	var err error
-	for _, v := range [...]int{h.Version, h.Attempts, h.Seq, h.TimelineCur} {
-		if dst, err = appendCount(dst, v); err != nil {
-			return dst, err
-		}
-	}
-	if dst, err = appendStats(dst, &h.Stats); err != nil {
-		return dst, err
-	}
-	var flags byte
-	if h.Degraded {
-		flags |= binHODegraded
-	}
-	if h.Ctrl != nil {
-		flags |= binHOCtrl
-	}
-	dst = append(dst, flags)
-	for _, v := range [...]int{h.WDHot, h.WDCool} {
-		if dst, err = appendCount(dst, v); err != nil {
-			return dst, err
-		}
-	}
-	if c := h.Ctrl; c != nil {
-		for _, v := range [...]int{c.Index, c.Ceiling, c.Attempts,
-			c.ConsecFail, c.ConsecGood, c.SinceSwitch} {
-			if dst, err = appendCount(dst, v); err != nil {
-				return dst, err
-			}
-		}
-		dst = appendF64(dst, c.EWMABER)
-		dst = appendF64(dst, c.FloorDBm)
-		var cf byte
-		if c.EWMASet {
-			cf |= binHOEWMASet
-		}
-		if c.FloorSet {
-			cf |= binHOFloorSet
-		}
-		dst = append(dst, cf)
-	}
-	return dst, nil
+// appendJSON appends v's JSON behind a uvarint length — the handoff
+// block of 0x05 requests and bit6 responses.
+func appendJSON(dst []byte, v any) ([]byte, error) {
+	body, err := json.Marshal(v)
+	dst = binary.AppendUvarint(dst, uint64(len(body)))
+	return append(dst, body...), err
 }
 
-// takeHandoff pops one handoff block into a freshly allocated
-// HandoffState. Handoff frames are rare (one per node migration, plus
-// one per decode response in handoff mode), so this path trades the
-// zero-alloc discipline of the steady-state codec for a self-contained
-// snapshot the caller can retain past the frame buffer's reuse.
-func takeHandoff(b []byte) (*HandoffState, []byte, error) {
-	h := &HandoffState{}
-	var err error
-	for _, p := range [...]*int{&h.Version, &h.Attempts, &h.Seq, &h.TimelineCur} {
-		if *p, b, err = takeUvarint(b); err != nil {
-			return nil, b, err
-		}
+// takeJSON pops one appendJSON block into v. Handoff blocks are off
+// the zero-allocation path (one rides on a decode response only in
+// handoff mode), and the decoded snapshot owns its memory, so the
+// caller can retain it past the frame buffer's reuse.
+func takeJSON(b []byte, v any) ([]byte, error) {
+	body, b, err := takeBytes(b)
+	if err != nil {
+		return b, err
 	}
-	if b, err = takeStats(b, &h.Stats); err != nil {
-		return nil, b, err
+	if err := json.Unmarshal(body, v); err != nil {
+		return b, fmt.Errorf("%w: handoff block: %v", ErrBadRequest, err)
 	}
-	if len(b) == 0 {
-		return nil, b, errFrameTruncated
-	}
-	flags := b[0]
-	b = b[1:]
-	if flags&^byte(binHODegraded|binHOCtrl) != 0 {
-		return nil, b, fmt.Errorf("%w: unknown handoff flag bits %#x", ErrBadRequest, flags)
-	}
-	h.Degraded = flags&binHODegraded != 0
-	for _, p := range [...]*int{&h.WDHot, &h.WDCool} {
-		if *p, b, err = takeUvarint(b); err != nil {
-			return nil, b, err
-		}
-	}
-	if flags&binHOCtrl != 0 {
-		c := &CtrlState{}
-		for _, p := range [...]*int{&c.Index, &c.Ceiling, &c.Attempts,
-			&c.ConsecFail, &c.ConsecGood, &c.SinceSwitch} {
-			if *p, b, err = takeUvarint(b); err != nil {
-				return nil, b, err
-			}
-		}
-		if c.EWMABER, b, err = takeF64(b); err != nil {
-			return nil, b, err
-		}
-		if c.FloorDBm, b, err = takeF64(b); err != nil {
-			return nil, b, err
-		}
-		if len(b) == 0 {
-			return nil, b, errFrameTruncated
-		}
-		cf := b[0]
-		b = b[1:]
-		if cf&^byte(binHOEWMASet|binHOFloorSet) != 0 {
-			return nil, b, fmt.Errorf("%w: unknown handoff ctrl flag bits %#x", ErrBadRequest, cf)
-		}
-		c.EWMASet = cf&binHOEWMASet != 0
-		c.FloorSet = cf&binHOFloorSet != 0
-		h.Ctrl = c
-	}
-	return h, b, nil
+	return b, nil
 }
 
 // appendRequestBinary appends req's binary body to dst. Allocation-
@@ -452,7 +349,7 @@ func appendRequestBinary(dst []byte, req *Request) ([]byte, error) {
 			return dst, fmt.Errorf("serve: handoff request without handoff state")
 		}
 		var err error
-		if dst, err = appendHandoff(dst, req.Handoff); err != nil {
+		if dst, err = appendJSON(dst, req.Handoff); err != nil {
 			return dst, err
 		}
 	} else {
@@ -497,7 +394,8 @@ func decodeRequestBinary(body []byte, req *Request, names *internTable) error {
 	req.Handoff, req.Payload, req.Payloads = nil, req.Payload[:0], req.Payloads[:0]
 	switch body[0] {
 	case binKindHandoff:
-		if req.Handoff, rest, err = takeHandoff(rest); err != nil {
+		req.Handoff = new(HandoffState)
+		if rest, err = takeJSON(rest, req.Handoff); err != nil {
 			return err
 		}
 	case binKindMultiDecode:
@@ -619,7 +517,7 @@ func appendResponseBinary(dst []byte, resp *Response) ([]byte, error) {
 		}
 	}
 	if resp.Handoff != nil {
-		if dst, err = appendHandoff(dst, resp.Handoff); err != nil {
+		if dst, err = appendJSON(dst, resp.Handoff); err != nil {
 			return dst, err
 		}
 	}
@@ -708,7 +606,8 @@ func decodeResponseBinary(body []byte, resp *Response, names *internTable, stats
 	}
 	resp.Handoff = nil
 	if flags&binFlagHandoff != 0 {
-		if resp.Handoff, rest, err = takeHandoff(rest); err != nil {
+		resp.Handoff = new(HandoffState)
+		if rest, err = takeJSON(rest, resp.Handoff); err != nil {
 			return err
 		}
 	}

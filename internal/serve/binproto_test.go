@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -15,6 +16,7 @@ import (
 	"unsafe"
 
 	"backfi/internal/core"
+	"backfi/internal/energy"
 	"backfi/internal/obs"
 )
 
@@ -487,5 +489,67 @@ func TestInternTableStartsOver(t *testing.T) {
 		if want := fmt.Sprintf("churned-session-%05d", i); s != want {
 			t.Fatalf("id %d reads %q after later generations, want %q", i, s, want)
 		}
+	}
+}
+
+// v2Snapshot is a version-2 snapshot with every block present.
+func v2Snapshot() *HandoffState {
+	return &HandoffState{Version: HandoffVersion, Attempts: 5, Seq: 4, TimelineCur: 1,
+		HEnv: wireTaps([]complex128{0.1 - 0.2i, 1e-3 + 2e-4i}), HF: wireTaps([]complex128{1e-4}), HB: wireTaps([]complex128{-1e-4i}),
+		Stats: SessionStats{FramesOffered: 4, FramesDelivered: 3, PacketsSent: 5, AirtimeSec: 0.01},
+		Ctrl:  &CtrlState{Index: 1, Ceiling: 3, EWMABER: 0.001, EWMASet: true},
+		Energy: &EnergyState{Tank: energy.TankSnapshot{ChargeJ: 1e-8, State: energy.TankLive, Slot: 9, SpentJ: 3e-9},
+			DarkStreak: 2, DarkSec: 0.06, Liveness: 0.5},
+		WDHot: 1}
+}
+
+func mustBin(b []byte, err error) []byte {
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
+// v1HandoffRequest is a handoff request whose block uses the version-1
+// hand-written layout: uvarint version, attempts, seq, timeline cursor,
+// eight stats counts, three f64 stats, a flags byte and the two
+// watchdog streaks.
+func v1HandoffRequest() []byte {
+	b := []byte{binKindHandoff, 2, 'v', '1'}
+	for _, v := range []uint64{1, 3, 3, 0, 3, 3, 3, 384, 0, 0, 0, 0} {
+		b = binary.AppendUvarint(b, v)
+	}
+	for range 3 {
+		b = appendF64(b, 0.01)
+	}
+	return append(b, 0, 0, 0, 0) // flags, wd_hot, wd_cool, timeout_ms
+}
+
+// TestHandoffBlockJSON pins the one snapshot encoding: a binary handoff
+// block is the snapshot's JSON — the bytes the JSON protocol carries —
+// behind a uvarint length, it round-trips every v2 field, and a
+// version-1 block is a typed bad_request.
+func TestHandoffBlockJSON(t *testing.T) {
+	v2 := v2Snapshot()
+	js, err := json.Marshal(v2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := mustBin(appendRequestBinary(nil, &Request{Op: OpHandoff, Session: "v2", Handoff: v2}))
+	want := binary.AppendUvarint([]byte{binKindHandoff, 2, 'v', '2'}, uint64(len(js)))
+	want = append(append(want, js...), 0)
+	if !bytes.Equal(body, want) {
+		t.Fatalf("handoff request body\n%q\nwant\n%q", body, want)
+	}
+	var names internTable
+	var got Request
+	if err := decodeRequestBinary(body, &got, &names); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Handoff, v2) {
+		t.Fatalf("round trip %+v, want %+v", got.Handoff, v2)
+	}
+	if err := decodeRequestBinary(v1HandoffRequest(), &got, &names); !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("v1 handoff block: %v, want bad_request", err)
 	}
 }

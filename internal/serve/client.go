@@ -470,8 +470,9 @@ func (c *Client) do(req *Request) (*Response, error) {
 	c.breakerRecord(cs, req.Session, err != nil || resp.Code == CodeError)
 	if err == nil && resp.Handoff != nil {
 		// Cache the session's latest portable snapshot (Config.Handoff
-		// servers attach one per decode); this is what a cluster client
-		// installs on a survivor node after a failure.
+		// servers attach one per decode and per tag_dark answer); this
+		// is what a cluster client installs on a survivor node after a
+		// failure.
 		if cs == nil {
 			cs = c.track(req.Session, true)
 		}
@@ -482,7 +483,7 @@ func (c *Client) do(req *Request) (*Response, error) {
 
 // LastHandoff returns the session's most recent handoff snapshot (nil
 // if none arrived or its entry was TTL-evicted). The snapshot is the
-// one the latest successful decode response carried — installing it on
+// one the latest decode or tag_dark answer carried — installing it on
 // another node and retrying the failed frame resumes the stream with
 // no duplicate or lost frames.
 func (c *Client) LastHandoff(session string) *HandoffState {
@@ -556,9 +557,9 @@ func (c *Client) MultiDecode(session string, payloads [][]byte) (*Response, erro
 }
 
 // InstallHandoff submits a handoff snapshot for the session: the
-// daemon (running with Config.Handoff) builds a fresh session, replays
-// its fault timeline, and restores the snapshot so the session's next
-// decode continues the origin node's stream byte-identically.
+// daemon (running with Config.Handoff) builds a fresh session and
+// copies the snapshot's state into it, so the session's next decode
+// continues the origin node's stream byte-identically.
 func (c *Client) InstallHandoff(session string, hs *HandoffState) (*Response, error) {
 	return c.call(&Request{Op: OpHandoff, Session: session, Handoff: hs})
 }

@@ -126,7 +126,7 @@ func (sh *shard) energyGate(st *sessionState, j *job) (Response, bool) {
 		if st.darkStreak > 0 {
 			cfg.Flight.Record(obs.FlightTagWake, j.session,
 				fmt.Sprintf("woke after %d dark polls (%.0f ms backed off, %.3g J banked)",
-					st.darkStreak, st.darkSec*1e3, st.tank.ChargeJ()), j.tctx.ID())
+					st.darkStreak, st.darkSec*1e3, st.tank.Snapshot().ChargeJ), j.tctx.ID())
 			st.darkStreak = 0
 		}
 		return Response{}, false
@@ -138,12 +138,18 @@ func (sh *shard) energyGate(st *sessionState, j *job) (Response, bool) {
 	if st.darkStreak == 0 {
 		m.darkAsleep.Inc()
 		cfg.Flight.Record(obs.FlightTagDark, j.session,
-			fmt.Sprintf("supercap %.3g J below wake threshold %.3g J", st.tank.ChargeJ(), st.tank.Config().WakeJ), j.tctx.ID())
+			fmt.Sprintf("supercap %.3g J below wake threshold %.3g J", st.tank.Snapshot().ChargeJ, st.tank.Config().WakeJ), j.tctx.ID())
 	} else {
 		m.darkBackoff.Inc()
 	}
 	st.darkStreak++
-	return Response{Code: CodeTagDark, Error: ErrTagDark.Error(), Session: j.session, Seq: st.seq}, true
+	resp := Response{Code: CodeTagDark, Error: ErrTagDark.Error(), Session: j.session, Seq: st.seq}
+	if cfg.Handoff {
+		// The poll moved the tank and the streak: a failover from here
+		// must resume from this state, not the last decode's.
+		resp.Handoff = sh.captureHandoff(st)
+	}
+	return resp, true
 }
 
 // energyDrain charges the frame's transmit energy against the tank:

@@ -259,10 +259,9 @@ func TestEnergyEvictionSparesDarkSessions(t *testing.T) {
 	}
 }
 
-// TestEnergyConfigValidation pins the configuration fences: energy
-// state is not portable (Energy ∧ Handoff rejected), mobility-bearing
-// timelines cannot ride with Handoff (snapshot replay cannot reproduce
-// the rho schedule), and malformed energy knobs fail loudly.
+// TestEnergyConfigValidation pins the configuration fences: malformed
+// energy knobs fail loudly, and every feature combination — energy with
+// handoff, handoff with a mobility-bearing timeline — is accepted.
 func TestEnergyConfigValidation(t *testing.T) {
 	wild, err := fault.ParseWildTimeline("0:0,5:0.5")
 	if err != nil {
@@ -275,23 +274,25 @@ func TestEnergyConfigValidation(t *testing.T) {
 	badTank := DefaultEnergyTank()
 	badTank.CapacityJ = -1
 	for name, cfg := range map[string]Config{
-		"energy+handoff":   {Energy: true, Handoff: true},
-		"severity>1":       {EnergySeverity: 1.5},
-		"severity NaN":     {EnergySeverity: math.NaN()},
-		"handoff+mobility": {Handoff: true, Timeline: wild},
-		"invalid tank":     {Energy: true, EnergyTank: &badTank},
+		"severity>1":   {EnergySeverity: 1.5},
+		"severity NaN": {EnergySeverity: math.NaN()},
+		"invalid tank": {Energy: true, EnergyTank: &badTank},
 	} {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
-	ok := Config{Link: core.DefaultLinkConfig(1), Handoff: true, Timeline: standard}
-	if _, err := NewServer(ok); err != nil {
-		t.Fatalf("handoff with a mobility-free timeline rejected: %v", err)
-	}
-	wildOnly := Config{Link: core.DefaultLinkConfig(1), Timeline: wild, Energy: true, EnergySeverity: 0.5}
-	if _, err := NewServer(wildOnly); err != nil {
-		t.Fatalf("wild timeline without handoff rejected: %v", err)
+	link := core.DefaultLinkConfig(1)
+	for name, cfg := range map[string]Config{
+		"energy+handoff":               {Link: link, Energy: true, Handoff: true},
+		"handoff+mobility":             {Link: link, Handoff: true, Timeline: wild},
+		"handoff+mobility-free":        {Link: link, Handoff: true, Timeline: standard},
+		"wild timeline+energy":         {Link: link, Timeline: wild, Energy: true, EnergySeverity: 0.5},
+		"energy+handoff+wild timeline": {Link: link, Timeline: wild, Energy: true, Handoff: true},
+	} {
+		if _, err := NewServer(cfg); err != nil {
+			t.Errorf("%s: rejected: %v", name, err)
+		}
 	}
 }
 

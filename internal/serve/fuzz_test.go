@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"testing"
 )
@@ -38,6 +39,17 @@ func FuzzDecodeFrame(f *testing.F) {
 			skew[1] |= 0xE0 // flag bits a future version might define
 			f.Add(skew)
 		}
+	}
+	// v2 handoff blocks with taps and an energy block, in a request and
+	// a response, plus a version-1 block in the old hand-written layout.
+	v2 := v2Snapshot()
+	for _, b := range [][]byte{
+		mustBin(appendRequestBinary(nil, &Request{Op: OpHandoff, Session: "v2", Handoff: v2})),
+		mustBin(appendResponseBinary(nil, &Response{OK: true, Code: CodeOK, Session: "v2", Seq: 4, Handoff: v2})),
+		v1HandoffRequest(),
+	} {
+		f.Add(b)
+		f.Add(b[:len(b)-7])
 	}
 	f.Add([]byte{})
 	f.Add([]byte{binKindDecode, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80})
@@ -134,4 +146,106 @@ func eqF64(a, b float64) bool { return a == b || (a != a && b != b) }
 
 func isNaNStats(s *SessionStats) bool {
 	return s.AirtimeSec != s.AirtimeSec || s.BackoffSec != s.BackoffSec || s.BitRateBps != s.BitRateBps
+}
+
+// FuzzHandoffInstall throws arbitrary bytes, decoded as a HandoffState,
+// at the install path of a live session on a faulted, adaptive,
+// energy-gated node under a mobility timeline. The contract: never a
+// panic or an untyped failure — an install is accepted or refused as
+// bad_request; a refused install leaves the session's next answer
+// byte-identical to an untouched control node's; an accepted install
+// continues Seq without a gap from the snapshot's.
+func FuzzHandoffInstall(f *testing.F) {
+	const id = "fz"
+	var nodes [3]*Client // target, control, seeder
+	for i := range nodes {
+		c, err := Dial(startServer(f, energyMobilityConfig(f, 1)).Addr())
+		if err != nil {
+			f.Fatal(err)
+		}
+		defer c.Close()
+		nodes[i] = c
+	}
+	target, control, seeder := nodes[0], nodes[1], nodes[2]
+	poll := func(t testing.TB, c *Client, i int) (*Response, []byte) {
+		resp, err := c.Decode(id, sessionPayload(id, i))
+		if err != nil && !errors.Is(err, ErrTagDark) {
+			t.Fatalf("poll %d: %v", i, err)
+		}
+		b, _ := json.Marshal(resp)
+		return resp, b
+	}
+
+	// Seed corpus: the session's own snapshots at several ages (decodes
+	// and dark answers), each also version-skewed, and degenerate
+	// documents. The first is the baseline every input starts from.
+	var baseline *HandoffState
+	for i := 0; i < 24; i++ {
+		poll(f, seeder, i)
+		if i%6 != 0 {
+			continue
+		}
+		hs := *seeder.LastHandoff(id)
+		if baseline == nil {
+			baseline = seeder.LastHandoff(id)
+		}
+		b, _ := json.Marshal(&hs)
+		f.Add(b)
+		hs.Version = 1
+		b, _ = json.Marshal(&hs)
+		f.Add(b)
+	}
+	for _, mut := range []func(*HandoffState){
+		func(h *HandoffState) { copy(h.HF, wireTaps([]complex128{complex(1e150, -1e150)})) },
+		func(h *HandoffState) { copy(h.HB[16:], wireTaps([]complex128{5e-324})) },
+		func(h *HandoffState) { h.HB = h.HB[:len(h.HB)-3] },
+		func(h *HandoffState) { h.Attempts, h.Stats.FramesOffered = 1<<62, 1<<62 },
+		func(h *HandoffState) { h.Energy.Tank.Slot, h.Energy.DarkStreak = 1<<62, 1<<62 },
+		func(h *HandoffState) { h.Ctrl.Index, h.Ctrl.Ceiling = 1<<40, -1 },
+	} {
+		hs := *baseline
+		hs.HF, hs.HB = bytes.Clone(hs.HF), bytes.Clone(hs.HB)
+		e, c := *hs.Energy, *hs.Ctrl
+		hs.Energy, hs.Ctrl = &e, &c
+		mut(&hs)
+		b, _ := json.Marshal(&hs)
+		f.Add(b)
+	}
+	for _, s := range []string{"", "null", "{}", `{"v":2}`, `{"v":2,"attempts":-1}`,
+		`{"v":2,"h_env":"AAAAAAAA8H8AAAAAAAAAAA==","h_f":"","h_b":""}`} {
+		f.Add([]byte(s))
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var hs HandoffState
+		if json.Unmarshal(data, &hs) != nil {
+			return // not a snapshot; the frame codecs own malformed bytes
+		}
+		// Put both nodes' session into the same live state: the
+		// baseline, then one poll.
+		for _, c := range []*Client{target, control} {
+			if _, err := c.InstallHandoff(id, baseline); err != nil {
+				t.Fatalf("baseline install: %v", err)
+			}
+			poll(t, c, 100)
+		}
+		_, err := target.InstallHandoff(id, &hs)
+		if err != nil && !isBadRequest(err) {
+			t.Fatalf("install answered %v, want ok or bad_request", err)
+		}
+		got, gb := poll(t, target, 101)
+		if err != nil {
+			if _, wb := poll(t, control, 101); string(gb) != string(wb) {
+				t.Fatalf("refused install (%v) moved the session:\ngot  %s\nwant %s", err, gb, wb)
+			}
+			return
+		}
+		want := hs.Seq + 1
+		if got.Code == CodeTagDark {
+			want = hs.Seq
+		}
+		if got.Seq != want {
+			t.Fatalf("accepted install at seq %d answered %s with seq %d", hs.Seq, got.Code, got.Seq)
+		}
+	})
 }

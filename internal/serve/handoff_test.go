@@ -45,11 +45,19 @@ func decodeStream(t *testing.T, c *Client, id string, from, to int) [][]byte {
 // snapshot on a survivor node, and the survivor's responses for the
 // remaining frames are byte-identical to an uninterrupted control node
 // — across both wire protocols, fixed, adaptive and faulted sessions,
-// and a scripted fault timeline straddling the cut.
+// and scripted fault timelines straddling the cut — one with two steps
+// on one frame, which switch the profile (and the fault epoch the
+// survivor derives from the cursor) once.
 func TestHandoffResumeByteIdentical(t *testing.T) {
 	timeline, err := fault.NewTimeline([]fault.TimelineStep{
 		{Frame: 2, Severity: 0.5},
 		{Frame: 7, Severity: 0.2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared, err := fault.NewTimeline([]fault.TimelineStep{
+		{Frame: 1, Severity: 0.5}, {Frame: 1, Severity: 0.3}, {Frame: 3, Severity: 0.2}, {Frame: 7, Severity: 0.4},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -70,6 +78,7 @@ func TestHandoffResumeByteIdentical(t *testing.T) {
 			c.AdaptMinSymbolRateHz = 250e3
 		}},
 		{"timeline-json", "json", func(c *Config) { c.Timeline = timeline }},
+		{"timeline-shared-frame-binary", "binary", func(c *Config) { c.Timeline = shared }},
 	}
 	const frames, cut = 10, 4
 	for _, tc := range cases {
@@ -258,11 +267,10 @@ func TestHandoffRejections(t *testing.T) {
 func isBadRequest(err error) bool { return errors.Is(err, ErrBadRequest) }
 
 // TestHandoffInstallBoundsReplay is the untrusted-snapshot regression:
-// restore replays work proportional to the snapshot's attempt counter
-// on the shard worker, so a forged counter (2³¹−1 attempts would stall
-// the shard for hours) must be refused fast as bad_request on either
-// protocol, as must counters no session under this node's retry budget
-// could produce — and the shard's other sessions keep decoding.
+// a forged snapshot without this placement's taps, and counters no
+// session under this node's retry budget could produce, are refused
+// fast as bad_request on either protocol — and the shard's other
+// sessions keep decoding.
 func TestHandoffInstallBoundsReplay(t *testing.T) {
 	const huge = 1<<31 - 1
 	for _, proto := range []string{"json", "binary"} {
@@ -279,8 +287,6 @@ func TestHandoffInstallBoundsReplay(t *testing.T) {
 			for name, hs := range map[string]*HandoffState{
 				"forged-attempts": {Version: HandoffVersion, Attempts: huge,
 					Stats: SessionStats{FramesOffered: huge, PacketsSent: huge}},
-				"past-replay-bound": {Version: HandoffVersion, Attempts: maxHandoffReplay + 1,
-					Stats: SessionStats{FramesOffered: maxHandoffReplay + 1, PacketsSent: maxHandoffReplay + 1}},
 				"attempts-beyond-retry-budget": {Version: HandoffVersion, Attempts: 10,
 					Stats: SessionStats{FramesOffered: 3, PacketsSent: 3}},
 				"packets-beyond-attempts": {Version: HandoffVersion, Attempts: 2,
@@ -369,5 +375,200 @@ func TestClientSessionEviction(t *testing.T) {
 	}
 	if n := c.TrackedSessions(); n != 1 {
 		t.Fatalf("active session evicted: tracked %d", n)
+	}
+}
+
+// TestHandoffInstallAnyAge pins O(1) restore end to end: a snapshot
+// claiming 2⁴⁰ attempts and frames with consistent counters installs,
+// and the next decode answers with the next Seq, on either protocol.
+func TestHandoffInstallAnyAge(t *testing.T) {
+	const age = 1 << 40
+	cfg := Config{Link: handoffLink(), Shards: 1, MaxRetries: 2, Handoff: true}
+	for _, proto := range []string{"json", "binary"} {
+		t.Run(proto, func(t *testing.T) {
+			origin := startServer(t, cfg)
+			oc, err := DialClient(ClientConfig{Addr: origin.Addr(), Proto: proto})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer oc.Close()
+			decodeStream(t, oc, "old", 0, 3)
+			snap := *oc.LastHandoff("old")
+			snap.Attempts, snap.Stats.FramesOffered, snap.Stats.PacketsSent = age, age, age
+
+			survivor := startServer(t, cfg)
+			sc, err := DialClient(ClientConfig{Addr: survivor.Addr(), Proto: proto})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sc.Close()
+			start := time.Now()
+			if _, err := sc.InstallHandoff("old", &snap); err != nil {
+				t.Fatalf("install at 2^40 attempts: %v", err)
+			}
+			if d := time.Since(start); d > 2*time.Second {
+				t.Fatalf("install took %v", d)
+			}
+			resp, err := sc.Decode("old", sessionPayload("old", 3))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.Seq != snap.Seq+1 {
+				t.Fatalf("first decode after install Seq = %d, want %d", resp.Seq, snap.Seq+1)
+			}
+			if got := resp.Handoff.Attempts; got <= age {
+				t.Fatalf("post-install snapshot attempts = %d, want > %d", got, age)
+			}
+		})
+	}
+}
+
+// energyMobilityConfig is a faulted, adaptive, energy-gated node under
+// a walking-speed mobility timeline, with a cold-started tank starved
+// enough to go dark within a few dozen polls.
+func energyMobilityConfig(t testing.TB, shards int) Config {
+	t.Helper()
+	wild, err := fault.ParseWildTimeline("0:0,4:0.4,9:0.8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tank := DefaultEnergyTank()
+	tank.InitialJ = 0.6 * tank.CapacityJ
+	link := core.DefaultLinkConfig(1)
+	link.Seed = 5
+	return Config{Link: link, Shards: shards, MaxRetries: 1, Handoff: true,
+		Adapt: true, AdaptMinSymbolRateHz: 500e3, Timeline: wild,
+		Energy: true, EnergySeverity: 1, EnergyTank: &tank}
+}
+
+// pollStream offers polls [from, to) of one session — poll i carries
+// payload i whether or not the tag is awake — and returns each answer,
+// decoded or tag_dark, JSON-marshalled with its snapshot.
+func pollStream(t *testing.T, c *Client, id string, from, to int) [][]byte {
+	t.Helper()
+	var out [][]byte
+	for i := from; i < to; i++ {
+		resp, err := c.Decode(id, sessionPayload(id, i))
+		if err != nil && !errors.Is(err, ErrTagDark) {
+			t.Fatalf("poll %d: %v", i, err)
+		}
+		blob, err := json.Marshal(resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, blob)
+	}
+	return out
+}
+
+// TestHandoffEnergyMobilityResume is the portable-state contract with
+// every feature on: an energy-gated, adaptive session under a mobility
+// timeline, handed off mid-run, right after a mobility step and in the
+// middle of a dark streak, resumes byte-identically — answers and
+// snapshots — with an uninterrupted control on shards {1, 8} × proto
+// {json, binary}.
+func TestHandoffEnergyMobilityResume(t *testing.T) {
+	const polls, id = 40, "roamer"
+	control := startServer(t, energyMobilityConfig(t, 1))
+	cc, err := DialClient(ClientConfig{Addr: control.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cc.Close()
+	want := pollStream(t, cc, id, 0, polls)
+
+	// Pick the cuts from the control stream: install before poll cut.
+	cuts := map[string]int{"mid-run": polls / 2}
+	for i := 1; i < polls; i++ {
+		var prev, cur Response
+		if err := json.Unmarshal(want[i-1], &prev); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(want[i], &cur); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := cuts["after-mobility-step"]; !ok && cur.Handoff.TimelineCur >= 2 && cur.Handoff.TimelineCur > prev.Handoff.TimelineCur {
+			cuts["after-mobility-step"] = i + 1
+		}
+		if _, ok := cuts["mid-dark-streak"]; !ok && prev.Code == CodeTagDark && cur.Code == CodeTagDark {
+			cuts["mid-dark-streak"] = i
+		}
+	}
+	if len(cuts) != 3 {
+		t.Fatalf("control stream lacks a mobility step or a dark streak: cuts %v", cuts)
+	}
+
+	for _, shards := range []int{1, 8} {
+		for _, proto := range []string{"json", "binary"} {
+			for name, cut := range cuts {
+				t.Run(fmt.Sprintf("shards%d-%s-%s", shards, proto, name), func(t *testing.T) {
+					origin := startServer(t, energyMobilityConfig(t, shards))
+					oc, err := DialClient(ClientConfig{Addr: origin.Addr(), Proto: proto})
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer oc.Close()
+					got := pollStream(t, oc, id, 0, cut)
+					snap := oc.LastHandoff(id)
+					_ = origin.Shutdown(context.Background())
+
+					survivor := startServer(t, energyMobilityConfig(t, shards))
+					sc, err := DialClient(ClientConfig{Addr: survivor.Addr(), Proto: proto})
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer sc.Close()
+					if _, err := sc.InstallHandoff(id, snap); err != nil {
+						t.Fatalf("install before poll %d: %v", cut, err)
+					}
+					got = append(got, pollStream(t, sc, id, cut, polls)...)
+					for i := range want {
+						if string(got[i]) != string(want[i]) {
+							t.Fatalf("poll %d diverged after handoff before poll %d:\ngot  %s\nwant %s", i, cut, got[i], want[i])
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// BenchmarkHandoffInstall times one install on the shard worker for a
+// young and an ancient snapshot of the same energy-gated, adaptive
+// session under a mobility timeline. Restore copies state, so the two
+// cost the same (session construction dominates both).
+func BenchmarkHandoffInstall(b *testing.B) {
+	cfg := energyMobilityConfig(b, 1)
+	origin := startServer(b, cfg)
+	oc, err := Dial(origin.Addr())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer oc.Close()
+	if _, err := oc.Decode("bench", sessionPayload("bench", 0)); err != nil && !errors.Is(err, ErrTagDark) {
+		b.Fatal(err)
+	}
+	young := *oc.LastHandoff("bench")
+	old := young
+	old.Attempts, old.Stats.FramesOffered, old.Stats.PacketsSent, old.Seq = 1<<40, 1<<40, 1<<40, 1<<40
+	old.TimelineCur = len(cfg.Timeline.Steps())
+	for _, c := range []struct {
+		name string
+		hs   *HandoffState
+	}{{"attempts=1", &young}, {"attempts=2^40", &old}} {
+		b.Run(c.name, func(b *testing.B) {
+			s, err := NewServer(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sh := s.shards[0]
+			st := sh.ensureSession("bench")
+			j := &job{op: OpHandoff, session: "bench", handoff: c.hs}
+			for i := 0; i < b.N; i++ {
+				if resp := sh.installHandoff(st, j); resp.Code != CodeOK {
+					b.Fatalf("install: %s", resp.Error)
+				}
+			}
+		})
 	}
 }

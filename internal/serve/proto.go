@@ -19,6 +19,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
+
+	"backfi/internal/energy"
 )
 
 // Wire format: every message is a frame — a 4-byte big-endian length
@@ -51,10 +54,11 @@ const (
 	// OpPing is a connection liveness check answered inline.
 	OpPing = "ping"
 	// OpHandoff installs a session snapshot taken on another reader
-	// node (DESIGN.md §5j): the daemon builds a fresh session, replays the scripted fault timeline up to the snapshot's
-	// frame count, restores link/controller/watchdog state, and the
-	// session's decode stream continues byte-identically from where the
-	// origin node left off. Requires Config.Handoff on the server.
+	// node (DESIGN.md §5j): the daemon builds a fresh session, applies
+	// the snapshot's fault-timeline profile, copies in its channel,
+	// controller, watchdog and energy state, and the session's decode
+	// stream continues byte-identically from where the origin node left
+	// off. Requires Config.Handoff on the server.
 	OpHandoff = "handoff"
 )
 
@@ -162,48 +166,61 @@ type Response struct {
 	// single-tag response streams are byte-identical to legacy servers.
 	Tags []TagResult `json:"tags,omitempty"`
 
-	// Handoff is the session's post-frame snapshot, attached to every
-	// successful decode response when the server runs with
-	// Config.Handoff. A client that keeps only the latest snapshot can
-	// hand the session to any other reader node and resume its decode
-	// stream byte-identically (DESIGN.md §5j). Absent unless handoff is
-	// enabled, so legacy response streams are unchanged.
+	// Handoff is the session's post-poll snapshot, attached to every
+	// successful decode and every tag_dark answer when the server runs
+	// with Config.Handoff. A client that keeps only the latest snapshot
+	// can hand the session to any other reader node and resume its
+	// decode stream byte-identically (DESIGN.md §5j). Absent unless
+	// handoff is enabled, so legacy response streams are unchanged.
 	Handoff *HandoffState `json:"handoff,omitempty"`
 }
 
 // HandoffVersion is the snapshot format version. A receiver rejects
-// snapshots from a different version instead of guessing — the
-// snapshot encodes RNG-stream positions, so a silent format skew would
-// corrupt a decode stream rather than fail loudly.
-const HandoffVersion = 1
+// snapshots from a different version instead of guessing — a silent
+// format skew would corrupt a decode stream rather than fail loudly.
+const HandoffVersion = 2
 
 // HandoffState is the complete portable state of one serving session
-// (DESIGN.md §5j). It is deliberately tiny: every session derives
-// every stochastic draw from (session seed, attempt ordinal),
-// so the snapshot needs only counters — no waveforms, no RNG innards,
-// no tag configuration (the receiver re-derives the active config from
-// the controller index, or from the degraded flag for fixed sessions).
+// (DESIGN.md §5j): the session's actual values, so an install copies
+// them in O(1) at any session age. Every stochastic draw derives from
+// (session seed, attempt ordinal), so no RNG innards travel; the
+// evolved channel taps, the counters and, in energy mode, the tag's
+// tank do. The receiver re-derives the fault epoch from the timeline
+// cursor, and the tag configuration from the controller index, or from
+// the degraded flag for fixed sessions. Both protocols carry it as
+// JSON.
 type HandoffState struct {
 	// Version is the snapshot format version (HandoffVersion).
 	Version int `json:"v"`
 	// Attempts is the link-level attempt ordinal: how many times the
-	// session has keyed the channel. The single number that pins every
-	// RNG stream's position.
+	// session has keyed the channel. It pins every RNG stream's
+	// position.
 	Attempts int `json:"attempts"`
 	// Seq is the session's decode sequence number at snapshot time; the
 	// receiver continues numbering from here so the merged response
 	// stream has no duplicate or missing Seq.
 	Seq int `json:"seq"`
 	// TimelineCur is the session's fault-timeline cursor. The receiver
-	// replays its own scripted timeline over the snapshot's frame count
-	// and cross-checks the cursor — a mismatch means the two nodes run
-	// different timelines and the fault stream would diverge.
+	// checks it against its own scripted timeline at the snapshot's
+	// frame count — a mismatch means the two nodes run different
+	// timelines — and applies the cursor's profile once.
 	TimelineCur int `json:"timeline_cur,omitempty"`
+	// HEnv, HF and HB are the session's evolved channel taps, each a
+	// run of little-endian IEEE-754 (real, imaginary) float64 pairs
+	// (wireTaps). JSON carries them as base64: bit-exact, and under
+	// half the bytes and a fraction of the parse work of decimal pairs
+	// on a block that rides on every answer.
+	HEnv []byte `json:"h_env"`
+	HF   []byte `json:"h_f"`
+	HB   []byte `json:"h_b"`
 	// Stats is the session's accumulated statistics.
 	Stats SessionStats `json:"stats"`
 	// Ctrl is the rate-adaptation controller state; present exactly
 	// when the origin session was adaptive.
 	Ctrl *CtrlState `json:"ctrl,omitempty"`
+	// Energy is the energy scheduler's state; present exactly when the
+	// origin node runs Config.Energy.
+	Energy *EnergyState `json:"energy,omitempty"`
 	// WDHot / WDCool / Degraded carry the SIC-health watchdog streaks
 	// and mode.
 	WDHot    int  `json:"wd_hot,omitempty"`
@@ -211,9 +228,20 @@ type HandoffState struct {
 	Degraded bool `json:"degraded,omitempty"`
 }
 
+// EnergyState is a session's energy-aware scheduler state (DESIGN.md
+// §5k): the tag's tank, the dark-poll streak and the virtual seconds
+// its probe backoff has stood for, and the liveness EWMA.
+type EnergyState struct {
+	Tank       energy.TankSnapshot `json:"tank"`
+	DarkStreak int                 `json:"dark_streak,omitempty"`
+	DarkSec    float64             `json:"dark_sec,omitempty"`
+	Liveness   float64             `json:"liveness"`
+}
+
 // Validate checks the snapshot's invariants that do not need a server
-// configuration: version match and non-negative counters. The install
-// path re-validates against the receiving server's ladder and timeline.
+// configuration: version match, non-negative counters and energy
+// values in range. The install path re-validates against the receiving
+// server's placement, ladder and timeline.
 func (h *HandoffState) Validate() error {
 	if h == nil {
 		return fmt.Errorf("%w: handoff state missing", ErrBadRequest)
@@ -224,10 +252,36 @@ func (h *HandoffState) Validate() error {
 	if h.Attempts < 0 || h.Seq < 0 || h.TimelineCur < 0 || h.WDHot < 0 || h.WDCool < 0 {
 		return fmt.Errorf("%w: negative handoff counter", ErrBadRequest)
 	}
+	if len(h.HEnv)%16 != 0 || len(h.HF)%16 != 0 || len(h.HB)%16 != 0 {
+		return fmt.Errorf("%w: handoff taps are not whole float64 pairs", ErrBadRequest)
+	}
 	if h.Stats.FramesOffered < 0 || h.Seq > h.Stats.FramesOffered {
 		return fmt.Errorf("%w: handoff seq %d exceeds frames offered %d", ErrBadRequest, h.Seq, h.Stats.FramesOffered)
 	}
+	if e := h.Energy; e != nil && (e.DarkStreak < 0 || !(e.DarkSec >= 0 && e.DarkSec <= math.MaxFloat64) || !(e.Liveness >= 0 && e.Liveness <= 1)) {
+		return fmt.Errorf("%w: handoff energy state out of range", ErrBadRequest)
+	}
 	return nil
+}
+
+// wireTaps / coreTaps convert channel taps to and from their wire
+// float64 pairs; coreTaps reads whole pairs only (Validate checks).
+func wireTaps(t []complex128) []byte {
+	out := make([]byte, 0, 16*len(t))
+	for _, v := range t {
+		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(real(v)))
+		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(imag(v)))
+	}
+	return out
+}
+
+func coreTaps(b []byte) []complex128 {
+	out := make([]complex128, len(b)/16)
+	for i := range out {
+		re, im := binary.LittleEndian.Uint64(b[16*i:]), binary.LittleEndian.Uint64(b[16*i+8:])
+		out[i] = complex(math.Float64frombits(re), math.Float64frombits(im))
+	}
+	return out
 }
 
 // CtrlState mirrors adapt.State on the wire: the rate controller's

@@ -16,7 +16,7 @@ import (
 
 // startServer boots a daemon on an ephemeral port and registers its
 // shutdown with the test.
-func startServer(t *testing.T, cfg Config) *Server {
+func startServer(t testing.TB, cfg Config) *Server {
 	t.Helper()
 	cfg.Addr = "localhost:0"
 	s, err := NewServer(cfg)

@@ -137,9 +137,12 @@ type Config struct {
 	// per-attempt RNG schedule either way, so the flag never changes a
 	// decode stream — only whether snapshots travel. All nodes of a
 	// cluster must agree on the rest of the serving configuration for
-	// handoff to resume streams byte-identically. Multi-tag sessions
-	// are not portable: mdecode responses carry no snapshot, and a
-	// handoff onto a group id is bad_request.
+	// handoff to resume streams byte-identically. The snapshot is the
+	// session's whole state — channel taps, counters, controller,
+	// watchdog and, with Energy, the tank — so an install costs O(1)
+	// at any session age and combines with every other option.
+	// Multi-tag sessions are not portable: mdecode responses carry no
+	// snapshot, and a handoff onto a group id is bad_request.
 	Handoff bool
 	// Energy enables the energy-aware poll scheduler (DESIGN.md §5k):
 	// every single-tag session carries a deterministic supercap tank
@@ -147,9 +150,9 @@ type Config struct {
 	// wake threshold are answered CodeTagDark without touching the
 	// session (the dark episode is invisible to the decode stream —
 	// the session resumes byte-identically on wake), and each decoded
-	// frame's transmit energy is drained from the tank. Incompatible
-	// with Handoff: the tank and probe-backoff state are not part of
-	// HandoffState, so a migrated session's energy gate would diverge.
+	// frame's transmit energy is drained from the tank. With Handoff
+	// the tank, the dark streak and the liveness estimate travel in
+	// every snapshot, and tag_dark answers carry one too.
 	Energy bool
 	// EnergySeverity is the harvest scarcity in [0,1] applied to every
 	// session's tank (energy.TankConfig.Severity): the per-slot
@@ -198,27 +201,12 @@ func (c *Config) Validate() error {
 	if math.IsNaN(c.EnergySeverity) || c.EnergySeverity < 0 || c.EnergySeverity > 1 {
 		return fmt.Errorf("serve: energy severity %v outside [0,1]", c.EnergySeverity)
 	}
-	if c.Energy && c.Handoff {
-		return fmt.Errorf("serve: energy scheduler state (tank, probe backoff) is not portable — Energy and Handoff are mutually exclusive")
-	}
 	if c.Energy && c.EnergyTank != nil {
 		tc := *c.EnergyTank
 		tc.Seed = 1 // filled per session; validate the rest of the template
 		tc.Severity = c.EnergySeverity
 		if err := tc.Validate(); err != nil {
 			return err
-		}
-	}
-	if c.Handoff && c.Timeline != nil {
-		// Snapshot restore replays the evolver at the session's
-		// construction rho, not the historical rho schedule, so a
-		// mobility-bearing timeline would resume a migrated session on a
-		// diverged tap stream. Fail loudly at configuration time.
-		for _, step := range c.Timeline.Steps() {
-			if step.Profile != nil && step.Profile.MobilitySpeedMps > 0 {
-				return fmt.Errorf("serve: timeline step at frame %d carries mobility (%.2g m/s) — mobility fading is incompatible with Handoff (snapshot replay cannot reproduce the rho schedule)",
-					step.Frame, step.Profile.MobilitySpeedMps)
-			}
 		}
 	}
 	return nil
@@ -650,7 +638,7 @@ func coreSessionStats(s SessionStats) core.SessionStats {
 }
 
 // captureHandoff snapshots a session into the wire HandoffState that
-// rides on a decode response (Config.Handoff).
+// rides on a decode or tag_dark answer (Config.Handoff).
 func (sh *shard) captureHandoff(st *sessionState) *HandoffState {
 	snap := st.sess.Snapshot()
 	hs := &HandoffState{
@@ -658,6 +646,9 @@ func (sh *shard) captureHandoff(st *sessionState) *HandoffState {
 		Attempts:    snap.Attempts,
 		Seq:         st.seq,
 		TimelineCur: st.timelineCur,
+		HEnv:        wireTaps(snap.HEnv),
+		HF:          wireTaps(snap.HF),
+		HB:          wireTaps(snap.HB),
 		Stats:       wireSessionStats(snap.Stats),
 		WDHot:       st.hot,
 		WDCool:      st.cool,
@@ -667,28 +658,21 @@ func (sh *shard) captureHandoff(st *sessionState) *HandoffState {
 		wc := CtrlState(*c)
 		hs.Ctrl = &wc
 	}
+	if st.tank != nil {
+		hs.Energy = &EnergyState{Tank: st.tank.Snapshot(), DarkStreak: st.darkStreak, DarkSec: st.darkSec, Liveness: st.liveness}
+	}
 	return hs
 }
 
-// maxHandoffReplay bounds the attempts (and frames) a handoff install
-// replays, from a stall budget of one second: restoring replays the
-// channel evolver once per past attempt (0.45-0.5 µs each on a 2-vCPU
-// Xeon), so 2^21 attempts hold the installing shard's worker about a
-// second. An honest session outgrows the bound after 2^21 attempts —
-// about 5 h at 40 frames/s and three attempts a frame, 15 h at one —
-// and from then on its snapshots are refused with bad_request; the
-// cluster client then continues the session on its new owner without
-// the snapshot's state (DESIGN.md §5j).
-const maxHandoffReplay = 1 << 21
-
-// installHandoff realizes a snapshot taken on another node: build a
-// fresh session for the id, replay the scripted fault
-// timeline over the snapshot's frame count (reproducing the origin's
-// profile-switch sequence, which the injector seed schedule depends
-// on), restore link/controller state, and adopt the watchdog mode.
-// The installed session's next decode continues the origin's stream
-// byte-identically (DESIGN.md §5j). Runs on the shard worker like any
-// job, so it is ordered against the session's decodes.
+// installHandoff realizes a snapshot taken on another node in O(1):
+// build a fresh session (and tank) for the id, apply the fault profile
+// of the snapshot's timeline cursor once, then copy in the snapshot's
+// channel, controller, watchdog and energy state. The installed
+// session's next decode continues the origin's stream byte-identically
+// (DESIGN.md §5j). Every field is untrusted and checked first; a
+// rejected install leaves the id's current state alone. Runs on the
+// shard worker like any job, so it is ordered against the session's
+// decodes.
 func (sh *shard) installHandoff(st *sessionState, j *job) Response {
 	cfg := &sh.srv.cfg
 	m := &sh.srv.m
@@ -697,6 +681,10 @@ func (sh *shard) installHandoff(st *sessionState, j *job) Response {
 		return Response{Code: CodeBadRequest, Session: j.session,
 			Error: fmt.Errorf("%w: "+format, append([]any{ErrBadRequest}, args...)...).Error()}
 	}
+	fail := func(err error) Response {
+		m.handoffRej.Inc()
+		return Response{Code: CodeError, Session: j.session, Error: err.Error()}
+	}
 	hs := j.handoff
 	if !cfg.Handoff {
 		return reject("handoff not enabled on this node")
@@ -704,53 +692,60 @@ func (sh *shard) installHandoff(st *sessionState, j *job) Response {
 	if st.multi != nil {
 		return reject("session is a %d-tag group; groups are not portable", st.multi.Tags())
 	}
-	if (hs.Ctrl != nil) != cfg.Adapt {
-		return reject("controller state %v does not match node adaptation %v", hs.Ctrl != nil, cfg.Adapt)
+	if (hs.Ctrl != nil) != cfg.Adapt || (hs.Energy != nil) != cfg.Energy {
+		return reject("controller state %v / energy state %v do not match node adaptation %v / energy %v",
+			hs.Ctrl != nil, hs.Energy != nil, cfg.Adapt, cfg.Energy)
 	}
-	// The counters are untrusted and restore replays work proportional
-	// to them on this shard's worker, so bound the work before checking
-	// that they describe a session this node's retry budget could have
-	// produced.
-	if hs.Attempts > maxHandoffReplay || hs.Stats.FramesOffered > maxHandoffReplay {
-		return reject("snapshot of %d attempts over %d frames exceeds the replay bound %d",
-			hs.Attempts, hs.Stats.FramesOffered, maxHandoffReplay)
-	}
-	if hs.Stats.PacketsSent > hs.Attempts || hs.Attempts > (cfg.MaxRetries+1)*hs.Stats.FramesOffered {
+	// The counters must describe a session this node's retry budget
+	// could have produced (written so that no product can overflow).
+	if hs.Stats.PacketsSent > hs.Attempts || hs.Attempts > 0 && (hs.Attempts-1)/(cfg.MaxRetries+1) >= hs.Stats.FramesOffered {
 		return reject("snapshot counters inconsistent: %d packets sent, %d attempts, %d frames at %d retries",
 			hs.Stats.PacketsSent, hs.Attempts, hs.Stats.FramesOffered, cfg.MaxRetries)
 	}
-	sess, err := sh.srv.newSession(sessionSeed(j.session))
+	// The decode arm advances the cursor on frame FramesOffered−1 last,
+	// so every consumed step is due by then and the next one is not.
+	steps, cur, last := cfg.Timeline.Steps(), hs.TimelineCur, hs.Stats.FramesOffered-1
+	if cur > len(steps) || cur > 0 && steps[cur-1].Frame > last || cur < len(steps) && steps[cur].Frame <= last {
+		return reject("timeline cursor %d does not match %d offered frames — nodes run different timelines", cur, hs.Stats.FramesOffered)
+	}
+	seed := sessionSeed(j.session)
+	sess, err := sh.srv.newSession(seed)
 	if err != nil {
-		m.handoffRej.Inc()
-		return Response{Code: CodeError, Session: j.session, Error: err.Error()}
+		return fail(err)
 	}
-	// Replay the timeline exactly as the decode path would have: one
-	// Advance per offered frame, one SetFaultProfile per switch — the
-	// link's fault epoch (and with it the injector seed schedule) must
-	// count the same switches the origin node applied.
-	cur := 0
-	for f := 0; f < hs.Stats.FramesOffered; f++ {
-		next, p, switched := cfg.Timeline.Advance(cur, f)
-		if !switched {
-			continue
+	// The decode arm switched the profile once per frame that crossed
+	// steps, so the link's fault epoch is the number of distinct step
+	// frames consumed. The last step's profile sets the fault injector
+	// and the evolver's ρ; the restored epoch then salts the stream.
+	epoch := 0
+	for i := range cur {
+		if i == 0 || steps[i].Frame != steps[i-1].Frame {
+			epoch++
 		}
-		cur = next
+	}
+	if cur > 0 {
+		_, p, _ := cfg.Timeline.Advance(cur-1, steps[cur-1].Frame)
 		if err := sess.SetFaultProfile(p); err != nil {
-			m.handoffRej.Inc()
-			return Response{Code: CodeError, Session: j.session, Error: err.Error()}
+			return fail(err)
 		}
 	}
-	if cur != hs.TimelineCur {
-		return reject("timeline cursor %d after replaying %d frames; snapshot says %d — nodes run different timelines",
-			cur, hs.Stats.FramesOffered, hs.TimelineCur)
-	}
-	snap := core.SessionSnapshot{Attempts: hs.Attempts, Stats: coreSessionStats(hs.Stats)}
+	snap := core.SessionSnapshot{Attempts: hs.Attempts, Stats: coreSessionStats(hs.Stats), FaultEpoch: epoch,
+		HEnv: coreTaps(hs.HEnv), HF: coreTaps(hs.HF), HB: coreTaps(hs.HB)}
 	if c := hs.Ctrl; c != nil {
 		cs := adapt.State(*c)
 		snap.Ctrl = &cs
 	}
 	if err := sess.RestoreSnapshot(snap); err != nil {
 		return reject("restore: %v", err)
+	}
+	var tank *energy.Tank
+	if e := hs.Energy; e != nil {
+		if tank, err = sh.srv.newTank(seed); err != nil {
+			return fail(err)
+		}
+		if err := tank.Restore(e.Tank); err != nil {
+			return reject("restore: %v", err)
+		}
 	}
 	// Watchdog mode travels with the session. An adaptive session's
 	// degraded forcing lives in the restored controller ceiling; a
@@ -770,12 +765,16 @@ func (sh *shard) installHandoff(st *sessionState, j *job) Response {
 			m.degraded.Add(-1)
 		}
 	}
-	st.sess = sess
+	st.sess, st.tank = sess, tank
 	st.seq = hs.Seq
 	st.timelineCur = hs.TimelineCur
 	st.hot, st.cool = hs.WDHot, hs.WDCool
 	st.degraded = hs.Degraded
 	st.savedTag = saved
+	if e := hs.Energy; e != nil {
+		st.darkStreak, st.darkSec = e.DarkStreak, e.DarkSec
+		st.liveness, st.livenessSet = e.Liveness, true
+	}
 	m.handoffOK.Inc()
 	cfg.Flight.Record(obs.FlightHandoffInstall, j.session,
 		fmt.Sprintf("installed at frame %d (attempts %d, seq %d, degraded %v)",
