@@ -2,6 +2,7 @@ package dsp
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
 )
 
@@ -75,5 +76,22 @@ func BenchmarkWelchPSD(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		WelchPSD(x, 64)
+	}
+}
+
+// BenchmarkConvolveRangeInto times the FIR kernel over the decode
+// window of a 2 m frame: a 6,684-sample capture convolved over
+// [1200, 6684), at the tap counts the canceller and the reference use.
+func BenchmarkConvolveRangeInto(b *testing.B) {
+	x := benchSignal(6684)
+	dst := make([]complex128, len(x))
+	for _, taps := range []int{3, 8, 16, 32} {
+		h := benchSignal(taps)
+		b.Run(strconv.Itoa(taps), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				dst = ConvolveRangeInto(dst, x, h, 1200, len(x))
+			}
+		})
 	}
 }

@@ -62,10 +62,11 @@ func ConvolveSameInto(dst, x, h []complex128) []complex128 {
 // ConvolveRangeInto computes only the output samples [lo, hi) of the
 // "same"-length convolution x⊛h, writing them into dst[lo:hi] (dst is
 // grown to len(x) if needed; samples outside [lo, hi) are left as-is).
-// Each requested sample equals the one ConvolveSameInto would produce,
-// so a caller that only reads a window of the result — the serving hot
-// path cancelling and correlating around the tag frame instead of the
-// whole capture — skips the rest of the waveform entirely. dst must
+// Each requested sample equals, bit for bit, the one ConvolveSameInto
+// would produce: it sums x[n-i]·h[i] over the nonzero taps i ≤ n in tap
+// order. A caller that only reads a window of the result — the serving
+// hot path cancelling and correlating around the tag symbols instead of
+// the whole capture — skips the rest of the waveform entirely. dst must
 // not alias x or h.
 func ConvolveRangeInto(dst, x, h []complex128, lo, hi int) []complex128 {
 	if cap(dst) < len(x) {
@@ -74,35 +75,48 @@ func ConvolveRangeInto(dst, x, h []complex128, lo, hi int) []complex128 {
 		dst = grown
 	}
 	dst = dst[:len(x)]
-	if lo < 0 {
-		lo = 0
+	lo = max(lo, 0)
+	hi = min(hi, len(x))
+	n := lo
+	// Outputs near x[0] see only the taps i ≤ n.
+	for ; n < hi && n < len(h)-1; n++ {
+		dst[n] = convolveAt(x, h[:n+1], n)
 	}
-	if hi > len(x) {
-		hi = len(x)
-	}
-	if lo >= hi {
-		return dst
-	}
-	for i := lo; i < hi; i++ {
-		dst[i] = 0
-	}
-	for i, hv := range h {
-		if hv == 0 || i >= hi {
-			continue
+	// Register-blocked interior: one sweep over the taps accumulates
+	// three outputs in registers. Each accumulator adds the same
+	// products in the same tap order as convolveAt, so the outputs are
+	// bit-identical to it; a fourth output spills on amd64.
+	for ; n+3 <= hi; n += 3 {
+		var a0, a1, a2 complex128
+		for i, hv := range h {
+			// Comparing the parts compiles to two branches; hv == 0 to a
+			// slower flag sequence.
+			if real(hv) == 0 && imag(hv) == 0 {
+				continue
+			}
+			xs := x[n-i : n-i+3 : n-i+3]
+			a0 += xs[0] * hv
+			a1 += xs[1] * hv
+			a2 += xs[2] * hv
 		}
-		// Output sample n ∈ [lo, hi) accumulates x[n-i]·h[i]; n-i ranges
-		// over [max(lo-i,0), hi-i).
-		from := lo - i
-		if from < 0 {
-			from = 0
-		}
-		xs := x[from : hi-i]
-		out := dst[from+i:]
-		for j, xv := range xs {
-			out[j] += xv * hv
-		}
+		dst[n], dst[n+1], dst[n+2] = a0, a1, a2
+	}
+	for ; n < hi; n++ {
+		dst[n] = convolveAt(x, h, n)
 	}
 	return dst
+}
+
+// convolveAt is output sample n of x⊛h, summing x[n-i]·h[i] over the
+// nonzero taps in order; every tap must satisfy i ≤ n.
+func convolveAt(x, h []complex128, n int) complex128 {
+	var acc complex128
+	for i, hv := range h {
+		if hv != 0 {
+			acc += x[n-i] * hv
+		}
+	}
+	return acc
 }
 
 // FIR is a streaming finite-impulse-response filter with persistent

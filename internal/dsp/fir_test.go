@@ -1,6 +1,7 @@
 package dsp
 
 import (
+	"math"
 	"math/cmplx"
 	"math/rand"
 	"testing"
@@ -206,12 +207,12 @@ func TestConvolveRangeIntoMatchesSame(t *testing.T) {
 	h[4] = 0 // exercise the zero-tap skip
 	full := ConvolveSame(x, h)
 	for _, win := range [][2]int{
-		{0, len(x)},  // full range must match exactly
-		{0, 25},      // prefix including the filter transient
-		{50, 120},    // interior window
-		{190, 200},   // suffix
-		{-5, 210},    // out-of-range bounds are clamped
-		{80, 80},     // empty window computes nothing
+		{0, len(x)}, // full range must match exactly
+		{0, 25},     // prefix including the filter transient
+		{50, 120},   // interior window
+		{190, 200},  // suffix
+		{-5, 210},   // out-of-range bounds are clamped
+		{80, 80},    // empty window computes nothing
 	} {
 		dst := ConvolveRangeInto(nil, x, h, win[0], win[1])
 		lo, hi := max(win[0], 0), min(win[1], len(x))
@@ -247,18 +248,83 @@ func TestConvolveRangeIntoPreservesOutside(t *testing.T) {
 
 func TestConvolveRangeIntoZeroAlloc(t *testing.T) {
 	x := make([]complex128, 512)
-	h := make([]complex128, 32)
 	for i := range x {
 		x[i] = complex(float64(i%7), float64(i%5))
 	}
-	for i := range h {
-		h[i] = complex(1, -1)
-	}
 	dst := make([]complex128, len(x))
-	allocs := testing.AllocsPerRun(20, func() {
-		dst = ConvolveRangeInto(dst, x, h, 100, 400)
-	})
-	if allocs != 0 {
-		t.Fatalf("ConvolveRangeInto with capacity allocates %v per run, want 0", allocs)
+	for _, taps := range []int{1, 3, 32, 80} {
+		h := make([]complex128, taps)
+		for i := range h {
+			h[i] = complex(1, -1)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			dst = ConvolveRangeInto(dst, x, h, 100, 400)
+		})
+		if allocs != 0 {
+			t.Fatalf("ConvolveRangeInto with capacity allocates %v per run at %d taps, want 0", allocs, taps)
+		}
+	}
+}
+
+// TestConvolveRangeIntoBitIdentical checks the register-blocked kernel
+// against a per-sample sum over the nonzero taps i ≤ n, in tap order,
+// by Float64bits: random lengths and windows (not multiples of the
+// block), 1–80 taps with zero taps including tap 0, windows at x[0],
+// empty and clamped windows, and samples outside the window untouched.
+// An infinite sample makes a skipped zero tap observable (∞·0 is NaN).
+func TestConvolveRangeIntoBitIdentical(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	sentinel := complex(math.Inf(1), -1)
+	same := func(a, b complex128) bool {
+		return math.Float64bits(real(a)) == math.Float64bits(real(b)) &&
+			math.Float64bits(imag(a)) == math.Float64bits(imag(b))
+	}
+	for trial := 0; trial < 2000; trial++ {
+		x := randSignal(r, r.Intn(200))
+		h := randSignal(r, 1+r.Intn(80))
+		for i := range h {
+			if r.Intn(5) == 0 {
+				h[i] = 0
+			}
+		}
+		if trial%7 == 0 {
+			h[0] = 0
+		}
+		if trial%5 == 0 && len(x) > 0 {
+			x[r.Intn(len(x))] = complex(math.Inf(1), 0)
+		}
+		var lo, hi int
+		switch trial % 4 {
+		case 0: // touching x[0]
+			lo, hi = 0, r.Intn(len(x)+1)
+		case 1: // empty or inverted
+			lo = r.Intn(len(x) + 1)
+			hi = lo - r.Intn(3)
+		case 2: // clamped at both ends
+			lo, hi = -1-r.Intn(5), len(x)+1+r.Intn(5)
+		default:
+			lo = r.Intn(len(x) + 1)
+			hi = lo + r.Intn(len(x)-lo+1)
+		}
+		dst := make([]complex128, len(x))
+		for i := range dst {
+			dst[i] = sentinel
+		}
+		dst = ConvolveRangeInto(dst, x, h, lo, hi)
+		for n := range x {
+			want := sentinel
+			if n >= lo && n < hi {
+				want = 0
+				for i := 0; i < len(h) && i <= n; i++ {
+					if h[i] != 0 {
+						want += x[n-i] * h[i]
+					}
+				}
+			}
+			if !same(dst[n], want) {
+				t.Fatalf("trial %d (len %d, %d taps, window [%d,%d)): sample %d = %v, want %v",
+					trial, len(x), len(h), lo, hi, n, dst[n], want)
+			}
+		}
 	}
 }

@@ -17,10 +17,7 @@ func headerEsts(n int, tcfg tag.Config) []complex128 {
 		bits[i] = byte(n>>uint(i)) & 1
 	}
 	coded := fec.Puncture(fec.ConvEncode(bits), tcfg.Coding)
-	bps := tcfg.Mod.BitsPerSymbol()
-	headerSoft := fec.PuncturedLength(2*(16+headerGuardSteps), tcfg.Coding)
-	headerSyms := (headerSoft + bps - 1) / bps
-	return tcfg.Mod.MapBits(coded[:headerSyms*bps])
+	return tcfg.Mod.MapBits(coded[:headerSymbols(tcfg)*tcfg.Mod.BitsPerSymbol()])
 }
 
 func TestFrameExtentReadsHeader(t *testing.T) {

@@ -167,34 +167,28 @@ func (r *Reader) DecodeJoint(s *Stream, x, xTap, y []complex128, packetStart, pa
 	return jr, nil
 }
 
-// decodeLayer is stages 3–4 of the single-tag chain (MRC + Viterbi)
-// against the stream's residual and reference, at nominal protocol
-// timing. The second return is the symbol count the frame occupied —
-// the cancellation bound when the CRC failed and the payload length is
-// untrusted.
+// decodeLayer is stages 3–4 of the single-tag chain (MRC, the bounded
+// header pass, Viterbi) against the stream's residual and reference, at
+// nominal protocol timing. The second return is the symbol count the
+// frame occupied — the cancellation bound when the CRC failed and the
+// payload length is untrusted.
 func (r *Reader) decodeLayer(s *Stream, packetEnd, preStart int, tcfg tag.Config) (*Result, int) {
 	pn := tag.PreambleSequence(tcfg.ID, tcfg.PreambleChips)
 	preEnd := preStart + tcfg.PreambleSamples()
 	preCorr := r.preambleCorrelation(s.clean, s.ref, preStart, pn)
 	r.m.preambleCorr.Observe(preCorr)
 
-	tspMRC := r.trace.Start("mrc")
-	spMRC := r.m.spanMRC.Start()
 	sps := tcfg.SamplesPerSymbol()
 	nAvail := (packetEnd - preEnd) / sps
 	if nAvail <= 0 {
 		r.m.failPayload.Inc()
-		spMRC.End()
-		tspMRC.End()
 		return &Result{PreambleCorr: preCorr}, 0
 	}
-	if cap(s.ests) < nAvail {
-		s.ests = make([]complex128, nAvail)
-	}
-	s.mrcInto(nil, preEnd, sps, min(r.cfg.ChannelTaps, sps/2), 0, nAvail)
-	spMRC.End()
-	tspMRC.End()
-	res, used := r.frame(s, s.ests[:nAvail], tcfg, 0, false)
+	guard := min(r.cfg.ChannelTaps, sps/2)
+	nHdr := min(headerSymbols(tcfg), nAvail)
+	used, infoBits, sized := r.sizeFrame(s, nil, preEnd, sps, guard, nHdr, nAvail, tcfg)
+	r.mrc(s, nil, preEnd, sps, guard, nHdr, used)
+	res, used := r.frame(s, s.ests[:used], tcfg, infoBits, sized)
 	res.PreambleCorr = preCorr
 	return res, used
 }

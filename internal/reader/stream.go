@@ -19,6 +19,11 @@ import (
 // SNRs where frames decode at all.
 const headerGuardSteps = 8 * fec.TailBits
 
+// timingPasses bounds the PN timing search in DecodeStream. Each pass
+// moves the symbol grid at most TimingSearch samples, so the search and
+// the refits after it read nothing past preEnd+timingPasses·TimingSearch.
+const timingPasses = 3
+
 // Stream is one receive chain's working memory for the windowed
 // decoders DecodeStream and DecodeJoint: a sic.Reusable canceller
 // retrained every frame, clean/reference/estimate buffers, the
@@ -26,10 +31,12 @@ const headerGuardSteps = 8 * fec.TailBits
 // stage's buffers. Steady-state decoding allocates only its results.
 //
 // Decoding is windowed: instead of cancelling and correlating over the
-// whole capture, it processes [packetStart, header) first, reads the
-// frame length from a bounded Viterbi pass, and extends the window to
-// exactly the samples the frame occupies. Results are deterministic but
-// not bit-identical to the full-capture reference decoders
+// whole capture, DecodeStream processes [packetStart, preamble end +
+// timing slack) for training, channel fits and timing, then only the
+// samples per-symbol MRC reads: each symbol after its guard, first over
+// the header symbols, then — once a bounded Viterbi pass has read the
+// frame length — over the rest of the frame. Results are deterministic
+// but not bit-identical to the full-capture reference decoders
 // (reference_test.go): the normal-equation channel fit rounds
 // differently, and symbol estimates stop at the frame boundary instead
 // of covering the tag's post-frame silence.
@@ -97,13 +104,9 @@ func (r *Reader) DecodeStream(ss []Stream, x, xTap []complex128, ys [][]complex1
 	}
 
 	// Stage 1: retrain every chain's canceller on the silent window and
-	// cancel the initial window: silent + preamble + timing slack +
-	// enough payload symbols for the bounded header pass.
-	sps := tcfg.SamplesPerSymbol()
-	bps := tcfg.Mod.BitsPerSymbol()
-	headerSoft := fec.PuncturedLength(2*(16+headerGuardSteps), tcfg.Coding)
-	headerSyms := (headerSoft + bps - 1) / bps
-	hi := min(preEnd+r.cfg.TimingSearch+headerSyms*sps, packetEnd)
+	// cancel what the channel fits and the timing search read: silent +
+	// preamble + timing slack.
+	hi := min(preEnd+timingPasses*r.cfg.TimingSearch, packetEnd)
 	for c := range ss {
 		if err := r.retrain(&ss[c], x, xTap, ys[c], packetStart, hi); err != nil {
 			return nil, err
@@ -120,7 +123,7 @@ func (r *Reader) DecodeStream(ss []Stream, x, xTap []complex128, ys [][]complex1
 	tspTiming := r.trace.Start("timing_search")
 	spTiming := r.m.spanTiming.Start()
 	offset := 0
-	for pass := 0; pass < 3; pass++ {
+	for pass := 0; pass < timingPasses; pass++ {
 		step := r.searchTiming(s.clean, s.ref, preStart, pn)
 		if step == 0 {
 			break
@@ -146,55 +149,21 @@ func (r *Reader) DecodeStream(ss []Stream, x, xTap []complex128, ys [][]complex1
 		}
 	}
 
-	// Stage 3a: MRC over just the header symbols.
+	// Stage 3: cancel, reference and MRC the header symbols, size the
+	// frame from them, then do the same for the rest of its symbols.
 	symStart := preEnd
+	sps := tcfg.SamplesPerSymbol()
 	guard := min(r.cfg.ChannelTaps, sps/2)
 	nAvail := (packetEnd - symStart) / sps
 	if nAvail <= 0 {
 		r.m.failPayload.Inc()
 		return nil, fmt.Errorf("reader: no room for payload symbols")
 	}
-	nHdr := min(headerSyms, nAvail)
-	tspMRC := r.trace.Start("mrc")
-	spMRC := r.m.spanMRC.Start()
-	if cap(s.ests) < nAvail {
-		s.ests = make([]complex128, nAvail)
-	}
-	s.mrcInto(ss[1:], symStart, sps, guard, 0, nHdr)
-	spMRC.End()
-	tspMRC.End()
-
-	// Stage 3b: bounded header pass → frame extent.
-	tspVit := r.trace.Start("viterbi")
-	spVit := r.m.spanViterbi.Start()
-	used, infoBits, sized := s.fd.frameExtent(s.ests[:nHdr], tcfg)
-	spVit.End()
-	tspVit.End()
-	if sized = sized && used <= nAvail; !sized {
-		// A frame we cannot size (noise, or a length header pointing past
-		// the packet). Fall back to the legacy whole-capture behavior so
-		// failures are diagnosed identically: process everything and let
-		// the decode re-read the header from every symbol.
-		used = nAvail
-	}
-
-	// Extend the processing window to exactly the frame's samples.
-	if hi2 := symStart + used*sps; hi2 > hi {
-		tspCancel := r.trace.Start("sic_cancel")
-		spCancel := r.m.spanSICCancel.Start()
-		for c := range ss {
-			sc := &ss[c]
-			sc.clean = sc.canc.CancelRange(sc.clean, xTap, x, ys[c], hi, hi2)
-			sc.ref = dsp.ConvolveRangeInto(sc.ref, x, sc.hfb, hi, hi2)
-		}
-		spCancel.End()
-		tspCancel.End()
-	}
-	tspMRC = r.trace.Start("mrc")
-	spMRC = r.m.spanMRC.Start()
-	s.mrcInto(ss[1:], symStart, sps, guard, nHdr, used)
-	spMRC.End()
-	tspMRC.End()
+	nHdr := min(headerSymbols(tcfg), nAvail)
+	r.cancelSymbols(ss, x, xTap, ys, symStart, sps, guard, 0, nHdr)
+	used, infoBits, sized := r.sizeFrame(s, ss[1:], symStart, sps, guard, nHdr, nAvail, tcfg)
+	r.cancelSymbols(ss, x, xTap, ys, symStart, sps, guard, nHdr, used)
+	r.mrc(s, ss[1:], symStart, sps, guard, nHdr, used)
 
 	// Stage 4: terminated decode over the frame symbols.
 	res, used := r.frame(s, s.ests[:used], tcfg, infoBits, sized)
@@ -218,6 +187,45 @@ func (r *Reader) DecodeStream(ss []Stream, x, xTap []complex128, ys [][]complex1
 	return res, nil
 }
 
+// headerSymbols is how many symbols the bounded header pass reads: the
+// 16-bit length plus headerGuardSteps of lookahead, coded and mapped.
+func headerSymbols(tcfg tag.Config) int {
+	bps := tcfg.Mod.BitsPerSymbol()
+	return (fec.PuncturedLength(2*(16+headerGuardSteps), tcfg.Coding) + bps - 1) / bps
+}
+
+// sizeFrame reads the frame's extent from its first nHdr of nAvail
+// symbols: MRC over them (s's chain plus extra), then the bounded
+// header pass. A frame it cannot size (noise, or a length header
+// pointing past the packet) gets all nAvail symbols and sized false, so
+// the decode re-reads the header from every symbol and failures are
+// diagnosed as by a whole-window decode.
+func (r *Reader) sizeFrame(s *Stream, extra []Stream, symStart, sps, guard, nHdr, nAvail int, tcfg tag.Config) (used, infoBits int, sized bool) {
+	if cap(s.ests) < nAvail {
+		s.ests = make([]complex128, nAvail)
+	}
+	r.mrc(s, extra, symStart, sps, guard, 0, nHdr)
+	tsp := r.trace.Start("viterbi")
+	sp := r.m.spanViterbi.Start()
+	used, infoBits, sized = s.fd.frameExtent(s.ests[:nHdr], tcfg)
+	sp.End()
+	tsp.End()
+	if sized = sized && used <= nAvail; !sized {
+		used = nAvail
+	}
+	return used, infoBits, sized
+}
+
+// mrc is the per-symbol MRC stage: s.mrcInto over symbols [from, to),
+// timed.
+func (r *Reader) mrc(s *Stream, extra []Stream, symStart, sps, guard, from, to int) {
+	tsp := r.trace.Start("mrc")
+	sp := r.m.spanMRC.Start()
+	s.mrcInto(extra, symStart, sps, guard, from, to)
+	sp.End()
+	tsp.End()
+}
+
 // checkCapture rejects captures the decoders cannot read: one not
 // aligned with the excitation copies, or a packet running past them.
 func checkCapture(x, xTap []complex128, ys [][]complex128, packetStart, packetLen int) error {
@@ -230,6 +238,28 @@ func checkCapture(x, xTap []complex128, ys [][]complex128, packetStart, packetLe
 		return fmt.Errorf("reader: packet [%d,%d) exceeds %d samples", packetStart, packetStart+packetLen, len(x))
 	}
 	return nil
+}
+
+// cancelSymbols cancels every chain's capture and convolves its
+// reference over the MRC windows of symbols [from, to) — each symbol's
+// samples after its guard, exactly what mrcInto reads — and nowhere
+// else.
+func (r *Reader) cancelSymbols(ss []Stream, x, xTap []complex128, ys [][]complex128, symStart, sps, guard, from, to int) {
+	if from >= to {
+		return
+	}
+	tsp := r.trace.Start("sic_cancel")
+	sp := r.m.spanSICCancel.Start()
+	for c := range ss {
+		s := &ss[c]
+		for k := from; k < to; k++ {
+			a, b := symStart+k*sps+guard, symStart+(k+1)*sps
+			s.clean = s.canc.CancelRange(s.clean, xTap, x, ys[c], a, b)
+			s.ref = dsp.ConvolveRangeInto(s.ref, x, s.hfb, a, b)
+		}
+	}
+	sp.End()
+	tsp.End()
 }
 
 // retrain is stage 1 of every decode: s's reusable canceller retrained

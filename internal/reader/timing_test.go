@@ -2,7 +2,9 @@ package reader
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"math/cmplx"
 	"math/rand"
 	"testing"
 
@@ -101,5 +103,57 @@ func TestTimingSearchStaysPutWhenAligned(t *testing.T) {
 	}
 	if !res.FrameOK {
 		t.Fatal("aligned decode failed")
+	}
+}
+
+// TestLateTimingReadsNoStaleScratch decodes tags whose timing search
+// moves the symbol grid more than TimingSearch samples late, once on a
+// fresh Stream and once on one whose clean/reference buffers hold NaN
+// from a "previous frame". The decode must read only samples it
+// cancelled and referenced, so the two results are bit-identical. This
+// also shows MRC never reads a guard sample, which DecodeStream leaves
+// uncomputed. At TimingSearch 2 the search takes all timingPasses
+// steps, reaching the end of the stage-1 window.
+func TestLateTimingReadsNoStaleScratch(t *testing.T) {
+	tcfg := qpskCfg()
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for _, tc := range []struct{ search, fromOffset, toOffset int }{
+		{DefaultConfig().TimingSearch, 15, 18},
+		{2, 13, 16},
+	} {
+		cfg := DefaultConfig()
+		cfg.TimingSearch = tc.search
+		rd := mustNew(cfg)
+		for offset := tc.fromOffset; offset <= tc.toOffset; offset++ {
+			sc := buildSceneWithOffset(t, 11, tcfg, 60, offset)
+			decode := func(s Stream) *Result {
+				res, err := rd.DecodeStream([]Stream{s}, sc.x, sc.x, [][]complex128{sc.y}, sc.packetStart, sc.packetLen, tcfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			fresh := decode(Stream{})
+			stale := Stream{clean: make([]complex128, len(sc.y)), ref: make([]complex128, len(sc.y))}
+			for i := range stale.clean {
+				stale.clean[i], stale.ref[i] = cmplx.NaN(), cmplx.NaN()
+			}
+			got := decode(stale)
+			where := fmt.Sprintf("search %d, offset %d", tc.search, offset)
+			if fresh.TimingOffset <= tc.search {
+				t.Fatalf("%s: timing moved %d, want more than %d", where, fresh.TimingOffset, tc.search)
+			}
+			if len(got.SymbolEstimates) != len(fresh.SymbolEstimates) {
+				t.Fatalf("%s: %d estimates on stale scratch, %d fresh", where, len(got.SymbolEstimates), len(fresh.SymbolEstimates))
+			}
+			for i, g := range got.SymbolEstimates {
+				if w := fresh.SymbolEstimates[i]; !same(real(g), real(w)) || !same(imag(g), imag(w)) {
+					t.Errorf("%s: symbol %d = %v on stale scratch, %v fresh", where, i, g, w)
+				}
+			}
+			if !same(got.SNRdB, fresh.SNRdB) || !bytes.Equal(got.Payload, fresh.Payload) {
+				t.Errorf("%s: SNR %v / payload %x on stale scratch, %v / %x fresh", where, got.SNRdB, got.Payload, fresh.SNRdB, fresh.Payload)
+			}
+		}
 	}
 }
