@@ -19,7 +19,9 @@
 //
 // With -out it merges a "chaos" entry into a benchmark results file
 // (e.g. BENCH_results.json), preserving other sections. A failed
-// assertion exits non-zero, so CI can gate on it directly.
+// assertion exits non-zero, so CI can gate on it directly. Every mode
+// is a program of the scenario engine (internal/scenario), whose
+// serving invariants are gates too.
 //
 // Example:
 //
@@ -27,14 +29,12 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"os"
-	"runtime"
 	"sync"
 	"time"
 
@@ -43,6 +43,7 @@ import (
 	"backfi/internal/core"
 	"backfi/internal/fault"
 	"backfi/internal/obs"
+	"backfi/internal/scenario"
 	"backfi/internal/serve"
 )
 
@@ -100,10 +101,13 @@ func main() {
 		}
 	}
 
-	goroutinesStart := runtime.NumGoroutine()
-
-	tlSpec := *timeline
-	link := core.DefaultLinkConfig(*distance)
+	r := &harness{
+		Harness: scenario.NewHarness(), link: core.DefaultLinkConfig(*distance),
+		rho: *rho, retries: *retries, shards: *shards,
+		sessions: *sessions, frames: *frames, payload: *payload, seed: *seed,
+		minSymRate: *minSymRate, out: *out, flightOut: *flightOut, traceOut: *traceOut,
+	}
+	r.link.Seed = *seed
 	var sevs []float64
 	if *energyMode {
 		var err error
@@ -111,9 +115,9 @@ func main() {
 			log.Fatalf("energy-severities: %v", err)
 		}
 	}
-	link.Seed = *seed
 
-	if *clusterN > 0 {
+	switch {
+	case *clusterN > 0:
 		if *clusterN < 2 {
 			log.Fatalf("cluster mode needs at least 2 nodes, got %d", *clusterN)
 		}
@@ -121,108 +125,170 @@ func main() {
 		if at <= 0 {
 			at = *frames / 3
 		}
-		p := clusterParams{
-			nodes: *clusterN, sessions: *sessions, frames: *frames,
-			payloadBytes: *payload, killAt: at, seed: *seed,
-			link: link, rho: *rho, retries: *retries, shards: *shards,
-			timeline: tlSpec, minSymRate: *minSymRate,
-			goroutinesStart: goroutinesStart,
-			out:             *out, flightOut: *flightOut, traceOut: *traceOut,
-		}
 		if *energyMode {
-			p.energy, p.severity, p.timeline = true, sevs[len(sevs)-1], *wildTimeline
+			r.clusterChaos(*clusterN, at, true, sevs[len(sevs)-1], *wildTimeline)
+		} else {
+			r.clusterChaos(*clusterN, at, false, 0, *timeline)
 		}
-		clusterChaos(p)
-		return
+	case *energyMode:
+		r.energySoak(sevs, *wildTimeline, *floor)
+	default:
+		r.adaptiveVsFixed(*timeline, *distance, *killEvery, *minRatio, *floor,
+			*wdAfter, *wdResidual, *wdRecover)
 	}
-	if *energyMode {
-		energySoak(energyParams{
-			severities: sevs, wildTimeline: *wildTimeline,
-			sessions: *sessions, frames: *frames, payloadBytes: *payload,
-			link: link, rho: *rho, retries: *retries, shards: *shards,
-			floor: *floor, goroutinesStart: goroutinesStart,
-			out: *out, flightOut: *flightOut,
-		})
-		return
-	}
+}
 
+// harness is the scenario harness plus the flags every mode shares.
+type harness struct {
+	*scenario.Harness
+	link                      core.LinkConfig
+	rho                       float64
+	retries, shards           int
+	sessions, frames, payload int
+	seed                      int64
+	minSymRate                float64
+	out, flightOut, traceOut  string
+}
+
+// daemon boots one daemon on the shared template with its own metrics
+// registry; tweak adjusts the mode's features before the boot.
+func (r *harness) daemon(tl *fault.Timeline, tracer *obs.Tracer, flight *obs.FlightRecorder, tweak func(*serve.Config)) *serve.Server {
+	cfg := serve.Config{
+		Link:         r.link,
+		CoherenceRho: r.rho,
+		MaxRetries:   r.retries,
+		Shards:       r.shards,
+		Timeline:     tl,
+		Obs:          obs.NewRegistry(),
+		Tracer:       tracer,
+		Flight:       flight,
+	}
+	tweak(&cfg)
+	srv, err := r.Boot(cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return srv
+}
+
+// finish drains every daemon (a goroutine leak fails the run), writes
+// the flight dump and the trace when asked, reports the summary under
+// key, and exits non-zero on any failure.
+func (r *harness) finish(key string, sum map[string]any, failures []string, tracer *obs.Tracer, flight *obs.FlightRecorder, pass string) {
+	end, err := r.Drain()
+	if err != nil {
+		failures = append(failures, err.Error())
+	}
+	sum["goroutines_start"], sum["goroutines_end"] = r.Start, end
+	sum["pass"] = len(failures) == 0
+	if r.flightOut != "" {
+		if err := flight.DumpFile(r.flightOut); err != nil {
+			log.Fatalf("flight-out: %v", err)
+		}
+		log.Printf("wrote flight dump %s (%d events)", r.flightOut, len(flight.Events()))
+	}
+	if r.traceOut != "" && tracer != nil {
+		f, err := os.Create(r.traceOut)
+		if err == nil {
+			err = errors.Join(tracer.WriteChromeTrace(f), f.Close())
+		}
+		if err != nil {
+			log.Fatalf("trace-out: %v", err)
+		}
+		traces, spans, _ := tracer.Stats()
+		log.Printf("wrote %s (%d traces, %d spans)", r.traceOut, traces, spans)
+	}
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(sum); err != nil {
+		log.Fatal(err)
+	}
+	if r.out != "" {
+		if err := benchio.Merge(r.out, key, sum); err != nil {
+			log.Fatalf("out: %v", err)
+		}
+		log.Printf("merged %s entry into %s", key, r.out)
+	}
+	for _, f := range failures {
+		log.Printf("FAIL: %s", f)
+	}
+	if len(failures) > 0 {
+		os.Exit(1)
+	}
+	log.Print(pass)
+}
+
+// violations lists a run's invariant violations as gate failures.
+func violations(res *scenario.Result, prefix string) []string {
+	var out []string
+	for _, v := range res.Violations {
+		out = append(out, prefix+v.Error())
+	}
+	return out
+}
+
+// adaptiveVsFixed is the default mode: one fixed-rate and one adaptive
+// daemon (rate controller and SIC watchdog on) from the same template
+// under the same scripted faults, each soaked by self-healing clients
+// whose connections are severed every killEvery frames.
+func (r *harness) adaptiveVsFixed(tlSpec string, distance float64, killEvery int, minRatio, floor float64, wdAfter int, wdResidual float64, wdRecover int) {
 	// One tracer and one flight recorder span the whole run — both
 	// daemons and every client — so a watchdog trip on the adaptive
 	// daemon lands next to the connection kills that bracketed it, each
 	// carrying the trace id of the frame that tripped it. Every frame is
 	// traced (SampleEvery 1): chaos runs are short and the point is a
 	// complete black-box record, not a sampled one.
-	tracer := obs.NewTracer(obs.TracerConfig{Seed: *seed, SampleEvery: 1})
+	tracer := obs.NewTracer(obs.TracerConfig{Seed: r.seed, SampleEvery: 1})
 	flight := obs.NewFlightRecorder(0)
-	if *flightOut != "" {
-		flight.SetDumpPath(*flightOut)
+	if r.flightOut != "" {
+		flight.SetDumpPath(r.flightOut)
 	}
-
-	// One daemon per policy; same template, same scripted faults. Each
-	// parses its own Timeline (the spec is immutable but keeping them
-	// separate mirrors two independent deployments).
-	boot := func(adaptive bool) *serve.Server {
-		tl, err := fault.ParseTimeline(tlSpec)
-		if err != nil {
-			log.Fatalf("timeline: %v", err)
-		}
-		cfg := serve.Config{
-			Addr:         "localhost:0",
-			Link:         link,
-			CoherenceRho: *rho,
-			MaxRetries:   *retries,
-			Shards:       *shards,
-			Timeline:     tl,
-			Obs:          obs.NewRegistry(),
-			Tracer:       tracer,
-			Flight:       flight,
-		}
-		if adaptive {
-			cfg.Adapt = true
-			cfg.AdaptMinSymbolRateHz = *minSymRate
-			cfg.WatchdogAfter = *wdAfter
-			cfg.WatchdogResidualDBm = *wdResidual
-			cfg.WatchdogRecover = *wdRecover
-		}
-		srv, err := serve.NewServer(cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := srv.Start(); err != nil {
-			log.Fatal(err)
-		}
-		return srv
+	tl, err := fault.ParseTimeline(tlSpec)
+	if err != nil {
+		log.Fatalf("timeline: %v", err)
 	}
-
-	fixedSrv := boot(false)
-	adaptSrv := boot(true)
+	fixedSrv := r.daemon(tl, tracer, flight, func(*serve.Config) {})
+	adaptSrv := r.daemon(tl, tracer, flight, func(cfg *serve.Config) {
+		cfg.Adapt = true
+		cfg.AdaptMinSymbolRateHz = r.minSymRate
+		cfg.WatchdogAfter = wdAfter
+		cfg.WatchdogResidualDBm = wdResidual
+		cfg.WatchdogRecover = wdRecover
+	})
 	log.Printf("fixed daemon on %s, adaptive daemon on %s (distance=%.3gm timeline=%q)",
-		fixedSrv.Addr(), adaptSrv.Addr(), *distance, tlSpec)
+		fixedSrv.Addr(), adaptSrv.Addr(), distance, tlSpec)
 
-	fixed, err := soak(fixedSrv.Addr(), *sessions, *frames, *payload, *killEvery, *seed, flight)
-	if err != nil {
-		log.Fatalf("fixed daemon: %v", err)
+	var fails []string
+	prog := scenario.Closed("chaos", r.sessions, r.frames, killEvery, 0)
+	soak := func(name, addr string) *soakResult {
+		res, err := scenario.Run(scenario.Config{
+			Program:      prog,
+			PayloadBytes: r.payload,
+			Dial: func(s int) (scenario.Target, error) {
+				return serve.DialClient(serve.ClientConfig{
+					Addr:       addr,
+					IOTimeout:  10 * time.Second,
+					MaxRedials: 6,
+					RedialBase: 2 * time.Millisecond,
+					RedialMax:  50 * time.Millisecond,
+					JitterSeed: r.seed + int64(s),
+					Flight:     flight,
+				})
+			},
+		})
+		if res == nil {
+			log.Fatalf("%s daemon: %v", name, err)
+		}
+		fails = append(fails, violations(res, name+" daemon: ")...)
+		for s, o := range res.Clients {
+			if o.Stats == nil {
+				fails = append(fails, fmt.Sprintf("%s daemon: session %s's final stats probe failed", name, prog[s].ID))
+			}
+		}
+		return newSoakResult(res)
 	}
-	adaptive, err := soak(adaptSrv.Addr(), *sessions, *frames, *payload, *killEvery, *seed, flight)
-	if err != nil {
-		log.Fatalf("adaptive daemon: %v", err)
-	}
-
-	if err := fixedSrv.Shutdown(context.Background()); err != nil {
-		log.Fatalf("fixed drain: %v", err)
-	}
-	if err := adaptSrv.Shutdown(context.Background()); err != nil {
-		log.Fatalf("adaptive drain: %v", err)
-	}
-
-	// Both daemons are down and every client closed: whatever goroutines
-	// remain beyond the baseline are leaks. Poll briefly — conn handlers
-	// unwind asynchronously after Shutdown returns.
-	goroutinesEnd := runtime.NumGoroutine()
-	for wait := 0; goroutinesEnd > goroutinesStart && wait < 100; wait++ {
-		time.Sleep(20 * time.Millisecond)
-		goroutinesEnd = runtime.NumGoroutine()
-	}
+	fixed := soak("fixed", fixedSrv.Addr())
+	adaptive := soak("adaptive", adaptSrv.Addr())
 
 	ratio := 0.0
 	if fixed.DeliveryRate > 0 {
@@ -231,44 +297,15 @@ func main() {
 		ratio = adaptive.DeliveryRate / (1.0 / float64(adaptive.Offered)) // lower bound: fixed delivered < 1 frame
 	}
 
-	traces, spans, droppedSpans := tracer.Stats()
-	sum := map[string]any{
-		"distance_m":         *distance,
-		"timeline":           tlSpec,
-		"sessions":           *sessions,
-		"frames_per_session": *frames,
-		"retries":            *retries,
-		"rho":                *rho,
-		"kill_every":         *killEvery,
-		"fixed":              fixed,
-		"adaptive":           adaptive,
-		"adaptive_vs_fixed":  ratio,
-		"min_ratio":          *minRatio,
-		"floor":              *floor,
-		"goroutines_start":   goroutinesStart,
-		"goroutines_end":     goroutinesEnd,
-		"flight_events":      len(flight.Events()),
-		"watchdog_trips":     flight.Count(obs.FlightWatchdogTrip),
-		"redial_events":      flight.Count(obs.FlightRedial),
-		"conn_broken_events": flight.Count(obs.FlightConnBroken),
-		"traces":             traces,
-		"trace_spans":        spans,
-		"trace_spans_drop":   droppedSpans,
+	if minRatio > 0 && ratio < minRatio {
+		fails = append(fails, fmt.Sprintf("adaptive/fixed delivery ratio %.2f below required %.2f (adaptive %.3f, fixed %.3f)",
+			ratio, minRatio, adaptive.DeliveryRate, fixed.DeliveryRate))
 	}
-
-	var failures []string
-	if *minRatio > 0 && ratio < *minRatio {
-		failures = append(failures, fmt.Sprintf("adaptive/fixed delivery ratio %.2f below required %.2f (adaptive %.3f, fixed %.3f)",
-			ratio, *minRatio, adaptive.DeliveryRate, fixed.DeliveryRate))
+	if floor > 0 && adaptive.DeliveryRate < floor {
+		fails = append(fails, fmt.Sprintf("adaptive delivery rate %.3f below floor %.3f", adaptive.DeliveryRate, floor))
 	}
-	if *floor > 0 && adaptive.DeliveryRate < *floor {
-		failures = append(failures, fmt.Sprintf("adaptive delivery rate %.3f below floor %.3f", adaptive.DeliveryRate, *floor))
-	}
-	if *killEvery > 0 && adaptive.Redials < adaptive.ConnKills {
-		failures = append(failures, fmt.Sprintf("adaptive clients healed %d of %d connection kills", adaptive.Redials, adaptive.ConnKills))
-	}
-	if goroutinesEnd > goroutinesStart {
-		failures = append(failures, fmt.Sprintf("goroutine leak: %d before, %d after shutdown", goroutinesStart, goroutinesEnd))
+	if killEvery > 0 && adaptive.Redials < adaptive.ConnKills {
+		fails = append(fails, fmt.Sprintf("adaptive clients healed %d of %d connection kills", adaptive.Redials, adaptive.ConnKills))
 	}
 	// Satellite assertions on the black-box record itself: every scripted
 	// connection kill must leave a conn_broken event AND a healing redial
@@ -276,15 +313,15 @@ func main() {
 	// id of the frame that tripped it (the flight recorder and tracer are
 	// cross-linked, not independent logs).
 	totalKills := fixed.ConnKills + adaptive.ConnKills
-	if *killEvery > 0 {
+	if killEvery > 0 {
 		if n := flight.Count(obs.FlightConnBroken); n < totalKills {
-			failures = append(failures, fmt.Sprintf("flight recorder saw %d conn_broken events for %d connection kills", n, totalKills))
+			fails = append(fails, fmt.Sprintf("flight recorder saw %d conn_broken events for %d connection kills", n, totalKills))
 		}
 		if n := flight.Count(obs.FlightRedial); n < totalKills {
-			failures = append(failures, fmt.Sprintf("flight recorder saw %d redial events for %d connection kills", n, totalKills))
+			fails = append(fails, fmt.Sprintf("flight recorder saw %d redial events for %d connection kills", n, totalKills))
 		}
 	}
-	if *wdAfter > 0 {
+	if wdAfter > 0 {
 		trippedWithTrace := false
 		for _, ev := range flight.Events() {
 			if ev.Kind == obs.FlightWatchdogTrip && ev.Trace != 0 {
@@ -293,50 +330,35 @@ func main() {
 			}
 		}
 		if !trippedWithTrace {
-			failures = append(failures, "no watchdog_trip flight event with a linked trace id (did the interference regime change?)")
+			fails = append(fails, "no watchdog_trip flight event with a linked trace id (did the interference regime change?)")
 		}
-	}
-	sum["pass"] = len(failures) == 0
-
-	if *flightOut != "" {
-		if err := flight.DumpFile(*flightOut); err != nil {
-			log.Fatalf("flight-out: %v", err)
-		}
-		log.Printf("wrote flight dump %s (%d events)", *flightOut, len(flight.Events()))
-	}
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			log.Fatalf("trace-out: %v", err)
-		}
-		if err := tracer.WriteChromeTrace(f); err != nil {
-			log.Fatalf("trace-out: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatalf("trace-out: %v", err)
-		}
-		log.Printf("wrote %s (%d traces, %d spans)", *traceOut, traces, spans)
 	}
 
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(sum); err != nil {
-		log.Fatal(err)
+	traces, spans, droppedSpans := tracer.Stats()
+	sum := map[string]any{
+		"distance_m":         distance,
+		"timeline":           tlSpec,
+		"sessions":           r.sessions,
+		"frames_per_session": r.frames,
+		"retries":            r.retries,
+		"rho":                r.rho,
+		"kill_every":         killEvery,
+		"fixed":              fixed,
+		"adaptive":           adaptive,
+		"adaptive_vs_fixed":  ratio,
+		"min_ratio":          minRatio,
+		"floor":              floor,
+		"flight_events":      len(flight.Events()),
+		"watchdog_trips":     flight.Count(obs.FlightWatchdogTrip),
+		"redial_events":      flight.Count(obs.FlightRedial),
+		"conn_broken_events": flight.Count(obs.FlightConnBroken),
+		"traces":             traces,
+		"trace_spans":        spans,
+		"trace_spans_drop":   droppedSpans,
 	}
-	if *out != "" {
-		if err := benchio.Merge(*out, "chaos", sum); err != nil {
-			log.Fatalf("out: %v", err)
-		}
-		log.Printf("merged chaos entry into %s", *out)
-	}
-	for _, f := range failures {
-		log.Printf("FAIL: %s", f)
-	}
-	if len(failures) > 0 {
-		os.Exit(1)
-	}
-	log.Printf("pass: adaptive %.3f vs fixed %.3f (%.2fx), %d conn kills healed by %d redials",
-		adaptive.DeliveryRate, fixed.DeliveryRate, ratio, adaptive.ConnKills, adaptive.Redials)
+	r.finish("chaos", sum, fails, tracer, flight,
+		fmt.Sprintf("pass: adaptive %.3f vs fixed %.3f (%.2fx), %d conn kills healed by %d redials",
+			adaptive.DeliveryRate, fixed.DeliveryRate, ratio, adaptive.ConnKills, adaptive.Redials))
 }
 
 // soakResult aggregates one daemon's soak outcome across sessions.
@@ -359,104 +381,30 @@ type soakResult struct {
 	WallSeconds     float64 `json:"wall_seconds"`
 }
 
-// soak drives sessions*frames decode jobs through self-healing
-// clients, severing each connection every killEvery frames.
-func soak(addr string, sessions, frames, payloadBytes, killEvery int, seed int64, flight *obs.FlightRecorder) (*soakResult, error) {
-	type sessionOutcome struct {
-		delivered, failed, kills int
-		health                   serve.ClientHealth
-		stats                    *serve.SessionStats
-		err                      error
+func newSoakResult(res *scenario.Result) *soakResult {
+	t := res.Total()
+	out := &soakResult{
+		Offered: t.Offered, Delivered: t.Delivered, Failed: t.Offered - t.Delivered,
+		DeliveryRate: scenario.Rate(t.Delivered, t.Offered),
+		ConnKills:    t.Kills, Redials: t.Health.Redials, BrokenConns: t.Health.BrokenConns,
+		WallSeconds: res.Wall.Seconds(),
 	}
-	outcomes := make([]sessionOutcome, sessions)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for s := 0; s < sessions; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			r := &outcomes[s]
-			c, err := serve.DialClient(serve.ClientConfig{
-				Addr:       addr,
-				IOTimeout:  10 * time.Second,
-				MaxRedials: 6,
-				RedialBase: 2 * time.Millisecond,
-				RedialMax:  50 * time.Millisecond,
-				JitterSeed: seed + int64(s),
-				Flight:     flight,
-			})
-			if err != nil {
-				r.err = err
-				return
-			}
-			defer c.Close()
-			id := fmt.Sprintf("chaos-%03d", s)
-			for i := 0; i < frames; i++ {
-				if killEvery > 0 && i > 0 && i%killEvery == 0 {
-					c.BreakConn()
-					r.kills++
-				}
-				p := []byte(fmt.Sprintf("%s/%06d/", id, i))
-				for len(p) < payloadBytes {
-					p = append(p, byte(i))
-				}
-				resp, err := c.Decode(id, p[:payloadBytes])
-				if err == nil && resp.Delivered {
-					r.delivered++
-				} else {
-					r.failed++
-				}
-			}
-			r.stats, r.err = c.Stats(id)
-			r.health = c.Health()
-		}(s)
-	}
-	wg.Wait()
-
-	res := &soakResult{Offered: sessions * frames, WallSeconds: time.Since(start).Seconds()}
 	var rateSum float64
 	var rateN int
-	for i := range outcomes {
-		r := &outcomes[i]
-		if r.err != nil {
-			return nil, r.err
-		}
-		res.Delivered += r.delivered
-		res.Failed += r.failed
-		res.ConnKills += r.kills
-		res.Redials += r.health.Redials
-		res.BrokenConns += r.health.BrokenConns
-		res.ConfigSwitches += r.stats.ConfigSwitches
-		res.Backoffs += r.stats.Backoffs
-		if r.stats.BitRateBps > 0 {
-			rateSum += r.stats.BitRateBps
-			rateN++
+	for _, o := range res.Clients {
+		if st := o.Stats; st != nil { // a failed probe is a gate failure
+			out.ConfigSwitches += st.ConfigSwitches
+			out.Backoffs += st.Backoffs
+			if st.BitRateBps > 0 {
+				rateSum += st.BitRateBps
+				rateN++
+			}
 		}
 	}
 	if rateN > 0 {
-		res.FinalBitRateBps = rateSum / float64(rateN)
+		out.FinalBitRateBps = rateSum / float64(rateN)
 	}
-	if res.Offered > 0 {
-		res.DeliveryRate = float64(res.Delivered) / float64(res.Offered)
-	}
-	return res, nil
-}
-
-// clusterParams carries the parsed flags into the cluster harness.
-type clusterParams struct {
-	nodes, sessions, frames, payloadBytes, killAt int
-	seed                                          int64
-	link                                          core.LinkConfig
-	rho                                           float64
-	retries, shards                               int
-	timeline                                      string
-	minSymRate                                    float64
-	goroutinesStart                               int
-	out, flightOut, traceOut                      string
-	// energy boots energy-gated nodes at harvest severity, with timeline
-	// parsed as a mobility (wild) script.
-	energy   bool
-	severity float64
+	return out
 }
 
 // clusterChaos is the §5j acceptance harness: N identical handoff-
@@ -466,60 +414,42 @@ type clusterParams struct {
 // response stream (and final stats) is byte-identical to the control
 // node's, sequence numbers stay strictly gapless (zero lost or
 // duplicated frames), and the flight recorder links each kill,
-// re-route, and handoff install under one trace id. In energy mode the
-// nodes are also energy-gated (DESIGN.md §5k) under a mobility script:
-// each frame is polled through its dark answers, every dark answer is
+// re-route, and handoff install under one trace id. With energy the
+// nodes are also energy-gated (DESIGN.md §5k) at the harvest severity
+// under a mobility script (tlSpec parsed with Wild severities): each
+// frame is polled through its dark answers, every dark answer is
 // compared too, and the heal may land in the middle of a dark streak.
-func clusterChaos(p clusterParams) {
-	tracer := obs.NewTracer(obs.TracerConfig{Seed: p.seed, SampleEvery: 1})
+func (r *harness) clusterChaos(nodes, killAt int, energy bool, severity float64, tlSpec string) {
+	tracer := obs.NewTracer(obs.TracerConfig{Seed: r.seed, SampleEvery: 1})
 	flight := obs.NewFlightRecorder(16384)
-	if p.flightOut != "" {
-		flight.SetDumpPath(p.flightOut)
+	if r.flightOut != "" {
+		flight.SetDumpPath(r.flightOut)
 	}
-	if p.killAt >= p.frames {
-		log.Fatalf("kill-at %d is past the last frame %d", p.killAt, p.frames-1)
+	if killAt >= r.frames {
+		log.Fatalf("kill-at %d is past the last frame %d", killAt, r.frames-1)
 	}
-
-	boot := func() *serve.Server {
-		parse := fault.ParseTimeline
-		if p.energy {
-			parse = fault.ParseWildTimeline
-		}
-		tl, err := parse(p.timeline)
-		if err != nil {
-			log.Fatalf("timeline: %v", err)
-		}
-		tank := coldTank()
-		srv, err := serve.NewServer(serve.Config{
-			Addr:                 "localhost:0",
-			Link:                 p.link,
-			CoherenceRho:         p.rho,
-			MaxRetries:           p.retries,
-			Shards:               p.shards,
-			Timeline:             tl,
-			Handoff:              true,
-			Adapt:                true,
-			AdaptMinSymbolRateHz: p.minSymRate,
-			Energy:               p.energy,
-			EnergySeverity:       p.severity,
-			EnergyTank:           &tank,
-			Obs:                  obs.NewRegistry(),
-			Tracer:               tracer,
-			Flight:               flight,
+	parse := fault.ParseTimeline
+	if energy {
+		parse = fault.ParseWildTimeline
+	}
+	tl, err := parse(tlSpec)
+	if err != nil {
+		log.Fatalf("timeline: %v", err)
+	}
+	node := func() *serve.Server {
+		return r.daemon(tl, tracer, flight, func(cfg *serve.Config) {
+			cfg.Handoff = true
+			cfg.Adapt = true
+			cfg.AdaptMinSymbolRateHz = r.minSymRate
+			cfg.Energy = energy
+			cfg.EnergySeverity = severity
 		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := srv.Start(); err != nil {
-			log.Fatal(err)
-		}
-		return srv
 	}
-	control := boot()
+	control := node()
 	byAddr := map[string]*serve.Server{}
-	addrs := make([]string, p.nodes)
+	addrs := make([]string, nodes)
 	for i := range addrs {
-		n := boot()
+		n := node()
 		addrs[i] = n.Addr()
 		byAddr[n.Addr()] = n
 	}
@@ -530,7 +460,7 @@ func clusterChaos(p clusterParams) {
 		RedialBase: 2 * time.Millisecond,
 		RedialMax:  20 * time.Millisecond,
 	}
-	sessionID := func(s int) string { return fmt.Sprintf("cluster-%03d", s) }
+	prog := scenario.Closed("cluster", r.sessions, r.frames, 0, 0)
 
 	// Routing is deterministic, so the victim — the node owning the
 	// first session — and its session count are known before any frame
@@ -539,164 +469,50 @@ func clusterChaos(p clusterParams) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	victim, _ := probe.Owner(sessionID(0))
+	victim, _ := probe.Owner(prog[0].ID)
 	victimSessions := 0
-	for s := 0; s < p.sessions; s++ {
-		if o, _ := probe.Owner(sessionID(s)); o == victim {
+	for _, s := range prog {
+		if o, _ := probe.Owner(s.ID); o == victim {
 			victimSessions++
 		}
 	}
 	probe.Close()
 	log.Printf("control on %s; %d nodes %v; victim %s owns %d/%d sessions, dies at frame %d",
-		control.Addr(), p.nodes, addrs, victim, victimSessions, p.sessions, p.killAt)
+		control.Addr(), nodes, addrs, victim, victimSessions, r.sessions, killAt)
 
 	var killOnce sync.Once
-	kill := func() {
-		killOnce.Do(func() {
-			log.Printf("killing %s", victim)
-			byAddr[victim].Kill()
-		})
-	}
-
-	type outcome struct {
-		err           error
-		delivered     int
-		controlDel    int
-		darkPolls     int
-		mismatch      string
-		seqViolations int
-		statsDiverged bool
-	}
-	outcomes := make([]outcome, p.sessions)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for s := 0; s < p.sessions; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			r := &outcomes[s]
-			id := sessionID(s)
-			cc, err := serve.DialClient(serve.ClientConfig{
-				Addr: control.Addr(), Proto: "binary", IOTimeout: 10 * time.Second,
-			})
-			if err != nil {
-				r.err = err
-				return
+	res, err := scenario.Run(scenario.Config{
+		Program:      prog,
+		PayloadBytes: r.payload,
+		DarkRetries:  400,
+		Dial: func(int) (scenario.Target, error) {
+			return cluster.New(cluster.Config{Addrs: addrs, Client: template, Flight: flight, TraceSeed: r.seed})
+		},
+		Control: func(int) (scenario.Target, error) {
+			return serve.DialClient(serve.ClientConfig{Addr: control.Addr(), Proto: "binary", IOTimeout: 10 * time.Second})
+		},
+		BeforeOp: func(op scenario.Op) {
+			if op.Kind == scenario.Decode && op.Frame == killAt {
+				killOnce.Do(func() {
+					log.Printf("killing %s", victim)
+					byAddr[victim].Kill()
+				})
 			}
-			defer cc.Close()
-			cl, err := cluster.New(cluster.Config{
-				Addrs: addrs, Client: template, Flight: flight, TraceSeed: p.seed,
-			})
-			if err != nil {
-				r.err = err
-				return
-			}
-			defer cl.Close()
-			for i := 0; i < p.frames; i++ {
-				if i == p.killAt {
-					kill()
-				}
-				pay := []byte(fmt.Sprintf("%s/%06d/", id, i))
-				for len(pay) < p.payloadBytes {
-					pay = append(pay, byte(i))
-				}
-				pay = pay[:p.payloadBytes]
-				// Poll the frame until the control's tag is awake; a dark
-				// answer leaves Seq at the last delivered frame's.
-				for polls := 0; ; polls++ {
-					want, err := cc.Decode(id, pay)
-					dark := errors.Is(err, serve.ErrTagDark)
-					if err != nil && !dark {
-						r.err = fmt.Errorf("control frame %d: %w", i, err)
-						return
-					}
-					got, err := cl.Decode(id, pay)
-					if err != nil && !errors.Is(err, serve.ErrTagDark) {
-						r.err = fmt.Errorf("cluster frame %d did not heal: %w", i, err)
-						return
-					}
-					if got.Seq != i+1 && !(dark && got.Seq == i) {
-						r.seqViolations++
-					}
-					wb, _ := json.Marshal(want)
-					gb, _ := json.Marshal(got)
-					if r.mismatch == "" && string(wb) != string(gb) {
-						r.mismatch = fmt.Sprintf("frame %d poll %d:\n  cluster %s\n  control %s", i, polls, gb, wb)
-					}
-					if !dark {
-						if want.Delivered {
-							r.controlDel++
-						}
-						if got.Delivered {
-							r.delivered++
-						}
-						break
-					}
-					if r.darkPolls++; polls == 400 {
-						r.err = fmt.Errorf("frame %d: tag never woke in 400 polls", i)
-						return
-					}
-				}
-			}
-			cstats, cerr := cc.Stats(id)
-			gstats, gerr := cl.Stats(id)
-			if cerr != nil || gerr != nil {
-				r.err = errors.Join(cerr, gerr)
-				return
-			}
-			r.statsDiverged = *cstats != *gstats
-		}(s)
+		},
+	})
+	if res == nil {
+		log.Fatal(err)
 	}
-	wg.Wait()
-	wall := time.Since(start).Seconds()
-
-	for addr, srv := range byAddr {
-		if addr == victim {
-			continue
-		}
-		if err := srv.Shutdown(context.Background()); err != nil {
-			log.Fatalf("node %s drain: %v", addr, err)
-		}
+	fails := violations(res, "")
+	t := res.Total()
+	if n := t.Failed + t.Rejected; n > 0 {
+		fails = append(fails, fmt.Sprintf("%d ops failed (a frame did not heal or its tag never woke in 400 polls)", n))
 	}
-	if err := control.Shutdown(context.Background()); err != nil {
-		log.Fatalf("control drain: %v", err)
+	if t.Delivered < t.ControlDelivered {
+		fails = append(fails, fmt.Sprintf("cluster delivered %d < control %d", t.Delivered, t.ControlDelivered))
 	}
-	goroutinesEnd := runtime.NumGoroutine()
-	for wait := 0; goroutinesEnd > p.goroutinesStart && wait < 100; wait++ {
-		time.Sleep(20 * time.Millisecond)
-		goroutinesEnd = runtime.NumGoroutine()
-	}
-
-	var failures []string
-	offered := p.sessions * p.frames
-	delivered, controlDel, seqViolations, darkPolls := 0, 0, 0, 0
-	byteIdentical := true
-	for s := range outcomes {
-		r := &outcomes[s]
-		if r.err != nil {
-			failures = append(failures, fmt.Sprintf("session %s: %v", sessionID(s), r.err))
-			continue
-		}
-		delivered += r.delivered
-		controlDel += r.controlDel
-		seqViolations += r.seqViolations
-		darkPolls += r.darkPolls
-		if r.mismatch != "" {
-			byteIdentical = false
-			failures = append(failures, fmt.Sprintf("session %s diverged from control at %s", sessionID(s), r.mismatch))
-		}
-		if r.statsDiverged {
-			failures = append(failures, fmt.Sprintf("session %s: final stats diverged from control", sessionID(s)))
-		}
-	}
-	if seqViolations > 0 {
-		failures = append(failures, fmt.Sprintf("%d sequence violations (lost or duplicated frames)", seqViolations))
-	}
-	if delivered < controlDel {
-		failures = append(failures, fmt.Sprintf("cluster delivered %d < control %d", delivered, controlDel))
-	}
-	if p.energy && darkPolls == 0 {
-		failures = append(failures, fmt.Sprintf("energy severity %.2g answered no dark polls — the run did not exercise the energy path", p.severity))
+	if energy && t.DarkPolls == 0 {
+		fails = append(fails, fmt.Sprintf("energy severity %.2g answered no dark polls — the run did not exercise the energy path", severity))
 	}
 
 	// Black-box gates: one node_down + one reroute + one handoff
@@ -713,7 +529,7 @@ func clusterChaos(p clusterParams) {
 		switch ev.Kind {
 		case obs.FlightReroute:
 			if ev.Trace == 0 {
-				failures = append(failures, fmt.Sprintf("reroute event without trace id: %+v", ev))
+				fails = append(fails, fmt.Sprintf("reroute event without trace id: %+v", ev))
 			}
 			rerouteTraces[ev.Trace] = true
 		case obs.FlightHandoffInstall:
@@ -724,88 +540,46 @@ func clusterChaos(p clusterParams) {
 		}
 	}
 	if nodeDowns != victimSessions {
-		failures = append(failures, fmt.Sprintf("node_down events = %d, want %d (one per victim session client)", nodeDowns, victimSessions))
+		fails = append(fails, fmt.Sprintf("node_down events = %d, want %d (one per victim session client)", nodeDowns, victimSessions))
 	}
 	if reroutes != victimSessions {
-		failures = append(failures, fmt.Sprintf("reroute events = %d, want %d", reroutes, victimSessions))
+		fails = append(fails, fmt.Sprintf("reroute events = %d, want %d", reroutes, victimSessions))
 	}
 	if installs != victimSessions {
-		failures = append(failures, fmt.Sprintf("client handoff_install events = %d, want %d", installs, victimSessions))
+		fails = append(fails, fmt.Sprintf("client handoff_install events = %d, want %d", installs, victimSessions))
 	}
 	for tr := range rerouteTraces {
 		if !installTraces[tr] {
-			failures = append(failures, fmt.Sprintf("reroute trace %x has no linked handoff_install", tr))
+			fails = append(fails, fmt.Sprintf("reroute trace %x has no linked handoff_install", tr))
 		}
-	}
-	if goroutinesEnd > p.goroutinesStart {
-		failures = append(failures, fmt.Sprintf("goroutine leak: %d before, %d after shutdown", p.goroutinesStart, goroutinesEnd))
 	}
 
 	traces, spans, droppedSpans := tracer.Stats()
 	sum := map[string]any{
-		"nodes":              p.nodes,
-		"sessions":           p.sessions,
-		"frames_per_session": p.frames,
-		"kill_at_frame":      p.killAt,
+		"nodes":              nodes,
+		"sessions":           r.sessions,
+		"frames_per_session": r.frames,
+		"kill_at_frame":      killAt,
 		"victim":             victim,
 		"victim_sessions":    victimSessions,
-		"offered_frames":     offered,
-		"delivered_frames":   delivered,
-		"control_delivered":  controlDel,
-		"delivery_rate":      float64(delivered) / float64(offered),
-		"byte_identical":     byteIdentical,
-		"seq_violations":     seqViolations,
-		"energy":             p.energy,
-		"energy_severity":    p.severity,
-		"dark_polls":         darkPolls,
+		"offered_frames":     t.Offered,
+		"delivered_frames":   t.Delivered,
+		"control_delivered":  t.ControlDelivered,
+		"delivery_rate":      scenario.Rate(t.Delivered, t.Offered),
+		"byte_identical":     res.Count(scenario.Mismatch) == 0,
+		"seq_violations":     res.Count(scenario.SeqGap),
+		"energy":             energy,
+		"energy_severity":    severity,
+		"dark_polls":         t.DarkPolls,
 		"node_down_events":   nodeDowns,
 		"reroute_events":     reroutes,
 		"handoff_installs":   installs,
-		"goroutines_start":   p.goroutinesStart,
-		"goroutines_end":     goroutinesEnd,
-		"wall_seconds":       wall,
+		"wall_seconds":       res.Wall.Seconds(),
 		"traces":             traces,
 		"trace_spans":        spans,
 		"trace_spans_drop":   droppedSpans,
-		"pass":               len(failures) == 0,
 	}
-
-	if p.flightOut != "" {
-		if err := flight.DumpFile(p.flightOut); err != nil {
-			log.Fatalf("flight-out: %v", err)
-		}
-		log.Printf("wrote flight dump %s (%d events)", p.flightOut, len(flight.Events()))
-	}
-	if p.traceOut != "" {
-		f, err := os.Create(p.traceOut)
-		if err != nil {
-			log.Fatalf("trace-out: %v", err)
-		}
-		if err := tracer.WriteChromeTrace(f); err != nil {
-			log.Fatalf("trace-out: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatalf("trace-out: %v", err)
-		}
-		log.Printf("wrote %s (%d traces, %d spans)", p.traceOut, traces, spans)
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(sum); err != nil {
-		log.Fatal(err)
-	}
-	if p.out != "" {
-		if err := benchio.Merge(p.out, "cluster_chaos", sum); err != nil {
-			log.Fatalf("out: %v", err)
-		}
-		log.Printf("merged cluster_chaos entry into %s", p.out)
-	}
-	for _, f := range failures {
-		log.Printf("FAIL: %s", f)
-	}
-	if len(failures) > 0 {
-		os.Exit(1)
-	}
-	log.Printf("pass: %d sessions x %d frames across %d nodes, %d healed off %s, streams byte-identical to control",
-		p.sessions, p.frames, p.nodes, victimSessions, victim)
+	r.finish("cluster_chaos", sum, fails, tracer, flight,
+		fmt.Sprintf("pass: %d sessions x %d frames across %d nodes, %d healed off %s, streams byte-identical to control",
+			r.sessions, r.frames, nodes, victimSessions, victim))
 }

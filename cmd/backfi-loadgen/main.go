@@ -6,7 +6,9 @@
 // summary reports both `_us` and the legacy `_ms` keys. With -out it
 // merges the summary under -out-key (default "serving") into a
 // benchmark results file (e.g. BENCH_results.json), preserving
-// whatever other sections the file already holds.
+// whatever other sections the file already holds. The workload is a
+// program of the scenario engine (internal/scenario), which also
+// fails the run on a broken serving invariant.
 //
 // Example (self-contained, no external daemon):
 //
@@ -34,19 +36,14 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"math/rand"
 	"os"
 	"runtime"
-	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"backfi/internal/benchio"
@@ -55,6 +52,7 @@ import (
 	"backfi/internal/fault"
 	"backfi/internal/fec"
 	"backfi/internal/obs"
+	"backfi/internal/scenario"
 	"backfi/internal/serve"
 	"backfi/internal/tag"
 )
@@ -111,6 +109,9 @@ func main() {
 	if *harvest > 0 && (!*selfserve || *clusterNodes > 1 || *addrs != "" || *churn > 0 || *mtTags > 0 || *compare) {
 		log.Fatal("harvest: the energy scheduler drives the plain -selfserve single-node decode workload only (no -cluster/-addrs/-churn/-multitag/-compare-protos)")
 	}
+	if *impair < 0 || *impair > 1 {
+		log.Fatalf("impair: severity %v outside [0,1]", *impair)
+	}
 
 	// One tracer shared by the clients and the self-served daemon: both
 	// derive the same per-frame trace ids from (seed, session, index), so
@@ -121,15 +122,13 @@ func main() {
 		tracer = obs.NewTracer(obs.TracerConfig{Seed: *seed, SampleEvery: *traceSample})
 	}
 
+	h := scenario.NewHarness()
 	newServer := func() *serve.Server {
 		link := core.DefaultLinkConfig(*distance)
 		link.Seed = *seed
 		if *fastTag {
 			link.Tag = tag.Config{Mod: tag.PSK16, Coding: fec.Rate23, SymbolRateHz: 2.5e6,
 				PreambleChips: tag.DefaultPreambleChips, ID: link.Tag.ID}
-		}
-		if *impair < 0 || *impair > 1 {
-			log.Fatalf("impair: severity %v outside [0,1]", *impair)
 		}
 		if *impair > 0 {
 			p := fault.Standard(*impair)
@@ -138,16 +137,7 @@ func main() {
 			}
 			link.Faults = &p
 		}
-		var tl *fault.Timeline
-		if *timeline != "" {
-			parsed, err := fault.ParseTimeline(*timeline)
-			if err != nil {
-				log.Fatalf("timeline: %v", err)
-			}
-			tl = parsed
-		}
 		cfg := serve.Config{
-			Addr:         "localhost:0",
 			Link:         link,
 			CoherenceRho: *rho,
 			MaxRetries:   *retries,
@@ -161,24 +151,21 @@ func main() {
 
 			Adapt:                *adapt,
 			AdaptMinSymbolRateHz: *minSymRate,
-			Timeline:             tl,
+
+			Energy:         *harvest > 0,
+			EnergySeverity: *harvest,
 
 			Tracer: tracer,
 		}
-		if *harvest > 0 {
-			cfg.Energy = true
-			cfg.EnergySeverity = *harvest
-			// Cold start: 60% banked, so a starved harvest actually
-			// duty-cycles inside a ~100-frame workload.
-			tank := serve.DefaultEnergyTank()
-			tank.InitialJ = 0.6 * tank.CapacityJ
-			cfg.EnergyTank = &tank
+		if *timeline != "" {
+			tl, err := fault.ParseTimeline(*timeline)
+			if err != nil {
+				log.Fatalf("timeline: %v", err)
+			}
+			cfg.Timeline = tl
 		}
-		srv, err := serve.NewServer(cfg)
+		srv, err := h.Boot(cfg)
 		if err != nil {
-			log.Fatal(err)
-		}
-		if err := srv.Start(); err != nil {
 			log.Fatal(err)
 		}
 		return srv
@@ -188,7 +175,7 @@ func main() {
 		if !*selfserve {
 			log.Fatal("compare-protos requires -selfserve (fresh identical daemons per run)")
 		}
-		compareProtos(newServer, *sessions, *frames, *payload)
+		compareProtos(h, newServer, *sessions, *frames, *payload)
 		return
 	}
 
@@ -210,15 +197,12 @@ func main() {
 	if *selfserve {
 		if *clusterNodes > 1 {
 			for i := 0; i < *clusterNodes; i++ {
-				srv := newServer()
-				defer srv.Shutdown(context.Background())
-				clusterAddrs = append(clusterAddrs, srv.Addr())
+				clusterAddrs = append(clusterAddrs, newServer().Addr())
 			}
 			log.Printf("self-serving a %d-node handoff cluster %v (shards=%d each, proto=%s)",
 				*clusterNodes, clusterAddrs, *shards, *proto)
 		} else {
 			selfsrv = newServer()
-			defer selfsrv.Shutdown(context.Background())
 			target = selfsrv.Addr()
 			log.Printf("self-serving on %s (shards=%d proto=%s)", target, *shards, *proto)
 		}
@@ -230,56 +214,78 @@ func main() {
 		log.Fatal("cluster mode drives the single-tag decode workload only (no -churn / -multitag)")
 	}
 
-	var sum map[string]any
-	var dark []sessionDark
-	var err error
-	if *churn > 0 {
-		var srv *serve.Server
-		if *selfserve {
-			srv = selfsrv
-		}
-		sum, err = runChurn(target, *proto, *sessions, *churn, *mtTags, *frames, *payload, *seed, *churnActive, srv)
-		if err == nil && *maxSessBytes > 0 {
-			if bps := sum["bytes_per_session"].(float64); bps > float64(*maxSessBytes) {
-				log.Fatalf("session-memory gate FAILED: %.0f heap bytes per churned session > %d budget", bps, *maxSessBytes)
-			}
-			log.Printf("session-memory gate OK: %.0f heap bytes per churned session <= %d budget",
-				sum["bytes_per_session"].(float64), *maxSessBytes)
-		}
-	} else if len(clusterAddrs) > 0 {
-		sum, _, err = run(func() (frameDecoder, error) {
+	run := scenario.Config{
+		PayloadBytes: *payload,
+		SeenIDs:      !*selfserve, // an external daemon may know the ids
+		Dial: func(int) (scenario.Target, error) {
+			return serve.DialClient(serve.ClientConfig{Addr: target, Proto: *proto, Tracer: tracer})
+		},
+	}
+	switch {
+	case len(clusterAddrs) > 0:
+		run.Dial = func(int) (scenario.Target, error) {
 			return cluster.New(cluster.Config{
 				Addrs:     clusterAddrs,
 				Client:    serve.ClientConfig{Proto: *proto, Tracer: tracer},
 				TraceSeed: *seed,
 			})
-		}, *sessions, *frames, *payload, 0)
-	} else {
-		darkRetries := 0
-		if *harvest > 0 {
-			darkRetries = 64
 		}
-		sum, dark, err = run(func() (frameDecoder, error) {
-			return serve.DialClient(serve.ClientConfig{Addr: target, Proto: *proto, Tracer: tracer})
-		}, *sessions, *frames, *payload, darkRetries)
+	case *churn > 0:
+		run.Workers = max(*sessions, 1)
 	}
-	if err != nil {
-		log.Fatal(err)
-	}
-	if *harvest > 0 && *ttl > 0 && selfsrv != nil {
-		if err := harvestGate(target, *proto, *ttl, dark, selfsrv); err != nil {
+
+	var sum map[string]any
+	if *churn > 0 {
+		sum = runChurn(run, *seed, *churn, *mtTags, *frames, *churnActive, selfsrv)
+		if *churnActive > 0 && sum["slots_offered"] == 0 {
+			log.Fatalf("churn: an active fraction of %g offered no slot across %d ids — the run decoded nothing", *churnActive, *churn)
+		}
+		if bps := sum["bytes_per_session"].(float64); *maxSessBytes > 0 {
+			if bps > float64(*maxSessBytes) {
+				log.Fatalf("session-memory gate FAILED: %.0f heap bytes per churned session > %d budget", bps, *maxSessBytes)
+			}
+			log.Printf("session-memory gate OK: %.0f heap bytes per churned session <= %d budget", bps, *maxSessBytes)
+		}
+	} else {
+		park := 0
+		if *harvest > 0 {
+			// Dark polls are retried within a budget; afterwards each
+			// session keeps polling (outside the offered accounting) until
+			// its tank next runs dry, so the run ends with sessions parked
+			// dark mid-backoff for the harvest TTL gate. Bounded: a tank
+			// that never goes dark at this severity just burns the cap.
+			run.DarkRetries, park = 64, 40
+		}
+		run.Program = scenario.Closed("loadgen", *sessions, *frames, 0, park)
+		res, err := scenario.Run(run)
+		if err != nil {
 			log.Fatal(err)
 		}
+		sum = summary(res, *payload)
+		if *harvest > 0 {
+			dark := 0
+			for _, o := range res.Clients {
+				if o.DarkPolls > 0 {
+					dark++
+				}
+			}
+			sum["dark_polls"], sum["dark_sessions"] = res.Total().DarkPolls, dark
+			if *ttl > 0 && selfsrv != nil {
+				if err := harvestGate(target, *proto, *ttl, run.Program, res, selfsrv); err != nil {
+					log.Fatal(err)
+				}
+			}
+		}
+	}
+	if _, err := h.Drain(); err != nil {
+		log.Fatal(err)
 	}
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
+		if err == nil {
+			err = errors.Join(tracer.WriteChromeTrace(f), f.Close())
+		}
 		if err != nil {
-			log.Fatalf("trace-out: %v", err)
-		}
-		if err := tracer.WriteChromeTrace(f); err != nil {
-			log.Fatalf("trace-out: %v", err)
-		}
-		if err := f.Close(); err != nil {
 			log.Fatalf("trace-out: %v", err)
 		}
 		traces, spans, dropped := tracer.Stats()
@@ -332,20 +338,25 @@ func main() {
 // exact same session streams — once per protocol, best goodput of two
 // runs each (absorbing scheduler noise), asserting the binary framing
 // never serves slower than JSON.
-func compareProtos(newServer func() *serve.Server, sessions, frames, payload int) {
+func compareProtos(h *scenario.Harness, newServer func() *serve.Server, sessions, frames, payload int) {
 	best := map[string]float64{}
 	for _, proto := range []string{"json", "binary"} {
 		for attempt := 0; attempt < 2; attempt++ {
-			srv := newServer()
-			proto := proto
-			sum, _, err := run(func() (frameDecoder, error) {
-				return serve.DialClient(serve.ClientConfig{Addr: srv.Addr(), Proto: proto})
-			}, sessions, frames, payload, 0)
-			srv.Shutdown(context.Background())
+			addr := newServer().Addr()
+			res, err := scenario.Run(scenario.Config{
+				Program:      scenario.Closed("loadgen", sessions, frames, 0, 0),
+				PayloadBytes: payload,
+				Dial: func(int) (scenario.Target, error) {
+					return serve.DialClient(serve.ClientConfig{Addr: addr, Proto: proto})
+				},
+			})
 			if err != nil {
 				log.Fatal(err)
 			}
-			if g := sum["goodput_bps"].(float64); g > best[proto] {
+			if _, err := h.Drain(); err != nil {
+				log.Fatal(err)
+			}
+			if g := summary(res, payload)["goodput_bps"].(float64); g > best[proto] {
 				best[proto] = g
 			}
 		}
@@ -357,157 +368,27 @@ func compareProtos(newServer func() *serve.Server, sessions, frames, payload int
 	log.Printf("protocol gate OK: binary %.0f bps >= json %.0f bps", best["binary"], best["json"])
 }
 
-// frameDecoder is the client surface run measures: a single-node
-// serve.Client and a consistent-hash cluster.Client both satisfy it,
-// so single-node and cluster entries in the bench file are produced by
-// the identical measurement loop.
-type frameDecoder interface {
-	Decode(session string, payload []byte) (*serve.Response, error)
-	Close() error
-}
-
-// sessionDark is one session's energy-scheduler outcome: how many
-// polls the daemon answered tag_dark, the consecutive dark streak the
-// session ended on (exact — only this client polls the session), and
-// how many polls reached a live decode. The harvest TTL gate uses it
-// to find sessions that finished mid-backoff.
-type sessionDark struct {
-	id                               string
-	darkPolls, endStreak, liveFrames int
-}
-
-// run offers sessions*frames jobs closed-loop — each session goroutine
-// owns one client from dial — and aggregates the outcome into the
-// serving summary. Latencies are recorded in microseconds (dark polls
-// are retried up to darkRetries per frame and counted separately, not
-// folded into the latency sample). gomaxprocs rides along because
-// serving is CPU-bound: gates comparing entries (e.g. cluster vs.
-// single-node goodput) must scale expectations by the parallelism the
-// run actually had.
-func run(dial func() (frameDecoder, error), sessions, frames, payloadBytes, darkRetries int) (map[string]any, []sessionDark, error) {
-	type sessionResult struct {
-		delivered  int
-		rejected   int
-		failed     int
-		darkPolls  int
-		endStreak  int
-		liveFrames int
-		latencyUS  []int64
-		err        error
-	}
-	results := make([]sessionResult, sessions)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for s := 0; s < sessions; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			r := &results[s]
-			c, err := dial()
-			if err != nil {
-				r.err = err
-				return
-			}
-			defer c.Close()
-			id := fmt.Sprintf("loadgen-%03d", s)
-			for i := 0; i < frames; i++ {
-				p := []byte(fmt.Sprintf("%s/%06d/", id, i))
-				for len(p) < payloadBytes {
-					p = append(p, byte(i))
-				}
-				var resp *serve.Response
-				var err error
-				for attempt := 0; ; attempt++ {
-					t0 := time.Now()
-					resp, err = c.Decode(id, p[:payloadBytes])
-					lat := time.Since(t0).Microseconds()
-					if errors.Is(err, serve.ErrTagDark) {
-						r.darkPolls++
-						r.endStreak++
-						if attempt < darkRetries {
-							continue
-						}
-					} else {
-						r.endStreak = 0
-						r.latencyUS = append(r.latencyUS, lat)
-					}
-					break
-				}
-				if err == nil {
-					r.liveFrames++
-				}
-				switch {
-				case err == nil && resp.Delivered:
-					r.delivered++
-				case errors.Is(err, serve.ErrQueueFull) || errors.Is(err, serve.ErrDraining) || errors.Is(err, serve.ErrDeadline):
-					r.rejected++
-				case err != nil:
-					r.failed++
-				}
-			}
-			if darkRetries > 0 {
-				// Park the session mid-backoff for the harvest TTL gate:
-				// the per-frame retry loop above always ends on a live
-				// poll, so keep polling (no retries, outside the offered/
-				// delivered accounting) until the tank next runs dry —
-				// the run then ends with real dark-but-tracked sessions
-				// for the eviction guard to protect. Bounded: a tank that
-				// never goes dark at this severity just burns the cap.
-				for extra := 0; extra < 40; extra++ {
-					p := []byte(fmt.Sprintf("%s/%06d/", id, frames+extra))
-					for len(p) < payloadBytes {
-						p = append(p, byte(extra))
-					}
-					_, err := c.Decode(id, p[:payloadBytes])
-					if errors.Is(err, serve.ErrTagDark) {
-						r.darkPolls++
-						r.endStreak++
-						break
-					}
-					if err != nil {
-						break
-					}
-					r.liveFrames++
-				}
-			}
-		}(s)
-	}
-	wg.Wait()
-	wall := time.Since(start).Seconds()
-
-	var delivered, rejected, failed, darkPolls, darkSessions int
-	var lat []int64
-	dark := make([]sessionDark, sessions)
-	for s, r := range results {
-		if r.err != nil {
-			return nil, nil, r.err
-		}
-		delivered += r.delivered
-		rejected += r.rejected
-		failed += r.failed
-		darkPolls += r.darkPolls
-		if r.darkPolls > 0 {
-			darkSessions++
-		}
-		dark[s] = sessionDark{
-			id:        fmt.Sprintf("loadgen-%03d", s),
-			darkPolls: r.darkPolls, endStreak: r.endStreak, liveFrames: r.liveFrames,
-		}
-		lat = append(lat, r.latencyUS...)
-	}
-	offered := sessions * frames
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	p50, p95, p99 := quantileUS(lat, 0.50), quantileUS(lat, 0.95), quantileUS(lat, 0.99)
-	sum := map[string]any{
-		"offered_frames":   offered,
-		"delivered_frames": delivered,
-		"rejected_frames":  rejected,
-		"failed_frames":    failed,
+// summary is the serving entry of a closed-loop run. Latencies are in
+// microseconds (dark polls are counted apart, not sampled). gomaxprocs
+// rides along because serving is CPU-bound: gates comparing entries
+// (e.g. cluster vs. single-node goodput) must scale expectations by the
+// parallelism the run actually had.
+func summary(res *scenario.Result, payloadBytes int) map[string]any {
+	t := res.Total()
+	wall := res.Wall.Seconds()
+	p50 := scenario.Quantile(t.LatencyUS, 0.50)
+	p95 := scenario.Quantile(t.LatencyUS, 0.95)
+	p99 := scenario.Quantile(t.LatencyUS, 0.99)
+	return map[string]any{
+		"offered_frames":   t.Offered,
+		"delivered_frames": t.Delivered,
+		"rejected_frames":  t.Rejected,
+		"failed_frames":    t.Failed,
 		"wall_seconds":     wall,
-		"offered_fps":      float64(offered) / wall,
-		"delivered_fps":    float64(delivered) / wall,
-		"delivery_rate":    float64(delivered) / float64(offered),
-		"goodput_bps":      float64(delivered*payloadBytes*8) / wall,
+		"offered_fps":      float64(t.Offered) / wall,
+		"delivered_fps":    float64(t.Delivered) / wall,
+		"delivery_rate":    scenario.Rate(t.Delivered, t.Offered),
+		"goodput_bps":      float64(t.Delivered*payloadBytes*8) / wall,
 		"gomaxprocs":       runtime.GOMAXPROCS(0),
 		"latency_p50_us":   p50,
 		"latency_p95_us":   p95,
@@ -517,192 +398,57 @@ func run(dial func() (frameDecoder, error), sessions, frames, payloadBytes, dark
 		"latency_p95_ms": p95 / 1e3,
 		"latency_p99_ms": p99 / 1e3,
 	}
-	if darkRetries > 0 {
-		sum["dark_polls"] = darkPolls
-		sum["dark_sessions"] = darkSessions
-	}
-	return sum, dark, nil
 }
 
-// runChurn is the §5i memory-and-goodput profile: churnN distinct
-// session ids stream through the daemon on `workers` connections. How
-// much work each id brings follows a heavy-tailed (Zipf) draw seeded
-// by (seed, id) — the realistic shape for a reader fleet, where most
-// tags report rarely and a few groups poll continuously. An id with no
-// tail work touches the daemon once (a stats probe realizes and then
-// abandons its session); an id in the tail offers jointly decoded
-// multi-tag slots of `tags` payloads (plain decodes when tags == 0).
-// Besides throughput, the summary records the memory story the session
-// TTL is for: heap growth per churned id and sessions per GB.
-func runChurn(addr, proto string, workers, churnN, tags, slotsMax, payloadBytes int, seed int64, activeF float64, srv *serve.Server) (map[string]any, error) {
-	if workers < 1 {
-		workers = 1
-	}
-	if slotsMax < 1 {
-		slotsMax = 1
+// runChurn is the §5i memory-and-goodput profile: the churn program's
+// ids stream through the daemon on the run's workers (see
+// scenario.Churn). Besides throughput, the summary records the memory
+// story the session TTL is for: heap growth per churned id and
+// sessions per GB.
+func runChurn(run scenario.Config, seed int64, ids, tags, slotsMax int, active float64, srv *serve.Server) map[string]any {
+	run.Program = scenario.Churn(seed, ids, tags, slotsMax, active)
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := scenario.Run(run)
+	if err != nil {
+		log.Fatal(err)
 	}
 	runtime.GC()
-	var msBefore runtime.MemStats
-	runtime.ReadMemStats(&msBefore)
-
-	type workerResult struct {
-		probes    int
-		slots     int
-		offered   int // tag-frames offered in slots
-		delivered int // tag-frames delivered
-		rejected  int
-		failed    int
-		latencyUS []int64
-		err       error
+	runtime.ReadMemStats(&after)
+	heapGrowth := 0.0
+	if after.HeapAlloc > before.HeapAlloc {
+		heapGrowth = float64(after.HeapAlloc - before.HeapAlloc)
 	}
-	results := make([]workerResult, workers)
-	var next atomic.Int64
-	start := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			r := &results[w]
-			c, err := serve.DialClient(serve.ClientConfig{Addr: addr, Proto: proto})
-			if err != nil {
-				r.err = err
-				return
-			}
-			defer c.Close()
-			for {
-				idx := next.Add(1) - 1
-				if idx >= int64(churnN) {
-					return
-				}
-				id := fmt.Sprintf("churn-%07d", idx)
-				// Heavy-tailed work per id, a pure function of (seed, id):
-				// an activeF-fraction of ids form active groups whose slot
-				// count is Zipf-distributed up to slotsMax; everyone else
-				// registers once and idles out.
-				rng := rand.New(rand.NewSource(seed + 0x9e3779b9*idx))
-				slots := 0
-				if rng.Float64() < activeF {
-					slots = 1
-					if slotsMax > 1 {
-						slots += int(rand.NewZipf(rng, 1.5, 1, uint64(slotsMax-1)).Uint64())
-					}
-				}
-				if slots == 0 {
-					// The common case: the id registers (the server opens its
-					// session state, though no core session) and never
-					// returns — the state the TTL sweep exists to reclaim.
-					r.probes++
-					if _, err := c.Stats(id); err != nil {
-						r.failed++
-					}
-					continue
-				}
-				for i := 0; i < slots; i++ {
-					var delivered, frames int
-					var err error
-					t0 := time.Now()
-					if tags > 0 {
-						pay := make([][]byte, tags)
-						for k := range pay {
-							p := []byte(fmt.Sprintf("%s/%04d/%d/", id, i, k))
-							for len(p) < payloadBytes {
-								p = append(p, byte(i))
-							}
-							pay[k] = p[:payloadBytes]
-						}
-						var resp *serve.Response
-						resp, err = c.MultiDecode(id, pay)
-						frames = tags
-						if err == nil {
-							for _, tr := range resp.Tags {
-								if tr.Delivered {
-									delivered++
-								}
-							}
-						}
-					} else {
-						p := []byte(fmt.Sprintf("%s/%04d/", id, i))
-						for len(p) < payloadBytes {
-							p = append(p, byte(i))
-						}
-						var resp *serve.Response
-						resp, err = c.Decode(id, p[:payloadBytes])
-						frames = 1
-						if err == nil && resp.Delivered {
-							delivered = 1
-						}
-					}
-					r.latencyUS = append(r.latencyUS, time.Since(t0).Microseconds())
-					r.slots++
-					r.offered += frames
-					r.delivered += delivered
-					switch {
-					case err == nil:
-					case errors.Is(err, serve.ErrQueueFull) || errors.Is(err, serve.ErrDraining) || errors.Is(err, serve.ErrDeadline):
-						r.rejected++
-					default:
-						r.failed++
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	wall := time.Since(start).Seconds()
-
-	var probes, slots, offered, delivered, rejected, failed int
-	var lat []int64
-	for _, r := range results {
-		if r.err != nil {
-			return nil, r.err
-		}
-		probes += r.probes
-		slots += r.slots
-		offered += r.offered
-		delivered += r.delivered
-		rejected += r.rejected
-		failed += r.failed
-		lat = append(lat, r.latencyUS...)
-	}
-
-	runtime.GC()
-	var msAfter runtime.MemStats
-	runtime.ReadMemStats(&msAfter)
-	heapGrowth := float64(0)
-	if msAfter.HeapAlloc > msBefore.HeapAlloc {
-		heapGrowth = float64(msAfter.HeapAlloc - msBefore.HeapAlloc)
-	}
-	bytesPerSession := heapGrowth / float64(churnN)
 	sessionsPerGB := 0.0
 	if heapGrowth > 0 {
-		sessionsPerGB = float64(churnN) / heapGrowth * (1 << 30)
+		sessionsPerGB = float64(ids) / heapGrowth * (1 << 30)
 	}
-
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+	t := res.Total()
+	wall := res.Wall.Seconds()
 	sum := map[string]any{
-		"churn_sessions":       churnN,
-		"stats_probes":         probes,
-		"slots_offered":        slots,
-		"tag_frames_offered":   offered,
-		"tag_frames_delivered": delivered,
-		"rejected_ops":         rejected,
-		"failed_ops":           failed,
+		"churn_sessions":       ids,
+		"stats_probes":         t.Probes,
+		"slots_offered":        t.Slots,
+		"tag_frames_offered":   t.Offered,
+		"tag_frames_delivered": t.Delivered,
+		"rejected_ops":         t.Rejected,
+		"failed_ops":           t.Failed,
 		"wall_seconds":         wall,
-		"delivery_rate":        rate(delivered, offered),
-		"goodput_bps":          float64(delivered*payloadBytes*8) / wall,
+		"delivery_rate":        scenario.Rate(t.Delivered, t.Offered),
+		"goodput_bps":          float64(t.Delivered*run.PayloadBytes*8) / wall,
 		"heap_growth_bytes":    heapGrowth,
-		"bytes_per_session":    bytesPerSession,
+		"bytes_per_session":    heapGrowth / float64(ids),
 		"sessions_per_gb":      sessionsPerGB,
-		"latency_p50_us":       quantileUS(lat, 0.50),
-		"latency_p95_us":       quantileUS(lat, 0.95),
-		"latency_p99_us":       quantileUS(lat, 0.99),
+		"latency_p50_us":       scenario.Quantile(t.LatencyUS, 0.50),
+		"latency_p95_us":       scenario.Quantile(t.LatencyUS, 0.95),
+		"latency_p99_us":       scenario.Quantile(t.LatencyUS, 0.99),
 	}
 	if srv != nil {
 		sum["live_sessions_end"] = srv.Sessions()
 		sum["evictions"] = srv.Evictions()
 	}
-	return sum, nil
+	return sum
 }
 
 // harvestGate asserts the §5k eviction guard end to end: a session
@@ -714,16 +460,16 @@ func runChurn(addr, proto string, workers, churnN, tags, slotsMax, payloadBytes 
 // of traffic, so sleeping two TTLs guarantees a sweep saw the idle
 // sessions before the stats probes ask whether they survived (a
 // wrongly evicted session comes back with zeroed stats).
-func harvestGate(addr, proto string, ttl time.Duration, dark []sessionDark, srv *serve.Server) error {
+func harvestGate(addr, proto string, ttl time.Duration, prog []scenario.Session, res *scenario.Result, srv *serve.Server) error {
 	bp := serve.DefaultEnergyBackoff()
 	ceiling := 1
 	for bp.Delay(ceiling) < bp.MaxSec {
 		ceiling++
 	}
-	var cand []sessionDark
-	for _, d := range dark {
-		if d.endStreak > 0 && d.endStreak < ceiling && d.liveFrames > 0 {
-			cand = append(cand, d)
+	var cand []int
+	for s, o := range res.Clients {
+		if o.EndStreak > 0 && o.EndStreak < ceiling && o.Live > 0 {
+			cand = append(cand, s)
 		}
 	}
 	if len(cand) == 0 {
@@ -736,13 +482,14 @@ func harvestGate(addr, proto string, ttl time.Duration, dark []sessionDark, srv 
 		return err
 	}
 	defer c.Close()
-	for _, d := range cand {
-		st, err := c.Stats(d.id)
+	for _, s := range cand {
+		id, o := prog[s].ID, res.Clients[s]
+		st, err := c.Stats(id)
 		if err != nil {
-			return fmt.Errorf("harvest TTL gate: stats %s: %w", d.id, err)
+			return fmt.Errorf("harvest TTL gate: stats %s: %w", id, err)
 		}
 		if st.FramesOffered == 0 {
-			return fmt.Errorf("harvest TTL gate FAILED: dark session %s (streak %d < ceiling %d after %d live frames) was evicted mid-backoff — its stats came back empty", d.id, d.endStreak, ceiling, d.liveFrames)
+			return fmt.Errorf("harvest TTL gate FAILED: dark session %s (streak %d < ceiling %d after %d live frames) was evicted mid-backoff — its stats came back empty", id, o.EndStreak, ceiling, o.Live)
 		}
 	}
 	log.Printf("harvest TTL gate OK: %d dark-mid-backoff sessions survived the idle sweeps (evictions=%d)", len(cand), srv.Evictions())
@@ -786,21 +533,4 @@ func gateGoodput(path, key string, ratio float64, nodes int, got float64) error 
 	log.Printf("cluster goodput gate OK: %.0f bps >= %.2fx single-node baseline %.0f bps (%.2fx achieved)",
 		got, need, base, got/base)
 	return nil
-}
-
-// rate is a zero-guarded ratio.
-func rate(num, den int) float64 {
-	if den == 0 {
-		return 0
-	}
-	return float64(num) / float64(den)
-}
-
-// quantileUS returns the q-th latency quantile in microseconds
-// (nearest-rank on the sorted sample).
-func quantileUS(sorted []int64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	return float64(sorted[int(q*float64(len(sorted)-1))])
 }

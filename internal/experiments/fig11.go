@@ -119,7 +119,7 @@ func Fig11b(opt Options) ([]Fig11bRow, error) {
 			cfg.Tag.Mod = mod
 			cfg.Tag.Coding = fec.Rate12
 			cfg.Tag.SymbolRateHz = rs
-			cfg.Seed = opt.Seed + int64(ri)*100 + int64(trial) // same placements across mods/rates
+			cfg.Seed = opt.Seed + int64(trial) // same placements across mods/rates
 			cfg.Obs = opt.Obs
 			cfg.Faults = opt.Faults
 			link, err := core.NewLink(cfg)
