@@ -14,12 +14,12 @@ import (
 	"fmt"
 	"log"
 	"math"
-	"math/rand"
 	"os"
 
 	"backfi/internal/channel"
 	"backfi/internal/dsp"
 	"backfi/internal/iq"
+	"backfi/internal/rng"
 	"backfi/internal/wifi"
 )
 
@@ -41,7 +41,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	r := rand.New(rand.NewSource(*seed))
+	r, src := rng.NewWithSource(*seed)
 	psdu := make([]byte, *nbytes)
 	r.Read(psdu)
 
@@ -77,7 +77,7 @@ func main() {
 	}
 	if !math.IsInf(*snr, 1) {
 		p := dsp.Power(wave)
-		noise := channel.NewAWGN(r, p*dsp.UnDB(-*snr))
+		noise := channel.NewAWGN(src, p*dsp.UnDB(-*snr))
 		wave = noise.Add(wave)
 		fmt.Printf("AWGN        %.1f dB SNR\n", *snr)
 	}

@@ -8,6 +8,7 @@ import (
 
 	"backfi/internal/channel"
 	"backfi/internal/dsp"
+	"backfi/internal/rng"
 )
 
 func TestPriorWiFiWorksAtShortRange(t *testing.T) {
@@ -55,12 +56,13 @@ func TestToneSingleTapCancelPerfectOnTone(t *testing.T) {
 	// A tone through any LTI channel is one complex gain: single-tap
 	// cancellation reaches the noise floor (paper Sec. 3.1.1).
 	r := rand.New(rand.NewSource(5))
+	src := rng.NewSource(5)
 	var tr ToneReader
 	tr.ToneFreq = 0.11
 	x := tr.Tone(4000, dsp.UnDBm(20))
 	henv := channel.RayleighTaps(r, 8, 0.5).Scale(-20)
 	noiseW := channel.ThermalNoiseW(20e6, 6)
-	y := channel.NewAWGN(r, noiseW).Add(henv.Apply(x))
+	y := channel.NewAWGN(src, noiseW).Add(henv.Apply(x))
 	_, resid := tr.SingleTapCancel(x, y, 100, 2000)
 	if above := dsp.DB(resid / noiseW); above > 1 {
 		t.Fatalf("tone residual %v dB above floor", above)
@@ -78,6 +80,7 @@ func TestToneSingleTapCancelFailsOnWideband(t *testing.T) {
 
 func TestToneDecodeRecoversPhases(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
+	src := rng.NewSource(7)
 	var tr ToneReader
 	tr.ToneFreq = 0.07
 	const sps = 50
@@ -105,7 +108,7 @@ func TestToneDecodeRecoversPhases(t *testing.T) {
 	}
 	bs = hb.Apply(bs)
 	henv := channel.RayleighTaps(r, 1, 1).Scale(-20) // tone: flat env channel
-	y := channel.NewAWGN(r, channel.ThermalNoiseW(20e6, 6)).Add(dsp.Add(henv.Apply(x), bs))
+	y := channel.NewAWGN(src, channel.ThermalNoiseW(20e6, 6)).Add(dsp.Add(henv.Apply(x), bs))
 
 	clean, _ := tr.SingleTapCancel(x, y, 0, 150)
 	got := tr.DecodeTonePhases(x, clean, 200, sps, nsym)

@@ -3,10 +3,10 @@ package baseline
 import (
 	"math"
 	"math/cmplx"
-	"math/rand"
 
 	"backfi/internal/channel"
 	"backfi/internal/dsp"
+	"backfi/internal/rng"
 )
 
 // ToneReader is the classic RFID architecture of paper Sec. 3.1: a
@@ -88,7 +88,7 @@ func (tr ToneReader) DecodeTonePhases(x, clean []complex128, start, sps, nsym in
 // noise floor the residual sits (paper Sec. 3.2). A multipath channel
 // with delay spread leaves tens of dB of uncancelled interference.
 func WidebandResidualDB(seed int64, envTaps int, leakageDB float64) float64 {
-	r := rand.New(rand.NewSource(seed))
+	r, src := rng.NewWithSource(seed)
 	txW := dsp.UnDBm(20)
 	sigma := math.Sqrt(txW / 2)
 	x := make([]complex128, 4000)
@@ -97,7 +97,7 @@ func WidebandResidualDB(seed int64, envTaps int, leakageDB float64) float64 {
 	}
 	henv := channel.RayleighTaps(r, envTaps, 0.5).Scale(leakageDB)
 	noiseW := channel.ThermalNoiseW(20e6, 6)
-	y := channel.NewAWGN(r, noiseW).Add(henv.Apply(x))
+	y := channel.NewAWGN(src, noiseW).Add(henv.Apply(x))
 	var tr ToneReader
 	_, residW := tr.SingleTapCancel(x, y, 0, 320)
 	return dsp.DB(residW / noiseW)

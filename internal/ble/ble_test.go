@@ -9,6 +9,7 @@ import (
 
 	"backfi/internal/channel"
 	"backfi/internal/dsp"
+	"backfi/internal/rng"
 )
 
 func TestWhitenInvolution(t *testing.T) {
@@ -91,10 +92,11 @@ func TestNoisyRoundTrip(t *testing.T) {
 	// discriminator, so the 1 MHz GFSK signal decodes well below the
 	// raw-band SNR a bare discriminator would need.
 	r := rand.New(rand.NewSource(4))
+	src := rng.NewSource(4)
 	pdu := make([]byte, 30)
 	r.Read(pdu)
 	wave, _ := Transmit(pdu)
-	noise := channel.NewAWGN(r, dsp.UnDB(-12))
+	noise := channel.NewAWGN(src, dsp.UnDB(-12))
 	got, err := Receive(noise.Add(dsp.Concat(dsp.Zeros(100), wave, dsp.Zeros(100))))
 	if err != nil {
 		t.Fatal(err)
@@ -125,8 +127,7 @@ func TestReceiveErrors(t *testing.T) {
 	if _, err := Receive(dsp.Zeros(100)); err == nil {
 		t.Fatal("expected short-stream error")
 	}
-	r := rand.New(rand.NewSource(6))
-	noise := channel.NewAWGN(r, 1)
+	noise := channel.NewAWGN(rng.NewSource(6), 1)
 	if _, err := Receive(noise.Samples(3000)); err == nil {
 		t.Fatal("expected AA-not-found on noise")
 	}

@@ -2,23 +2,25 @@ package channel
 
 import (
 	"math"
-	"math/rand"
+
+	"backfi/internal/rng"
 )
 
-// AWGN is a seeded additive white Gaussian noise source.
+// AWGN is a seeded additive white Gaussian noise source. It draws
+// through the block Gaussian generator of its rng stream.
 type AWGN struct {
-	rng    *rand.Rand
+	src    *rng.Source
 	sigma  float64 // per-dimension standard deviation
 	powerW float64
 }
 
 // NewAWGN returns a noise source of the given total complex power in
-// watts.
-func NewAWGN(r *rand.Rand, powerW float64) *AWGN {
+// watts, drawing from src.
+func NewAWGN(src *rng.Source, powerW float64) *AWGN {
 	if powerW < 0 {
 		panic("channel: negative noise power")
 	}
-	return &AWGN{rng: r, sigma: math.Sqrt(powerW / 2), powerW: powerW}
+	return &AWGN{src: src, sigma: math.Sqrt(powerW / 2), powerW: powerW}
 }
 
 // PowerW returns the configured noise power.
@@ -27,9 +29,8 @@ func (a *AWGN) PowerW() float64 { return a.powerW }
 // Add returns x plus white complex Gaussian noise.
 func (a *AWGN) Add(x []complex128) []complex128 {
 	out := make([]complex128, len(x))
-	for i := range x {
-		out[i] = x[i] + complex(a.rng.NormFloat64()*a.sigma, a.rng.NormFloat64()*a.sigma)
-	}
+	copy(out, x)
+	a.src.AddComplexNormal(out, a.sigma)
 	return out
 }
 
@@ -39,17 +40,13 @@ func (a *AWGN) Add(x []complex128) []complex128 {
 // will read; the draw sequence is deterministic for a fixed sequence
 // of window sizes.
 func (a *AWGN) AddInPlaceRange(x []complex128, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		x[i] += complex(a.rng.NormFloat64()*a.sigma, a.rng.NormFloat64()*a.sigma)
-	}
+	a.src.AddComplexNormal(x[lo:hi], a.sigma)
 }
 
 // Samples returns n fresh noise samples.
 func (a *AWGN) Samples(n int) []complex128 {
 	out := make([]complex128, n)
-	for i := range out {
-		out[i] = complex(a.rng.NormFloat64()*a.sigma, a.rng.NormFloat64()*a.sigma)
-	}
+	a.src.AddComplexNormal(out, a.sigma)
 	return out
 }
 
@@ -60,14 +57,15 @@ func (a *AWGN) Samples(n int) []complex128 {
 // what bounds achievable cancellation and backscatter SNR at short
 // range (WARP-class hardware: ≈ −28 dB EVM).
 type TxDistortion struct {
-	rng   *rand.Rand
+	src   *rng.Source
 	evmDB float64
 }
 
 // NewTxDistortion returns a distortion source with the given EVM floor
-// in dB (negative; e.g. −28). An EVM of −inf disables distortion.
-func NewTxDistortion(r *rand.Rand, evmDB float64) *TxDistortion {
-	return &TxDistortion{rng: r, evmDB: evmDB}
+// in dB (negative; e.g. −28), drawing from src. An EVM of −inf
+// disables distortion.
+func NewTxDistortion(src *rng.Source, evmDB float64) *TxDistortion {
+	return &TxDistortion{src: src, evmDB: evmDB}
 }
 
 // Apply returns x plus the distortion error term.
@@ -75,6 +73,8 @@ func (d *TxDistortion) Apply(x []complex128) []complex128 { return d.ApplyInto(n
 
 // ApplyInto writes x plus the distortion error term into dst (grown to
 // len(x) if needed) and returns dst[:len(x)]. dst must not alias x.
+// Sample v gets complex Gaussian error of per-dimension standard
+// deviation |v|·√(EVM/2), its normals drawn a rng.Block at a time.
 func (d *TxDistortion) ApplyInto(dst, x []complex128) []complex128 {
 	if cap(dst) < len(x) {
 		dst = make([]complex128, len(x))
@@ -84,11 +84,16 @@ func (d *TxDistortion) ApplyInto(dst, x []complex128) []complex128 {
 		copy(dst, x)
 		return dst
 	}
-	ratio := math.Pow(10, d.evmDB/10)
-	for i, v := range x {
-		p := (real(v)*real(v) + imag(v)*imag(v)) * ratio
-		s := math.Sqrt(p / 2)
-		dst[i] = v + complex(d.rng.NormFloat64()*s, d.rng.NormFloat64()*s)
+	g := math.Sqrt(math.Pow(10, d.evmDB/10) / 2)
+	var blk [rng.Block]float64
+	for lo := 0; lo < len(x); lo += rng.Block / 2 {
+		seg := x[lo:min(lo+rng.Block/2, len(x))]
+		out := dst[lo : lo+len(seg)]
+		d.src.FillNormal(blk[:2*len(seg)])
+		for k, v := range seg {
+			s := g * math.Sqrt(real(v)*real(v)+imag(v)*imag(v))
+			out[k] = v + complex(blk[2*k]*s, blk[2*k+1]*s)
+		}
 	}
 	return dst
 }

@@ -1,11 +1,14 @@
 package channel
 
 import (
+	"fmt"
 	"math"
+	"math/cmplx"
 	"math/rand"
 	"testing"
 
 	"backfi/internal/dsp"
+	"backfi/internal/rng"
 )
 
 func TestFSPLKnownValue(t *testing.T) {
@@ -128,23 +131,122 @@ func TestTapsApplyMatchesConvolution(t *testing.T) {
 	}
 }
 
+// TestAWGNPowerAndWhiteness checks the block Gaussian generator behind
+// AWGN against theory: power, kurtosis 3, the two-sided tail P(|x|>k)
+// = erfc(k/√2) for k = 1..4, no lag-1 or I/Q correlation, and no
+// correlation between the streams of consecutive attempts
+// (rng.Mix(seed, n) and n+1). Every statistic is held to |z| ≤ 4.
 func TestAWGNPowerAndWhiteness(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
-	src := NewAWGN(r, 2.0)
-	n := src.Samples(200000)
-	if p := dsp.Power(n); math.Abs(p-2) > 0.05 {
+	const n = 200000
+	src := NewAWGN(rng.NewSource(4), 2.0) // σ = 1 per dimension
+	x := src.Samples(n)
+	if p := dsp.Power(x); math.Abs(p-2) > 0.05 {
 		t.Fatalf("noise power %v, want 2", p)
 	}
+	checkZ := func(name string, got, want, se float64) {
+		t.Helper()
+		if z := (got - want) / se; math.Abs(z) > 4 {
+			t.Errorf("%s = %.5g, want %.5g (z = %.1f)", name, got, want, z)
+		}
+	}
+	vals := make([]float64, 0, 2*n)
+	for _, v := range x {
+		vals = append(vals, real(v), imag(v))
+	}
+	m := float64(len(vals))
+	var m2, m4 float64
+	for _, v := range vals {
+		m2 += v * v
+		m4 += v * v * v * v
+	}
+	m2, m4 = m2/m, m4/m
+	checkZ("kurtosis", m4/(m2*m2), 3, math.Sqrt(24/m))
+	for k := 1.0; k <= 4; k++ {
+		hits := 0
+		for _, v := range vals {
+			if math.Abs(v) > k {
+				hits++
+			}
+		}
+		p := math.Erfc(k / math.Sqrt2)
+		checkZ(fmt.Sprintf("P(|x|>%v)", k), float64(hits)/m, p, math.Sqrt(p*(1-p)/m))
+	}
 	// Lag-1 correlation should be near zero.
-	c := dsp.AutoCorrelateLag(n, 1, len(n)-1)
-	if rho := real(c) / dsp.Energy(n); math.Abs(rho) > 0.01 {
-		t.Fatalf("lag-1 correlation %v", rho)
+	c := dsp.AutoCorrelateLag(x, 1, len(x)-1)
+	checkZ("lag-1 correlation", real(c)/dsp.Energy(x), 0, 1/math.Sqrt(2*n))
+	var iq float64
+	for _, v := range x {
+		iq += real(v) * imag(v)
+	}
+	checkZ("I/Q correlation", iq/n, 0, 1/math.Sqrt(n))
+	for attempt := range 8 {
+		a := NewAWGN(rng.NewSource(rng.Mix(4, attempt)), 2).Samples(n / 8)
+		b := NewAWGN(rng.NewSource(rng.Mix(4, attempt+1)), 2).Samples(n / 8)
+		var ab complex128
+		for i := range a {
+			ab += a[i] * cmplx.Conj(b[i])
+		}
+		rho := ab / complex(math.Sqrt(dsp.Energy(a)*dsp.Energy(b)), 0)
+		se := 1 / math.Sqrt(2*float64(len(a)))
+		checkZ(fmt.Sprintf("attempts %d/%d correlation (re)", attempt, attempt+1), real(rho), 0, se)
+		checkZ(fmt.Sprintf("attempts %d/%d correlation (im)", attempt, attempt+1), imag(rho), 0, se)
+	}
+}
+
+// TestHardDecisionBERMatchesQFunction runs BPSK and QPSK hard decisions
+// over the block AWGN and compares the bit error rate with the
+// closed-form Q-function at three Es/N0 points, within binomial 3σ:
+// BPSK Q(√(2Es/N0)), QPSK (Gray) Q(√(Es/N0)) per bit.
+func TestHardDecisionBERMatchesQFunction(t *testing.T) {
+	q := func(x float64) float64 { return 0.5 * math.Erfc(x/math.Sqrt2) }
+	const symbols = 200000
+	for _, esn0dB := range []float64{0, 4, 7} {
+		esn0 := dsp.UnDB(esn0dB)
+		noise := NewAWGN(rng.NewSource(rng.Mix(11, int(esn0dB))), 1/esn0).Samples(symbols) // Es = 1
+		bpsk, qpsk := 0, 0
+		for i, v := range noise {
+			// BPSK sends +1 on even symbols and −1 on odd ones; QPSK
+			// sends (±1 ± j)/√2 by the symbol index's low two bits.
+			s := 1.0
+			if i&1 == 1 {
+				s = -1
+			}
+			if (real(v)+s)*s < 0 {
+				bpsk++
+			}
+			si, sq := 1.0, 1.0
+			if i&1 == 1 {
+				si = -1
+			}
+			if i&2 == 2 {
+				sq = -1
+			}
+			y := v + complex(si/math.Sqrt2, sq/math.Sqrt2)
+			if real(y)*si < 0 {
+				qpsk++
+			}
+			if imag(y)*sq < 0 {
+				qpsk++
+			}
+		}
+		for _, c := range []struct {
+			name       string
+			errs, bits int
+			p          float64
+		}{
+			{"BPSK", bpsk, symbols, q(math.Sqrt(2 * esn0))},
+			{"QPSK", qpsk, 2 * symbols, q(math.Sqrt(esn0))},
+		} {
+			want := float64(c.bits) * c.p
+			if sd := math.Sqrt(want * (1 - c.p)); math.Abs(float64(c.errs)-want) > 3*sd {
+				t.Errorf("%s at Es/N0 %v dB: %d bit errors in %d, want %.0f ± %.0f", c.name, esn0dB, c.errs, c.bits, want, 3*sd)
+			}
+		}
 	}
 }
 
 func TestAWGNAddPreservesSignal(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	src := NewAWGN(r, 0)
+	src := NewAWGN(rng.NewSource(5), 0)
 	x := []complex128{1, complex(0, 2)}
 	y := src.Add(x)
 	for i := range x {
@@ -156,7 +258,7 @@ func TestAWGNAddPreservesSignal(t *testing.T) {
 
 func TestTxDistortionEVMLevel(t *testing.T) {
 	r := rand.New(rand.NewSource(6))
-	d := NewTxDistortion(r, -20)
+	d := NewTxDistortion(rng.NewSource(6), -20)
 	x := make([]complex128, 100000)
 	for i := range x {
 		x[i] = dsp.Phasor(r.Float64() * 2 * math.Pi)
@@ -169,8 +271,7 @@ func TestTxDistortionEVMLevel(t *testing.T) {
 }
 
 func TestTxDistortionDisabled(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	d := NewTxDistortion(r, math.Inf(-1))
+	d := NewTxDistortion(rng.NewSource(7), math.Inf(-1))
 	x := []complex128{1, 2, 3}
 	y := d.Apply(x)
 	for i := range x {
@@ -217,7 +318,7 @@ func TestScenarioSNRDecreasesWithDistance(t *testing.T) {
 }
 
 func TestScenarioRequiresDistance(t *testing.T) {
-	if _, err := NewScenario(Config{}, rand.New(rand.NewSource(1))); err == nil {
+	if _, err := NewScenario(Config{}, rand.New(rand.NewSource(1)), rng.NewSource(1)); err == nil {
 		t.Fatal("expected error for zero distance")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"backfi/internal/dsp"
+	"backfi/internal/rng"
 )
 
 // Config describes one placement of the BackFi AP, tag, and
@@ -168,9 +169,12 @@ type Scenario struct {
 	Distortion TxDistortion
 }
 
-// NewScenario draws one random placement realization. The configuration
-// is rejected with an error (never a panic) if Validate fails.
-func NewScenario(cfg Config, r *rand.Rand) (*Scenario, error) {
+// NewScenario draws one random placement realization from r; the
+// scenario's noise and distortion sources draw from src. A link passes
+// r's own Source (rng.NewWithSource), so one reseed pins both. The
+// configuration is rejected with an error (never a panic) if Validate
+// fails.
+func NewScenario(cfg Config, r *rand.Rand, src *rng.Source) (*Scenario, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -206,8 +210,8 @@ func NewScenario(cfg Config, r *rand.Rand) (*Scenario, error) {
 		HEnv:       taps[:len(henv):len(henv)],
 		HF:         taps[len(henv):nf:nf],
 		HB:         taps[nf:],
-		Noise:      *NewAWGN(r, noiseW),
-		Distortion: *NewTxDistortion(r, cfg.TxEVMdB),
+		Noise:      *NewAWGN(src, noiseW),
+		Distortion: *NewTxDistortion(src, cfg.TxEVMdB),
 	}, nil
 }
 

@@ -13,7 +13,7 @@ import (
 // 2 m serving run. Any change to framing, puncturing, demapping or the
 // Viterbi kernel that alters a single decoded bit, a CRC verdict, an
 // SNR estimate or a correction count moves it.
-const goldenFaulted2mHash = 0xac956c571995df2e
+const goldenFaulted2mHash = 0x27829f3e45453a2f
 
 // TestDecodeGoldenFaulted2m serves 8 sessions × 50 frames of 24 B at
 // 2 m under fault.Standard(0.1) and hashes every frame's outcome:

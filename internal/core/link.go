@@ -215,6 +215,7 @@ type Link struct {
 	Tag      *tag.Tag
 	rdr      reader.Reader
 	rng      *rand.Rand
+	src      *rng.Source // rng's Source: noise and distortion draws
 	inj      *fault.Injector
 	rate     wifi.Rate
 	m        linkMetrics
@@ -266,7 +267,7 @@ func NewLink(cfg LinkConfig) (*Link, error) {
 	if l.Tag, err = tag.New(cfg.Tag); err != nil {
 		return nil, err
 	}
-	if l.Scenario, err = channel.NewScenario(cfg.Channel, l.rng); err != nil {
+	if l.Scenario, err = channel.NewScenario(cfg.Channel, l.rng, l.src); err != nil {
 		return nil, err
 	}
 	return l, nil
@@ -301,11 +302,11 @@ func (l *Link) init(cfg LinkConfig) error {
 	*l = Link{
 		Cfg:  cfg,
 		rdr:  *rdr,
-		rng:  rng.New(cfg.Seed),
 		inj:  inj,
 		rate: rate,
 		m:    newLinkMetrics(cfg.Obs),
 	}
+	l.rng, l.src = rng.NewWithSource(cfg.Seed)
 	return nil
 }
 

@@ -28,7 +28,7 @@ func NewMIMOLink(cfg LinkConfig, nrx int) (*Link, error) {
 	}
 	l.rx = make([]rxChain, nrx-1)
 	for i := range l.rx {
-		sc, err := channel.NewScenario(l.Scenario.Cfg, l.rng)
+		sc, err := channel.NewScenario(l.Scenario.Cfg, l.rng, l.src)
 		if err != nil {
 			return nil, err
 		}

@@ -88,7 +88,7 @@ func (m *MultiTagLink) init(cfg LinkConfig, distances []float64) error {
 		}
 		chanCfg := cfg.Channel
 		chanCfg.DistanceM = d
-		sc, err := channel.NewScenario(chanCfg, m.base.rng)
+		sc, err := channel.NewScenario(chanCfg, m.base.rng, m.base.src)
 		if err != nil {
 			return err
 		}

@@ -8,6 +8,7 @@ import (
 
 	"backfi/internal/channel"
 	"backfi/internal/dsp"
+	"backfi/internal/rng"
 )
 
 func TestBarkerAutocorrelation(t *testing.T) {
@@ -74,10 +75,11 @@ func TestCleanRoundTrip2M(t *testing.T) {
 func TestNoisyRoundTripWithSpreadingGain(t *testing.T) {
 	// 11-chip spreading (×20 samples): decodes below 0 dB raw SNR.
 	r := rand.New(rand.NewSource(3))
+	src := rng.NewSource(3)
 	psdu := make([]byte, 100)
 	r.Read(psdu)
 	wave, _ := Transmit(psdu, DBPSK1M)
-	noise := channel.NewAWGN(r, dsp.UnDB(3)) // −3 dB SNR
+	noise := channel.NewAWGN(src, dsp.UnDB(3)) // −3 dB SNR
 	got, err := Receive(noise.Add(dsp.Concat(dsp.Zeros(100), wave, dsp.Zeros(100))))
 	if err != nil {
 		t.Fatal(err)
@@ -107,8 +109,7 @@ func TestReceiveErrors(t *testing.T) {
 	if _, err := Receive(dsp.Zeros(100)); err == nil {
 		t.Fatal("expected short-stream error")
 	}
-	r := rand.New(rand.NewSource(5))
-	noise := channel.NewAWGN(r, 1)
+	noise := channel.NewAWGN(rng.NewSource(5), 1)
 	if _, err := Receive(noise.Samples(8000)); err == nil {
 		t.Fatal("expected SFD-not-found on noise")
 	}

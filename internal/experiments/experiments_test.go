@@ -40,7 +40,12 @@ func TestFig8ShapeMatchesPaper(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Monte-Carlo sweep")
 	}
-	rows, err := Fig8(QuickOptions())
+	// 12 trials, not QuickOptions' 3: the 7 m preamble comparison below
+	// is a coin flip at 3 (it fails on 8 of seeds 1–64) and holds on
+	// every seed tried at 12.
+	opt := QuickOptions()
+	opt.Trials = 12
+	rows, err := Fig8(opt)
 	if err != nil {
 		t.Fatal(err)
 	}

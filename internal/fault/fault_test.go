@@ -6,7 +6,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"backfi/internal/channel"
 	"backfi/internal/obs"
+	"backfi/internal/rng"
 )
 
 func TestValidate(t *testing.T) {
@@ -224,24 +226,53 @@ func TestADCQuantizeAndClip(t *testing.T) {
 	}
 }
 
+// TestInterferenceDuty checks the burst process against its two-state
+// Markov law: the on-fraction, the mean burst length InterfBurstUs·fs
+// and the mean off-run InterfBurstUs·fs·(1−duty)/duty. Runs cut by the
+// ends of y are left out of the means.
 func TestInterferenceDuty(t *testing.T) {
 	p := &Profile{InterfDuty: 0.3, InterfPowerDBm: -40, InterfBurstUs: 5}
 	in, err := NewInjector(p, 9, 20e6, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := 200000
+	n := 1000000
 	y := make([]complex128, n)
 	in.AddInterference(y)
 	hit := 0
-	for _, v := range y {
-		if v != 0 {
+	var runs [2][]int // off, on
+	start := 0
+	for i := range y {
+		on := y[i] != 0
+		if on {
 			hit++
+		}
+		if i+1 == n || (y[i+1] != 0) != on {
+			if start > 0 && i+1 < n {
+				k := 0
+				if on {
+					k = 1
+				}
+				runs[k] = append(runs[k], i+1-start)
+			}
+			start = i + 1
 		}
 	}
 	duty := float64(hit) / float64(n)
 	if duty < 0.2 || duty > 0.4 {
 		t.Fatalf("measured duty %.3f far from configured 0.3", duty)
+	}
+	burst := p.InterfBurstUs * 1e-6 * 20e6
+	for k, want := range []float64{burst * (1 - p.InterfDuty) / p.InterfDuty, burst} {
+		var sum float64
+		for _, l := range runs[k] {
+			sum += float64(l)
+		}
+		mean := sum / float64(len(runs[k]))
+		// Geometric run lengths: standard deviation ≈ the mean.
+		if se := want / math.Sqrt(float64(len(runs[k]))); math.Abs(mean-want) > 4*se {
+			t.Errorf("%s runs: mean %.1f samples over %d, want %.1f ± %.1f", []string{"off", "on"}[k], mean, len(runs[k]), want, 4*se)
+		}
 	}
 }
 
@@ -342,7 +373,8 @@ func TestInjectorMetrics(t *testing.T) {
 // TestFrontEndInPlaceMatchesResample pins the in-place front end
 // against an out-of-place reference of the same resampler, for a clock
 // running fast and slow: the walk order must never read a sample it
-// has already overwritten.
+// has already overwritten. The reference rotates by the injector's own
+// phasor blocks, so the comparison is bit for bit.
 func TestFrontEndInPlaceMatchesResample(t *testing.T) {
 	for _, ppm := range []float64{40, -40} {
 		in, err := NewInjector(&Profile{CFOHz: 500, SCOPpm: ppm}, 1, 20e6, nil)
@@ -352,6 +384,11 @@ func TestFrontEndInPlaceMatchesResample(t *testing.T) {
 		x := randomWave(4096, 5)
 		eps := ppm * 1e-6
 		step := 2 * math.Pi * 500 / 20e6
+		sw, cw := math.Sincos(step)
+		ph := make([]complex128, len(x))
+		for lo := 0; lo < len(x); lo += phasorBlock {
+			phasors(ph[lo:min(lo+phasorBlock, len(x))], step, complex(cw, sw), lo)
+		}
 		want := make([]complex128, len(x))
 		for n := range want {
 			pos := float64(n) * (1 + eps)
@@ -361,8 +398,7 @@ func TestFrontEndInPlaceMatchesResample(t *testing.T) {
 				frac := complex(pos-float64(i), 0)
 				v = x[i]*(1-frac) + x[i+1]*frac
 			}
-			s, c := math.Sincos(step * float64(n))
-			want[n] = v * complex(c, s)
+			want[n] = v * ph[n]
 		}
 		in.ApplyFrontEnd(x)
 		for n := range x {
@@ -370,5 +406,110 @@ func TestFrontEndInPlaceMatchesResample(t *testing.T) {
 				t.Fatalf("SCO %+g ppm: sample %d = %v, want %v", ppm, n, x[n], want[n])
 			}
 		}
+	}
+}
+
+// TestFrontEndRecurrenceAccuracy holds the CFO phasor recurrence to
+// within 1e-12 of math.Sincos over 2·10⁵ samples, at 50 Hz and 500 Hz
+// and for both SCO walk directions.
+func TestFrontEndRecurrenceAccuracy(t *testing.T) {
+	const n = 200000
+	for _, cfo := range []float64{50, 500} {
+		for _, ppm := range []float64{5, -5} {
+			in, err := NewInjector(&Profile{CFOHz: cfo, SCOPpm: ppm}, 1, 20e6, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			x := make([]complex128, n)
+			for i := range x {
+				x[i] = 1
+			}
+			in.ApplyFrontEnd(x) // resampling a constant leaves it at 1 ± 1 ulp
+			step := 2 * math.Pi * cfo / 20e6
+			worst := 0.0
+			for i, v := range x[:n-1] {
+				s, c := math.Sincos(step * float64(i))
+				worst = max(worst, cmplx.Abs(v-complex(c, s)))
+			}
+			if worst > 1e-12 {
+				t.Errorf("CFO %v Hz, SCO %+v ppm: max |error| %.3g vs Sincos, want ≤ 1e-12", cfo, ppm, worst)
+			}
+		}
+	}
+}
+
+// TestPhaseNoiseWienerVariance checks the tag phase-noise walk against
+// its model: the phase increment over a lag of n samples has variance
+// 2π·linewidth·n/fs, and the running rotation keeps unit magnitude to
+// 1e-12 over 10⁶ samples.
+func TestPhaseNoiseWienerVariance(t *testing.T) {
+	const (
+		n  = 1000000
+		lw = 300.0
+		fs = 20e6
+	)
+	in, err := NewInjector(&Profile{PhaseNoiseHz: lw}, 3, fs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := make([]complex128, n)
+	for i := range m {
+		m[i] = 1
+	}
+	in.ApplyTagPhaseNoise(m)
+	for i, v := range m {
+		if d := math.Abs(cmplx.Abs(v) - 1); d > 1e-12 {
+			t.Fatalf("sample %d: |rotation| = 1%+.3g", i, d)
+		}
+	}
+	for _, lag := range []int{1, 10, 100, 1000} {
+		// Non-overlapping increments are independent: their sample
+		// variance has relative standard error √(2/k).
+		var sum float64
+		k := 0
+		for i := 0; i+lag < n; i += lag {
+			d := cmplx.Phase(m[i+lag] * cmplx.Conj(m[i]))
+			sum += d * d
+			k++
+		}
+		got := sum / float64(k)
+		want := 2 * math.Pi * lw * float64(lag) / fs
+		if z := (got/want - 1) / math.Sqrt(2/float64(k)); math.Abs(z) > 4 {
+			t.Errorf("lag %d: phase variance %.4g, want %.4g (z = %.1f)", lag, got, want, z)
+		}
+	}
+}
+
+// BenchmarkChannelKernels times the per-sample channel kernels over one
+// fault_2m frame's capture window (6,684 samples) at
+// fault.Standard(0.1), into preallocated buffers. CI gates it at 0
+// allocs/op: block buffers live on the stack, never per session.
+func BenchmarkChannelKernels(b *testing.B) {
+	const n = 6684
+	p := Standard(0.1)
+	in, err := NewInjector(&p, 1, 20e6, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	x := randomWave(n, 1)
+	buf := make([]complex128, n)
+	noise := channel.NewAWGN(rng.NewSource(1), 1e-12)
+	dist := channel.NewTxDistortion(rng.NewSource(2), -28)
+	for _, k := range []struct {
+		name string
+		run  func()
+	}{
+		{"TxDistortion", func() { dist.ApplyInto(buf, x) }},
+		{"AWGN", func() { noise.AddInPlaceRange(buf, 0, n) }},
+		{"FrontEnd", func() { copy(buf, x); in.ApplyFrontEnd(buf) }},
+		{"TagPhaseNoise", func() { copy(buf, x); in.ApplyTagPhaseNoise(buf) }},
+		{"Interference", func() { copy(buf, x); in.AddInterference(buf) }},
+	} {
+		b.Run(k.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				k.run()
+			}
+		})
 	}
 }

@@ -53,6 +53,7 @@ func newInjectorMetrics(r *obs.Registry) injectorMetrics {
 type Injector struct {
 	p          Profile
 	rng        *rand.Rand
+	src        *rng.Source // rng's Source: the block Gaussian draws
 	sampleRate float64
 	m          injectorMetrics
 }
@@ -68,12 +69,13 @@ func NewInjector(p *Profile, seed int64, sampleRate float64, reg *obs.Registry) 
 	if !p.Enabled() {
 		return nil, nil
 	}
-	return &Injector{
+	in := &Injector{
 		p:          p.withDefaults(),
-		rng:        rng.New(seed),
 		sampleRate: sampleRate,
 		m:          newInjectorMetrics(reg),
-	}, nil
+	}
+	in.rng, in.src = rng.NewWithSource(seed)
+	return in, nil
 }
 
 // Profile returns the realized profile (zero value for a nil injector).
@@ -109,39 +111,49 @@ func (in *Injector) ApplyFrontEnd(x []complex128) {
 	}
 	eps := in.p.SCOPpm * 1e-6
 	step := 2 * math.Pi * in.p.CFOHz / in.sampleRate
+	sw, cw := math.Sincos(step)
+	w := complex(cw, sw)
 	last := x[len(x)-1]
 	at := func(n int) complex128 {
-		v := x[n]
-		if eps != 0 {
-			// Resample at position n·(1+eps) by linear interpolation.
-			pos := float64(n) * (1 + eps)
-			i := int(pos)
-			if i >= len(x)-1 {
-				v = last
-			} else {
-				frac := complex(pos-float64(i), 0)
-				v = x[i]*(1-frac) + x[i+1]*frac
-			}
+		if eps == 0 {
+			return x[n]
 		}
-		if step != 0 {
-			s, c := math.Sincos(step * float64(n))
-			v *= complex(c, s)
+		// Resample at position n·(1+eps) by linear interpolation.
+		pos := float64(n) * (1 + eps)
+		i := int(pos)
+		if i >= len(x)-1 {
+			return last
 		}
-		return v
+		// Real weights: the same values as complex ones with zero
+		// imaginary parts, at half the multiplies.
+		f := pos - float64(i)
+		a, b := x[i], x[i+1]
+		return complex(real(a)*(1-f)+real(b)*f, imag(a)*(1-f)+imag(b)*f)
 	}
 	// Sample n reads input positions ≥ n when the clock runs fast and
 	// ≤ n when it runs slow (sample 0 excepted: its weight on x[1] is
 	// zero), so walking away from the read side never reads an
-	// overwritten sample.
-	if eps >= 0 {
-		for n := range x {
-			x[n] = at(n)
+	// overwritten sample: blocks and the samples within them run
+	// forward for eps ≥ 0 and backward otherwise. A block's phasors
+	// depend only on its position, never on the walk direction.
+	var ph [phasorBlock]complex128
+	nb := (len(x) + phasorBlock - 1) / phasorBlock
+	for b := range nb {
+		if eps < 0 {
+			b = nb - 1 - b
 		}
-	} else {
-		for n := len(x) - 1; n >= 1; n-- {
-			x[n] = at(n)
+		lo := b * phasorBlock
+		hi := min(lo+phasorBlock, len(x))
+		phasors(ph[:hi-lo], step, w, lo)
+		if eps >= 0 {
+			for n := lo; n < hi; n++ {
+				x[n] = at(n) * ph[n-lo]
+			}
+		} else {
+			for n := hi - 1; n >= lo; n-- {
+				x[n] = at(n) * ph[n-lo]
+			}
 		}
-		x[0] = at(0)
 	}
 	if in.p.CFOHz != 0 {
 		in.m.cfo.Inc()
@@ -151,25 +163,65 @@ func (in *Injector) ApplyFrontEnd(x []complex128) {
 	}
 }
 
+// phasorBlock is how many CFO phasors one Sincos anchors.
+const phasorBlock = 256
+
+// phasors fills ph with the CFO rotation e^{j·step·n} for n = n0,
+// n0+1, …: one Sincos anchors ph[0], and each later phasor is the one
+// before times w = e^{j·step}. Each product adds about an ulp of error
+// in magnitude and phase, so a block of phasorBlock stays within
+// ~1e-13 of Sincos (TestFrontEndRecurrenceAccuracy bounds it at 1e-12).
+// At step 0 every phasor is exactly 1.
+func phasors(ph []complex128, step float64, w complex128, n0 int) {
+	s, c := math.Sincos(step * float64(n0))
+	p := complex(c, s)
+	for k := range ph {
+		ph[k] = p
+		p *= w
+	}
+}
+
 // ApplyTagPhaseNoise walks a Wiener phase process over the tag's
 // per-sample reflection coefficients in place: φ[n] = φ[n−1] + w[n],
 // w ~ N(0, 2π·linewidth/fs). The walk advances through silent samples
 // too (the oscillator does not pause), but only modulated samples are
-// rotated.
+// rotated. The rotation e^{jφ[n]} is kept as a running product of the
+// increments' rotations e^{jw[n]}, renormalised to unit magnitude once
+// per rng.Block, so |e^{jφ}| stays within ~1e-13 of 1.
 func (in *Injector) ApplyTagPhaseNoise(m []complex128) {
 	if in == nil || in.p.PhaseNoiseHz <= 0 {
 		return
 	}
 	sigma := math.Sqrt(2 * math.Pi * in.p.PhaseNoiseHz / in.sampleRate)
-	phi := 0.0
-	for i := range m {
-		phi += in.rng.NormFloat64() * sigma
-		if m[i] != 0 {
-			s, c := math.Sincos(phi)
-			m[i] *= complex(c, s)
+	rot := complex(1, 0)
+	var blk [rng.Block]float64
+	for lo := 0; lo < len(m); lo += rng.Block {
+		seg := m[lo:min(lo+rng.Block, len(m))]
+		in.src.FillNormal(blk[:len(seg)])
+		for i, z := range blk[:len(seg)] {
+			rot *= smallRotation(z * sigma)
+			if seg[i] != 0 {
+				seg[i] *= rot
+			}
 		}
+		rot *= complex(1/math.Sqrt(real(rot)*real(rot)+imag(rot)*imag(rot)), 0)
 	}
 	in.m.phaseNoise.Inc()
+}
+
+// smallRotation returns e^{ja}. Below |a| = 1/16 — 6σ of the phase
+// increment at a 345 Hz linewidth and fs = 20 MHz — the Taylor series
+// through a⁸ is exact to rounding (the first dropped term is below
+// 4e-17); a larger increment falls back to Sincos.
+func smallRotation(a float64) complex128 {
+	if math.Abs(a) >= 1.0/16 {
+		s, c := math.Sincos(a)
+		return complex(c, s)
+	}
+	a2 := a * a
+	c := 1 + a2*(-1.0/2+a2*(1.0/24+a2*(-1.0/720+a2*(1.0/40320))))
+	s := a * (1 + a2*(-1.0/6+a2*(1.0/120+a2*(-1.0/5040))))
+	return complex(c, s)
 }
 
 // CorruptPreamble inverts each of the tag's preamble chips with the
@@ -200,7 +252,9 @@ func (in *Injector) CorruptPreamble(m []complex128, silentEnd, chips, chipSample
 // chain whose mean on-duration is InterfBurstUs and whose stationary
 // on-fraction is InterfDuty; burst samples are complex Gaussian at
 // InterfPowerDBm. Bursts can land anywhere, including the SIC training
-// window. Returns the number of bursts started.
+// window. The chain is walked a run at a time: each state's run length
+// is geometric in its per-sample exit probability, drawn from one
+// uniform. Returns the number of bursts started.
 func (in *Injector) AddInterference(y []complex128) int {
 	if in == nil || in.p.InterfDuty <= 0 {
 		return 0
@@ -222,19 +276,36 @@ func (in *Injector) AddInterference(y []complex128) int {
 	if on {
 		bursts++
 	}
-	for i := range y {
+	// An on run of L samples is noisy throughout and exits after its
+	// last sample; an off run of L samples enters a burst at the sample
+	// after it, counted when the entering step falls inside y.
+	for n := 0; n < len(y); on = !on {
 		if on {
-			y[i] += complex(in.rng.NormFloat64()*sigma, in.rng.NormFloat64()*sigma)
-			if in.rng.Float64() < pExit {
-				on = false
-			}
-		} else if in.rng.Float64() < pEnter {
-			on = true
+			end := n + in.runLength(pExit, len(y)-n)
+			in.src.AddComplexNormal(y[n:end], sigma)
+			n = end
+			continue
+		}
+		n += in.runLength(pEnter, len(y)-n+1)
+		if n <= len(y) {
 			bursts++
 		}
 	}
 	in.m.interfBurst.Add(int64(bursts))
 	return bursts
+}
+
+// runLength draws a Markov state's run: the number of steps up to and
+// including the first exit, each step exiting with probability p —
+// geometric on {1, 2, …}, P(L > k) = (1−p)^k, by inversion of one
+// uniform. Runs longer than limit are returned as limit.
+func (in *Injector) runLength(p float64, limit int) int {
+	u := 1 - in.rng.Float64() // (0, 1]
+	l := 1 + math.Floor(math.Log(u)/math.Log1p(-p))
+	if l >= float64(limit) {
+		return limit
+	}
+	return int(l)
 }
 
 // ApplyADC runs the received samples through the reader's converter in

@@ -3,11 +3,11 @@ package mac
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"backfi/internal/channel"
 	"backfi/internal/dsp"
 	"backfi/internal/fec"
+	"backfi/internal/rng"
 	"backfi/internal/tag"
 	"backfi/internal/wifi"
 )
@@ -105,7 +105,7 @@ func SimulateClientImpact(cfg ImpactConfig, trials int, seed int64) (ImpactResul
 	if trials <= 0 {
 		return ImpactResult{}, fmt.Errorf("mac: trials must be positive")
 	}
-	r := rand.New(rand.NewSource(seed))
+	r, src := rng.NewWithSource(seed)
 	rx := wifi.NewReceiver()
 
 	tcfg := tag.Config{Mod: tag.PSK16, Coding: fec.Rate12, SymbolRateHz: 2.5e6, PreambleChips: 32, ID: 1}
@@ -128,7 +128,7 @@ func SimulateClientImpact(cfg ImpactConfig, trials int, seed int64) (ImpactResul
 
 		// Downlink channel and client noise.
 		hc, noiseW := channel.Downlink(r, cfg.ClientDistanceM, cfg.DownlinkExponent, channel.DefaultCarrierHz, 4, 6, 20e6)
-		noise := channel.NewAWGN(r, noiseW)
+		noise := channel.NewAWGN(src, noiseW)
 
 		// Tag interference path: AP→tag (backscatter budget) then
 		// tag→client (one-way loss).

@@ -13,6 +13,7 @@ import (
 	"backfi/internal/dsp"
 	"backfi/internal/fec"
 	"backfi/internal/obs"
+	"backfi/internal/rng"
 	"backfi/internal/tag"
 )
 
@@ -170,6 +171,7 @@ type jointScene struct {
 func buildJointScene(t testing.TB, seed int64, tags int, base float64) *jointScene {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
+	src := rng.NewSource(seed)
 	const packetStart = 1200
 	sc := &jointScene{packetStart: packetStart}
 	need, sps := 0, 0
@@ -189,7 +191,7 @@ func buildJointScene(t testing.TB, seed int64, tags int, base float64) *jointSce
 	scenarios := make([]*channel.Scenario, tags)
 	d := base
 	for k := range scenarios {
-		s, err := channel.NewScenario(channel.DefaultConfig(d), r)
+		s, err := channel.NewScenario(channel.DefaultConfig(d), r, src)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,6 +8,7 @@ import (
 
 	"backfi/internal/channel"
 	"backfi/internal/dsp"
+	"backfi/internal/rng"
 	"backfi/internal/tag"
 )
 
@@ -28,6 +29,7 @@ type mimoScene struct {
 func buildMIMOScene(t testing.TB, seed int64, nrx int, distanceM float64) *mimoScene {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
+	src := rng.NewSource(seed)
 	const packetStart = 1200
 	tcfg := qpskCfg()
 	payload := make([]byte, 24)
@@ -38,7 +40,7 @@ func buildMIMOScene(t testing.TB, seed int64, nrx int, distanceM float64) *mimoS
 
 	scs := make([]*channel.Scenario, nrx)
 	for c := range scs {
-		s, err := channel.NewScenario(channel.DefaultConfig(distanceM), r)
+		s, err := channel.NewScenario(channel.DefaultConfig(distanceM), r, src)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,6 +9,7 @@ import (
 	"backfi/internal/channel"
 	"backfi/internal/dsp"
 	"backfi/internal/fec"
+	"backfi/internal/rng"
 	"backfi/internal/sic"
 	"backfi/internal/tag"
 )
@@ -27,6 +28,7 @@ type scene struct {
 func buildScene(t *testing.T, seed int64, tcfg tag.Config, payloadN int, bsGainDB float64) *scene {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
+	src := rng.NewSource(seed)
 	tg, err := tag.New(tcfg)
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +59,7 @@ func buildScene(t *testing.T, seed int64, tcfg tag.Config, payloadN int, bsGainD
 	copy(mFull[packetStart:], m)
 	z := hf.Apply(x)
 	bs := hb.Apply(tag.Backscatter(z, mFull))
-	noise := channel.NewAWGN(r, channel.ThermalNoiseW(20e6, 6))
+	noise := channel.NewAWGN(src, channel.ThermalNoiseW(20e6, 6))
 	y := noise.Add(dsp.Add(henv.Apply(x), bs))
 	return &scene{x: x, y: y, packetStart: packetStart, packetLen: packetLen, tcfg: tcfg, plan: plan, payload: payload}
 }

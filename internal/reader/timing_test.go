@@ -10,6 +10,7 @@ import (
 
 	"backfi/internal/channel"
 	"backfi/internal/dsp"
+	"backfi/internal/rng"
 	"backfi/internal/tag"
 )
 
@@ -18,6 +19,7 @@ import (
 func buildSceneWithOffset(t *testing.T, seed int64, tcfg tag.Config, payloadN, offset int) *scene {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
+	src := rng.NewSource(seed)
 	tg, err := tag.New(tcfg)
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +50,7 @@ func buildSceneWithOffset(t *testing.T, seed int64, tcfg tag.Config, payloadN, o
 	copy(mFull[packetStart+offset:], m) // tag runs `offset` samples late
 	z := hf.Apply(x)
 	bs := hb.Apply(tag.Backscatter(z, mFull))
-	noise := channel.NewAWGN(r, channel.ThermalNoiseW(20e6, 6))
+	noise := channel.NewAWGN(src, channel.ThermalNoiseW(20e6, 6))
 	y := noise.Add(dsp.Add(henv.Apply(x), bs))
 	return &scene{x: x, y: y, packetStart: packetStart, packetLen: packetLen, tcfg: tcfg, plan: plan, payload: payload}
 }

@@ -7,15 +7,17 @@ import (
 
 	"backfi/internal/channel"
 	"backfi/internal/dsp"
+	"backfi/internal/rng"
 )
 
 func TestReusableMatchesTrainCancel(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
+	src := rng.NewSource(31)
 	txW := dsp.UnDBm(20)
 	x := testSignal(r, 4000, txW)
 	henv := channel.RayleighTaps(r, 10, 0.5).Scale(-20)
 	noiseW := channel.ThermalNoiseW(20e6, 6)
-	noise := channel.NewAWGN(r, noiseW)
+	noise := channel.NewAWGN(src, noiseW)
 	y := noise.Add(henv.Apply(x))
 
 	cfg := DefaultConfig()

@@ -7,6 +7,7 @@ import (
 
 	"backfi/internal/channel"
 	"backfi/internal/dsp"
+	"backfi/internal/rng"
 )
 
 // trained is what the physics tests read of a canceller trained on a
@@ -69,11 +70,12 @@ func testSignal(r *rand.Rand, n int, powerW float64) []complex128 {
 func TestCancellationReachesNoiseFloorWithoutDistortion(t *testing.T) {
 	forEachCanceller(t, func(t *testing.T, train trainFunc) {
 		r := rand.New(rand.NewSource(1))
+		src := rng.NewSource(1)
 		txW := dsp.UnDBm(20)
 		x := testSignal(r, 4000, txW)
 		henv := channel.RayleighTaps(r, 10, 0.5).Scale(-20)
 		noiseW := channel.ThermalNoiseW(20e6, 6)
-		noise := channel.NewAWGN(r, noiseW)
+		noise := channel.NewAWGN(src, noiseW)
 		y := noise.Add(henv.Apply(x))
 
 		c, err := train(DefaultConfig(), x, x, y, 0, 320)
@@ -101,12 +103,13 @@ func TestDigitalOnlyIsTxDistortionBounded(t *testing.T) {
 		// (SI power − 28 dB): the canceller cannot subtract distortion it
 		// has no record of. This is why full-duplex hardware taps the PA.
 		r := rand.New(rand.NewSource(2))
+		src := rng.NewSource(2)
 		txW := dsp.UnDBm(20)
 		x := testSignal(r, 4000, txW)
-		dist := channel.NewTxDistortion(r, -28)
+		dist := channel.NewTxDistortion(src, -28)
 		xAir := dist.Apply(x)
 		henv := channel.RayleighTaps(r, 10, 0.5).Scale(-20)
-		noise := channel.NewAWGN(r, channel.ThermalNoiseW(20e6, 6))
+		noise := channel.NewAWGN(src, channel.ThermalNoiseW(20e6, 6))
 		y := noise.Add(henv.Apply(xAir))
 
 		cfg := Config{AnalogTaps: 0, DigitalTaps: 32, Lambda: 1e-12}
@@ -132,12 +135,13 @@ func TestAnalogPATapRemovesTxDistortion(t *testing.T) {
 		// set by analog quantization — tens of dB below the digital-only
 		// case above (the [Bharadia'13] result BackFi builds on).
 		r := rand.New(rand.NewSource(22))
+		src := rng.NewSource(22)
 		txW := dsp.UnDBm(20)
 		x := testSignal(r, 4000, txW)
-		dist := channel.NewTxDistortion(r, -28)
+		dist := channel.NewTxDistortion(src, -28)
 		xAir := dist.Apply(x)
 		henv := channel.RayleighTaps(r, 10, 0.5).Scale(-20)
-		noise := channel.NewAWGN(r, channel.ThermalNoiseW(20e6, 6))
+		noise := channel.NewAWGN(src, channel.ThermalNoiseW(20e6, 6))
 		y := noise.Add(henv.Apply(xAir))
 
 		c, err := train(DefaultConfig(), xAir, x, y, 0, 320)
@@ -159,10 +163,11 @@ func TestBackscatterSurvivesCancellation(t *testing.T) {
 		// Train during a silent window, then add a weak backscatter signal
 		// outside it: cancellation must not remove it (paper Sec. 4.2).
 		r := rand.New(rand.NewSource(3))
+		src := rng.NewSource(3)
 		txW := dsp.UnDBm(20)
 		x := testSignal(r, 6000, txW)
 		henv := channel.RayleighTaps(r, 8, 0.5).Scale(-20)
-		noise := channel.NewAWGN(r, channel.ThermalNoiseW(20e6, 6))
+		noise := channel.NewAWGN(src, channel.ThermalNoiseW(20e6, 6))
 
 		// Backscatter: modulated copy through a weak round-trip channel,
 		// active only after sample 2000.
@@ -210,10 +215,11 @@ func TestTrainingWindowWithBackscatterDegrades(t *testing.T) {
 		// part of the backscatter. This is why BackFi's link layer forces
 		// the 16 µs silence.
 		r := rand.New(rand.NewSource(4))
+		src := rng.NewSource(4)
 		txW := dsp.UnDBm(20)
 		x := testSignal(r, 6000, txW)
 		henv := channel.RayleighTaps(r, 8, 0.5).Scale(-20)
-		noise := channel.NewAWGN(r, channel.ThermalNoiseW(20e6, 6))
+		noise := channel.NewAWGN(src, channel.ThermalNoiseW(20e6, 6))
 		hfb := channel.RayleighTaps(r, 4, 0.5).Scale(-55)
 		// Worst case for a naive (non-BackFi) design: the tag reflects with
 		// a constant phase while the reader trains. The reflection is then
@@ -249,9 +255,10 @@ func TestAnalogStagePreventsSaturation(t *testing.T) {
 	forEachCanceller(t, func(t *testing.T, train trainFunc) {
 		// The analog stage alone must knock the SI down by tens of dB.
 		r := rand.New(rand.NewSource(5))
+		src := rng.NewSource(5)
 		x := testSignal(r, 3000, dsp.UnDBm(20))
 		henv := channel.RayleighTaps(r, 8, 0.5).Scale(-18)
-		noise := channel.NewAWGN(r, channel.ThermalNoiseW(20e6, 6))
+		noise := channel.NewAWGN(src, channel.ThermalNoiseW(20e6, 6))
 		y := noise.Add(henv.Apply(x))
 		c, err := train(DefaultConfig(), x, x, y, 0, 320)
 		if err != nil {
@@ -272,9 +279,10 @@ func TestAnalogStagePreventsSaturation(t *testing.T) {
 func TestDigitalOnlyConfiguration(t *testing.T) {
 	forEachCanceller(t, func(t *testing.T, train trainFunc) {
 		r := rand.New(rand.NewSource(6))
+		src := rng.NewSource(6)
 		x := testSignal(r, 2000, dsp.UnDBm(10))
 		henv := channel.Taps{complex(0.1, -0.05), complex(0.02, 0.01)}
-		noise := channel.NewAWGN(r, 1e-12)
+		noise := channel.NewAWGN(src, 1e-12)
 		y := noise.Add(henv.Apply(x))
 		cfg := Config{AnalogTaps: 0, DigitalTaps: 8, Lambda: 1e-15}
 		c, err := train(cfg, x, x, y, 0, 500)
@@ -300,9 +308,10 @@ func TestTrainErrors(t *testing.T) {
 func TestEstimatedChannelMatchesTruth(t *testing.T) {
 	forEachCanceller(t, func(t *testing.T, train trainFunc) {
 		r := rand.New(rand.NewSource(7))
+		src := rng.NewSource(7)
 		x := testSignal(r, 3000, dsp.UnDBm(20))
 		henv := channel.RayleighTaps(r, 6, 0.5).Scale(-20)
-		noise := channel.NewAWGN(r, channel.ThermalNoiseW(20e6, 6))
+		noise := channel.NewAWGN(src, channel.ThermalNoiseW(20e6, 6))
 		y := noise.Add(henv.Apply(x))
 		c, err := train(DefaultConfig(), x, x, y, 0, 1000)
 		if err != nil {

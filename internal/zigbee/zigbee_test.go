@@ -9,6 +9,7 @@ import (
 
 	"backfi/internal/channel"
 	"backfi/internal/dsp"
+	"backfi/internal/rng"
 )
 
 func TestChipSequencesNearOrthogonal(t *testing.T) {
@@ -66,10 +67,11 @@ func TestCleanRoundTrip(t *testing.T) {
 func TestNoisyRoundTrip(t *testing.T) {
 	// DSSS processing gain: decodes far below 0 dB per-sample SNR.
 	r := rand.New(rand.NewSource(2))
+	src := rng.NewSource(2)
 	psdu := make([]byte, 40)
 	r.Read(psdu)
 	wave, _ := Transmit(psdu)
-	noise := channel.NewAWGN(r, dsp.UnDB(5)) // signal power 1 → −5 dB SNR
+	noise := channel.NewAWGN(src, dsp.UnDB(5)) // signal power 1 → −5 dB SNR
 	rx := noise.Add(dsp.Concat(dsp.Zeros(300), wave, dsp.Zeros(300)))
 	got, err := Receive(rx)
 	if err != nil {
@@ -101,8 +103,7 @@ func TestReceiveErrors(t *testing.T) {
 	if _, err := Receive(dsp.Zeros(100)); err == nil {
 		t.Fatal("expected short-stream error")
 	}
-	r := rand.New(rand.NewSource(4))
-	noise := channel.NewAWGN(r, 1)
+	noise := channel.NewAWGN(rng.NewSource(4), 1)
 	if _, err := Receive(noise.Samples(30000)); err == nil {
 		t.Fatal("expected no-preamble error on noise")
 	}
