@@ -464,7 +464,7 @@ func (l *Link) exchange(x []complex128, packetStart int, payload []byte) (*Packe
 	if err := l.capture(fs, &b); err != nil {
 		return nil, err
 	}
-	res, err := l.decode(fs, &b, tcfg)
+	res, err := l.decodeTag(fs, &b, tcfg)
 	if err != nil {
 		return nil, err
 	}
@@ -631,15 +631,26 @@ func (l *Link) chain(c int, sc *channel.Scenario) rxChain {
 	return l.rx[c-1]
 }
 
-// decode runs the windowed decoder over every receive chain's capture.
-func (l *Link) decode(fs *frameScratch, b *burst, tcfg tag.Config) (*reader.Result, error) {
+// decode runs the reader's one decoder over every receive chain's
+// capture for the tags in cfgs.
+func (l *Link) decode(fs *frameScratch, b *burst, cfgs []tag.Config) (*reader.Decoded, error) {
 	nrx := 1 + len(l.rx)
 	tsp := l.trace.Start("decode_total")
 	sp := l.m.spanDecode.Start()
-	res, err := l.rdr.DecodeStream(fs.dec[:nrx], b.x, fs.air, fs.y[:nrx], b.packetStart, len(b.x)-b.packetStart, tcfg)
+	dec, err := l.rdr.Decode(fs.dec[:nrx], b.x, fs.air, fs.y[:nrx], b.packetStart, len(b.x)-b.packetStart, cfgs)
 	sp.End()
 	tsp.End()
-	return res, err
+	return dec, err
+}
+
+// decodeTag decodes the single tag tcfg. A tag the decoder could not
+// attempt is an error wrapping reader.ErrUndecodable.
+func (l *Link) decodeTag(fs *frameScratch, b *burst, tcfg tag.Config) (*reader.Result, error) {
+	dec, err := l.decode(fs, b, []tag.Config{tcfg})
+	if err != nil {
+		return nil, err
+	}
+	return dec.Tag(0)
 }
 
 // result scores a tag's decode against the payload it sent (plan is its

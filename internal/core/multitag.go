@@ -209,7 +209,7 @@ type MultiTagResult struct {
 // RunPacket polls one tag: the AP transmits that tag's wake sequence,
 // every tag's detector inspects it, and only tags whose correlator
 // matches backscatter. All active reflections superpose at the AP,
-// which decodes the addressed tag with the windowed single-tag decoder.
+// which decodes the addressed tag alone, as a single-tag link does.
 // When no tag wakes the error wraps ErrTagNoWake, as Link.RunPacket's
 // does.
 func (m *MultiTagLink) RunPacket(addressed int, payload []byte) (*MultiTagResult, error) {
@@ -223,7 +223,7 @@ func (m *MultiTagLink) RunPacket(addressed int, payload []byte) (*MultiTagResult
 		return nil, err
 	}
 	tcfg := m.Tags[addressed].Cfg
-	dec, err := m.base.decode(fs, b, tcfg)
+	dec, err := m.base.decodeTag(fs, b, tcfg)
 	if err != nil {
 		return nil, err
 	}
@@ -239,8 +239,9 @@ type SlotResult struct {
 	// polled ones — unpolled tags sharing the group wake are the
 	// impostor interferers).
 	Woke []bool
-	// Results[k] is Polled[k]'s decode outcome; nil when the joint
-	// decoder could not even estimate that tag's channel.
+	// Results[k] is Polled[k]'s decode outcome; nil when the decoder
+	// could not attempt that tag (no room for its frame, or an unusable
+	// channel fit).
 	Results []*PacketResult
 	// Order lists decode positions in cancellation order. Entries
 	// < len(Polled) index into Polled; larger entries are unpolled
@@ -303,21 +304,17 @@ func (m *MultiTagLink) RunSlot(polled []int, payloads [][]byte) (*SlotResult, er
 			cfgs = append(cfgs, tg.Cfg)
 		}
 	}
-	tspDec := m.base.trace.Start("decode_total")
-	spDec := m.base.m.spanDecode.Start()
-	jr, err := m.base.rdr.DecodeJoint(&fs.dec[0], b.x, fs.air, fs.y[0], b.packetStart, len(b.x)-b.packetStart, cfgs)
-	spDec.End()
-	tspDec.End()
+	dec, err := m.base.decode(fs, b, cfgs)
 	if err != nil {
 		return nil, err
 	}
-	res.Order = jr.Order
+	res.Order = dec.Order
 	for k, i := range polled {
-		dec := jr.Tags[k]
-		if dec == nil {
+		layer := dec.Tags[k]
+		if layer == nil {
 			continue
 		}
-		pr := m.base.result(m.Scenarios[i], m.Tags[i].Cfg, dec, payloads[k], b.packetLen, b.plans[k])
+		pr := m.base.result(m.Scenarios[i], m.Tags[i].Cfg, layer, payloads[k], b.packetLen, b.plans[k])
 		res.AirtimeSec = max(res.AirtimeSec, pr.TagAirtimeSec)
 		res.Results[k] = pr
 		if pr.Delivered {

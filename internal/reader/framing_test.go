@@ -9,7 +9,7 @@ import (
 )
 
 // headerEsts returns the noiseless symbol estimates of the bounded
-// header pass DecodeStream runs: a frame whose 16-bit length header
+// header pass Decode runs: a frame whose 16-bit length header
 // reads n, encoded and mapped exactly as the tag does.
 func headerEsts(n int, tcfg tag.Config) []complex128 {
 	bits := make([]byte, 16+headerGuardSteps+fec.TailBits)
@@ -64,16 +64,18 @@ func TestPreambleCacheUnchangedByDecode(t *testing.T) {
 	want := slices.Clone(pn)
 	sc := buildScene(t, 61, tcfg, 40, -65)
 	rd := mustNew(DefaultConfig())
-	if _, err := rd.Decode(sc.x, sc.x, sc.y, sc.packetStart, sc.packetLen, tcfg); err != nil {
+	if _, err := rd.decodeFull(sc.x, sc.x, sc.y, sc.packetStart, sc.packetLen, tcfg); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := mustStream(t, rd).Decode(sc.x, sc.x, sc.y, sc.packetStart, sc.packetLen, tcfg); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rd.DecodeJoint(new(Stream), sc.x, sc.x, sc.y, sc.packetStart, sc.packetLen, []tag.Config{tcfg}); err != nil {
+	if _, err := decodeTag(rd, make([]Stream, 2), sc.x, sc.x, [][]complex128{sc.y, sc.y}, sc.packetStart, sc.packetLen, tcfg); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rd.DecodeStream(make([]Stream, 2), sc.x, sc.x, [][]complex128{sc.y, sc.y}, sc.packetStart, sc.packetLen, tcfg); err != nil {
+	other := tcfg
+	other.ID++
+	if _, err := rd.Decode(make([]Stream, 1), sc.x, sc.x, [][]complex128{sc.y}, sc.packetStart, sc.packetLen, []tag.Config{tcfg, other}); err != nil {
 		t.Fatal(err)
 	}
 	got := tag.PreambleSequence(tcfg.ID, tcfg.PreambleChips)

@@ -2,6 +2,7 @@ package reader
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"math/cmplx"
@@ -17,21 +18,25 @@ import (
 	"backfi/internal/tag"
 )
 
-// decodeJointReference is the full-capture joint decoder DecodeJoint
-// replaced, kept verbatim as the reference the windowed decoder is held
-// to: a canceller cancelling the whole capture,
-// every candidate's reference convolved over the whole capture, a fresh
-// frame decoder per layer, and the per-sample modulation rebuilt into a
-// new buffer. It still re-checks an unfittable tag every round, and it
-// leaves the last layer uncancelled.
-func decodeJointReference(r *Reader, x, xTap, y []complex128, packetStart, packetLen int, cfgs []tag.Config) (*JointResult, error) {
+// decodeJointReference is the full-capture joint decoder the windowed
+// Decode replaced, kept as the reference Decode is held to on one
+// chain: a canceller cancelling the whole capture, every candidate's
+// reference convolved over the whole capture, a fresh frame decoder per
+// layer, and the per-sample modulation rebuilt into a new buffer. It
+// still re-checks an unfittable tag every round, and it leaves the last
+// layer uncancelled. Like Decode it runs the PN timing search on the
+// first-peeled layer, refitting that layer at each move, and every
+// later layer is ranked and decoded on the grid it found; a layer with
+// no room for a payload symbol is nil and is not cancelled.
+func decodeJointReference(r *Reader, x, xTap, y []complex128, packetStart, packetLen int, cfgs []tag.Config) (*Decoded, error) {
 	canc, clean, err := cancelFull(r.cfg.SIC, xTap, x, y, packetStart)
 	if err != nil {
 		return nil, fmt.Errorf("reader: %w", err)
 	}
 
 	preStart := packetStart + tag.SilentSamples
-	jr := &JointResult{Tags: make([]*Result, len(cfgs)), SIC: canc.Report()}
+	jr := &Decoded{Tags: make([]*Result, len(cfgs)), SIC: canc.Report()}
+	offset, searched := 0, false
 
 	remaining := make([]int, 0, len(cfgs))
 	for i := range cfgs {
@@ -73,9 +78,29 @@ func decodeJointReference(r *Reader, x, xTap, y []complex128, packetStart, packe
 		remaining = next
 
 		tcfg := cfgs[best]
+		if !searched {
+			searched = true
+			pn := tag.PreambleSequence(tcfg.ID, tcfg.PreambleChips)
+			for pass := 0; pass < 3; pass++ {
+				step := r.searchTiming(clean, bestRef, preStart, pn)
+				if step == 0 {
+					break
+				}
+				offset += step
+				preStart += step
+				if h2, err := r.estimateHfb(x, clean, preStart, pn); err == nil {
+					bestHfb = h2
+					bestRef = dsp.ConvolveSame(x, bestHfb)
+				}
+			}
+		}
 		res, used := decodeLayerReference(r, clean, bestRef, packetStart, packetLen, preStart, tcfg)
+		if res == nil {
+			continue
+		}
 		res.SIC = jr.SIC
 		res.Hfb = bestHfb
+		res.TimingOffset = offset
 		jr.Tags[best] = res
 		jr.Order = append(jr.Order, best)
 
@@ -85,7 +110,6 @@ func decodeJointReference(r *Reader, x, xTap, y []complex128, packetStart, packe
 				clean[n] -= mseq[n-preStart] * bestRef[n]
 			}
 		}
-		jr.ResidualDBm = append(jr.ResidualDBm, residualDBm(clean, preStart, packetStart+packetLen))
 	}
 	return jr, nil
 }
@@ -98,7 +122,7 @@ func decodeLayerReference(r *Reader, clean, ref []complex128, packetStart, packe
 	guard := min(r.cfg.ChannelTaps, sps/2)
 	nAvail := (packetStart + packetLen - preEnd) / sps
 	if nAvail <= 0 {
-		return &Result{PreambleCorr: preCorr}, 0
+		return nil, 0
 	}
 	ests := make([]complex128, nAvail)
 	for s := 0; s < nAvail; s++ {
@@ -114,7 +138,7 @@ func decodeLayerReference(r *Reader, clean, ref []complex128, packetStart, packe
 			ests[s] = num / complex(den, 0)
 		}
 	}
-	payload, used, corrected, frameOK := new(frameDecoder).decodeFrame(ests, tcfg, 0, 0, false)
+	payload, used, corrected, frameOK := new(frameDecoder).decodeFrame(ests, tcfg, 0, false)
 	res := &Result{
 		Payload:              payload,
 		FrameOK:              frameOK,
@@ -153,13 +177,14 @@ func reconstructModulationReference(res *Result, used, preStart int, tcfg tag.Co
 	return mseq, preStart + n
 }
 
-// jointScene is one multi-tag slot as the AP receives it, built the way
-// core.MultiTagLink builds it but without the core package: a white
-// excitation leaves through the first tag's scenario, every tag
-// backscatters its own frame, and the capture stops at the window the
-// longest frame occupies.
+// jointScene is one multi-tag slot as the AP receives it on nrx
+// antennas, built the way core.MultiTagLink builds it but without the
+// core package: a white excitation leaves through the first tag's
+// scenario, every tag backscatters its own frame, and the capture stops
+// at the window the longest frame occupies. ys[c] is chain c's capture.
 type jointScene struct {
-	x, xAir, y             []complex128
+	x, xAir                []complex128
+	ys                     [][]complex128
 	packetStart, packetLen int
 	cfgs                   []tag.Config
 	payloads               [][]byte
@@ -167,8 +192,11 @@ type jointScene struct {
 
 // buildJointScene places tags on a geometric range ladder (each twice as
 // far as the previous, from base metres), the layout successive
-// cancellation is designed for. Tag IDs are 0..tags-1.
-func buildJointScene(t testing.TB, seed int64, tags int, base float64) *jointScene {
+// cancellation is designed for. Tag IDs are 0..tags-1. Chain 0 is drawn
+// first, so its capture does not depend on nrx; every later chain gets
+// its own self-interference, backward channels and noise, drawn after
+// it.
+func buildJointScene(t testing.TB, seed int64, tags int, base float64, nrx int) *jointScene {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
 	src := rng.NewSource(seed)
@@ -188,16 +216,20 @@ func buildJointScene(t testing.TB, seed int64, tags int, base float64) *jointSce
 	hi := packetStart + need + sps + 64
 	sc.packetLen = hi - packetStart
 
-	scenarios := make([]*channel.Scenario, tags)
-	d := base
-	for k := range scenarios {
-		s, err := channel.NewScenario(channel.DefaultConfig(d), r, src)
-		if err != nil {
-			t.Fatal(err)
+	placements := func() []*channel.Scenario {
+		scs := make([]*channel.Scenario, tags)
+		d := base
+		for k := range scs {
+			s, err := channel.NewScenario(channel.DefaultConfig(d), r, src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scs[k] = s
+			d *= 2
 		}
-		scenarios[k] = s
-		d *= 2
+		return scs
 	}
+	scenarios := placements()
 	lead := scenarios[0]
 	sigma := math.Sqrt(lead.TxPowerW() / 2)
 	sc.x = make([]complex128, hi)
@@ -205,7 +237,8 @@ func buildJointScene(t testing.TB, seed int64, tags int, base float64) *jointSce
 		sc.x[i] = complex(r.NormFloat64()*sigma, r.NormFloat64()*sigma)
 	}
 	sc.xAir = lead.Distortion.Apply(sc.x)
-	sc.y = lead.HEnv.Apply(sc.xAir)
+	y := lead.HEnv.Apply(sc.xAir)
+	refls := make([][]complex128, tags)
 	for k, s := range scenarios {
 		tg, err := tag.New(sc.cfgs[k])
 		if err != nil {
@@ -217,25 +250,35 @@ func buildJointScene(t testing.TB, seed int64, tags int, base float64) *jointSce
 		}
 		mFull := make([]complex128, hi)
 		copy(mFull[packetStart:], m)
-		dsp.AddInPlace(sc.y, s.HB.Apply(tag.Backscatter(s.HF.Apply(sc.xAir), mFull)))
+		refls[k] = tag.Backscatter(s.HF.Apply(sc.xAir), mFull)
+		dsp.AddInPlace(y, s.HB.Apply(refls[k]))
 	}
-	sc.y = lead.Noise.Add(sc.y)
+	sc.ys = append(sc.ys, lead.Noise.Add(y))
+	for c := 1; c < nrx; c++ {
+		chain := placements()
+		y := chain[0].HEnv.Apply(sc.xAir)
+		for k, s := range chain {
+			dsp.AddInPlace(y, s.HB.Apply(refls[k]))
+		}
+		sc.ys = append(sc.ys, lead.Noise.Add(y))
+	}
 	return sc
 }
 
-// TestDecodeJointMatchesReference holds the windowed joint decoder to
-// the full-capture reference on 600 slot captures — 2 tags at 2 m, 2
-// tags plus an impostor (a third rung the reader peels like any member;
-// to the reader an impostor differs only in that nobody polled it), and
-// 3 stacked layers from 1 m: the same payloads, CRC verdicts and
-// cancellation order, and the same SIC depth to 0.01 dB.
+// TestDecodeJointMatchesReference holds the windowed decoder to the
+// full-capture joint reference on 600 one-chain slot captures — 2 tags
+// at 2 m, 2 tags plus an impostor (a third rung the reader peels like
+// any member; to the reader an impostor differs only in that nobody
+// polled it), and 3 stacked layers from 1 m: the same payloads, CRC
+// verdicts, cancellation order and first-layer timing offset, and the
+// same SIC depth to 0.01 dB.
 func TestDecodeJointMatchesReference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("600 joint decodes against the full-capture reference")
 	}
 	rd := mustNew(DefaultConfig())
-	var s Stream
-	layers, decoded, worstDB := 0, 0, 0.0
+	ss := make([]Stream, 1)
+	layers, decoded, moved, worstDB := 0, 0, 0, 0.0
 	for ci, tc := range []struct {
 		name string
 		tags int
@@ -247,13 +290,13 @@ func TestDecodeJointMatchesReference(t *testing.T) {
 	} {
 		for i := 0; i < 200; i++ {
 			seed := int64(100000*(ci+1) + i)
-			sc := buildJointScene(t, seed, tc.tags, tc.base)
+			sc := buildJointScene(t, seed, tc.tags, tc.base, 1)
 			cfgs := sc.cfgs
-			want, err := decodeJointReference(rd, sc.x, sc.xAir, sc.y, sc.packetStart, sc.packetLen, cfgs)
+			want, err := decodeJointReference(rd, sc.x, sc.xAir, sc.ys[0], sc.packetStart, sc.packetLen, cfgs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := rd.DecodeJoint(&s, sc.x, sc.xAir, sc.y, sc.packetStart, sc.packetLen, cfgs)
+			got, err := rd.Decode(ss, sc.x, sc.xAir, sc.ys, sc.packetStart, sc.packetLen, cfgs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -272,9 +315,15 @@ func TestDecodeJointMatchesReference(t *testing.T) {
 				if g.FrameOK != w.FrameOK || !bytes.Equal(g.Payload, w.Payload) {
 					t.Fatalf("%s seed %d tag %d: FrameOK %v payload %x, reference %v %x", tc.name, seed, k, g.FrameOK, g.Payload, w.FrameOK, w.Payload)
 				}
+				if g.TimingOffset != w.TimingOffset {
+					t.Fatalf("%s seed %d tag %d: timing offset %d, reference %d", tc.name, seed, k, g.TimingOffset, w.TimingOffset)
+				}
 				if g.FrameOK && bytes.Equal(g.Payload, sc.payloads[k]) {
 					decoded++
 				}
+			}
+			if len(got.Order) > 0 && got.Tags[got.Order[0]].TimingOffset != 0 {
+				moved++
 			}
 			d := math.Abs(got.SIC.CancellationDB - want.SIC.CancellationDB)
 			worstDB = max(worstDB, d)
@@ -283,7 +332,7 @@ func TestDecodeJointMatchesReference(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d layers agree (%d delivered); worst cancellation gap %.2g dB", layers, decoded, worstDB)
+	t.Logf("%d layers agree (%d delivered, grid moved in %d of 600 slots); worst cancellation gap %.2g dB", layers, decoded, moved, worstDB)
 	if decoded < layers*3/4 {
 		t.Fatalf("only %d of %d layers delivered: the scenes do not exercise successful peeling", decoded, layers)
 	}
@@ -293,7 +342,7 @@ func TestDecodeJointMatchesReference(t *testing.T) {
 // check and counted once, however many layers are peeled around it,
 // and the layers that do fit decode exactly as the reference does.
 func TestDecodeJointUnfittableCountedOnce(t *testing.T) {
-	sc := buildJointScene(t, 11, 2, 1)
+	sc := buildJointScene(t, 11, 2, 1, 1)
 	huge := sc.cfgs[1]
 	huge.ID = 9
 	huge.PreambleChips = sc.packetLen/tag.ChipSamples + 1
@@ -303,7 +352,7 @@ func TestDecodeJointUnfittableCountedOnce(t *testing.T) {
 	c := DefaultConfig()
 	c.Obs = reg
 	rd := mustNew(c)
-	got, err := rd.DecodeJoint(new(Stream), sc.x, sc.xAir, sc.y, sc.packetStart, sc.packetLen, cfgs)
+	got, err := rd.Decode(make([]Stream, 1), sc.x, sc.xAir, sc.ys, sc.packetStart, sc.packetLen, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,10 +360,10 @@ func TestDecodeJointUnfittableCountedOnce(t *testing.T) {
 	if failed != 1 {
 		t.Fatalf("preamble_room failures = %d, want 1", failed)
 	}
-	if got.Tags[1] != nil || len(got.Order) != 2 {
-		t.Fatalf("unfittable tag decoded: order %v", got.Order)
+	if _, err := got.Tag(1); got.Tags[1] != nil || len(got.Order) != 2 || !errors.Is(err, ErrUndecodable) {
+		t.Fatalf("unfittable tag decoded: order %v, error %v", got.Order, err)
 	}
-	want, err := decodeJointReference(mustNew(DefaultConfig()), sc.x, sc.xAir, sc.y, sc.packetStart, sc.packetLen, cfgs)
+	want, err := decodeJointReference(mustNew(DefaultConfig()), sc.x, sc.xAir, sc.ys[0], sc.packetStart, sc.packetLen, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,25 +374,5 @@ func TestDecodeJointUnfittableCountedOnce(t *testing.T) {
 		if !got.Tags[k].FrameOK || !bytes.Equal(got.Tags[k].Payload, want.Tags[k].Payload) {
 			t.Fatalf("tag %d: decode differs from the reference", k)
 		}
-	}
-}
-
-// DecodeJoint in a reused Stream allocates only its results — per
-// layer the Result, its payload, estimates and taps — nothing sized by
-// the capture.
-func TestDecodeJointSteadyAllocs(t *testing.T) {
-	sc := buildJointScene(t, 12, 2, 2)
-	rd := mustNew(DefaultConfig())
-	var s Stream
-	decode := func() {
-		if _, err := rd.DecodeJoint(&s, sc.x, sc.xAir, sc.y, sc.packetStart, sc.packetLen, sc.cfgs); err != nil {
-			t.Fatal(err)
-		}
-	}
-	decode()
-	n := testing.AllocsPerRun(20, decode)
-	t.Logf("%v allocs per slot", n)
-	if n > 20 {
-		t.Fatalf("DecodeJoint: %v allocs per 2-tag slot, want <= 20", n)
 	}
 }

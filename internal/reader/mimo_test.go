@@ -2,6 +2,7 @@ package reader
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -72,7 +73,7 @@ func buildMIMOScene(t testing.TB, seed int64, nrx int, distanceM float64) *mimoS
 }
 
 func (sc *mimoScene) decode(rd *Reader) (*Result, error) {
-	return rd.DecodeStream(make([]Stream, len(sc.ys)), sc.x, sc.xAir, sc.ys, sc.packetStart, sc.packetLen, sc.tcfg)
+	return decodeTag(rd, make([]Stream, len(sc.ys)), sc.x, sc.xAir, sc.ys, sc.packetStart, sc.packetLen, sc.tcfg)
 }
 
 func TestDecodeMultiRecoversPayload(t *testing.T) {
@@ -94,32 +95,46 @@ func TestDecodeMultiRecoversPayload(t *testing.T) {
 	}
 }
 
+// TestDecodeMultiValidation pins the argument checks of the one
+// decoder: they are errors, while a tag that cannot be attempted on the
+// capture is a nil layer whose error wraps ErrUndecodable.
 func TestDecodeMultiValidation(t *testing.T) {
 	sc := buildMIMOScene(t, 2, 2, 2)
 	rd := mustNew(DefaultConfig())
 	ss := make([]Stream, 2)
-	if _, err := rd.DecodeStream(nil, sc.x, sc.xAir, nil, sc.packetStart, sc.packetLen, sc.tcfg); err == nil {
+	cfgs := []tag.Config{sc.tcfg}
+	if _, err := rd.Decode(nil, sc.x, sc.xAir, nil, sc.packetStart, sc.packetLen, cfgs); err == nil {
 		t.Fatal("expected error for no antennas")
 	}
-	if _, err := rd.DecodeStream(ss[:1], sc.x, sc.xAir, sc.ys, sc.packetStart, sc.packetLen, sc.tcfg); err == nil {
+	if _, err := rd.Decode(ss[:1], sc.x, sc.xAir, sc.ys, sc.packetStart, sc.packetLen, cfgs); err == nil {
 		t.Fatal("expected error for a stream per chain missing")
 	}
 	short := [][]complex128{sc.ys[0], sc.ys[1][:10]}
-	if _, err := rd.DecodeStream(ss, sc.x, sc.xAir, short, sc.packetStart, sc.packetLen, sc.tcfg); err == nil {
+	if _, err := rd.Decode(ss, sc.x, sc.xAir, short, sc.packetStart, sc.packetLen, cfgs); err == nil {
 		t.Fatal("expected error for length mismatch")
+	}
+	if _, err := rd.Decode(ss, sc.x, sc.xAir, sc.ys, sc.packetStart, len(sc.x), cfgs); err == nil {
+		t.Fatal("expected error for a packet past the capture")
 	}
 	bad := sc.tcfg
 	bad.SymbolRateHz = 0
-	if _, err := rd.DecodeStream(ss, sc.x, sc.xAir, sc.ys, sc.packetStart, sc.packetLen, bad); err == nil {
+	if _, err := rd.Decode(ss, sc.x, sc.xAir, sc.ys, sc.packetStart, sc.packetLen, []tag.Config{sc.tcfg, bad}); err == nil {
 		t.Fatal("expected tag config error")
 	}
-	if _, err := rd.DecodeStream(ss, sc.x, sc.xAir, sc.ys, sc.packetStart, tag.SilentSamples+10, sc.tcfg); err == nil {
-		t.Fatal("expected too-short error")
+	if _, err := rd.Decode(ss, sc.x, sc.xAir, sc.ys, sc.packetStart, sc.packetLen, nil); err == nil {
+		t.Fatal("expected error for zero tags")
+	}
+	d, err := rd.Decode(ss, sc.x, sc.xAir, sc.ys, sc.packetStart, tag.SilentSamples+10, cfgs)
+	if err != nil {
+		t.Fatalf("too-short packet: %v, want a nil layer", err)
+	}
+	if _, err := d.Tag(0); d.Tags[0] != nil || len(d.Order) != 0 || !errors.Is(err, ErrUndecodable) {
+		t.Fatalf("too-short packet: layer %v, order %v, error %v", d.Tags[0], d.Order, err)
 	}
 }
 
 // TestDecodeMultiMatchesReference holds the windowed multi-chain
-// DecodeStream to the full-capture reference on 300 captures — 2 and 4
+// Decode to the full-capture reference on 300 captures — 2 and 4
 // antennas from 3 to 7 m: the same payloads and CRC verdicts, and the
 // same joint SNR to 0.1 dB.
 func TestDecodeMultiMatchesReference(t *testing.T) {
@@ -138,7 +153,7 @@ func TestDecodeMultiMatchesReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := rd.DecodeStream(ss[:nrx], sc.x, sc.xAir, sc.ys, sc.packetStart, sc.packetLen, sc.tcfg)
+				got, err := decodeTag(rd, ss[:nrx], sc.x, sc.xAir, sc.ys, sc.packetStart, sc.packetLen, sc.tcfg)
 				if err != nil {
 					t.Fatal(err)
 				}

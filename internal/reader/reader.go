@@ -156,12 +156,12 @@ type Reader struct {
 	trace obs.TraceCtx
 }
 
-// SetTrace points subsequent decodes (DecodeStream and DecodeJoint)
-// at the per-frame trace context (DESIGN.md §5h): each pipeline stage
-// records a span onto it, including the SIC training sub-stages. The
-// zero value disables tracing; the serving layer reassigns it per
-// frame. Not safe concurrently with a running decode — same contract
-// as the Reader itself.
+// SetTrace points subsequent decodes at the per-frame trace context
+// (DESIGN.md §5h): each pipeline stage records a span onto it,
+// including the SIC training sub-stages. The zero value disables
+// tracing; the serving layer reassigns it per frame. Not safe
+// concurrently with a running decode — same contract as the Reader
+// itself.
 func (r *Reader) SetTrace(t obs.TraceCtx) { r.trace = t }
 
 // New returns a Reader, rejecting bad configuration with an error
@@ -294,19 +294,18 @@ func (d *frameDecoder) readLength(soft []float64, coding fec.CodeRate) (n int, o
 }
 
 // decodeFrame demaps symbol estimates and runs the terminated Viterbi
-// decode of the frame they carry. A sized frame occupies ests[:used]
+// decode of the frame they carry. A sized frame occupies all of ests
 // and carries infoBits; otherwise the length header is first read by an
 // unterminated pass over every estimate. It returns the payload (nil on
 // failure), the number of symbols the frame occupied, the number of
 // coded bits the Viterbi decoder corrected (0 unless the frame
 // validated), and whether the CRC validated.
-func (d *frameDecoder) decodeFrame(ests []complex128, tcfg tag.Config, used, infoBits int, sized bool) ([]byte, int, int, bool) {
-	d.soft = tcfg.Mod.DemapSoftInto(d.soft, ests)
-	if !sized {
-		n, ok := d.readLength(d.soft, tcfg.Coding)
-		if used, infoBits = tag.SymbolsForPayload(n, tcfg.Coding, tcfg.Mod), tag.FrameInfoBits(n); !ok || used > len(ests) {
-			return nil, len(ests), 0, false
-		}
+func (d *frameDecoder) decodeFrame(ests []complex128, tcfg tag.Config, infoBits int, sized bool) ([]byte, int, int, bool) {
+	used := len(ests)
+	if sized {
+		d.soft = tcfg.Mod.DemapSoftInto(d.soft, ests)
+	} else if used, infoBits, sized = d.frameExtent(ests, tcfg); !sized || used > len(ests) {
+		return nil, len(ests), 0, false
 	}
 	frameSoft := d.soft[:used*tcfg.Mod.BitsPerSymbol()]
 	payload, err := tag.DecodeFrameBits(&d.vit, frameSoft, tcfg.Coding, infoBits)

@@ -11,10 +11,9 @@ import (
 	"backfi/internal/tag"
 )
 
-// Full-capture reference decoders. The windowed, pooled decoders
-// (DecodeStream, DecodeJoint) replaced them in the pipeline; they stay
-// here, in their original form, as what the windowed decoders are held
-// to. Their canceller is a sic.Reusable trained on the silent window
+// Full-capture reference decoders. The windowed, pooled Decode
+// replaced them in the pipeline; they stay here, in their original
+// form, as what the windowed decoder is held to. Their canceller is a sic.Reusable trained on the silent window
 // and cancelling the whole capture, which sic's own tests pin to the
 // dense reference canceller.
 
@@ -36,7 +35,7 @@ func symbolSNRdB(ests []complex128, mod tag.Modulation) float64 {
 	return new(frameDecoder).symbolSNRdB(ests, mod)
 }
 
-// Decode is the full-capture single-tag decoder DecodeStream replaced,
+// decodeFull is the full-capture single-tag decoder Decode replaced,
 // kept as the reference the windowed decoder is held to. It processes
 // one excitation packet:
 //
@@ -50,7 +49,7 @@ func symbolSNRdB(ests []complex128, mod tag.Modulation) float64 {
 //
 // The tag is silent for tag.SilentSamples after packetStart, sends its
 // PN preamble, then payload symbols (tag.TxPlan layout).
-func (r *Reader) Decode(x, xTap, y []complex128, packetStart, packetLen int, tcfg tag.Config) (*Result, error) {
+func (r *Reader) decodeFull(x, xTap, y []complex128, packetStart, packetLen int, tcfg tag.Config) (*Result, error) {
 	if err := tcfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -165,7 +164,7 @@ func (r *Reader) Decode(x, xTap, y []complex128, packetStart, packetLen int, tcf
 	// length-aware decode.
 	tspVit := r.trace.Start("viterbi")
 	spVit := r.m.spanViterbi.Start()
-	payload, used, corrected, frameOK := new(frameDecoder).decodeFrame(ests, tcfg, 0, 0, false)
+	payload, used, corrected, frameOK := new(frameDecoder).decodeFrame(ests, tcfg, 0, false)
 	spVit.End()
 	tspVit.End()
 	if frameOK {
@@ -222,7 +221,7 @@ func (r *Reader) estimateHfb(x, clean []complex128, preStart int, pn []complex12
 }
 
 // decodeMultiReference is the full-capture multi-antenna decoder the
-// multi-chain DecodeStream replaced: every chain cancelled and
+// multi-chain Decode replaced: every chain cancelled and
 // referenced over the whole capture, timing from chain 0, the other
 // chains re-fitted at the corrected timing, and MRC across antennas
 // over every symbol the packet holds.
@@ -320,7 +319,7 @@ func decodeMultiReference(r *Reader, x, xTap []complex128, ys [][]complex128, pa
 		}
 	}
 
-	payload, used, corrected, frameOK := new(frameDecoder).decodeFrame(ests, tcfg, 0, 0, false)
+	payload, used, corrected, frameOK := new(frameDecoder).decodeFrame(ests, tcfg, 0, false)
 	out.Payload = payload
 	out.FrameOK = frameOK
 	out.ViterbiCorrectedBits = corrected

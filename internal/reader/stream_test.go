@@ -17,7 +17,7 @@ type streamOf struct {
 }
 
 func (b *streamOf) Decode(x, xTap, y []complex128, packetStart, packetLen int, tcfg tag.Config) (*Result, error) {
-	return b.rd.DecodeStream(b.s[:], x, xTap, [][]complex128{y}, packetStart, packetLen, tcfg)
+	return decodeTag(b.rd, b.s[:], x, xTap, [][]complex128{y}, packetStart, packetLen, tcfg)
 }
 
 func mustStream(t *testing.T, rd *Reader) *streamOf {
@@ -38,7 +38,7 @@ func TestStreamDecodeMatchesReader(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			sc := buildScene(t, tc.seed, tc.cfg, 40, -65)
 			rd := mustNew(DefaultConfig())
-			want, err := rd.Decode(sc.x, sc.x, sc.y, sc.packetStart, sc.packetLen, tc.cfg)
+			want, err := rd.decodeFull(sc.x, sc.x, sc.y, sc.packetStart, sc.packetLen, tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

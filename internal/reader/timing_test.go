@@ -65,7 +65,7 @@ func TestTimingSearchRecoversLateTag(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.TimingSearch = 16
 	withSearch := mustNew(cfg)
-	res, err := withSearch.Decode(sc.x, sc.x, sc.y, sc.packetStart, sc.packetLen, tcfg)
+	res, err := withSearch.decodeFull(sc.x, sc.x, sc.y, sc.packetStart, sc.packetLen, tcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestTimingSearchRecoversLateTag(t *testing.T) {
 
 	cfg.TimingSearch = 0
 	noSearch := mustNew(cfg)
-	res0, err := noSearch.Decode(sc.x, sc.x, sc.y, sc.packetStart, sc.packetLen, tcfg)
+	res0, err := noSearch.decodeFull(sc.x, sc.x, sc.y, sc.packetStart, sc.packetLen, tcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestTimingSearchStaysPutWhenAligned(t *testing.T) {
 	// would misalign short symbols.
 	tcfg := qpskCfg()
 	sc := buildScene(t, 12, tcfg, 60, -60)
-	res, err := mustNew(DefaultConfig()).Decode(sc.x, sc.x, sc.y, sc.packetStart, sc.packetLen, tcfg)
+	res, err := mustNew(DefaultConfig()).decodeFull(sc.x, sc.x, sc.y, sc.packetStart, sc.packetLen, tcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestTimingSearchStaysPutWhenAligned(t *testing.T) {
 // fresh Stream and once on one whose clean/reference buffers hold NaN
 // from a "previous frame". The decode must read only samples it
 // cancelled and referenced, so the two results are bit-identical. This
-// also shows MRC never reads a guard sample, which DecodeStream leaves
+// also shows MRC never reads a guard sample, which Decode leaves
 // uncomputed. At TimingSearch 2 the search takes all timingPasses
 // steps, reaching the end of the stage-1 window.
 func TestLateTimingReadsNoStaleScratch(t *testing.T) {
@@ -129,7 +129,7 @@ func TestLateTimingReadsNoStaleScratch(t *testing.T) {
 		for offset := tc.fromOffset; offset <= tc.toOffset; offset++ {
 			sc := buildSceneWithOffset(t, 11, tcfg, 60, offset)
 			decode := func(s Stream) *Result {
-				res, err := rd.DecodeStream([]Stream{s}, sc.x, sc.x, [][]complex128{sc.y}, sc.packetStart, sc.packetLen, tcfg)
+				res, err := decodeTag(rd, []Stream{s}, sc.x, sc.x, [][]complex128{sc.y}, sc.packetStart, sc.packetLen, tcfg)
 				if err != nil {
 					t.Fatal(err)
 				}
