@@ -44,7 +44,9 @@ import (
 type (
 	// LinkConfig assembles one BackFi link.
 	LinkConfig = core.LinkConfig
-	// Link is a realized link: one placement plus tag and reader.
+	// Link is a realized deployment: K tag placements around one AP
+	// with N receive chains, plus the reader. NewLink, NewMIMOLink and
+	// NewMultiTagLink build it.
 	Link = core.Link
 	// PacketResult reports one end-to-end packet exchange.
 	PacketResult = core.PacketResult
@@ -117,12 +119,12 @@ func StandardConfigs(preambleChips, id int) []TagConfig {
 
 // Evaluate runs Monte-Carlo packet trials of one configuration.
 func Evaluate(chanCfg ChannelConfig, tcfg TagConfig, trials, payloadBytes int, seed int64) (Feasibility, error) {
-	return core.Evaluate(chanCfg, tcfg, core.DefaultLinkConfig(chanCfg.DistanceM).Reader, trials, payloadBytes, seed)
+	return core.Evaluate(chanCfg, tcfg, core.DefaultLinkConfig(chanCfg.DistanceM).Reader, nil, trials, payloadBytes, seed, 0)
 }
 
 // Sweep evaluates every configuration at one placement.
 func Sweep(chanCfg ChannelConfig, cfgs []TagConfig, trials, payloadBytes int, seed int64) ([]Feasibility, error) {
-	return core.Sweep(chanCfg, cfgs, core.DefaultLinkConfig(chanCfg.DistanceM).Reader, trials, payloadBytes, seed)
+	return core.Sweep(chanCfg, cfgs, core.DefaultLinkConfig(chanCfg.DistanceM).Reader, trials, payloadBytes, seed, 0)
 }
 
 // BestThroughput returns the fastest decodable configuration.
@@ -149,8 +151,9 @@ func EPB(mod TagModulation, coding CodeRate, symbolRateHz float64) (float64, err
 
 // NewMIMOLink draws a placement with nrx AP receive antennas (paper
 // Sec. 7): the extra antennas add spatial diversity on top of the
-// temporal MRC gain. Its results carry per-antenna diagnostics in
-// Decode.PerAntennaSNRdB and Decode.PerAntennaSIC.
+// temporal MRC gain. It is a Link like any other; its results carry
+// per-antenna diagnostics in Decode.PerAntennaSNRdB and
+// Decode.PerAntennaSIC.
 func NewMIMOLink(cfg LinkConfig, nrx int) (*Link, error) {
 	return core.NewMIMOLink(cfg, nrx)
 }
@@ -162,9 +165,6 @@ type (
 	Session = core.Session
 	// SessionStats summarizes a session's history.
 	SessionStats = core.SessionStats
-	// MultiTagLink is a deployment of several tags around one AP,
-	// addressed individually by wake sequence.
-	MultiTagLink = core.MultiTagLink
 )
 
 // NewSession opens a session at one placement; coherenceRho is the
@@ -173,8 +173,10 @@ func NewSession(cfg LinkConfig, coherenceRho float64, maxRetries int) (*Session,
 	return core.NewSession(cfg, coherenceRho, maxRetries)
 }
 
-// NewMultiTagLink places one tag per distance (IDs 0..n-1).
-func NewMultiTagLink(cfg LinkConfig, distances []float64) (*MultiTagLink, error) {
+// NewMultiTagLink places one tag per distance (IDs 0..n-1) around one
+// AP: Link.Poll addresses one tag by its wake sequence, Link.RunSlot
+// lights a wake group and decodes the collided reflections jointly.
+func NewMultiTagLink(cfg LinkConfig, distances []float64) (*Link, error) {
 	return core.NewMultiTagLink(cfg, distances)
 }
 

@@ -88,7 +88,6 @@ func main() {
 	churnActive := flag.Float64("churn-active", 0.02, "churn mode: fraction of ids that are active groups offering decode slots; the rest register once and idle out")
 	ttl := flag.Duration("ttl", 0, "self-served daemon session TTL — idle sessions are evicted by per-shard sweeps (-selfserve only; 0 keeps sessions forever)")
 	maxSessBytes := flag.Int64("max-session-bytes", 0, "churn mode gate: fail unless heap growth per churned session id stays at or below this many bytes (0 disables)")
-	compare := flag.Bool("compare-protos", false, "run the workload once per protocol on fresh identical daemons (best of two runs each) and exit non-zero unless binary goodput ≥ JSON goodput (-selfserve only)")
 	gateFile := flag.String("gate-baseline", "", "cluster goodput gate: JSON bench file holding the single-node baseline entry; the cluster run must reach -gate-ratio times its goodput_bps when this host has at least as many CPUs as nodes, and must at least match it otherwise")
 	gateKey := flag.String("gate-baseline-key", "serving_single", "cluster goodput gate: top-level key of the baseline entry inside -gate-baseline")
 	gateRatio := flag.Float64("gate-ratio", 2, "cluster goodput gate: required goodput multiple over the baseline when parallelism is available (gomaxprocs >= nodes); relaxes to 1.0 (no regression) on narrower hosts where node decode loops share cores")
@@ -106,8 +105,8 @@ func main() {
 	if *harvest < 0 || *harvest > 1 {
 		log.Fatalf("harvest: severity %v outside [0,1]", *harvest)
 	}
-	if *harvest > 0 && (!*selfserve || *clusterNodes > 1 || *addrs != "" || *churn > 0 || *mtTags > 0 || *compare) {
-		log.Fatal("harvest: the energy scheduler drives the plain -selfserve single-node decode workload only (no -cluster/-addrs/-churn/-multitag/-compare-protos)")
+	if *harvest > 0 && (!*selfserve || *clusterNodes > 1 || *addrs != "" || *churn > 0 || *mtTags > 0) {
+		log.Fatal("harvest: the energy scheduler drives the plain -selfserve single-node decode workload only (no -cluster/-addrs/-churn/-multitag)")
 	}
 	if *impair < 0 || *impair > 1 {
 		log.Fatalf("impair: severity %v outside [0,1]", *impair)
@@ -169,14 +168,6 @@ func main() {
 			log.Fatal(err)
 		}
 		return srv
-	}
-
-	if *compare {
-		if !*selfserve {
-			log.Fatal("compare-protos requires -selfserve (fresh identical daemons per run)")
-		}
-		compareProtos(h, newServer, *sessions, *frames, *payload)
-		return
 	}
 
 	var clusterAddrs []string
@@ -331,41 +322,6 @@ func main() {
 		}
 		log.Printf("merged %s entry into %s", *outKey, *out)
 	}
-}
-
-// compareProtos is the CI protocol gate: the same workload against
-// fresh, identically-configured daemons — so both protocols decode the
-// exact same session streams — once per protocol, best goodput of two
-// runs each (absorbing scheduler noise), asserting the binary framing
-// never serves slower than JSON.
-func compareProtos(h *scenario.Harness, newServer func() *serve.Server, sessions, frames, payload int) {
-	best := map[string]float64{}
-	for _, proto := range []string{"json", "binary"} {
-		for attempt := 0; attempt < 2; attempt++ {
-			addr := newServer().Addr()
-			res, err := scenario.Run(scenario.Config{
-				Program:      scenario.Closed("loadgen", sessions, frames, 0, 0),
-				PayloadBytes: payload,
-				Dial: func(int) (scenario.Target, error) {
-					return serve.DialClient(serve.ClientConfig{Addr: addr, Proto: proto})
-				},
-			})
-			if err != nil {
-				log.Fatal(err)
-			}
-			if _, err := h.Drain(); err != nil {
-				log.Fatal(err)
-			}
-			if g := summary(res, payload)["goodput_bps"].(float64); g > best[proto] {
-				best[proto] = g
-			}
-		}
-		log.Printf("%s: best goodput %.0f bps", proto, best[proto])
-	}
-	if best["binary"] < best["json"] {
-		log.Fatalf("protocol gate FAILED: binary goodput %.0f bps < json %.0f bps", best["binary"], best["json"])
-	}
-	log.Printf("protocol gate OK: binary %.0f bps >= json %.0f bps", best["binary"], best["json"])
 }
 
 // summary is the serving entry of a closed-loop run. Latencies are in

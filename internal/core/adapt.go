@@ -63,13 +63,6 @@ type Feasibility struct {
 // if the overwhelming majority of frames decode.
 func (f Feasibility) Decodable() bool { return f.SuccessRate >= 0.9 }
 
-// Evaluate runs `trials` independent placements/packets of one tag
-// configuration and summarizes the outcome. Trials run on all
-// available CPUs; use EvaluateWorkers to bound or serialize them.
-func Evaluate(chanCfg channel.Config, tcfg tag.Config, rdrCfg reader.Config, trials, payloadBytes int, seed int64) (Feasibility, error) {
-	return EvaluateWorkers(chanCfg, tcfg, rdrCfg, trials, payloadBytes, seed, 0)
-}
-
 // trialOutcome is one Monte-Carlo trial's contribution, stored in a
 // per-index slot so the reduction below runs in trial order and the
 // summary is bit-identical for every worker count.
@@ -81,29 +74,25 @@ type trialOutcome struct {
 	ber     float64
 }
 
-// EvaluateWorkers is Evaluate with an explicit concurrency bound:
-// workers=0 uses every CPU, workers=1 reproduces the historical
-// sequential evaluation exactly. Each trial derives its own seed
-// (seed + i*7919), builds an independent Link, and writes into its own
-// slot, so the returned Feasibility does not depend on workers.
-//
-// Instrumentation rides on rdrCfg.Obs: the registry set there is also
-// installed as each trial link's LinkConfig.Obs, so packet counters and
-// stage spans cover sweeps without widening this signature.
-func EvaluateWorkers(chanCfg channel.Config, tcfg tag.Config, rdrCfg reader.Config, trials, payloadBytes int, seed int64, workers int) (Feasibility, error) {
-	return EvaluateFaults(chanCfg, tcfg, rdrCfg, nil, trials, payloadBytes, seed, workers)
-}
-
-// EvaluateFaults is EvaluateWorkers with an impairment profile injected
-// into every trial link (nil = the clean evaluation). Trials where the
-// tag fails to wake (ErrTagNoWake) count as zero throughput; any other
-// RunPacket error is a genuine pipeline failure and is returned.
+// Evaluate runs `trials` independent placements/packets of one tag
+// configuration, with faults injected into every trial link (nil = the
+// clean evaluation), and summarizes the outcome. workers=0 uses every
+// CPU and workers=1 evaluates sequentially. Each trial derives its own
+// seed (seed + i*7919), builds an independent Link, and writes into its
+// own slot, so the returned Feasibility does not depend on workers.
+// Trials where the tag fails to wake (ErrTagNoWake) count as zero
+// throughput; any other RunPacket error is a genuine pipeline failure
+// and is returned.
 //
 // Summary statistics follow the sampling structure: SuccessRate and
 // WakeRate are per-trial fractions, while MeanSNRdB/MeanRawBER average
 // only over the trials that decoded — a placement where half the tags
 // sleep must not bias the decoded population's SNR toward zero.
-func EvaluateFaults(chanCfg channel.Config, tcfg tag.Config, rdrCfg reader.Config, faults *fault.Profile, trials, payloadBytes int, seed int64, workers int) (Feasibility, error) {
+//
+// Instrumentation rides on rdrCfg.Obs: the registry set there is also
+// installed as each trial link's LinkConfig.Obs, so packet counters and
+// stage spans cover sweeps without widening this signature.
+func Evaluate(chanCfg channel.Config, tcfg tag.Config, rdrCfg reader.Config, faults *fault.Profile, trials, payloadBytes int, seed int64, workers int) (Feasibility, error) {
 	if trials <= 0 {
 		return Feasibility{}, fmt.Errorf("core: trials must be positive")
 	}
@@ -173,18 +162,13 @@ func EvaluateFaults(chanCfg channel.Config, tcfg tag.Config, rdrCfg reader.Confi
 	return f, nil
 }
 
-// Sweep evaluates every configuration in cfgs at one distance, using
-// all available CPUs.
-func Sweep(chanCfg channel.Config, cfgs []tag.Config, rdrCfg reader.Config, trials, payloadBytes int, seed int64) ([]Feasibility, error) {
-	return SweepWorkers(chanCfg, cfgs, rdrCfg, trials, payloadBytes, seed, 0)
-}
-
-// SweepWorkers is Sweep with an explicit concurrency bound shared by
-// the per-configuration and per-trial levels.
-func SweepWorkers(chanCfg channel.Config, cfgs []tag.Config, rdrCfg reader.Config, trials, payloadBytes int, seed int64, workers int) ([]Feasibility, error) {
+// Sweep evaluates every configuration in cfgs at one distance; workers
+// bounds the per-configuration and per-trial levels together, as in
+// Evaluate.
+func Sweep(chanCfg channel.Config, cfgs []tag.Config, rdrCfg reader.Config, trials, payloadBytes int, seed int64, workers int) ([]Feasibility, error) {
 	out := make([]Feasibility, len(cfgs))
 	err := parallel.ForEachErr(len(cfgs), workers, func(i int) error {
-		f, err := EvaluateWorkers(chanCfg, cfgs[i], rdrCfg, trials, payloadBytes, seed+int64(i)*104729, workers)
+		f, err := Evaluate(chanCfg, cfgs[i], rdrCfg, nil, trials, payloadBytes, seed+int64(i)*104729, workers)
 		if err != nil {
 			return err
 		}

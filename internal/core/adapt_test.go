@@ -36,7 +36,7 @@ func TestFeasibilityStatsPartialWake(t *testing.T) {
 	base := DefaultLinkConfig(1)
 	ch := partialWakeChannel()
 
-	f, err := EvaluateWorkers(ch, base.Tag, base.Reader, trials, 24, seed, 0)
+	f, err := Evaluate(ch, base.Tag, base.Reader, nil, trials, 24, seed, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestEvaluateSurfacesPipelineErrors(t *testing.T) {
 	base := DefaultLinkConfig(1)
 	rdr := base.Reader
 	rdr.SIC.DigitalTaps = 200 // needs 400 training samples; only 320 exist
-	_, err := EvaluateWorkers(channel.DefaultConfig(1), base.Tag, rdr, 4, 24, 1, 0)
+	_, err := Evaluate(channel.DefaultConfig(1), base.Tag, rdr, nil, 4, 24, 1, 0)
 	if err == nil {
 		t.Fatal("broken SIC config should surface an error")
 	}
@@ -120,14 +120,14 @@ func TestEvaluateRejectsInvalidConfigs(t *testing.T) {
 	base := DefaultLinkConfig(1)
 	badTag := base.Tag
 	badTag.Mod = tag.Modulation(42)
-	if _, err := EvaluateWorkers(channel.DefaultConfig(1), badTag, base.Reader, 1, 8, 1, 0); err == nil {
+	if _, err := Evaluate(channel.DefaultConfig(1), badTag, base.Reader, nil, 1, 8, 1, 0); err == nil {
 		t.Fatal("unknown modulation should error")
 	}
 	badFaults := &fault.Profile{ACKDropProb: 2}
-	if _, err := EvaluateFaults(channel.DefaultConfig(1), base.Tag, base.Reader, badFaults, 1, 8, 1, 0); err == nil {
+	if _, err := Evaluate(channel.DefaultConfig(1), base.Tag, base.Reader, badFaults, 1, 8, 1, 0); err == nil {
 		t.Fatal("invalid fault profile should error")
 	}
-	if _, err := EvaluateWorkers(channel.DefaultConfig(1), base.Tag, base.Reader, 0, 8, 1, 0); err == nil {
+	if _, err := Evaluate(channel.DefaultConfig(1), base.Tag, base.Reader, nil, 0, 8, 1, 0); err == nil {
 		t.Fatal("zero trials should error")
 	}
 }

@@ -8,10 +8,11 @@ import (
 	"backfi/internal/tag"
 )
 
-// RunCustomExcitation performs one exchange using a caller-supplied
-// excitation waveform instead of WiFi PPDUs — the paper's generality
-// claim (Sec. 1: "the system is applicable for other types of
-// communication signals like Bluetooth, Zigbee, etc."). The waveform
+// RunCustomExcitation performs one exchange with tag 0 using a
+// caller-supplied excitation waveform instead of WiFi PPDUs — the
+// paper's generality claim (Sec. 1: "the system is applicable for
+// other types of communication signals like Bluetooth, Zigbee, etc.").
+// The waveform
 // should be at unit average power; it is scaled to the scenario's
 // transmit power and prefixed with the tag's wake preamble. The
 // exchange then runs the same pipeline as RunPacket: the reader's
@@ -27,5 +28,9 @@ func (l *Link) RunCustomExcitation(excitation []complex128, payload []byte) (*Pa
 	amp := math.Sqrt(l.Scenario.TxPowerW())
 	wake := tag.WakeWaveform(l.Tag.WakeSeq(), amp)
 	x := append(append([]complex128{}, wake...), dsp.Scale(excitation, complex(amp, 0))...)
-	return l.exchange(x, len(wake), payload)
+	res, err := l.exchange(x, len(wake), []int{0}, [][]byte{payload}, false)
+	if err != nil {
+		return nil, err
+	}
+	return res.Results[0], nil
 }

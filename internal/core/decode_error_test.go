@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"backfi/internal/channel"
 	"backfi/internal/reader"
 	"backfi/internal/tag"
 )
@@ -72,8 +71,6 @@ func TestSingleTagUndecodableIsTyped(t *testing.T) {
 			x:           x,
 			packetStart: packetStart,
 			packetLen:   len(x) - packetStart,
-			tags:        []*tag.Tag{link.Tag},
-			scs:         []*channel.Scenario{link.Scenario},
 			polled:      []int{0},
 			payloads:    [][]byte{payload},
 		}
@@ -84,9 +81,12 @@ func TestSingleTagUndecodableIsTyped(t *testing.T) {
 		// The reader sees a capture that ends inside the tag preamble.
 		cut := packetStart + tag.SilentSamples + 10
 		b.x, fs.air, fs.y[0] = b.x[:cut], fs.air[:cut], fs.y[0][:cut]
-		_, err = link.decodeTag(fs, &b, link.Tag.Cfg)
-		if !errors.Is(err, reader.ErrUndecodable) {
-			t.Fatalf("decodeTag: %v, want an error wrapping reader.ErrUndecodable", err)
+		dec, err := link.decode(fs, &b, []tag.Config{link.Tag.Cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err = dec.Tag(0); !errors.Is(err, reader.ErrUndecodable) {
+			t.Fatalf("decode: %v, want an error wrapping reader.ErrUndecodable", err)
 		}
 		t.Log(err)
 	})

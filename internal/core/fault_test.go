@@ -44,7 +44,7 @@ func TestEvaluateFaultsBitIdenticalAcrossWorkers(t *testing.T) {
 	p := fault.Standard(0.6)
 	var got []Feasibility
 	for _, workers := range []int{1, 8} {
-		f, err := EvaluateFaults(channel.DefaultConfig(1), base.Tag, base.Reader, &p, 8, 24, 5, workers)
+		f, err := Evaluate(channel.DefaultConfig(1), base.Tag, base.Reader, &p, 8, 24, 5, workers)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -207,12 +207,22 @@ func newLinkMetrics(r *obs.Registry) linkMetrics {
 	}
 }
 
-// Link is a realized BackFi link: one placement draw plus the tag and
-// reader instances.
+// Link is a realized BackFi deployment: K tag placements around one AP
+// with N receive chains, plus the reader and the per-link machinery
+// (RNG streams, fault injector, metrics, excitation pool). NewLink
+// builds one tag on one chain, NewMIMOLink one tag on N chains and
+// NewMultiTagLink K tags on one chain; every exchange runs the same
+// K×N pipeline.
 type Link struct {
-	Cfg      LinkConfig
-	Scenario *channel.Scenario
+	Cfg LinkConfig
+	// Tags[i] sits at placement Scenarios[i]. A deployment keeps its
+	// tags and placements for life, so they share one allocation.
+	Tags      []*tag.Tag
+	Scenarios []*channel.Scenario
+	// Tag and Scenario are placement 0 (Tags[0], Scenarios[0]): the tag
+	// RunPacket, RunCustomExcitation and a Session drive.
 	Tag      *tag.Tag
+	Scenario *channel.Scenario
 	rdr      reader.Reader
 	rng      *rand.Rand
 	src      *rng.Source // rng's Source: noise and distortion draws
@@ -230,14 +240,22 @@ type Link struct {
 	// trace is the per-frame trace context (DESIGN.md §5h); the serving
 	// layer reassigns it before each RunPacket. Zero = tracing off.
 	trace obs.TraceCtx
-	// rx holds the AP's receive chains past the first (NewMIMOLink);
-	// chain 0 is Scenario's.
-	rx []rxChain
+	// chains holds the AP's receive chains past the first (NewMIMOLink);
+	// chain 0 is the placements' own draw.
+	chains []rxChain
+	// frame counts exchanges; it keys the impostor payload derivation so
+	// junk bytes are a pure function of (link seed, tag ID, frame index)
+	// — never of the shared RNG — and MultiTagSession reseeds the shared
+	// streams from it every slot.
+	frame int
 }
 
-// rxChain is one AP receive antenna's view of a placement: its own
-// self-interference channel and its own backward channel from the tag.
-type rxChain struct{ HEnv, HB channel.Taps }
+// rxChain is one extra AP receive antenna: its own self-interference
+// channel, and HB[i], placement i's backward channel into it.
+type rxChain struct {
+	HEnv channel.Taps
+	HB   []channel.Taps
+}
 
 // SetTrace points the next RunPacket at a per-frame trace context and
 // propagates it down the pipeline (reader stages, SIC training). The
@@ -258,26 +276,53 @@ const faultSeedSalt = 0x5fa017
 func faultBase(seed int64, epoch int) int64 { return seed ^ faultSeedSalt + int64(epoch)*15485863 }
 
 // NewLink draws a placement realization and builds the endpoints.
-func NewLink(cfg LinkConfig) (*Link, error) {
+func NewLink(cfg LinkConfig) (*Link, error) { return newLink(cfg, nil, 1) }
+
+// NewMIMOLink draws a placement whose AP has nrx receive antennas
+// (paper Sec. 7: "multiple antennas at the AP provides additional
+// diversity combining gain"). The AP transmits from one antenna and
+// every antenna receives; each chain cancels self-interference against
+// the shared transmission (one silent period serves every chain, since
+// only one antenna transmits), and the per-symbol MRC combines across
+// antennas as well as samples. With nrx = 1 it is NewLink.
+func NewMIMOLink(cfg LinkConfig, nrx int) (*Link, error) {
+	if nrx < 1 {
+		return nil, fmt.Errorf("core: need at least one receive antenna")
+	}
+	return newLink(cfg, nil, nrx)
+}
+
+// NewMultiTagLink builds a deployment: one tag per distance, with IDs
+// 0..n-1 and otherwise identical configuration (paper Sec. 4.1: "a
+// preamble can be unique to a particular BackFi tag ... and can be used
+// to select which BackFi tag gets to backscatter at that instant").
+// Poll addresses one tag by its wake sequence; RunSlot lights a group
+// sharing one (SetWakeGroup) and decodes the collided reflections
+// jointly (DESIGN.md §5i).
+func NewMultiTagLink(cfg LinkConfig, distances []float64) (*Link, error) {
+	if len(distances) == 0 {
+		return nil, fmt.Errorf("core: need at least one tag")
+	}
+	return newLink(cfg, distances, 1)
+}
+
+func newLink(cfg LinkConfig, distances []float64, nrx int) (*Link, error) {
 	l := new(Link)
-	if err := l.init(cfg); err != nil {
-		return nil, err
-	}
-	var err error
-	if l.Tag, err = tag.New(cfg.Tag); err != nil {
-		return nil, err
-	}
-	if l.Scenario, err = channel.NewScenario(cfg.Channel, l.rng, l.src); err != nil {
+	if err := l.init(cfg, distances, nrx); err != nil {
 		return nil, err
 	}
 	return l, nil
 }
 
-// init validates cfg and sets up l's per-link machinery in place —
-// rate, reader, fault injector, RNG and metrics — without a placement
-// or a tag. A multi-tag link embeds a Link this way and places its own
-// tags on it.
-func (l *Link) init(cfg LinkConfig) error {
+// init builds the deployment in place: rate, reader, fault injector,
+// RNG and metrics, then the placements — cfg.Tag at cfg.Channel when
+// distances is nil, else tag i with ID i at distances[i] — then the
+// receive chains past the first. Each extra chain draws, per placement,
+// a fresh placement at the same range and keeps its backward channel,
+// and the first of those draws' self-interference channel; every chain
+// draws independent thermal noise. That independence across antennas
+// is what provides spatial diversity.
+func (l *Link) init(cfg LinkConfig, distances []float64, nrx int) error {
 	rate, err := wifi.RateByMbps(cfg.WiFiMbps)
 	if err != nil {
 		return err
@@ -299,6 +344,11 @@ func (l *Link) init(cfg LinkConfig) error {
 	if err != nil {
 		return err
 	}
+	// Placements override at most the distance; the rest of the channel
+	// template must be valid as given.
+	if err := cfg.Channel.Validate(); err != nil {
+		return err
+	}
 	*l = Link{
 		Cfg:  cfg,
 		rdr:  *rdr,
@@ -307,6 +357,47 @@ func (l *Link) init(cfg LinkConfig) error {
 		m:    newLinkMetrics(cfg.Obs),
 	}
 	l.rng, l.src = rng.NewWithSource(cfg.Seed)
+
+	n := max(len(distances), 1)
+	members := make([]struct {
+		tag tag.Tag
+		sc  channel.Scenario
+	}, n)
+	l.Tags = make([]*tag.Tag, n)
+	l.Scenarios = make([]*channel.Scenario, n)
+	for i := range n {
+		tcfg, chanCfg := cfg.Tag, cfg.Channel
+		if distances != nil {
+			tcfg.ID, chanCfg.DistanceM = i, distances[i]
+		}
+		tg, err := tag.New(tcfg)
+		if err != nil {
+			return err
+		}
+		sc, err := channel.NewScenario(chanCfg, l.rng, l.src)
+		if err != nil {
+			return err
+		}
+		members[i].tag, members[i].sc = *tg, *sc
+		l.Tags[i], l.Scenarios[i] = &members[i].tag, &members[i].sc
+	}
+	l.Tag, l.Scenario = l.Tags[0], l.Scenarios[0]
+
+	l.chains = make([]rxChain, nrx-1)
+	for c := range l.chains {
+		ch := &l.chains[c]
+		ch.HB = make([]channel.Taps, n)
+		for i, sc := range l.Scenarios {
+			d, err := channel.NewScenario(sc.Cfg, l.rng, l.src)
+			if err != nil {
+				return err
+			}
+			if i == 0 {
+				ch.HEnv = d.HEnv
+			}
+			ch.HB[i] = d.HB
+		}
+	}
 	return nil
 }
 
@@ -341,7 +432,7 @@ func (l *Link) SetTagConfig(cfg tag.Config) error {
 	if err != nil {
 		return err
 	}
-	l.Tag = tg
+	*l.Tag = *tg
 	l.Cfg.Tag = cfg
 	return nil
 }
@@ -404,15 +495,15 @@ func putScratch(fs *frameScratch) {
 	}
 }
 
-// RunPacket performs one full exchange: the AP transmits a CTS-to-SELF,
-// the wake preamble, and enough back-to-back WiFi PPDUs for the
-// payload; the tag wakes and backscatters; the AP decodes.
+// RunPacket performs one full exchange with tag 0: the AP transmits a
+// CTS-to-SELF, the wake preamble, and enough back-to-back WiFi PPDUs
+// for the payload; the tag wakes and backscatters; the AP decodes.
 func (l *Link) RunPacket(payload []byte) (*PacketResult, error) {
-	x, packetStart, err := l.template(l.Tag, l.Scenario.TxPowerW(), l.sizing(tagNeed(l.Tag.Cfg, len(payload))))
+	res, err := l.Poll(0, payload)
 	if err != nil {
 		return nil, err
 	}
-	return l.exchange(x, packetStart, payload)
+	return res.Results[0], nil
 }
 
 // sizing returns the PPDU count covering need post-wake samples.
@@ -440,49 +531,118 @@ func (l *Link) template(tg *tag.Tag, txPowerW float64, nppdu int) ([]complex128,
 	return x, packetStart, err
 }
 
-// exchange is the single-tag link pipeline, shared by RunPacket and
-// RunCustomExcitation: the excitation x (ideal baseband, never
-// written — it may be a shared template) goes on the air, the tag
-// wakes and backscatters, and the AP decodes every receive chain with
-// the windowed decoder. Nothing past the window the frame occupies
-// (plus timing slack) is computed. packetStart is the tag's timing
-// origin in x.
-func (l *Link) exchange(x []complex128, packetStart int, payload []byte) (*PacketResult, error) {
-	tcfg := l.Tag.Cfg
-	hi := min(packetStart+tagNeed(tcfg, len(payload))+tcfg.SamplesPerSymbol()+windowSlack, len(x))
+// exchange is the one pipeline under every entry point: RunPacket,
+// RunCustomExcitation, Poll and RunSlot. One excitation wakes
+// polled[0]'s wake sequence and leaves through its placement; every tag
+// decides from its own forward channel whether it woke; polled[k]
+// backscatters payloads[k], and any other tag that wakes is an
+// impostor. x is the excitation (ideal baseband, never written — it
+// may be a shared template) with the tags' timing origin at
+// packetStart; nil builds the pooled WiFi template sized for the polled
+// frames. Nothing past the window is computed: the frames the polled
+// tags send and the one any other tag would send if it woke (an
+// impostor's junk is as long as the first payload), plus a symbol and
+// the timing slack.
+//
+// With group set the exchange is a slot: the reader also decodes the
+// unpolled members of the wake group, a layer it could not attempt is
+// a nil result, and a slot no tag woke for is an empty result. Without
+// it the polled tags are decoded alone, and a tag that slept or could
+// not be attempted is an error wrapping ErrTagNoWake or
+// reader.ErrUndecodable.
+func (l *Link) exchange(x []complex128, packetStart int, polled []int, payloads [][]byte, group bool) (*SlotResult, error) {
+	need, hiNeed, sps := 0, 0, 0
+	for i, tg := range l.Tags {
+		if k := slices.Index(polled, i); k >= 0 {
+			need = max(need, tagNeed(tg.Cfg, len(payloads[k])))
+		} else {
+			hiNeed = max(hiNeed, tagNeed(tg.Cfg, len(payloads[0])))
+		}
+		sps = max(sps, tg.Cfg.SamplesPerSymbol())
+	}
+	hiNeed = max(hiNeed, need)
+	frame := l.frame
+	l.frame++
+	lead := polled[0]
+	if x == nil {
+		var err error
+		if x, packetStart, err = l.template(l.Tags[lead], l.Scenarios[lead].TxPowerW(), l.sizing(need)); err != nil {
+			return nil, err
+		}
+	}
 	b := burst{
-		x:           x[:hi],
+		x:           x[:min(packetStart+hiNeed+sps+windowSlack, len(x))],
 		packetStart: packetStart,
 		packetLen:   len(x) - packetStart,
-		tags:        []*tag.Tag{l.Tag},
-		scs:         []*channel.Scenario{l.Scenario},
-		polled:      []int{0},
-		payloads:    [][]byte{payload},
+		polled:      polled,
+		payloads:    payloads,
+		frame:       frame,
 	}
 	fs := getScratch()
 	defer putScratch(fs)
-	if err := l.capture(fs, &b); err != nil {
+	err := l.capture(fs, &b)
+	res := &SlotResult{
+		Polled:  slices.Clone(polled),
+		Woke:    b.woke,
+		Results: make([]*PacketResult, len(polled)),
+	}
+	if err != nil {
+		if group && errors.Is(err, ErrTagNoWake) {
+			return res, nil
+		}
 		return nil, err
 	}
-	res, err := l.decodeTag(fs, &b, tcfg)
+
+	// A slot decodes every provisioned member of the wake group, not
+	// just the polled subset: an unpolled member that woke (an impostor)
+	// is still a known PN the successive canceller can peel off, which is
+	// what keeps the polled layers decodable underneath it. Only polled
+	// outcomes are reported.
+	cfgs := make([]tag.Config, len(polled), len(l.Tags))
+	for k, i := range polled {
+		cfgs[k] = l.Tags[i].Cfg
+	}
+	if group {
+		wake := l.Tags[lead].WakeID()
+		for i, tg := range l.Tags {
+			if !slices.Contains(polled, i) && tg.WakeID() == wake {
+				cfgs = append(cfgs, tg.Cfg)
+			}
+		}
+	}
+	dec, err := l.decode(fs, &b, cfgs)
 	if err != nil {
 		return nil, err
 	}
-	return l.result(l.Scenario, tcfg, res, payload, b.packetLen, b.plans[0]), nil
+	res.Order = dec.Order
+	for k, i := range polled {
+		layer, err := dec.Tag(k)
+		if err != nil {
+			if group {
+				continue
+			}
+			return nil, err
+		}
+		pr := l.result(l.Scenarios[i], cfgs[k], layer, payloads[k], b.packetLen, b.plans[k])
+		res.AirtimeSec = max(res.AirtimeSec, pr.TagAirtimeSec)
+		res.Results[k] = pr
+		if pr.Delivered {
+			res.Delivered++
+		}
+	}
+	return res, nil
 }
 
 // burst is one exchange as capture simulates it. x is the ideal
 // excitation sliced to the window [0, hi) the captures share; packetLen
 // is the whole packet's length past packetStart, the tags' timing
-// origin. tags[i] sits at placement scs[i]; polled[k] backscatters
-// payloads[k], and any other tag that wakes is an impostor sending junk
-// keyed by frame. capture sets woke[i] for the tags that woke on time
-// and plans[k], polled[k]'s transmit plan (nil when it slept).
+// origin. polled[k] backscatters payloads[k], and any other tag that
+// wakes is an impostor sending junk keyed by frame. capture sets
+// woke[i] for the tags that woke on time and plans[k], polled[k]'s
+// transmit plan (nil when it slept).
 type burst struct {
 	x                      []complex128
 	packetStart, packetLen int
-	tags                   []*tag.Tag
-	scs                    []*channel.Scenario
 	polled                 []int
 	payloads               [][]byte
 	frame                  int
@@ -500,13 +660,12 @@ type burst struct {
 // backward channel; then per chain, chain 0 first, thermal noise,
 // interference, the ADC and capture truncation over [packetStart, hi).
 // When no tag wakes it returns an ErrTagNoWake error before drawing any
-// noise. Chains past the first belong to a single-tag link
-// (NewMIMOLink) and carry that tag's backward channel.
+// noise.
 func (l *Link) capture(fs *frameScratch, b *burst) error {
 	l.m.packets.Inc()
 	x, ps, hi := b.x, b.packetStart, len(b.x)
-	lead, inj := b.scs[b.polled[0]], l.inj
-	b.woke = make([]bool, len(b.tags))
+	lead, inj := l.Scenarios[b.polled[0]], l.inj
+	b.woke = make([]bool, len(l.Tags))
 	b.plans = make([]*tag.TxPlan, len(b.polled))
 
 	tsp := l.trace.Start("channel_sim")
@@ -527,7 +686,7 @@ func (l *Link) capture(fs *frameScratch, b *burst) error {
 		return fmt.Errorf("%w: injected wake fault at %.2g m", ErrTagNoWake, lead.Cfg.DistanceM)
 	}
 
-	nrx := 1 + len(l.rx)
+	nrx := 1 + len(l.chains)
 	for len(fs.y) < nrx {
 		fs.y = append(fs.y, nil)
 		fs.dec = append(fs.dec, reader.Stream{})
@@ -536,8 +695,8 @@ func (l *Link) capture(fs *frameScratch, b *burst) error {
 	clear(fs.refl[:ps])
 	var noWake error
 	woken := false
-	for i, tg := range b.tags {
-		sc := b.scs[i]
+	for i, tg := range l.Tags {
+		sc := l.Scenarios[i]
 		k := slices.Index(b.polled, i)
 		// Tag side: forward channel, then wake detection. The tag scans
 		// only the region after the CTS-to-SELF (its envelope detector
@@ -586,7 +745,8 @@ func (l *Link) capture(fs *frameScratch, b *burst) error {
 			// The first reflection: every chain's capture starts from the
 			// self-interference the AP receives over the packet window.
 			for c := range nrx {
-				fs.y[c] = dsp.ConvolveRangeInto(fs.y[c], fs.air, l.chain(c, lead).HEnv, ps, hi)
+				henv, _ := l.chainTaps(c, b.polled[0], i)
+				fs.y[c] = dsp.ConvolveRangeInto(fs.y[c], fs.air, henv, ps, hi)
 			}
 		}
 		b.woke[i], woken = true, true
@@ -597,7 +757,8 @@ func (l *Link) capture(fs *frameScratch, b *burst) error {
 			fs.refl[n] = fs.z[n] * mod[n-ps]
 		}
 		for c := range nrx {
-			fs.bs = dsp.ConvolveRangeInto(fs.bs, fs.refl, l.chain(c, sc).HB, ps, hi)
+			_, hb := l.chainTaps(c, b.polled[0], i)
+			fs.bs = dsp.ConvolveRangeInto(fs.bs, fs.refl, hb, ps, hi)
 			y := fs.y[c]
 			for n := ps; n < hi; n++ {
 				y[n] += fs.bs[n]
@@ -621,36 +782,28 @@ func (l *Link) capture(fs *frameScratch, b *burst) error {
 	return nil
 }
 
-// chain returns receive chain c's self-interference and backward
-// channels for a tag placed at sc: chain 0 is the placement itself,
-// later chains are the link's extra antennas.
-func (l *Link) chain(c int, sc *channel.Scenario) rxChain {
+// chainTaps returns receive chain c's self-interference channel while
+// lead's excitation is on the air, and placement i's backward channel
+// into chain c. Chain 0 is the placements' own draw: the self-
+// interference channel of the placement the excitation leaves through.
+func (l *Link) chainTaps(c, lead, i int) (henv, hb channel.Taps) {
 	if c == 0 {
-		return rxChain{HEnv: sc.HEnv, HB: sc.HB}
+		return l.Scenarios[lead].HEnv, l.Scenarios[i].HB
 	}
-	return l.rx[c-1]
+	ch := &l.chains[c-1]
+	return ch.HEnv, ch.HB[i]
 }
 
 // decode runs the reader's one decoder over every receive chain's
 // capture for the tags in cfgs.
 func (l *Link) decode(fs *frameScratch, b *burst, cfgs []tag.Config) (*reader.Decoded, error) {
-	nrx := 1 + len(l.rx)
+	nrx := 1 + len(l.chains)
 	tsp := l.trace.Start("decode_total")
 	sp := l.m.spanDecode.Start()
 	dec, err := l.rdr.Decode(fs.dec[:nrx], b.x, fs.air, fs.y[:nrx], b.packetStart, len(b.x)-b.packetStart, cfgs)
 	sp.End()
 	tsp.End()
 	return dec, err
-}
-
-// decodeTag decodes the single tag tcfg. A tag the decoder could not
-// attempt is an error wrapping reader.ErrUndecodable.
-func (l *Link) decodeTag(fs *frameScratch, b *burst, tcfg tag.Config) (*reader.Result, error) {
-	dec, err := l.decode(fs, b, []tag.Config{tcfg})
-	if err != nil {
-		return nil, err
-	}
-	return dec.Tag(0)
 }
 
 // result scores a tag's decode against the payload it sent (plan is its

@@ -163,7 +163,7 @@ func TestThroughputDecreasesWithRange(t *testing.T) {
 	for _, d := range []float64{0.5, 2, 5} {
 		var results []Feasibility
 		for i, c := range cfgs {
-			f, err := Evaluate(channel.DefaultConfig(d), c, DefaultLinkConfig(d).Reader, 5, 24, 900+int64(i))
+			f, err := Evaluate(channel.DefaultConfig(d), c, DefaultLinkConfig(d).Reader, nil, 5, 24, 900+int64(i), 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -230,7 +230,7 @@ func TestExcitationAutoSizing(t *testing.T) {
 
 func TestEvaluateAndDecodable(t *testing.T) {
 	tc := tag.Config{Mod: tag.QPSK, Coding: fec.Rate12, SymbolRateHz: 1e6, PreambleChips: 32, ID: 1}
-	f, err := Evaluate(channel.DefaultConfig(1), tc, DefaultLinkConfig(1).Reader, 5, 24, 31)
+	f, err := Evaluate(channel.DefaultConfig(1), tc, DefaultLinkConfig(1).Reader, nil, 5, 24, 31, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestEvaluateAndDecodable(t *testing.T) {
 	if f.REPB <= 0 {
 		t.Fatalf("REPB %v", f.REPB)
 	}
-	if _, err := Evaluate(channel.DefaultConfig(1), tc, DefaultLinkConfig(1).Reader, 0, 24, 31); err == nil {
+	if _, err := Evaluate(channel.DefaultConfig(1), tc, DefaultLinkConfig(1).Reader, nil, 0, 24, 31, 0); err == nil {
 		t.Fatal("expected error for zero trials")
 	}
 }
@@ -310,7 +310,7 @@ func TestExtendedPreambleImprovesEdge(t *testing.T) {
 	// throughput than 32 µs.
 	run := func(chips int) float64 {
 		tc := tag.Config{Mod: tag.BPSK, Coding: fec.Rate12, SymbolRateHz: 1e6, PreambleChips: chips, ID: 1}
-		f, err := Evaluate(channel.DefaultConfig(7), tc, DefaultLinkConfig(7).Reader, 6, 16, 55)
+		f, err := Evaluate(channel.DefaultConfig(7), tc, DefaultLinkConfig(7).Reader, nil, 6, 16, 55, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,13 +3,14 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"reflect"
-	"runtime"
-	"runtime/debug"
 	"slices"
 	"testing"
 
+	"backfi/internal/channel"
 	"backfi/internal/dsp"
 	"backfi/internal/fault"
 	"backfi/internal/obs"
@@ -104,6 +105,72 @@ func TestMIMOSingleAntennaMatchesSISOBehaviour(t *testing.T) {
 	}
 }
 
+// goldenMIMO4Hash pins a 1-tag 4-chain link's results field for field:
+// three frames each on a clean and a faulted link, every field printed
+// exactly (fmt prints floats in their shortest round-trip form). It
+// moves if the extra chains' draw order does.
+const goldenMIMO4Hash = 0x309b5fcaf50f55ea
+
+func TestMIMOFourChainGolden(t *testing.T) {
+	prof := fault.Standard(0.3)
+	h := fnv.New64a()
+	for _, faults := range []*fault.Profile{nil, &prof} {
+		cfg := DefaultLinkConfig(2)
+		cfg.Seed = 17
+		cfg.Faults = faults
+		link, err := NewMIMOLink(cfg, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			res, err := link.RunPacket(link.RandomPayload(24))
+			if err != nil {
+				fmt.Fprintf(h, "%v\n", err)
+				continue
+			}
+			dec := *res.Decode
+			res.Decode = nil
+			fmt.Fprintf(h, "%+v|%+v\n", *res, dec)
+		}
+	}
+	if got := h.Sum64(); got != goldenMIMO4Hash {
+		t.Fatalf("1-tag 4-chain golden hash %#x, want %#x", got, uint64(goldenMIMO4Hash))
+	}
+}
+
+// K tags on N chains is one constructor argument away: a 2-tag link on
+// a 2-antenna AP, each tag with its own backward channel into the
+// second chain, delivers both tags of a group slot.
+func TestKTagsNChainsSlot(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		cfg := DefaultLinkConfig(1)
+		cfg.Seed = seed
+		link, err := newLink(cfg, []float64{1, 2}, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, hb0 := link.chainTaps(1, 0, 0)
+		_, hb1 := link.chainTaps(1, 0, 1)
+		if slices.Equal(hb0, hb1) {
+			t.Fatal("both tags share one backward channel into chain 1")
+		}
+		if err := link.SetWakeGroup(groupWakeID); err != nil {
+			t.Fatal(err)
+		}
+		pay := slotPayloads(seed, 0, 2)
+		res, err := link.RunSlot([]int{0, 1}, pay)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("seed %d: delivered %d, order %v", seed, res.Delivered, res.Order)
+		for k, pr := range res.Results {
+			if pr == nil || !pr.Delivered || len(pr.Decode.PerAntennaSNRdB) != 2 {
+				t.Fatalf("seed %d: tag %d not delivered on 2 chains: %+v", seed, k, pr)
+			}
+		}
+	}
+}
+
 func TestMIMOValidation(t *testing.T) {
 	if _, err := NewMIMOLink(DefaultLinkConfig(1), 0); err == nil {
 		t.Fatal("expected error for zero antennas")
@@ -123,13 +190,14 @@ func TestMIMOChainStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(link.rx) != 2 {
-		t.Fatalf("%d extra chains, want 2", len(link.rx))
+	if len(link.chains) != 2 {
+		t.Fatalf("%d extra chains, want 2", len(link.chains))
 	}
 	for c := 0; c < 3; c++ {
 		for d := c + 1; d < 3; d++ {
-			a, b := link.chain(c, link.Scenario), link.chain(d, link.Scenario)
-			if slices.Equal(a.HB, b.HB) || slices.Equal(a.HEnv, b.HEnv) {
+			envC, hbC := link.chainTaps(c, 0, 0)
+			envD, hbD := link.chainTaps(d, 0, 0)
+			if slices.Equal(hbC, hbD) || slices.Equal(envC, envD) {
 				t.Fatalf("chains %d and %d share a channel: no diversity", c, d)
 			}
 		}
@@ -254,8 +322,8 @@ func TestMRCGainOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for c := range link.rx {
-				link.rx[c] = link.chain(0, link.Scenario)
+			for c := range link.chains {
+				link.chains[c] = rxChain{HEnv: link.Scenario.HEnv, HB: []channel.Taps{link.Scenario.HB}}
 			}
 			res, err := link.RunPacket(link.RandomPayload(24))
 			if errors.Is(err, ErrTagNoWake) {
@@ -299,23 +367,11 @@ func TestMIMOSteadyAllocs(t *testing.T) {
 		t.Skip("the race detector's sync.Pool drops pooled scratch at random")
 	}
 	link, pay := mimoSteadyLink(t)
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	for i := 0; i < 3; i++ {
-		if _, err := link.RunPacket(pay); err != nil {
-			t.Fatal(err)
-		}
-	}
-	const frames = 40
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < frames; i++ {
-		if _, err := link.RunPacket(pay); err != nil {
-			t.Fatal(err)
-		}
-	}
-	runtime.ReadMemStats(&after)
-	perFrame := (after.TotalAlloc - before.TotalAlloc) / frames
-	t.Logf("%d B, %d allocs per frame", perFrame, (after.Mallocs-before.Mallocs)/frames)
+	perFrame, allocs := steadyFrameBytes(t, func() error {
+		_, err := link.RunPacket(pay)
+		return err
+	})
+	t.Logf("%d B, %d allocs per frame", perFrame, allocs)
 	if perFrame >= maxSlotBytes {
 		t.Fatalf("steady-state 4-chain frame allocates %d B, want < %d", perFrame, maxSlotBytes)
 	}

@@ -73,7 +73,7 @@ const groupWakeID = 0
 // MultiTagSession runs a fixed tag group slot by slot. Like Session it
 // is confined to one shard goroutine — no internal locking.
 type MultiTagSession struct {
-	link   MultiTagLink
+	link   Link
 	polled []int
 	// Stats aggregates outcomes; read it between SendSlot calls.
 	Stats MultiTagStats
@@ -108,7 +108,7 @@ func NewMultiTagSession(cfg MultiTagSessionConfig) (*MultiTagSession, error) {
 		d *= ratio
 	}
 	s := &MultiTagSession{polled: make([]int, cfg.Tags)}
-	if err := s.link.init(cfg.Link, distances); err != nil {
+	if err := s.link.init(cfg.Link, distances, 1); err != nil {
 		return nil, err
 	}
 	if err := s.link.SetWakeGroup(groupWakeID); err != nil {
@@ -124,7 +124,7 @@ func NewMultiTagSession(cfg MultiTagSessionConfig) (*MultiTagSession, error) {
 }
 
 // Link exposes the underlying deployment.
-func (s *MultiTagSession) Link() *MultiTagLink { return &s.link }
+func (s *MultiTagSession) Link() *Link { return &s.link }
 
 // Tags is the polled group size — the payload count every SendSlot
 // must carry.
@@ -149,7 +149,7 @@ func (s *MultiTagSession) SendSlot(payloads [][]byte) (*SlotResult, error) {
 	if len(payloads) != len(s.polled) {
 		return nil, fmt.Errorf("core: slot carries %d payloads for a %d-tag group", len(payloads), len(s.polled))
 	}
-	s.link.base.reseedAttempt(s.link.frame)
+	s.link.reseedAttempt(s.link.frame)
 	res, err := s.link.RunSlot(s.polled, payloads)
 	if err != nil {
 		return nil, err

@@ -215,7 +215,7 @@ func TestSlotPoolSharingPreservesOutcomes(t *testing.T) {
 
 // goldenMultiTagHash pins the multi-tag pipeline's outcomes: the
 // windowed channel simulation, the joint decoder and the addressed
-// single-tag decode of MultiTagLink.RunPacket. Any change that moves a
+// single-tag decode of Link.Poll. Any change that moves a
 // wake verdict, a decoded bit, a CRC verdict, the cancellation order,
 // an SNR estimate or the SIC depth moves it.
 const goldenMultiTagHash = 0xede91d53a673cd58
@@ -308,12 +308,12 @@ func multiTagGoldenHash(t *testing.T) (uint64, int) {
 		t.Fatal(err)
 	}
 	for poll := 0; poll < 6; poll++ {
-		res, err := m.RunPacket(poll%3, slotPayloads(2100, poll, 1)[0])
+		res, err := m.Poll(poll%3, slotPayloads(2100, poll, 1)[0])
 		if err != nil {
 			t.Fatal(err)
 		}
 		putWoke(res.Woke)
-		putResult(res.Result)
+		putResult(res.Results[0])
 	}
 	return h.Sum64(), slots
 }
@@ -335,32 +335,52 @@ func sendSlotSession(tb testing.TB) (*MultiTagSession, [][]byte) {
 // capture alone is ~6000 samples, ~94 KiB per buffer).
 const maxSlotBytes = 64 << 10
 
+// steadyFrameBytes measures the steady state of a pooled-scratch
+// pipeline: after three warm-up frames, the heap bytes and allocations
+// per frame over each of three windows of 40 frames, keeping the window
+// with the fewest bytes. GC is paused so the scratch pool is not drained
+// mid-measurement. A single sync.Pool miss (a goroutine moved to a P
+// whose pool is empty) builds one fresh frame scratch and inflates only
+// the window it falls in, so the minimum reads the steady state.
+func steadyFrameBytes(t *testing.T, frame func() error) (bytesPer, allocsPer uint64) {
+	t.Helper()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for i := 0; i < 3; i++ {
+		if err := frame(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const windows, frames = 3, 40
+	bytesPer = math.MaxUint64
+	for w := 0; w < windows; w++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < frames; i++ {
+			if err := frame(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if b := (after.TotalAlloc - before.TotalAlloc) / frames; b < bytesPer {
+			bytesPer, allocsPer = b, (after.Mallocs-before.Mallocs)/frames
+		}
+	}
+	return bytesPer, allocsPer
+}
+
 // TestSendSlotSteadyAllocs pins that a multi-tag slot runs in pooled
 // frame scratch: once warm, a slot allocates only its results, never a
-// waveform-sized buffer. GC is paused so the scratch pool is not
-// drained mid-measurement.
+// waveform-sized buffer.
 func TestSendSlotSteadyAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops pooled scratch at random")
 	}
 	s, pay := sendSlotSession(t)
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	for i := 0; i < 3; i++ {
-		if _, err := s.SendSlot(pay); err != nil {
-			t.Fatal(err)
-		}
-	}
-	const slots = 40
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < slots; i++ {
-		if _, err := s.SendSlot(pay); err != nil {
-			t.Fatal(err)
-		}
-	}
-	runtime.ReadMemStats(&after)
-	perSlot := (after.TotalAlloc - before.TotalAlloc) / slots
-	t.Logf("%d B, %d allocs per slot", perSlot, (after.Mallocs-before.Mallocs)/slots)
+	perSlot, allocs := steadyFrameBytes(t, func() error {
+		_, err := s.SendSlot(pay)
+		return err
+	})
+	t.Logf("%d B, %d allocs per slot", perSlot, allocs)
 	if perSlot >= maxSlotBytes {
 		t.Fatalf("steady-state slot allocates %d B, want < %d", perSlot, maxSlotBytes)
 	}

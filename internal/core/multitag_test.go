@@ -15,7 +15,7 @@ func TestMultiTagAddressedTagOnlyWakes(t *testing.T) {
 	}
 	for addressed := 0; addressed < 3; addressed++ {
 		payload := []byte{byte(addressed), 1, 2, 3, 4, 5, 6, 7}
-		res, err := m.RunPacket(addressed, payload)
+		res, err := m.Poll(addressed, payload)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -27,7 +27,7 @@ func TestMultiTagAddressedTagOnlyWakes(t *testing.T) {
 				t.Fatalf("tag %d woke on tag %d's sequence", i, addressed)
 			}
 		}
-		if !res.Result.PayloadOK {
+		if !res.Results[0].PayloadOK {
 			t.Fatalf("addressed tag %d failed to deliver", addressed)
 		}
 	}
@@ -63,28 +63,28 @@ func TestMultiTagImpostorCollides(t *testing.T) {
 	for i := 0; i < trials; i++ {
 		cfg.Seed = 100 + int64(i)
 		c1, _ := NewMultiTagLink(cfg, []float64{1})
-		r1, err := c1.RunPacket(0, payload)
+		r1, err := c1.Poll(0, payload)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r1.Result.PayloadOK {
+		if r1.Results[0].PayloadOK {
 			okClean++
 		}
-		snrClean += r1.Result.MeasuredSNRdB
+		snrClean += r1.Results[0].MeasuredSNRdB
 
 		c2, _ := NewMultiTagLink(cfg, []float64{1, 1.2})
 		c2.Tags[1] = impostor
-		r2, err := c2.RunPacket(0, payload)
+		r2, err := c2.Poll(0, payload)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !r2.Woke[1] {
 			t.Fatal("impostor with matching sequence should wake")
 		}
-		if r2.Result.PayloadOK {
+		if r2.Results[0].PayloadOK {
 			okCollided++
 		}
-		snrCollided += r2.Result.MeasuredSNRdB
+		snrCollided += r2.Results[0].MeasuredSNRdB
 	}
 	if okClean < 4 {
 		t.Fatalf("clean deployment only %d/%d", okClean, trials)
@@ -104,7 +104,7 @@ func TestMultiTagValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.RunPacket(5, nil); err == nil {
+	if _, err := m.Poll(5, nil); err == nil {
 		t.Fatal("expected index error")
 	}
 }

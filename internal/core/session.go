@@ -98,7 +98,7 @@ type SessionStats struct {
 	// NoWakes counts attempts the tag slept through: the AP transmitted
 	// the excitation (consuming a retry attempt, like a CRC failure) but
 	// the tag never woke, so no tag airtime accrues for the attempt.
-	// This mirrors EvaluateWorkers, which counts ErrTagNoWake as loss
+	// This mirrors Evaluate, which counts ErrTagNoWake as loss
 	// rather than aborting.
 	NoWakes int
 	// Backoffs counts retries that charged a backoff delay, and
@@ -270,7 +270,7 @@ func (s *Session) Send(payload []byte) (*PacketResult, bool, error) {
 		if err != nil {
 			if errors.Is(err, ErrTagNoWake) {
 				// The AP transmitted but the tag slept through the wake
-				// preamble: a lost attempt, exactly as EvaluateWorkers
+				// preamble: a lost attempt, exactly as Evaluate
 				// accounts it — not a pipeline failure. The excitation
 				// was sent, so the attempt counts; the tag never
 				// modulated, so no airtime accrues.

@@ -202,7 +202,7 @@ func TestSessionARQUnderDroppedACKs(t *testing.T) {
 // TestSessionNoWakeConsumesAttempt pins the bugfix for no-wake
 // accounting: a tag that sleeps through the wake preamble must consume
 // a retry attempt like a CRC failure — the session keeps going and the
-// stats stay consistent with EvaluateWorkers' loss accounting — instead
+// stats stay consistent with Evaluate's loss accounting — instead
 // of aborting the whole session with an error.
 func TestSessionNoWakeConsumesAttempt(t *testing.T) {
 	cfg := DefaultLinkConfig(1)

@@ -168,15 +168,6 @@ func Abs(a []complex128) []float64 {
 	return out
 }
 
-// Angle returns the elementwise phases of a in radians.
-func Angle(a []complex128) []float64 {
-	out := make([]float64, len(a))
-	for i, v := range a {
-		out[i] = cmplx.Phase(v)
-	}
-	return out
-}
-
 // WrapPhase wraps theta into (-pi, pi].
 func WrapPhase(theta float64) float64 {
 	for theta > math.Pi {

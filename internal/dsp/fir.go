@@ -119,66 +119,6 @@ func convolveAt(x, h []complex128, n int) complex128 {
 	return acc
 }
 
-// FIR is a streaming finite-impulse-response filter with persistent
-// state, so successive Process calls behave like one long convolution.
-type FIR struct {
-	taps  []complex128
-	state []complex128 // most recent len(taps)-1 inputs, newest last
-}
-
-// NewFIR returns a streaming filter with the given taps (tap 0 applied to
-// the current sample). The taps are copied.
-func NewFIR(taps []complex128) *FIR {
-	t := make([]complex128, len(taps))
-	copy(t, taps)
-	return &FIR{taps: t, state: make([]complex128, max(0, len(taps)-1))}
-}
-
-// Taps returns a copy of the filter taps.
-func (f *FIR) Taps() []complex128 {
-	t := make([]complex128, len(f.taps))
-	copy(t, f.taps)
-	return t
-}
-
-// Reset clears the filter memory.
-func (f *FIR) Reset() {
-	for i := range f.state {
-		f.state[i] = 0
-	}
-}
-
-// Process filters x, returning len(x) output samples and updating the
-// internal delay line.
-func (f *FIR) Process(x []complex128) []complex128 {
-	if len(f.taps) == 0 {
-		return Zeros(len(x))
-	}
-	// Work on the concatenation [state | x].
-	buf := make([]complex128, len(f.state)+len(x))
-	copy(buf, f.state)
-	copy(buf[len(f.state):], x)
-	out := make([]complex128, len(x))
-	off := len(f.state)
-	for n := range x {
-		var acc complex128
-		for k, tap := range f.taps {
-			idx := off + n - k
-			if idx < 0 {
-				break
-			}
-			acc += tap * buf[idx]
-		}
-		out[n] = acc
-	}
-	// Save the trailing samples as new state.
-	if len(f.state) > 0 {
-		tail := buf[len(buf)-len(f.state):]
-		copy(f.state, tail)
-	}
-	return out
-}
-
 // Delay returns x delayed by d samples (zero-padded at the front),
 // truncated to the original length. d must be >= 0.
 func Delay(x []complex128, d int) []complex128 {

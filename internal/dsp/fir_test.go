@@ -84,50 +84,6 @@ func TestConvolveSameLength(t *testing.T) {
 	}
 }
 
-func TestFIRStreamingMatchesBatch(t *testing.T) {
-	r := rand.New(rand.NewSource(22))
-	taps := randSignal(r, 8)
-	x := randSignal(r, 200)
-	want := ConvolveSame(x, taps)
-
-	f := NewFIR(taps)
-	var got []complex128
-	// Feed in uneven chunks to exercise state carry-over.
-	for _, chunk := range [][2]int{{0, 13}, {13, 14}, {14, 77}, {77, 200}} {
-		got = append(got, f.Process(x[chunk[0]:chunk[1]])...)
-	}
-	for i := range want {
-		if cmplx.Abs(got[i]-want[i]) > 1e-9 {
-			t.Fatalf("sample %d: streaming %v batch %v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestFIRReset(t *testing.T) {
-	taps := []complex128{1, 1}
-	f := NewFIR(taps)
-	f.Process([]complex128{5})
-	f.Reset()
-	out := f.Process([]complex128{1})
-	if !capprox(out[0], 1, eps) {
-		t.Fatalf("after reset, output %v, want 1 (no memory)", out[0])
-	}
-}
-
-func TestFIRTapsCopied(t *testing.T) {
-	taps := []complex128{1, 2}
-	f := NewFIR(taps)
-	taps[0] = 99
-	if f.Taps()[0] != 1 {
-		t.Fatal("NewFIR should copy taps")
-	}
-	got := f.Taps()
-	got[1] = 42
-	if f.Taps()[1] != 2 {
-		t.Fatal("Taps should return a copy")
-	}
-}
-
 func TestDelay(t *testing.T) {
 	x := []complex128{1, 2, 3, 4}
 	y := Delay(x, 2)

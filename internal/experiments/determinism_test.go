@@ -25,11 +25,11 @@ func TestEvaluateWorkersBitIdentical(t *testing.T) {
 		ID:            1,
 	}
 	rdr := reader.DefaultConfig()
-	seq, err := core.EvaluateWorkers(channel.DefaultConfig(1), cfg, rdr, 6, 24, 42, 1)
+	seq, err := core.Evaluate(channel.DefaultConfig(1), cfg, rdr, nil, 6, 24, 42, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := core.EvaluateWorkers(channel.DefaultConfig(1), cfg, rdr, 6, 24, 42, 8)
+	par, err := core.Evaluate(channel.DefaultConfig(1), cfg, rdr, nil, 6, 24, 42, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

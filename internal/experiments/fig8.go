@@ -71,7 +71,7 @@ func maxThroughputAt(d float64, preambleChips int, opt Options, salt int64) (flo
 		if c.SymbolRateHz < 100e3 {
 			payload = 4 // keep very-low-rate excitations tractable
 		}
-		f, err := core.EvaluateFaults(channel.DefaultConfig(d), c, rdr, opt.Faults, opt.Trials, payload, opt.Seed+salt*1000+int64(i)*37, opt.Workers)
+		f, err := core.Evaluate(channel.DefaultConfig(d), c, rdr, opt.Faults, opt.Trials, payload, opt.Seed+salt*1000+int64(i)*37, opt.Workers)
 		if err != nil {
 			return 0, "", err
 		}

@@ -66,7 +66,7 @@ func sweepWithBudget(d float64, cfgs []tag.Config, opt Options, salt int64) ([]c
 		if c.SymbolRateHz < 100e3 {
 			payload = 4
 		}
-		f, err := core.EvaluateFaults(channel.DefaultConfig(d), c, rdr, opt.Faults, opt.Trials, payload, opt.Seed+salt*5000+int64(i)*101, opt.Workers)
+		f, err := core.Evaluate(channel.DefaultConfig(d), c, rdr, opt.Faults, opt.Trials, payload, opt.Seed+salt*5000+int64(i)*101, opt.Workers)
 		if err != nil {
 			return err
 		}

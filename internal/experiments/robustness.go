@@ -59,7 +59,7 @@ func Robustness(opt Options) ([]RobustnessRow, error) {
 			profile = &p
 		}
 		rdr := core.DefaultLinkConfig(distance).Reader
-		f, err := core.EvaluateFaults(channel.DefaultConfig(distance), tcfg, rdr,
+		f, err := core.Evaluate(channel.DefaultConfig(distance), tcfg, rdr,
 			profile, opt.Trials, payloadBytes, opt.Seed+int64(k)*101, opt.Workers)
 		if err != nil {
 			return err

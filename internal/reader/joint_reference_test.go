@@ -178,7 +178,7 @@ func reconstructModulationReference(res *Result, used, preStart int, tcfg tag.Co
 }
 
 // jointScene is one multi-tag slot as the AP receives it on nrx
-// antennas, built the way core.MultiTagLink builds it but without the
+// antennas, built the way a K-tag core.Link builds it but without the
 // core package: a white excitation leaves through the first tag's
 // scenario, every tag backscatters its own frame, and the capture stops
 // at the window the longest frame occupies. ys[c] is chain c's capture.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
 	"testing"
 	"time"
 
@@ -21,118 +22,174 @@ func benchResponse() Response {
 		Delivered: true, PayloadOK: true, Attempts: 1, SNRdB: 19.75}
 }
 
-func BenchmarkEncodeRequest(b *testing.B) {
-	req := benchRequest()
-	b.Run("json", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := json.Marshal(&req); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("binary", func(b *testing.B) {
-		dst := make([]byte, 0, 256)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			var err error
-			if dst, err = appendRequestBinary(dst[:0], &req); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+// codecPair is one codec operation a serving frame pays, with its body
+// under each protocol. The Benchmark functions below run the pair as
+// json and binary sub-benchmarks; TestBinaryCodecFasterThanJSON races
+// them.
+type codecPair struct{ json, binary func(*testing.B) }
+
+func (p codecPair) run(b *testing.B) {
+	b.Run("json", p.json)
+	b.Run("binary", p.binary)
 }
 
-func BenchmarkDecodeRequest(b *testing.B) {
+func encodeRequestPair() codecPair {
+	req := benchRequest()
+	return codecPair{
+		json: func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := json.Marshal(&req); err != nil {
+					b.Fatal(err)
+				}
+			}
+		},
+		binary: func(b *testing.B) {
+			dst := make([]byte, 0, 256)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var err error
+				if dst, err = appendRequestBinary(dst[:0], &req); err != nil {
+					b.Fatal(err)
+				}
+			}
+		},
+	}
+}
+
+func decodeRequestPair() codecPair {
 	req := benchRequest()
 	jsonBody, err := json.Marshal(&req)
 	if err != nil {
-		b.Fatal(err)
+		panic(err)
 	}
 	binBody, err := appendRequestBinary(nil, &req)
 	if err != nil {
-		b.Fatal(err)
+		panic(err)
 	}
-	b.Run("json", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			var out Request
-			if err := json.Unmarshal(jsonBody, &out); err != nil {
-				b.Fatal(err)
+	return codecPair{
+		json: func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var out Request
+				if err := json.Unmarshal(jsonBody, &out); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("binary", func(b *testing.B) {
-		var out Request
-		var names internTable
-		if err := decodeRequestBinary(binBody, &out, &names); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
+		},
+		binary: func(b *testing.B) {
+			var out Request
+			var names internTable
 			if err := decodeRequestBinary(binBody, &out, &names); err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := decodeRequestBinary(binBody, &out, &names); err != nil {
+					b.Fatal(err)
+				}
+			}
+		},
+	}
 }
 
-func BenchmarkEncodeResponse(b *testing.B) {
+func encodeResponsePair() codecPair {
 	resp := benchResponse()
-	b.Run("json", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := json.Marshal(&resp); err != nil {
-				b.Fatal(err)
+	return codecPair{
+		json: func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := json.Marshal(&resp); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("binary", func(b *testing.B) {
-		dst := make([]byte, 0, 256)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			var err error
-			if dst, err = appendResponseBinary(dst[:0], &resp); err != nil {
-				b.Fatal(err)
+		},
+		binary: func(b *testing.B) {
+			dst := make([]byte, 0, 256)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var err error
+				if dst, err = appendResponseBinary(dst[:0], &resp); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
+		},
+	}
 }
 
-func BenchmarkDecodeResponse(b *testing.B) {
+func decodeResponsePair() codecPair {
 	resp := benchResponse()
 	jsonBody, err := json.Marshal(&resp)
 	if err != nil {
-		b.Fatal(err)
+		panic(err)
 	}
 	binBody, err := appendResponseBinary(nil, &resp)
 	if err != nil {
-		b.Fatal(err)
+		panic(err)
 	}
-	b.Run("json", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			var out Response
-			if err := json.Unmarshal(jsonBody, &out); err != nil {
-				b.Fatal(err)
+	return codecPair{
+		json: func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var out Response
+				if err := json.Unmarshal(jsonBody, &out); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("binary", func(b *testing.B) {
-		var out Response
-		var names internTable
-		if err := decodeResponseBinary(binBody, &out, &names, nil); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
+		},
+		binary: func(b *testing.B) {
+			var out Response
+			var names internTable
 			if err := decodeResponseBinary(binBody, &out, &names, nil); err != nil {
 				b.Fatal(err)
 			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := decodeResponseBinary(binBody, &out, &names, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		},
+	}
+}
+
+func BenchmarkEncodeRequest(b *testing.B)  { encodeRequestPair().run(b) }
+func BenchmarkDecodeRequest(b *testing.B)  { decodeRequestPair().run(b) }
+func BenchmarkEncodeResponse(b *testing.B) { encodeResponsePair().run(b) }
+func BenchmarkDecodeResponse(b *testing.B) { decodeResponsePair().run(b) }
+
+// TestBinaryCodecFasterThanJSON is the protocol speed gate: the binary
+// framing must never cost more than JSON. The two protocols differ only
+// in the codec — both serve the same decode, which costs milliseconds
+// per frame — so the claim is checked there: each of the four codec
+// operations, run through testing.Benchmark, takes fewer ns/op in
+// binary than in JSON.
+func TestBinaryCodecFasterThanJSON(t *testing.T) {
+	// The gap is tens of times the noise; a short benchtime keeps the
+	// eight runs to about a second.
+	bt := flag.Lookup("test.benchtime")
+	prev := bt.Value.String()
+	if err := bt.Value.Set("100ms"); err != nil {
+		t.Fatal(err)
+	}
+	defer bt.Value.Set(prev)
+	for _, op := range []struct {
+		name string
+		pair codecPair
+	}{
+		{"EncodeRequest", encodeRequestPair()},
+		{"DecodeRequest", decodeRequestPair()},
+		{"EncodeResponse", encodeResponsePair()},
+		{"DecodeResponse", decodeResponsePair()},
+	} {
+		j, bin := testing.Benchmark(op.pair.json), testing.Benchmark(op.pair.binary)
+		t.Logf("%s: binary %d ns/op, json %d ns/op", op.name, bin.NsPerOp(), j.NsPerOp())
+		if bin.NsPerOp() >= j.NsPerOp() {
+			t.Errorf("%s: binary %d ns/op is not below json %d ns/op", op.name, bin.NsPerOp(), j.NsPerOp())
 		}
-	})
+	}
 }
 
 // BenchmarkServeRoundTrip measures one full client→daemon→client
