@@ -2,25 +2,6 @@ package dsp
 
 import "math/cmplx"
 
-// CrossCorrelate returns c[k] = sum_n x[n+k] * conj(ref[n]) for lags
-// k = 0 .. len(x)-len(ref), the sliding inner product used for preamble
-// detection. len(ref) must be <= len(x) and non-zero.
-func CrossCorrelate(x, ref []complex128) []complex128 {
-	if len(ref) == 0 || len(ref) > len(x) {
-		return nil
-	}
-	lags := len(x) - len(ref) + 1
-	out := make([]complex128, lags)
-	for k := 0; k < lags; k++ {
-		var acc complex128
-		for n, r := range ref {
-			acc += x[k+n] * cmplx.Conj(r)
-		}
-		out[k] = acc
-	}
-	return out
-}
-
 // NormalizedCrossCorrelate returns |c[k]|^2 / (E_ref * E_window), a value
 // in [0,1] that is immune to amplitude scaling. Windows with zero energy
 // yield 0.

@@ -133,19 +133,6 @@ func conjInPlace(a []complex128) {
 	}
 }
 
-// FFTShift swaps the two halves of a spectrum so DC moves to the center.
-// len(x) must be even.
-func FFTShift(x []complex128) []complex128 {
-	n := len(x)
-	if n%2 != 0 {
-		panic("dsp: FFTShift requires even length")
-	}
-	out := make([]complex128, n)
-	copy(out, x[n/2:])
-	copy(out[n/2:], x[:n/2])
-	return out
-}
-
 // NextPow2 returns the smallest power of two >= n (and >= 1).
 func NextPow2(n int) int {
 	if n <= 1 {

@@ -107,17 +107,6 @@ func TestFFTNonPow2Panics(t *testing.T) {
 	FFT(make([]complex128, 12))
 }
 
-func TestFFTShift(t *testing.T) {
-	x := []complex128{0, 1, 2, 3}
-	y := FFTShift(x)
-	want := []complex128{2, 3, 0, 1}
-	for i := range want {
-		if y[i] != want[i] {
-			t.Fatalf("FFTShift = %v", y)
-		}
-	}
-}
-
 func TestNextPow2(t *testing.T) {
 	cases := map[int]int{0: 1, 1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 63: 64, 64: 64, 65: 128}
 	for in, want := range cases {

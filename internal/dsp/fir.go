@@ -82,25 +82,10 @@ func ConvolveRangeInto(dst, x, h []complex128, lo, hi int) []complex128 {
 	for ; n < hi && n < len(h)-1; n++ {
 		dst[n] = convolveAt(x, h[:n+1], n)
 	}
-	// Register-blocked interior: one sweep over the taps accumulates
-	// three outputs in registers. Each accumulator adds the same
-	// products in the same tap order as convolveAt, so the outputs are
-	// bit-identical to it; a fourth output spills on amd64.
-	for ; n+3 <= hi; n += 3 {
-		var a0, a1, a2 complex128
-		for i, hv := range h {
-			// Comparing the parts compiles to two branches; hv == 0 to a
-			// slower flag sequence.
-			if real(hv) == 0 && imag(hv) == 0 {
-				continue
-			}
-			xs := x[n-i : n-i+3 : n-i+3]
-			a0 += xs[0] * hv
-			a1 += xs[1] * hv
-			a2 += xs[2] * hv
-		}
-		dst[n], dst[n+1], dst[n+2] = a0, a1, a2
-	}
+	// Register-blocked interior: one sweep over the taps accumulates a
+	// block of outputs (the AVX2 kernel on amd64 CPUs that have it, the
+	// Go kernel elsewhere); the leftover outputs go one at a time.
+	n = convolveBlocks(dst, x, h, n, hi)
 	for ; n < hi; n++ {
 		dst[n] = convolveAt(x, h, n)
 	}

@@ -33,22 +33,3 @@ func ApplyWindow(x []complex128, w []float64) []complex128 {
 	}
 	return out
 }
-
-// MovingAverage returns the k-point trailing moving average of v (the
-// first k-1 outputs average the available prefix). k must be >= 1.
-func MovingAverage(v []float64, k int) []float64 {
-	if k < 1 {
-		panic("dsp: moving average window must be >= 1")
-	}
-	out := make([]float64, len(v))
-	var acc float64
-	for i := range v {
-		acc += v[i]
-		if i >= k {
-			acc -= v[i-k]
-		}
-		n := min(i+1, k)
-		out[i] = acc / float64(n)
-	}
-	return out
-}

@@ -412,14 +412,16 @@ func (r *Reader) cover(ss []Stream, x, xTap []complex128, ys [][]complex128, g s
 }
 
 // retrain is stage 1 of every decode: s's reusable canceller retrained
-// on the silent window after packetStart, then capture y cancelled over
-// [packetStart, hi).
+// on the silent window after packetStart, which also cancels that
+// window, then capture y cancelled over the rest of [packetStart, hi).
 func (r *Reader) retrain(s *Stream, x, xTap, y []complex128, packetStart, hi int) error {
 	s.configure(r.cfg)
 	s.canc.SetTrace(r.trace)
+	stop := packetStart + tag.SilentSamples
 	tsp := r.trace.Start("sic_train")
 	sp := r.m.spanSICTrain.Start()
-	err := s.canc.Retrain(xTap, x, y, packetStart, packetStart+tag.SilentSamples)
+	var err error
+	s.clean, err = s.canc.Retrain(s.clean, xTap, x, y, packetStart, stop)
 	sp.End()
 	tsp.End()
 	if err != nil {
@@ -428,7 +430,7 @@ func (r *Reader) retrain(s *Stream, x, xTap, y []complex128, packetStart, hi int
 	}
 	tsp = r.trace.Start("sic_cancel")
 	sp = r.m.spanSICCancel.Start()
-	s.clean = s.canc.CancelRange(s.clean, xTap, x, y, packetStart, hi)
+	s.clean = s.canc.CancelRange(s.clean, xTap, x, y, stop, hi)
 	sp.End()
 	tsp.End()
 	return nil

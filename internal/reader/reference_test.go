@@ -24,7 +24,7 @@ func cancelFull(cfg sic.Config, xTap, x, y []complex128, packetStart int) (*sic.
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := canc.Retrain(xTap, x, y, packetStart, packetStart+tag.SilentSamples); err != nil {
+	if _, err := canc.Retrain(nil, xTap, x, y, packetStart, packetStart+tag.SilentSamples); err != nil {
 		return nil, nil, err
 	}
 	return canc, canc.CancelRange(nil, xTap, x, y, 0, len(y)), nil

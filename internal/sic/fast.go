@@ -36,7 +36,6 @@ type Reusable struct {
 	report  Report
 
 	wsA, wsD linalg.ToeplitzWorkspace
-	work     []complex128 // y minus analog reconstruction (window only)
 	scratch  []complex128 // convolution reconstruction buffer
 	scratch2 []complex128 // second stage reconstruction buffer
 }
@@ -107,31 +106,41 @@ func (c *Reusable) SetTrace(t obs.TraceCtx) { c.trace = t }
 // preallocated state. xTap is the PA-output copy the analog stage taps
 // (including transmit distortion) and xIdeal the clean baseband copy
 // the digital stage uses; only their samples up to stop are read.
-func (c *Reusable) Retrain(xTap, xIdeal, y []complex128, start, stop int) error {
+//
+// The window's residual with the new taps is written into dst[start:stop]
+// (dst is grown to len(y) if needed; samples outside the window are
+// left as-is), bit for bit what CancelRange would write there, so a
+// caller cancels only past stop. dst must not alias y. The grown dst is
+// returned.
+func (c *Reusable) Retrain(dst, xTap, xIdeal, y []complex128, start, stop int) ([]complex128, error) {
 	cfg := c.cfg
 	if stop-start < cfg.DigitalTaps*2 {
-		return fmt.Errorf("sic: training window of %d samples too short for %d taps", stop-start, cfg.DigitalTaps)
+		return dst, fmt.Errorf("sic: training window of %d samples too short for %d taps", stop-start, cfg.DigitalTaps)
 	}
+	if cap(dst) < len(y) {
+		grown := make([]complex128, len(y))
+		copy(grown, dst)
+		dst = grown
+	}
+	dst = dst[:len(y)]
 	c.report.BeforeDBm = dsp.DBm(dsp.Power(y[start:stop]))
 
+	// work is what the digital stage fits and cancels: y, or y minus the
+	// analog reconstruction, held in dst over the window.
 	work := y
 	if cfg.AnalogTaps > 0 {
 		tsp := c.trace.Start("sic_analog_train")
 		sp := c.m.analogTrain.Start()
 		hA, err := linalg.ToeplitzLSFast(&c.wsA, xTap, y, cfg.AnalogTaps, start, stop, cfg.Lambda)
 		if err != nil {
-			return fmt.Errorf("sic: analog estimate: %w", err)
+			return dst, fmt.Errorf("sic: analog estimate: %w", err)
 		}
 		quantizeTapsInto(c.analog, hA, cfg.AnalogMagBits, cfg.AnalogPhaseBits)
 		c.scratch = dsp.ConvolveRangeInto(c.scratch, xTap, c.analog, start, stop)
-		if cap(c.work) < len(y) {
-			c.work = make([]complex128, len(y))
-		}
-		c.work = c.work[:len(y)]
 		for n := start; n < stop; n++ {
-			c.work[n] = y[n] - c.scratch[n]
+			dst[n] = y[n] - c.scratch[n]
 		}
-		work = c.work
+		work = dst
 		c.report.AfterAnalogDBm = dsp.DBm(dsp.Power(work[start:stop]))
 		sp.End()
 		tsp.End()
@@ -143,13 +152,14 @@ func (c *Reusable) Retrain(xTap, xIdeal, y []complex128, start, stop int) error 
 	sp := c.m.digitalTrain.Start()
 	hD, err := linalg.ToeplitzLSFast(&c.wsD, xIdeal, work, cfg.DigitalTaps, start, stop, cfg.Lambda)
 	if err != nil {
-		return fmt.Errorf("sic: digital estimate: %w", err)
+		return dst, fmt.Errorf("sic: digital estimate: %w", err)
 	}
 	copy(c.digital, hD)
 	c.scratch2 = dsp.ConvolveRangeInto(c.scratch2, xIdeal, c.digital, start, stop)
 	var pw float64
 	for n := start; n < stop; n++ {
 		r := work[n] - c.scratch2[n]
+		dst[n] = r
 		pw += real(r)*real(r) + imag(r)*imag(r)
 	}
 	c.report.AfterDBm = dsp.DBm(pw / float64(stop-start))
@@ -158,7 +168,7 @@ func (c *Reusable) Retrain(xTap, xIdeal, y []complex128, start, stop int) error 
 	tsp.End()
 	c.m.residualDBm.Observe(c.report.AfterDBm)
 	c.m.cancellationDepth.Observe(c.report.CancellationDB)
-	return nil
+	return dst, nil
 }
 
 // CancelRange writes y minus the reconstructed self-interference over

@@ -1,6 +1,7 @@
 package sic
 
 import (
+	"math"
 	"math/cmplx"
 	"math/rand"
 	"testing"
@@ -31,7 +32,7 @@ func TestReusableMatchesTrainCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ru.Retrain(x, x, y, 0, 320); err != nil {
+	if _, err := ru.Retrain(nil, x, x, y, 0, 320); err != nil {
 		t.Fatal(err)
 	}
 	got := ru.CancelRange(nil, x, x, y, 0, len(y))
@@ -60,7 +61,7 @@ func TestReusableWindowedCancelMatchesFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ru.Retrain(x, x, y, 0, 320); err != nil {
+	if _, err := ru.Retrain(nil, x, x, y, 0, 320); err != nil {
 		t.Fatal(err)
 	}
 	full := ru.CancelRange(nil, x, x, y, 0, len(y))
@@ -70,6 +71,49 @@ func TestReusableWindowedCancelMatchesFull(t *testing.T) {
 	for i := 700; i < 1900; i++ {
 		if win[i] != fullCopy[i] {
 			t.Fatalf("sample %d: windowed %v vs full %v", i, win[i], fullCopy[i])
+		}
+	}
+}
+
+// TestRetrainWritesCancelledWindow checks that Retrain leaves in dst,
+// over its training window, exactly what a fresh CancelRange over the
+// whole capture writes there, by Float64bits, with the analog stage on
+// and off, and touches nothing outside the window.
+func TestRetrainWritesCancelledWindow(t *testing.T) {
+	r := rand.New(rand.NewSource(35))
+	xIdeal := testSignal(r, 2000, dsp.UnDBm(20))
+	xTap := make([]complex128, len(xIdeal))
+	for i, v := range xIdeal {
+		xTap[i] = v + 0.01*v*v // a PA nonlinearity the analog stage sees
+	}
+	henv := channel.RayleighTaps(r, 10, 0.5).Scale(-20)
+	y := henv.Apply(xTap)
+	sentinel := complex(math.Inf(1), -1)
+	const start, stop = 150, 470
+	for _, analog := range []int{16, 0} {
+		cfg := DefaultConfig()
+		cfg.AnalogTaps = analog
+		ru, err := NewReusable(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := make([]complex128, len(y))
+		for i := range dst {
+			dst[i] = sentinel
+		}
+		if dst, err = ru.Retrain(dst, xTap, xIdeal, y, start, stop); err != nil {
+			t.Fatal(err)
+		}
+		want := ru.CancelRange(nil, xTap, xIdeal, y, 0, len(y))
+		for n := range dst {
+			w := sentinel
+			if n >= start && n < stop {
+				w = want[n]
+			}
+			if math.Float64bits(real(dst[n])) != math.Float64bits(real(w)) ||
+				math.Float64bits(imag(dst[n])) != math.Float64bits(imag(w)) {
+				t.Fatalf("analog taps %d: sample %d = %v, want %v", analog, n, dst[n], w)
+			}
 		}
 	}
 }
@@ -87,11 +131,11 @@ func TestReusableRetrainTracksChannelChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ru.Retrain(x, x, h1.Apply(x), 0, 320); err != nil {
+	if _, err := ru.Retrain(nil, x, x, h1.Apply(x), 0, 320); err != nil {
 		t.Fatal(err)
 	}
 	y2 := h2.Apply(x)
-	if err := ru.Retrain(x, x, y2, 0, 320); err != nil {
+	if _, err := ru.Retrain(nil, x, x, y2, 0, 320); err != nil {
 		t.Fatal(err)
 	}
 	resid := ru.CancelRange(nil, x, x, y2, 320, len(y2))
@@ -113,12 +157,12 @@ func TestReusableZeroAllocSteadyState(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := make([]complex128, len(y))
-	if err := ru.Retrain(x, x, y, 0, 320); err != nil {
+	if dst, err = ru.Retrain(dst, x, x, y, 0, 320); err != nil {
 		t.Fatal(err)
 	}
 	dst = ru.CancelRange(dst, x, x, y, 320, 2000)
 	allocs := testing.AllocsPerRun(10, func() {
-		if err := ru.Retrain(x, x, y, 0, 320); err != nil {
+		if dst, err = ru.Retrain(dst, x, x, y, 0, 320); err != nil {
 			t.Fatal(err)
 		}
 		dst = ru.CancelRange(dst, x, x, y, 320, 2000)
