@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"backfi/internal/dsp"
+	"backfi/internal/reader"
 	"backfi/internal/tag"
 )
 
@@ -28,7 +29,7 @@ func (l *Link) RunCustomExcitation(excitation []complex128, payload []byte) (*Pa
 	amp := math.Sqrt(l.Scenario.TxPowerW())
 	wake := tag.WakeWaveform(l.Tag.WakeSeq(), amp)
 	x := append(append([]complex128{}, wake...), dsp.Scale(excitation, complex(amp, 0))...)
-	res, err := l.exchange(x, len(wake), []int{0}, [][]byte{payload}, false)
+	res, err := l.exchange(reader.NewExcitation(x), len(wake), []int{0}, [][]byte{payload}, false)
 	if err != nil {
 		return nil, err
 	}

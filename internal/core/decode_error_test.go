@@ -63,11 +63,13 @@ func TestSingleTagUndecodableIsTyped(t *testing.T) {
 			t.Fatal(err)
 		}
 		payload := link.RandomPayload(24)
-		x, packetStart, err := link.template(link.Tag, link.Scenario.TxPowerW(), link.sizing(tagNeed(link.Tag.Cfg, len(payload))))
+		ex, packetStart, err := link.template(link.Tag, link.Scenario.TxPowerW(), link.sizing(tagNeed(link.Tag.Cfg, len(payload))))
 		if err != nil {
 			t.Fatal(err)
 		}
+		x := ex.Samples()
 		b := burst{
+			ex:          ex,
 			x:           x,
 			packetStart: packetStart,
 			packetLen:   len(x) - packetStart,

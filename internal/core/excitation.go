@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"backfi/internal/dsp"
+	"backfi/internal/reader"
 	"backfi/internal/rng"
 	"backfi/internal/tag"
 	"backfi/internal/wifi"
@@ -109,13 +110,14 @@ func shapeOf(tg *tag.Tag, rate wifi.Rate, psduBytes int, txPowerW float64, nppdu
 	}
 }
 
-// maxPoolBytes bounds the template bytes one pool retains. Burst
+// maxPoolBytes bounds the template bytes one pool retains, each
+// template's factor memo counted at its bound (reader.MemoBytes). Burst
 // shapes follow the payload lengths clients send, so an unbounded pool
-// would grow with every distinct length; 32 MiB holds about 180
-// templates of the default 24 B frame at 2 m (182 KiB each), far more
-// shapes than a deployment cycles through. The least recently used
-// templates go first, and a template larger than the bound is built
-// for its frame and never retained.
+// would grow with every distinct length; 32 MiB holds about 145
+// templates of the default 24 B frame at 2 m (182 KiB of samples and
+// 40 KiB of memo each), far more shapes than a deployment cycles
+// through. The least recently used templates go first, and a template
+// larger than the bound is built for its frame and never retained.
 const maxPoolBytes = 32 << 20
 
 // buildTemplate is the pool's builder; tests swap it to observe and
@@ -127,7 +129,9 @@ var buildTemplate = buildExcitation
 // shape (buildExcitation), so links on different shards realize
 // identical excitations no matter who builds first, and a hundred
 // thousand sessions retain one template per shape instead of a hundred
-// thousand private buffers. Templates are shared and never written.
+// thousand private buffers. Templates are shared and never written;
+// each carries its reader.Excitation memo, so the least-squares factors
+// every frame against it shares live and die with it.
 //
 // A miss builds outside the pool's lock: lookups of other shapes
 // proceed meanwhile, and concurrent misses on one shape wait for a
@@ -145,14 +149,15 @@ type SlotPool struct {
 
 type slotTemplate struct {
 	key         burstShape
-	done        chan struct{} // closed once the build has set x, packetStart, err
-	x           []complex128
+	done        chan struct{} // closed once the build has set ex, packetStart, err
+	ex          *reader.Excitation
 	packetStart int
 	err         error
 	elem        *list.Element // nil until retained, and again once evicted
 }
 
-func (t *slotTemplate) size() int { return len(t.x) * 16 }
+// size is the template's samples plus its memo's bound.
+func (t *slotTemplate) size() int { return len(t.ex.Samples())*16 + reader.MemoBytes }
 
 // NewSlotPool builds an empty shared pool. The seed argument has no
 // effect — templates no longer depend on any seed — and is kept only
@@ -171,9 +176,9 @@ func (p *SlotPool) Size() int {
 }
 
 // excitation returns the template for the given shape, building it on
-// first use. The returned slice is shared and MUST NOT be written; hit
+// first use. Its samples are shared and MUST NOT be written; hit
 // reports whether this call found the template built or in flight.
-func (p *SlotPool) excitation(tg *tag.Tag, rate wifi.Rate, psduBytes int, txPowerW float64, nppdu int) (x []complex128, packetStart int, hit bool, err error) {
+func (p *SlotPool) excitation(tg *tag.Tag, rate wifi.Rate, psduBytes int, txPowerW float64, nppdu int) (ex *reader.Excitation, packetStart int, hit bool, err error) {
 	key := shapeOf(tg, rate, psduBytes, txPowerW, nppdu)
 	p.mu.Lock()
 	if t, ok := p.m[key]; ok {
@@ -182,20 +187,22 @@ func (p *SlotPool) excitation(tg *tag.Tag, rate wifi.Rate, psduBytes int, txPowe
 		}
 		p.mu.Unlock()
 		<-t.done
-		return t.x, t.packetStart, true, t.err
+		return t.ex, t.packetStart, true, t.err
 	}
 	t := &slotTemplate{key: key, done: make(chan struct{})}
 	p.m[key] = t
 	p.mu.Unlock()
 
-	t.x, t.packetStart, t.err = buildTemplate(rate, psduBytes, txPowerW, tg, nppdu)
+	var x []complex128
+	x, t.packetStart, t.err = buildTemplate(rate, psduBytes, txPowerW, tg, nppdu)
+	t.ex = reader.NewExcitation(x)
 	p.mu.Lock()
 	if t.err != nil || !p.retain(t) {
 		delete(p.m, key)
 	}
 	p.mu.Unlock()
 	close(t.done)
-	return t.x, t.packetStart, false, t.err
+	return t.ex, t.packetStart, false, t.err
 }
 
 // retain admits a freshly built template, evicting least recently used

@@ -1,11 +1,16 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"backfi/internal/fault"
+	"backfi/internal/reader"
 	"backfi/internal/tag"
 	"backfi/internal/wifi"
 )
@@ -61,9 +66,9 @@ func TestSlotPoolOversizeNotRetained(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool := newSlotPool(0, 64<<10)
-	x, _, hit, err := pool.excitation(l.Tag, l.rate, l.Cfg.WiFiPSDUBytes, l.Scenario.TxPowerW(), 4)
-	if err != nil || hit || len(x)*16 <= 64<<10 {
-		t.Fatalf("built %d B template (hit %v, err %v); want a miss over the 64 KiB bound", len(x)*16, hit, err)
+	ex, _, hit, err := pool.excitation(l.Tag, l.rate, l.Cfg.WiFiPSDUBytes, l.Scenario.TxPowerW(), 4)
+	if err != nil || hit || len(ex.Samples())*16 <= 64<<10 {
+		t.Fatalf("built %d B template (hit %v, err %v); want a miss over the 64 KiB bound", len(ex.Samples())*16, hit, err)
 	}
 	if pool.Size() != 0 || pool.bytes != 0 || len(pool.m) != 0 {
 		t.Fatalf("oversize template retained: %d templates, %d B, %d map entries", pool.Size(), pool.bytes, len(pool.m))
@@ -98,11 +103,11 @@ func TestSlotPoolBuildsOutsideLock(t *testing.T) {
 
 	pool := NewSlotPool(0)
 	get := func(nppdu int) ([]complex128, bool) {
-		x, _, hit, err := pool.excitation(l.Tag, l.rate, l.Cfg.WiFiPSDUBytes, l.Scenario.TxPowerW(), nppdu)
+		ex, _, hit, err := pool.excitation(l.Tag, l.rate, l.Cfg.WiFiPSDUBytes, l.Scenario.TxPowerW(), nppdu)
 		if err != nil {
 			t.Error(err)
 		}
-		return x, hit
+		return ex.Samples(), hit
 	}
 	get(1)
 
@@ -151,5 +156,98 @@ func TestSlotPoolBuildsOutsideLock(t *testing.T) {
 		if len(got[i]) == 0 || &got[i][0] != &got[0][0] {
 			t.Fatalf("waiter %d got a different template", i)
 		}
+	}
+}
+
+// TestSlotPoolCountsAndReleasesMemo pins the factor memo's lifetime: a
+// retained template is counted at its samples plus the memo's bound,
+// and once a new shape evicts it, its reader.Excitation — samples and
+// memo — is unreachable.
+func TestSlotPoolCountsAndReleasesMemo(t *testing.T) {
+	l, err := NewLink(DefaultLinkConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := newSlotPool(1, maxPoolBytes)
+	l.SetSlotPool(pool)
+	if _, err := l.RunPacket(l.RandomPayload(24)); err != nil {
+		t.Fatal(err)
+	}
+	var ex *reader.Excitation
+	for _, tpl := range pool.m {
+		ex = tpl.ex
+	}
+	if want := len(ex.Samples())*16 + reader.MemoBytes; pool.Size() != 1 || pool.bytes != want {
+		t.Fatalf("pool retains %d templates in %d B, want 1 in %d B", pool.Size(), pool.bytes, want)
+	}
+	released := make(chan struct{})
+	runtime.SetFinalizer(ex, func(*reader.Excitation) { close(released) })
+	ex = nil
+	if _, err := l.RunPacket(l.RandomPayload(240)); err != nil {
+		t.Fatal(err)
+	}
+	for range 100 {
+		runtime.GC()
+		select {
+		case <-released:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("an evicted template's excitation and memo are still reachable")
+}
+
+// TestPooledMemoMatchesFreshTemplate sends the same faulted frames on
+// two links of one seed: one keeps its pool, so from the second frame
+// on every excitation-only fit is a memo hit; the other gets a new pool
+// before every frame, so every fit builds its factor afresh. The
+// results must agree bit for bit.
+func TestPooledMemoMatchesFreshTemplate(t *testing.T) {
+	prof := fault.Standard(0.1)
+	cfg := DefaultLinkConfig(2)
+	cfg.Seed = 77
+	cfg.Faults = &prof
+	pooled, err := NewLink(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := NewLink(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := func(a, b []complex128) bool {
+		for i := range a {
+			if math.Float64bits(real(a[i])) != math.Float64bits(real(b[i])) ||
+				math.Float64bits(imag(a[i])) != math.Float64bits(imag(b[i])) {
+				return false
+			}
+		}
+		return len(a) == len(b)
+	}
+	decoded := 0
+	for f := range 12 {
+		fresh.SetSlotPool(NewSlotPool(0))
+		payload := make([]byte, 24)
+		for i := range payload {
+			payload[i] = byte(f*31 + i)
+		}
+		ra, errA := pooled.RunPacket(payload)
+		rb, errB := fresh.RunPacket(payload)
+		if fmt.Sprint(errA) != fmt.Sprint(errB) {
+			t.Fatalf("frame %d: pooled error %v, fresh %v", f, errA, errB)
+		}
+		if errA != nil {
+			continue
+		}
+		a, b := ra.Decode, rb.Decode
+		if !same(a.Hfb, b.Hfb) || !same(a.SymbolEstimates, b.SymbolEstimates) ||
+			math.Float64bits(a.SNRdB) != math.Float64bits(b.SNRdB) || a.SIC != b.SIC ||
+			a.FrameOK != b.FrameOK || !bytes.Equal(a.Payload, b.Payload) {
+			t.Fatalf("frame %d: the memoized decode differs from a fresh one", f)
+		}
+		decoded++
+	}
+	if decoded < 6 {
+		t.Fatalf("only %d of 12 frames decoded; the comparison is empty", decoded)
 	}
 }

@@ -514,13 +514,13 @@ func (l *Link) sizing(need int) int {
 
 // template returns the shared excitation template for a burst waking
 // tg with nppdu PPDUs at txPowerW.
-func (l *Link) template(tg *tag.Tag, txPowerW float64, nppdu int) ([]complex128, int, error) {
+func (l *Link) template(tg *tag.Tag, txPowerW float64, nppdu int) (*reader.Excitation, int, error) {
 	if l.pool == nil {
 		l.pool = newSlotPool(1, maxPoolBytes)
 	}
 	tsp := l.trace.Start("excitation_build")
 	sp := l.m.spanExcitation.Start()
-	x, packetStart, hit, err := l.pool.excitation(tg, l.rate, l.Cfg.WiFiPSDUBytes, txPowerW, nppdu)
+	ex, packetStart, hit, err := l.pool.excitation(tg, l.rate, l.Cfg.WiFiPSDUBytes, txPowerW, nppdu)
 	sp.End()
 	tsp.End()
 	if hit {
@@ -528,7 +528,7 @@ func (l *Link) template(tg *tag.Tag, txPowerW float64, nppdu int) ([]complex128,
 	} else {
 		l.m.cacheMiss.Inc()
 	}
-	return x, packetStart, err
+	return ex, packetStart, err
 }
 
 // exchange is the one pipeline under every entry point: RunPacket,
@@ -536,7 +536,7 @@ func (l *Link) template(tg *tag.Tag, txPowerW float64, nppdu int) ([]complex128,
 // polled[0]'s wake sequence and leaves through its placement; every tag
 // decides from its own forward channel whether it woke; polled[k]
 // backscatters payloads[k], and any other tag that wakes is an
-// impostor. x is the excitation (ideal baseband, never written — it
+// impostor. ex is the excitation (ideal baseband, never written — it
 // may be a shared template) with the tags' timing origin at
 // packetStart; nil builds the pooled WiFi template sized for the polled
 // frames. Nothing past the window is computed: the frames the polled
@@ -550,7 +550,7 @@ func (l *Link) template(tg *tag.Tag, txPowerW float64, nppdu int) ([]complex128,
 // it the polled tags are decoded alone, and a tag that slept or could
 // not be attempted is an error wrapping ErrTagNoWake or
 // reader.ErrUndecodable.
-func (l *Link) exchange(x []complex128, packetStart int, polled []int, payloads [][]byte, group bool) (*SlotResult, error) {
+func (l *Link) exchange(ex *reader.Excitation, packetStart int, polled []int, payloads [][]byte, group bool) (*SlotResult, error) {
 	need, hiNeed, sps := 0, 0, 0
 	for i, tg := range l.Tags {
 		if k := slices.Index(polled, i); k >= 0 {
@@ -564,13 +564,15 @@ func (l *Link) exchange(x []complex128, packetStart int, polled []int, payloads 
 	frame := l.frame
 	l.frame++
 	lead := polled[0]
-	if x == nil {
+	if ex == nil {
 		var err error
-		if x, packetStart, err = l.template(l.Tags[lead], l.Scenarios[lead].TxPowerW(), l.sizing(need)); err != nil {
+		if ex, packetStart, err = l.template(l.Tags[lead], l.Scenarios[lead].TxPowerW(), l.sizing(need)); err != nil {
 			return nil, err
 		}
 	}
+	x := ex.Samples()
 	b := burst{
+		ex:          ex,
 		x:           x[:min(packetStart+hiNeed+sps+windowSlack, len(x))],
 		packetStart: packetStart,
 		packetLen:   len(x) - packetStart,
@@ -634,13 +636,14 @@ func (l *Link) exchange(x []complex128, packetStart int, polled []int, payloads 
 }
 
 // burst is one exchange as capture simulates it. x is the ideal
-// excitation sliced to the window [0, hi) the captures share; packetLen
+// excitation ex sliced to the window [0, hi) the captures share; packetLen
 // is the whole packet's length past packetStart, the tags' timing
 // origin. polled[k] backscatters payloads[k], and any other tag that
 // wakes is an impostor sending junk keyed by frame. capture sets
 // woke[i] for the tags that woke on time and plans[k], polled[k]'s
 // transmit plan (nil when it slept).
 type burst struct {
+	ex                     *reader.Excitation
 	x                      []complex128
 	packetStart, packetLen int
 	polled                 []int
@@ -800,7 +803,7 @@ func (l *Link) decode(fs *frameScratch, b *burst, cfgs []tag.Config) (*reader.De
 	nrx := 1 + len(l.chains)
 	tsp := l.trace.Start("decode_total")
 	sp := l.m.spanDecode.Start()
-	dec, err := l.rdr.Decode(fs.dec[:nrx], b.x, fs.air, fs.y[:nrx], b.packetStart, len(b.x)-b.packetStart, cfgs)
+	dec, err := l.rdr.Decode(fs.dec[:nrx], b.ex, fs.air, fs.y[:nrx], b.packetStart, len(b.x)-b.packetStart, cfgs)
 	sp.End()
 	tsp.End()
 	return dec, err

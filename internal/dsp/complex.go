@@ -48,16 +48,6 @@ func SubInPlace(a, b []complex128) {
 	}
 }
 
-// Mul returns the elementwise (Hadamard) product a.*b.
-func Mul(a, b []complex128) []complex128 {
-	mustSameLen(len(a), len(b))
-	out := make([]complex128, len(a))
-	for i := range a {
-		out[i] = a[i] * b[i]
-	}
-	return out
-}
-
 // Scale returns s*a for a scalar s.
 func Scale(a []complex128, s complex128) []complex128 {
 	out := make([]complex128, len(a))
@@ -65,13 +55,6 @@ func Scale(a []complex128, s complex128) []complex128 {
 		out[i] = s * a[i]
 	}
 	return out
-}
-
-// ScaleInPlace multiplies every element of a by s.
-func ScaleInPlace(a []complex128, s complex128) {
-	for i := range a {
-		a[i] *= s
-	}
 }
 
 // Conj returns the elementwise complex conjugate of a.
@@ -112,9 +95,6 @@ func Power(a []complex128) float64 {
 	}
 	return Energy(a) / float64(len(a))
 }
-
-// RMS returns sqrt(Power(a)).
-func RMS(a []complex128) float64 { return math.Sqrt(Power(a)) }
 
 // MaxAbs returns the maximum |a[i]|, or 0 for an empty slice.
 func MaxAbs(a []complex128) float64 {

@@ -86,9 +86,6 @@ func TestEnergyPowerRMS(t *testing.T) {
 	if got := Power(x); !approx(got, 12.5, eps) {
 		t.Fatalf("Power = %v, want 12.5", got)
 	}
-	if got := RMS(x); !approx(got, math.Sqrt(12.5), eps) {
-		t.Fatalf("RMS = %v", got)
-	}
 	if Power(nil) != 0 {
 		t.Fatal("Power(nil) should be 0")
 	}
@@ -190,22 +187,5 @@ func TestConjInvolution(t *testing.T) {
 		if x[i] != y[i] {
 			t.Fatalf("conj(conj(x)) differs at %d", i)
 		}
-	}
-}
-
-func TestScaleInPlace(t *testing.T) {
-	x := []complex128{1, 2}
-	ScaleInPlace(x, complex(0, 1))
-	if x[0] != complex(0, 1) || x[1] != complex(0, 2) {
-		t.Fatalf("ScaleInPlace = %v", x)
-	}
-}
-
-func TestMulHadamard(t *testing.T) {
-	a := []complex128{2, complex(0, 1)}
-	b := []complex128{3, complex(0, 1)}
-	c := Mul(a, b)
-	if c[0] != 6 || c[1] != -1 {
-		t.Fatalf("Mul = %v", c)
 	}
 }

@@ -57,17 +57,6 @@ func PeakIndex(v []float64) int {
 	return idx
 }
 
-// PeakIndexAbs returns the index of the maximum |v[i]|, or -1 if empty.
-func PeakIndexAbs(v []complex128) int {
-	best, idx := 0.0, -1
-	for i, x := range v {
-		if m := absSq(x); idx == -1 || m > best {
-			best, idx = m, i
-		}
-	}
-	return idx
-}
-
 func absSq(v complex128) float64 {
 	return real(v)*real(v) + imag(v)*imag(v)
 }

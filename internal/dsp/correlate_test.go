@@ -54,9 +54,6 @@ func TestPeakIndexEmpty(t *testing.T) {
 	if PeakIndex(nil) != -1 {
 		t.Fatal("PeakIndex(nil) should be -1")
 	}
-	if PeakIndexAbs(nil) != -1 {
-		t.Fatal("PeakIndexAbs(nil) should be -1")
-	}
 }
 
 func TestPeakIndexNegativeValues(t *testing.T) {

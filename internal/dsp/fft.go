@@ -132,11 +132,3 @@ func conjInPlace(a []complex128) {
 		a[i] = complex(real(a[i]), -imag(a[i]))
 	}
 }
-
-// NextPow2 returns the smallest power of two >= n (and >= 1).
-func NextPow2(n int) int {
-	if n <= 1 {
-		return 1
-	}
-	return 1 << uint(bits.Len(uint(n-1)))
-}

@@ -67,8 +67,10 @@ func TestFFTSingleToneConcentrates(t *testing.T) {
 		x[i] = Phasor(2 * math.Pi * bin * float64(i) / n)
 	}
 	y := FFT(x)
-	if got := PeakIndexAbs(y); got != bin {
-		t.Fatalf("peak at bin %d, want %d", got, bin)
+	for k, v := range y {
+		if k != bin && cmplx.Abs(v) >= cmplx.Abs(y[bin]) {
+			t.Fatalf("bin %d (%v) as strong as tone bin %d", k, v, bin)
+		}
 	}
 	if cmplx.Abs(y[bin]) < n-1e-6 {
 		t.Fatalf("tone bin magnitude %v, want %d", cmplx.Abs(y[bin]), n)
@@ -107,25 +109,20 @@ func TestFFTNonPow2Panics(t *testing.T) {
 	FFT(make([]complex128, 12))
 }
 
-func TestNextPow2(t *testing.T) {
-	cases := map[int]int{0: 1, 1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 63: 64, 64: 64, 65: 128}
-	for in, want := range cases {
-		if got := NextPow2(in); got != want {
-			t.Fatalf("NextPow2(%d) = %d, want %d", in, got, want)
-		}
-	}
-}
-
 func TestConvolutionTheorem(t *testing.T) {
 	// Circular convolution via FFT equals linear convolution when both
 	// inputs are zero-padded to the full length.
 	r := rand.New(rand.NewSource(11))
 	x := randSignal(r, 20)
 	h := randSignal(r, 9)
-	n := NextPow2(len(x) + len(h) - 1)
+	const n = 32 // the power of two covering len(x)+len(h)-1 = 28
 	xp := append(append([]complex128{}, x...), Zeros(n-len(x))...)
 	hp := append(append([]complex128{}, h...), Zeros(n-len(h))...)
-	viaFFT := IFFT(Mul(FFT(xp), FFT(hp)))
+	spec, hspec := FFT(xp), FFT(hp)
+	for k := range spec {
+		spec[k] *= hspec[k]
+	}
+	viaFFT := IFFT(spec)
 	direct := Convolve(x, h)
 	for i := range direct {
 		if cmplx.Abs(viaFFT[i]-direct[i]) > 1e-8 {

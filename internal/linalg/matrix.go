@@ -94,9 +94,9 @@ func (m *Matrix) Gram() *Matrix {
 	return g
 }
 
-// SolveHermitian solves A·x = b in place of a scratch copy, where A is
-// Hermitian positive definite, via Cholesky factorization A = L·Lᴴ.
-// A small diagonal loading term lambda (>= 0) is added for numerical
+// SolveHermitian solves A·x = b, where A is Hermitian positive
+// definite, via Cholesky factorization A = L·Lᴴ of a scratch copy. A
+// small diagonal loading term lambda (>= 0) is added for numerical
 // robustness, which is also how ridge-regularized least squares enters.
 func SolveHermitian(a *Matrix, b []complex128, lambda float64) ([]complex128, error) {
 	n := a.Rows
@@ -106,16 +106,11 @@ func SolveHermitian(a *Matrix, b []complex128, lambda float64) ([]complex128, er
 	if len(b) != n {
 		return nil, fmt.Errorf("linalg: rhs length %d for %dx%d system", len(b), n, n)
 	}
-	l := a.Clone()
-	for i := 0; i < n; i++ {
-		l.Data[i*n+i] += complex(lambda, 0)
-	}
-	if err := choleskyInPlace(l); err != nil {
-		return nil, err
-	}
 	x := make([]complex128, n)
 	copy(x, b)
-	choleskySolve(l, x)
+	if err := NewFactor(a.Clone(), lambda).Solve(x); err != nil {
+		return nil, err
+	}
 	return x, nil
 }
 
@@ -143,27 +138,6 @@ func choleskyInPlace(l *Matrix) error {
 		}
 	}
 	return nil
-}
-
-// choleskySolve overwrites v with the solution of L·Lᴴ·x = v given the
-// factor from choleskyInPlace. Forward then back substitution, both in
-// place, so the solve itself allocates nothing.
-func choleskySolve(l *Matrix, v []complex128) {
-	n := l.Rows
-	for i := 0; i < n; i++ {
-		acc := v[i]
-		for k := 0; k < i; k++ {
-			acc -= l.Data[i*n+k] * v[k]
-		}
-		v[i] = acc / l.Data[i*n+i]
-	}
-	for i := n - 1; i >= 0; i-- {
-		acc := v[i]
-		for k := i + 1; k < n; k++ {
-			acc -= cmplx.Conj(l.Data[k*n+i]) * v[k]
-		}
-		v[i] = acc / l.Data[i*n+i]
-	}
 }
 
 // LeastSquares solves min_x ||A·x - b||² via the normal equations

@@ -1,6 +1,8 @@
 package linalg
 
 import (
+	"math"
+	"math/cmplx"
 	"math/rand"
 	"testing"
 )
@@ -101,5 +103,97 @@ func TestToeplitzLSFastZeroAllocSteadyState(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state ToeplitzLSFast allocates %v per run, want 0", allocs)
+	}
+}
+
+// toeplitzLSOnePass is ToeplitzLSFast as it was before the fit split in
+// two: the first Gram row and the right-hand side summed in one pass
+// over the window, then factored and solved. The split must match it
+// bit for bit.
+func toeplitzLSOnePass(x, y []complex128, L, start, stop int, lambda float64) ([]complex128, error) {
+	g := NewMatrix(L, L)
+	rhs := make([]complex128, L)
+	for n := start; n < stop; n++ {
+		xn := cmplx.Conj(xat(x, n))
+		yn := y[n]
+		for j := 0; j < L; j++ {
+			v := xat(x, n-j)
+			g.Data[j] += xn * v
+			rhs[j] += cmplx.Conj(v) * yn
+		}
+	}
+	for i := 1; i < L; i++ {
+		g.Data[i*L] = cmplx.Conj(g.Data[i])
+	}
+	for i := 0; i < L-1; i++ {
+		for j := 0; j < L-1; j++ {
+			g.Data[(i+1)*L+j+1] = g.Data[i*L+j] +
+				cmplx.Conj(xat(x, start-1-i))*xat(x, start-1-j) -
+				cmplx.Conj(xat(x, stop-1-i))*xat(x, stop-1-j)
+		}
+	}
+	return SolveHermitian(g, rhs, lambda)
+}
+
+// TestToeplitzSplitBitIdentical pins ToeplitzLSFast, and a factor built
+// once by ToeplitzFactor solving several right-hand sides, to the
+// one-pass fit by Float64bits.
+func TestToeplitzSplitBitIdentical(t *testing.T) {
+	r := rand.New(rand.NewSource(15))
+	same := func(a, b []complex128) bool {
+		for i := range a {
+			if math.Float64bits(real(a[i])) != math.Float64bits(real(b[i])) ||
+				math.Float64bits(imag(a[i])) != math.Float64bits(imag(b[i])) {
+				return false
+			}
+		}
+		return len(a) == len(b)
+	}
+	var ws ToeplitzWorkspace
+	for _, tc := range []struct{ ntaps, start, stop, n int }{
+		{8, 0, 64, 128}, {16, 40, 200, 256}, {32, 64, 384, 512}, {12, 100, 128, 128},
+	} {
+		x := randVec(r, tc.n)
+		f := ToeplitzFactor(x, tc.ntaps, tc.start, tc.stop, 1e-12)
+		for range 3 {
+			y := randVec(r, tc.n)
+			want, err := toeplitzLSOnePass(x, y, tc.ntaps, tc.start, tc.stop, 1e-12)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := ToeplitzLSFast(&ws, x, y, tc.ntaps, tc.start, tc.stop, 1e-12)
+			if err != nil || !same(got, want) {
+				t.Fatalf("%+v: ToeplitzLSFast %v (err %v), one pass %v", tc, got, err, want)
+			}
+			rhs, err := ToeplitzRHSInto(nil, x, y, tc.ntaps, tc.start, tc.stop)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Solve(rhs); err != nil || !same(rhs, want) {
+				t.Fatalf("%+v: memoized factor %v (err %v), one pass %v", tc, rhs, err, want)
+			}
+		}
+	}
+}
+
+// TestToeplitzFactorErrors pins that argument errors and a singular
+// Gram matrix are the factor's error, returned by every Solve, which
+// then leaves the right-hand side as it is.
+func TestToeplitzFactorErrors(t *testing.T) {
+	x := make([]complex128, 32)
+	for _, f := range []*Factor{
+		ToeplitzFactor(x, 0, 0, 32, 0),
+		ToeplitzFactor(x, 4, 10, 40, 0),
+		ToeplitzFactor(x, 16, 0, 8, 0),
+		ToeplitzFactor(x, 4, 0, 32, 0), // all-zero input: singular
+	} {
+		b := []complex128{1, 2, 3, 4}
+		if f.Err() == nil || f.Solve(b) != f.Err() || b[0] != 1 || b[3] != 4 {
+			t.Fatalf("factor error %v, rhs %v after Solve", f.Err(), b)
+		}
+	}
+	f := ToeplitzFactor(randVec(rand.New(rand.NewSource(16)), 64), 4, 8, 64, 0)
+	if err := f.Solve(make([]complex128, 3)); err == nil {
+		t.Fatal("want error for a right-hand side of the wrong length")
 	}
 }

@@ -8,7 +8,6 @@ import (
 
 	"backfi/internal/dsp"
 	"backfi/internal/fec"
-	"backfi/internal/linalg"
 	"backfi/internal/sic"
 	"backfi/internal/tag"
 )
@@ -38,9 +37,8 @@ var (
 
 // Stream is one receive chain's working memory for Decode: a
 // sic.Reusable canceller retrained every frame, clean/reference/estimate
-// buffers, the normal-equation scratch of the combined-channel estimate,
-// and the FEC stage's buffers. Steady-state decoding allocates only its
-// results.
+// buffers, the combined-channel taps, and the FEC stage's buffers.
+// Steady-state decoding allocates only its results.
 //
 // A Stream carries nothing from one decode to the next but buffer
 // capacity, so callers pool it process-wide; the zero value is ready. A
@@ -52,12 +50,10 @@ type Stream struct {
 	clean []complex128
 	ref   []complex128
 	ests  []complex128
-	gram  *linalg.Matrix
-	rhs   []complex128
 	hfb   []complex128
 
-	// Chain 0 only: the strongest candidate's taps while ranking, and
-	// the tags still to peel.
+	// Chain 0 only: the strongest candidate's taps while ranking or the
+	// timing search's refit, and the tags still to peel.
 	best    []complex128
 	pending []int
 }
@@ -65,9 +61,7 @@ type Stream struct {
 // configure sizes s for the decoder configuration cfg.
 func (s *Stream) configure(cfg Config) {
 	s.canc.Configure(cfg.SIC)
-	if L := cfg.ChannelTaps; s.gram == nil || s.gram.Rows != L {
-		s.gram = linalg.NewMatrix(L, L)
-		s.rhs = make([]complex128, L)
+	if L := cfg.ChannelTaps; len(s.hfb) != L {
 		s.hfb = make([]complex128, L)
 		s.best = make([]complex128, L)
 	}
@@ -108,12 +102,13 @@ func (d *Decoded) fail(k int, reason error) {
 // Decode decodes every tag in cfgs from one excitation received on one
 // or more AP antennas: one tag (paper Sec. 4.3), extra receive chains
 // as diversity (Sec. 7) and a group of preamble-selected tags woken by
-// one burst (Sec. 4.1) are all this call. ys[c] is receive chain c's
-// capture, aligned with x, and ss[c] its working memory; xTap is the
-// PA-output copy every chain's analog canceller taps. Every tag is
-// silent for tag.SilentSamples after packetStart, then sends its PN
-// preamble and payload symbols (tag.TxPlan layout); nothing past
-// packetStart+packetLen is read.
+// one burst (Sec. 4.1) are all this call. ex is the excitation the AP
+// sent and ys[c] receive chain c's capture of its first len(ys[c])
+// samples, with ss[c] its working memory; xTap is the PA-output copy,
+// as long as the captures, that every chain's analog canceller taps.
+// Every tag is silent for tag.SilentSamples after packetStart, then
+// sends its PN preamble and payload symbols (tag.TxPlan layout);
+// nothing of the captures past packetStart+packetLen is read.
 //
 // It is one successive-cancellation loop (DESIGN.md §5i): every chain's
 // canceller retrains on the shared silent window; the pending tags are
@@ -131,7 +126,7 @@ func (d *Decoded) fail(k int, reason error) {
 // Argument errors and a failed canceller retrain are returned; a tag
 // that cannot be attempted is a nil entry in Tags. A returned Decoded
 // never aliases ss.
-func (r *Reader) Decode(ss []Stream, x, xTap []complex128, ys [][]complex128, packetStart, packetLen int, cfgs []tag.Config) (*Decoded, error) {
+func (r *Reader) Decode(ss []Stream, ex *Excitation, xTap []complex128, ys [][]complex128, packetStart, packetLen int, cfgs []tag.Config) (*Decoded, error) {
 	if len(ys) == 0 || len(ss) != len(ys) || len(cfgs) == 0 {
 		return nil, fmt.Errorf("reader: %d streams for %d receive chains and %d tags", len(ss), len(ys), len(cfgs))
 	}
@@ -141,11 +136,12 @@ func (r *Reader) Decode(ss []Stream, x, xTap []complex128, ys [][]complex128, pa
 		}
 	}
 	for _, y := range ys {
-		if len(x) != len(y) || len(xTap) != len(y) {
-			return nil, fmt.Errorf("reader: x/xTap/y length mismatch %d/%d/%d", len(x), len(xTap), len(y))
+		if len(y) != len(ys[0]) || len(xTap) != len(y) || len(y) > len(ex.x) {
+			return nil, fmt.Errorf("reader: x/xTap/y length mismatch %d/%d/%d", len(ex.x), len(xTap), len(y))
 		}
 	}
-	if packetStart+packetLen > len(x) {
+	x := ex.x[:len(ys[0])]
+	if packetStart < 0 || packetStart+packetLen > len(x) {
 		return nil, fmt.Errorf("reader: packet [%d,%d) exceeds %d samples", packetStart, packetStart+packetLen, len(x))
 	}
 	d := &Decoded{Tags: make([]*Result, len(cfgs)), Order: make([]int, 0, len(cfgs))}
@@ -176,7 +172,7 @@ func (r *Reader) Decode(ss []Stream, x, xTap []complex128, ys [][]complex128, pa
 	slack := timingPasses * r.cfg.TimingSearch
 	frontier := min(hi+slack, packetEnd)
 	for c := range ss {
-		if err := r.retrain(&ss[c], x, xTap, ys[c], packetStart, frontier); err != nil {
+		if err := r.retrain(&ss[c], ex, x, xTap, ys[c], packetStart, frontier); err != nil {
 			return nil, err
 		}
 	}
@@ -184,7 +180,7 @@ func (r *Reader) Decode(ss []Stream, x, xTap []complex128, ys [][]complex128, pa
 
 	offset := 0
 	for round := 0; len(s.pending) > 0; round++ {
-		k := r.strongest(s, d, x, cfgs, preStart)
+		k := r.strongest(s, d, ex, x, cfgs, preStart)
 		if k < 0 {
 			break
 		}
@@ -198,7 +194,7 @@ func (r *Reader) Decode(ss []Stream, x, xTap []complex128, ys [][]complex128, pa
 		lo, refHi := max(preStart-slack, packetStart), min(preEnd+slack, packetEnd)
 		s.ref = dsp.ConvolveRangeInto(s.ref, x, s.hfb, lo, refHi)
 		if round == 0 {
-			offset = r.searchGrid(s, x, preStart, pn, lo, refHi)
+			offset = r.searchGrid(s, ex, x, preStart, pn, lo, refHi)
 			preStart += offset
 			preEnd += offset
 			slack = 0
@@ -209,7 +205,7 @@ func (r *Reader) Decode(ss []Stream, x, xTap []complex128, ys [][]complex128, pa
 		// subtracted needs their references over its preamble too.
 		var err error
 		for c := 1; c < len(ss) && err == nil; c++ {
-			if err = r.estimate(&ss[c], x, preStart, pn); err == nil && !last {
+			if err = r.estimate(&ss[c], ex, preStart, pn); err == nil && !last {
 				ss[c].ref = dsp.ConvolveRangeInto(ss[c].ref, x, ss[c].hfb, preStart, preEnd)
 			}
 		}
@@ -267,13 +263,13 @@ func (r *Reader) Decode(ss []Stream, x, xTap []complex128, ys [][]complex128, pa
 // reflection is strongest, with its taps in s.hfb; -1 when no fit
 // succeeds. A failed fit is dropped and recorded once. With one tag
 // pending there is nothing to rank, so no energy is computed.
-func (r *Reader) strongest(s *Stream, d *Decoded, x []complex128, cfgs []tag.Config, preStart int) int {
+func (r *Reader) strongest(s *Stream, d *Decoded, ex *Excitation, x []complex128, cfgs []tag.Config, preStart int) int {
 	best, bestE := -1, 0.0
 	rank := len(s.pending) > 1
 	next := s.pending[:0]
 	for _, i := range s.pending {
 		tcfg := cfgs[i]
-		if err := r.estimate(s, x, preStart, tag.PreambleSequence(tcfg.ID, tcfg.PreambleChips)); err != nil {
+		if err := r.estimate(s, ex, preStart, tag.PreambleSequence(tcfg.ID, tcfg.PreambleChips)); err != nil {
 			d.fail(i, err)
 			continue
 		}
@@ -304,8 +300,9 @@ func (r *Reader) strongest(s *Stream, d *Decoded, x []complex128, cfgs []tag.Con
 // returns the grid offset it settles on. Each move refits the channel
 // at the new grid and reconvolves the reference over [lo, hi) (a badly
 // misaligned first estimate flattens the metric, so one pass can stop
-// short of the true offset).
-func (r *Reader) searchGrid(s *Stream, x []complex128, preStart int, pn []complex128, lo, hi int) int {
+// short of the true offset). A move whose refit fails is not taken:
+// the search stops at the last grid it could fit, with its taps.
+func (r *Reader) searchGrid(s *Stream, ex *Excitation, x []complex128, preStart int, pn []complex128, lo, hi int) int {
 	tsp := r.trace.Start("timing_search")
 	sp := r.m.spanTiming.Start()
 	offset := 0
@@ -314,10 +311,12 @@ func (r *Reader) searchGrid(s *Stream, x []complex128, preStart int, pn []comple
 		if step == 0 {
 			break
 		}
-		offset += step
-		if err := s.estimateHfbInto(r.cfg, x, s.clean, preStart+offset, pn); err == nil {
-			s.ref = dsp.ConvolveRangeInto(s.ref, x, s.hfb, lo, hi)
+		if s.estimateHfbInto(r.cfg, ex, s.best, preStart+offset+step, pn) != nil {
+			break
 		}
+		offset += step
+		s.hfb, s.best = s.best, s.hfb
+		s.ref = dsp.ConvolveRangeInto(s.ref, x, s.hfb, lo, hi)
 	}
 	sp.End()
 	tsp.End()
@@ -414,14 +413,15 @@ func (r *Reader) cover(ss []Stream, x, xTap []complex128, ys [][]complex128, g s
 // retrain is stage 1 of every decode: s's reusable canceller retrained
 // on the silent window after packetStart, which also cancels that
 // window, then capture y cancelled over the rest of [packetStart, hi).
-func (r *Reader) retrain(s *Stream, x, xTap, y []complex128, packetStart, hi int) error {
+func (r *Reader) retrain(s *Stream, ex *Excitation, x, xTap, y []complex128, packetStart, hi int) error {
 	s.configure(r.cfg)
 	s.canc.SetTrace(r.trace)
 	stop := packetStart + tag.SilentSamples
 	tsp := r.trace.Start("sic_train")
 	sp := r.m.spanSICTrain.Start()
+	digital := ex.cancellerFactor(r.cfg.SIC.DigitalTaps, packetStart, stop, r.cfg.SIC.Lambda)
 	var err error
-	s.clean, err = s.canc.Retrain(s.clean, xTap, x, y, packetStart, stop)
+	s.clean, err = s.canc.Retrain(s.clean, xTap, x, digital, y, packetStart, stop)
 	sp.End()
 	tsp.End()
 	if err != nil {
@@ -438,10 +438,10 @@ func (r *Reader) retrain(s *Stream, x, xTap, y []complex128, packetStart, hi int
 
 // estimate fits s's combined channel from the preamble at preStart into
 // s.hfb, timed and counted.
-func (r *Reader) estimate(s *Stream, x []complex128, preStart int, pn []complex128) error {
+func (r *Reader) estimate(s *Stream, ex *Excitation, preStart int, pn []complex128) error {
 	tsp := r.trace.Start("channel_estimate")
 	sp := r.m.spanChanEst.Start()
-	err := s.estimateHfbInto(r.cfg, x, s.clean, preStart, pn)
+	err := s.estimateHfbInto(r.cfg, ex, s.hfb, preStart, pn)
 	sp.End()
 	tsp.End()
 	if err != nil {
@@ -556,52 +556,33 @@ func (d *frameDecoder) frameExtent(hdrEsts []complex128, tcfg tag.Config) (used,
 	return tag.SymbolsForPayload(n, tcfg.Coding, tcfg.Mod), tag.FrameInfoBits(n), true
 }
 
-// estimateHfbInto solves least squares for the combined channel using
-// preamble samples where the PN chip is constant across the whole
-// channel span (so y[n] = chip · (x⊛h_fb)[n] exactly), assembling the
-// normal equations directly into reused scratch instead of
-// materializing the convolution matrix. The solution lands in s.hfb.
-// Taps agree with the dense reference fit (reference_test.go) to solver
-// precision, not bit for bit.
-func (s *Stream) estimateHfbInto(cfg Config, x, clean []complex128, preStart int, pn []complex128) error {
+// estimateHfbInto solves least squares for the combined channel from
+// s.clean using preamble samples where the PN chip is constant across
+// the whole channel span (so y[n] = chip · (x⊛h_fb)[n] exactly), into
+// dst. The normal equations' Gram matrix reads only the excitation, so
+// its factor comes from ex's memo; this sums the right-hand side Aᴴy
+// and solves. A factor that failed leaves the unsolved right-hand side
+// in dst. Taps agree with the dense reference fit (reference_test.go)
+// to solver precision, not bit for bit.
+func (s *Stream) estimateHfbInto(cfg Config, ex *Excitation, dst []complex128, preStart int, pn []complex128) error {
 	L := cfg.ChannelTaps
-	g := s.gram
-	for i := range g.Data {
-		g.Data[i] = 0
+	if rows := len(pn) * max(tag.ChipSamples-L+1, 0); rows < 2*L {
+		return fmt.Errorf("reader: only %d usable preamble samples for %d taps", rows, L)
 	}
-	for i := range s.rhs {
-		s.rhs[i] = 0
-	}
-	rows := 0
+	f := ex.channelFactor(L, cfg.Lambda, preStart, pn)
+	x, clean := ex.x, s.clean
+	clear(dst)
 	for c, chip := range pn {
 		chipStart := preStart + c*tag.ChipSamples
-		cc := real(chip)*real(chip) + imag(chip)*imag(chip)
 		for n := chipStart + L - 1; n < chipStart+tag.ChipSamples; n++ {
-			rows++
-			// Row k of the design matrix is chip·x[n-k]; accumulate
-			// AᴴA (upper triangle) and Aᴴb without building A.
+			// Row n of the design matrix is chip·x[n-k].
 			chipY := cmplx.Conj(chip) * clean[n]
 			for k := 0; k < L; k++ {
-				xk := x[n-k]
-				cxk := cmplx.Conj(xk)
-				s.rhs[k] += cxk * chipY
-				row := g.Data[k*L:]
-				for l := k; l < L; l++ {
-					row[l] += complex(cc, 0) * cxk * x[n-l]
-				}
+				dst[k] += cmplx.Conj(x[n-k]) * chipY
 			}
 		}
 	}
-	if rows < 2*L {
-		return fmt.Errorf("reader: only %d usable preamble samples for %d taps", rows, L)
-	}
-	for k := 0; k < L; k++ {
-		for l := 0; l < k; l++ {
-			g.Data[k*L+l] = cmplx.Conj(g.Data[l*L+k])
-		}
-	}
-	copy(s.hfb, s.rhs)
-	if err := linalg.SolveHermitianInPlace(g, s.hfb, cfg.Lambda); err != nil {
+	if err := f.Solve(dst); err != nil {
 		return fmt.Errorf("reader: channel estimate: %w", err)
 	}
 	return nil

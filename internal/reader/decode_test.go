@@ -35,7 +35,7 @@ func TestDecodeUndecodableIsTyped(t *testing.T) {
 		{"too-short", sc.x, tag.SilentSamples + 10},
 		{"singular-fit", silent, sc.packetLen},
 	} {
-		d, err := rd.Decode(make([]Stream, 1), tc.x, tc.x, [][]complex128{sc.y}, sc.packetStart, tc.packetLen, []tag.Config{sc.tcfg})
+		d, err := rd.Decode(make([]Stream, 1), NewExcitation(tc.x), tc.x, [][]complex128{sc.y}, sc.packetStart, tc.packetLen, []tag.Config{sc.tcfg})
 		if err != nil {
 			t.Fatalf("%s: Decode: %v, want a nil layer", tc.name, err)
 		}
@@ -53,7 +53,9 @@ func TestDecodeUndecodableIsTyped(t *testing.T) {
 // TestDecodeSteadyAllocs pins that the one decoder in reused Streams
 // allocates only its results — per layer the Result, its payload,
 // estimates, taps and per-antenna diagnostics — nothing sized by the
-// capture, for a 2-tag slot on one chain and one tag on four.
+// capture, for a 2-tag slot on one chain and one tag on four. The
+// excitation's memo is warm after the first decode, so its hits
+// allocate nothing either.
 func TestDecodeSteadyAllocs(t *testing.T) {
 	rd := mustNew(DefaultConfig())
 	joint := buildJointScene(t, 12, 2, 2, 1)
@@ -71,8 +73,9 @@ func TestDecodeSteadyAllocs(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ss := make([]Stream, len(tc.ys))
+			ex := NewExcitation(tc.x)
 			decode := func() {
-				d, err := rd.Decode(ss, tc.x, tc.xAir, tc.ys, tc.packetStart, tc.packetLen, tc.cfgs)
+				d, err := rd.Decode(ss, ex, tc.xAir, tc.ys, tc.packetStart, tc.packetLen, tc.cfgs)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -102,7 +105,7 @@ func TestDecodeKTagsNChains(t *testing.T) {
 	for seed := int64(1); seed <= slots; seed++ {
 		sc := buildJointScene(t, 7000+seed, 2, 4, 2)
 		for _, nrx := range []int{1, 2} {
-			d, err := rd.Decode(ss[:nrx], sc.x, sc.xAir, sc.ys[:nrx], sc.packetStart, sc.packetLen, sc.cfgs)
+			d, err := rd.Decode(ss[:nrx], NewExcitation(sc.x), sc.xAir, sc.ys[:nrx], sc.packetStart, sc.packetLen, sc.cfgs)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -75,7 +75,7 @@ func TestPreambleCacheUnchangedByDecode(t *testing.T) {
 	}
 	other := tcfg
 	other.ID++
-	if _, err := rd.Decode(make([]Stream, 1), sc.x, sc.x, [][]complex128{sc.y}, sc.packetStart, sc.packetLen, []tag.Config{tcfg, other}); err != nil {
+	if _, err := rd.Decode(make([]Stream, 1), NewExcitation(sc.x), sc.x, [][]complex128{sc.y}, sc.packetStart, sc.packetLen, []tag.Config{tcfg, other}); err != nil {
 		t.Fatal(err)
 	}
 	got := tag.PreambleSequence(tcfg.ID, tcfg.PreambleChips)

@@ -15,7 +15,7 @@ func mustNew(cfg Config) *Reader {
 // decodeTag runs Decode on the single tag tcfg and returns its layer,
 // as core's single-tag path does.
 func decodeTag(rd *Reader, ss []Stream, x, xTap []complex128, ys [][]complex128, packetStart, packetLen int, tcfg tag.Config) (*Result, error) {
-	d, err := rd.Decode(ss, x, xTap, ys, packetStart, packetLen, []tag.Config{tcfg})
+	d, err := rd.Decode(ss, NewExcitation(x), xTap, ys, packetStart, packetLen, []tag.Config{tcfg})
 	if err != nil {
 		return nil, err
 	}

@@ -296,7 +296,7 @@ func TestDecodeJointMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := rd.Decode(ss, sc.x, sc.xAir, sc.ys, sc.packetStart, sc.packetLen, cfgs)
+			got, err := rd.Decode(ss, NewExcitation(sc.x), sc.xAir, sc.ys, sc.packetStart, sc.packetLen, cfgs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -352,7 +352,7 @@ func TestDecodeJointUnfittableCountedOnce(t *testing.T) {
 	c := DefaultConfig()
 	c.Obs = reg
 	rd := mustNew(c)
-	got, err := rd.Decode(make([]Stream, 1), sc.x, sc.xAir, sc.ys, sc.packetStart, sc.packetLen, cfgs)
+	got, err := rd.Decode(make([]Stream, 1), NewExcitation(sc.x), sc.xAir, sc.ys, sc.packetStart, sc.packetLen, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}

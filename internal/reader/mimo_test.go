@@ -103,28 +103,34 @@ func TestDecodeMultiValidation(t *testing.T) {
 	rd := mustNew(DefaultConfig())
 	ss := make([]Stream, 2)
 	cfgs := []tag.Config{sc.tcfg}
-	if _, err := rd.Decode(nil, sc.x, sc.xAir, nil, sc.packetStart, sc.packetLen, cfgs); err == nil {
+	if _, err := rd.Decode(nil, NewExcitation(sc.x), sc.xAir, nil, sc.packetStart, sc.packetLen, cfgs); err == nil {
 		t.Fatal("expected error for no antennas")
 	}
-	if _, err := rd.Decode(ss[:1], sc.x, sc.xAir, sc.ys, sc.packetStart, sc.packetLen, cfgs); err == nil {
+	if _, err := rd.Decode(ss[:1], NewExcitation(sc.x), sc.xAir, sc.ys, sc.packetStart, sc.packetLen, cfgs); err == nil {
 		t.Fatal("expected error for a stream per chain missing")
 	}
 	short := [][]complex128{sc.ys[0], sc.ys[1][:10]}
-	if _, err := rd.Decode(ss, sc.x, sc.xAir, short, sc.packetStart, sc.packetLen, cfgs); err == nil {
+	if _, err := rd.Decode(ss, NewExcitation(sc.x), sc.xAir, short, sc.packetStart, sc.packetLen, cfgs); err == nil {
 		t.Fatal("expected error for length mismatch")
 	}
-	if _, err := rd.Decode(ss, sc.x, sc.xAir, sc.ys, sc.packetStart, len(sc.x), cfgs); err == nil {
+	if _, err := rd.Decode(ss, NewExcitation(sc.x), sc.xAir, sc.ys, sc.packetStart, len(sc.x), cfgs); err == nil {
 		t.Fatal("expected error for a packet past the capture")
+	}
+	if _, err := rd.Decode(ss, NewExcitation(sc.x[:len(sc.x)-1]), sc.xAir, sc.ys, sc.packetStart, sc.packetLen, cfgs); err == nil {
+		t.Fatal("expected error for an excitation shorter than the captures")
+	}
+	if _, err := rd.Decode(ss, NewExcitation(sc.x), sc.xAir, sc.ys, -1, sc.packetLen, cfgs); err == nil {
+		t.Fatal("expected error for a negative packet start")
 	}
 	bad := sc.tcfg
 	bad.SymbolRateHz = 0
-	if _, err := rd.Decode(ss, sc.x, sc.xAir, sc.ys, sc.packetStart, sc.packetLen, []tag.Config{sc.tcfg, bad}); err == nil {
+	if _, err := rd.Decode(ss, NewExcitation(sc.x), sc.xAir, sc.ys, sc.packetStart, sc.packetLen, []tag.Config{sc.tcfg, bad}); err == nil {
 		t.Fatal("expected tag config error")
 	}
-	if _, err := rd.Decode(ss, sc.x, sc.xAir, sc.ys, sc.packetStart, sc.packetLen, nil); err == nil {
+	if _, err := rd.Decode(ss, NewExcitation(sc.x), sc.xAir, sc.ys, sc.packetStart, sc.packetLen, nil); err == nil {
 		t.Fatal("expected error for zero tags")
 	}
-	d, err := rd.Decode(ss, sc.x, sc.xAir, sc.ys, sc.packetStart, tag.SilentSamples+10, cfgs)
+	d, err := rd.Decode(ss, NewExcitation(sc.x), sc.xAir, sc.ys, sc.packetStart, tag.SilentSamples+10, cfgs)
 	if err != nil {
 		t.Fatalf("too-short packet: %v, want a nil layer", err)
 	}

@@ -24,7 +24,8 @@ func cancelFull(cfg sic.Config, xTap, x, y []complex128, packetStart int) (*sic.
 	if err != nil {
 		return nil, nil, err
 	}
-	if _, err := canc.Retrain(nil, xTap, x, y, packetStart, packetStart+tag.SilentSamples); err != nil {
+	stop := packetStart + tag.SilentSamples
+	if _, err := canc.Retrain(nil, xTap, x, linalg.ToeplitzFactor(x, cfg.DigitalTaps, packetStart, stop, cfg.Lambda), y, packetStart, stop); err != nil {
 		return nil, nil, err
 	}
 	return canc, canc.CancelRange(nil, xTap, x, y, 0, len(y)), nil

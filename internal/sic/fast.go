@@ -22,9 +22,11 @@ import (
 // of over the whole capture.
 //
 // Numerics: Retrain solves the same ridge normal equations as the dense
-// reference canceller (reference_test.go) via linalg.ToeplitzLSFast,
-// which sums the Gram in a different order — results are deterministic
-// but not bit-identical to the reference.
+// reference canceller (reference_test.go) — the analog stage via
+// linalg.ToeplitzLSFast, the digital stage against a caller-supplied
+// linalg.ToeplitzFactor of the clean excitation — which sum the Gram in
+// a different order: results are deterministic but not bit-identical
+// to the reference.
 //
 // Not safe for concurrent use; one frame owns it at a time.
 type Reusable struct {
@@ -35,7 +37,8 @@ type Reusable struct {
 	digital []complex128
 	report  Report
 
-	wsA, wsD linalg.ToeplitzWorkspace
+	wsA      linalg.ToeplitzWorkspace
+	rhsD     []complex128 // the digital stage's right-hand side, then taps
 	scratch  []complex128 // convolution reconstruction buffer
 	scratch2 []complex128 // second stage reconstruction buffer
 }
@@ -106,13 +109,17 @@ func (c *Reusable) SetTrace(t obs.TraceCtx) { c.trace = t }
 // preallocated state. xTap is the PA-output copy the analog stage taps
 // (including transmit distortion) and xIdeal the clean baseband copy
 // the digital stage uses; only their samples up to stop are read.
+// digital is the factor of the digital stage's Gram matrix, which reads
+// only xIdeal: linalg.ToeplitzFactor(xIdeal, DigitalTaps, start, stop,
+// Lambda), built once per excitation and shared by every frame against
+// it. Its error, if any, is the digital stage's.
 //
 // The window's residual with the new taps is written into dst[start:stop]
 // (dst is grown to len(y) if needed; samples outside the window are
 // left as-is), bit for bit what CancelRange would write there, so a
 // caller cancels only past stop. dst must not alias y. The grown dst is
 // returned.
-func (c *Reusable) Retrain(dst, xTap, xIdeal, y []complex128, start, stop int) ([]complex128, error) {
+func (c *Reusable) Retrain(dst, xTap, xIdeal []complex128, digital *linalg.Factor, y []complex128, start, stop int) ([]complex128, error) {
 	cfg := c.cfg
 	if stop-start < cfg.DigitalTaps*2 {
 		return dst, fmt.Errorf("sic: training window of %d samples too short for %d taps", stop-start, cfg.DigitalTaps)
@@ -150,11 +157,14 @@ func (c *Reusable) Retrain(dst, xTap, xIdeal, y []complex128, start, stop int) (
 
 	tsp := c.trace.Start("sic_digital_train")
 	sp := c.m.digitalTrain.Start()
-	hD, err := linalg.ToeplitzLSFast(&c.wsD, xIdeal, work, cfg.DigitalTaps, start, stop, cfg.Lambda)
+	var err error
+	if c.rhsD, err = linalg.ToeplitzRHSInto(c.rhsD, xIdeal, work, cfg.DigitalTaps, start, stop); err == nil {
+		err = digital.Solve(c.rhsD)
+	}
 	if err != nil {
 		return dst, fmt.Errorf("sic: digital estimate: %w", err)
 	}
-	copy(c.digital, hD)
+	copy(c.digital, c.rhsD)
 	c.scratch2 = dsp.ConvolveRangeInto(c.scratch2, xIdeal, c.digital, start, stop)
 	var pw float64
 	for n := start; n < stop; n++ {

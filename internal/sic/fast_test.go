@@ -8,6 +8,7 @@ import (
 
 	"backfi/internal/channel"
 	"backfi/internal/dsp"
+	"backfi/internal/linalg"
 	"backfi/internal/rng"
 )
 
@@ -32,7 +33,7 @@ func TestReusableMatchesTrainCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ru.Retrain(nil, x, x, y, 0, 320); err != nil {
+	if _, err := ru.Retrain(nil, x, x, ru.factorOf(x, 0, 320), y, 0, 320); err != nil {
 		t.Fatal(err)
 	}
 	got := ru.CancelRange(nil, x, x, y, 0, len(y))
@@ -61,7 +62,7 @@ func TestReusableWindowedCancelMatchesFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ru.Retrain(nil, x, x, y, 0, 320); err != nil {
+	if _, err := ru.Retrain(nil, x, x, ru.factorOf(x, 0, 320), y, 0, 320); err != nil {
 		t.Fatal(err)
 	}
 	full := ru.CancelRange(nil, x, x, y, 0, len(y))
@@ -101,7 +102,7 @@ func TestRetrainWritesCancelledWindow(t *testing.T) {
 		for i := range dst {
 			dst[i] = sentinel
 		}
-		if dst, err = ru.Retrain(dst, xTap, xIdeal, y, start, stop); err != nil {
+		if dst, err = ru.Retrain(dst, xTap, xIdeal, ru.factorOf(xIdeal, start, stop), y, start, stop); err != nil {
 			t.Fatal(err)
 		}
 		want := ru.CancelRange(nil, xTap, xIdeal, y, 0, len(y))
@@ -131,11 +132,11 @@ func TestReusableRetrainTracksChannelChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ru.Retrain(nil, x, x, h1.Apply(x), 0, 320); err != nil {
+	if _, err := ru.Retrain(nil, x, x, ru.factorOf(x, 0, 320), h1.Apply(x), 0, 320); err != nil {
 		t.Fatal(err)
 	}
 	y2 := h2.Apply(x)
-	if _, err := ru.Retrain(nil, x, x, y2, 0, 320); err != nil {
+	if _, err := ru.Retrain(nil, x, x, ru.factorOf(x, 0, 320), y2, 0, 320); err != nil {
 		t.Fatal(err)
 	}
 	resid := ru.CancelRange(nil, x, x, y2, 320, len(y2))
@@ -157,12 +158,13 @@ func TestReusableZeroAllocSteadyState(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := make([]complex128, len(y))
-	if dst, err = ru.Retrain(dst, x, x, y, 0, 320); err != nil {
+	f := ru.factorOf(x, 0, 320)
+	if dst, err = ru.Retrain(dst, x, x, f, y, 0, 320); err != nil {
 		t.Fatal(err)
 	}
 	dst = ru.CancelRange(dst, x, x, y, 320, 2000)
 	allocs := testing.AllocsPerRun(10, func() {
-		if dst, err = ru.Retrain(dst, x, x, y, 0, 320); err != nil {
+		if dst, err = ru.Retrain(dst, x, x, f, y, 0, 320); err != nil {
 			t.Fatal(err)
 		}
 		dst = ru.CancelRange(dst, x, x, y, 320, 2000)
@@ -170,6 +172,12 @@ func TestReusableZeroAllocSteadyState(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("steady-state Retrain+CancelRange allocates %v per run, want 0", allocs)
 	}
+}
+
+// factorOf is the digital stage's factor of xIdeal over [start, stop)
+// at c's configuration, as a decoder's excitation memo builds it.
+func (c *Reusable) factorOf(xIdeal []complex128, start, stop int) *linalg.Factor {
+	return linalg.ToeplitzFactor(xIdeal, c.cfg.DigitalTaps, start, stop, c.cfg.Lambda)
 }
 
 func TestNewReusableValidates(t *testing.T) {

@@ -40,7 +40,7 @@ var cancellers = []struct {
 		if err != nil {
 			return trained{}, err
 		}
-		if _, err := c.Retrain(nil, xTap, xIdeal, y, start, stop); err != nil {
+		if _, err := c.Retrain(nil, xTap, xIdeal, c.factorOf(xIdeal, start, stop), y, start, stop); err != nil {
 			return trained{}, err
 		}
 		cancel := func(xTap, xIdeal, y []complex128) []complex128 {
