@@ -179,15 +179,11 @@ func BenchmarkFig12aLoadedNetwork(b *testing.B) {
 // BenchmarkFig12bWiFiImpact regenerates WiFi network throughput vs tag
 // distance (paper Fig. 12b).
 func BenchmarkFig12bWiFiImpact(b *testing.B) {
-	var nearDrop float64
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig12b(2, experiments.QuickOptions())
-		if err != nil {
+		if _, err := experiments.Fig12b(2, experiments.QuickOptions()); err != nil {
 			b.Fatal(err)
 		}
-		nearDrop = rows[0].DropFraction
 	}
-	b.ReportMetric(nearDrop*100, "drop-%@0.25m")
 }
 
 // BenchmarkFig13aWorstCase regenerates the per-bitrate worst-case

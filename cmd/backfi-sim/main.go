@@ -11,65 +11,25 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math/rand"
 	"os"
 	"strings"
 
 	"backfi"
-	"backfi/internal/ble"
 	"backfi/internal/core"
-	"backfi/internal/dsp"
-	"backfi/internal/dsss"
+	"backfi/internal/experiments"
 	"backfi/internal/obs"
-	"backfi/internal/tag"
-	"backfi/internal/zigbee"
+	"backfi/internal/rng"
 )
 
-// runWith performs one exchange over the chosen excitation family.
+// runWith performs one exchange over the chosen excitation family;
+// seed keys an ambient waveform's random payloads.
 func runWith(link *core.Link, excitation string, payload []byte, seed int64) (*core.PacketResult, error) {
 	if excitation == "wifi" {
 		return link.RunPacket(payload)
 	}
-	tcfg := link.Tag.Cfg
-	need := tag.SilentSamples + tcfg.PreambleSamples() +
-		tag.SymbolsForPayload(len(payload), tcfg.Coding, tcfg.Mod)*tcfg.SamplesPerSymbol() + 2000
-	r := rand.New(rand.NewSource(seed + 424242))
-	var exc []complex128
-	for len(exc) < need {
-		switch excitation {
-		case "zigbee":
-			psdu := make([]byte, 100)
-			r.Read(psdu)
-			w, err := zigbee.Transmit(psdu)
-			if err != nil {
-				return nil, err
-			}
-			exc = append(exc, w...)
-		case "ble":
-			pdu := make([]byte, 200)
-			r.Read(pdu)
-			w, err := ble.Transmit(pdu)
-			if err != nil {
-				return nil, err
-			}
-			exc = append(exc, w...)
-		case "11b":
-			psdu := make([]byte, 500)
-			r.Read(psdu)
-			w, err := dsss.Transmit(psdu, dsss.DQPSK2M)
-			if err != nil {
-				return nil, err
-			}
-			exc = append(exc, w...)
-		case "white":
-			chunk := make([]complex128, need)
-			for i := range chunk {
-				chunk[i] = complex(r.NormFloat64(), r.NormFloat64())
-			}
-			exc = append(exc, dsp.NormalizePower(chunk, 1)...)
-		default:
-			return nil, fmt.Errorf("unknown excitation %q", excitation)
-		}
+	exc, err := experiments.AmbientExcitation(excitation, link.Tag.Cfg, len(payload), seed)
+	if err != nil {
+		return nil, err
 	}
 	return link.RunCustomExcitation(exc, payload)
 }
@@ -175,7 +135,9 @@ func main() {
 
 	ok := 0
 	for p := 0; p < *packets; p++ {
-		cfg.Seed = *seed + int64(p)
+		// Packet p keys its link (stream 0) and ambient waveform (1).
+		pkt := rng.Mix(*seed, p)
+		cfg.Seed = rng.Mix(pkt, 0)
 		link, err := backfi.NewMIMOLink(cfg, *antennas)
 		if err != nil {
 			log.Fatal(err)
@@ -183,7 +145,7 @@ func main() {
 		if tracer != nil {
 			link.SetTrace(tracer.Head("sim", p))
 		}
-		res, err := runWith(link, *excitation, link.RandomPayload(*bytes), cfg.Seed)
+		res, err := runWith(link, *excitation, link.RandomPayload(*bytes), rng.Mix(pkt, 1))
 		if err != nil {
 			log.Fatal(err)
 		}

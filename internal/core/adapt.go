@@ -11,6 +11,7 @@ import (
 	"backfi/internal/fec"
 	"backfi/internal/parallel"
 	"backfi/internal/reader"
+	"backfi/internal/rng"
 	"backfi/internal/tag"
 )
 
@@ -77,9 +78,10 @@ type trialOutcome struct {
 // Evaluate runs `trials` independent placements/packets of one tag
 // configuration, with faults injected into every trial link (nil = the
 // clean evaluation), and summarizes the outcome. workers=0 uses every
-// CPU and workers=1 evaluates sequentially. Each trial derives its own
-// seed (seed + i*7919), builds an independent Link, and writes into its
-// own slot, so the returned Feasibility does not depend on workers.
+// CPU and workers=1 evaluates sequentially. Trial i's link seed is
+// rng.Mix(seed, i); each trial builds an independent Link and writes
+// into its own slot, so the returned Feasibility does not depend on
+// workers.
 // Trials where the tag fails to wake (ErrTagNoWake) count as zero
 // throughput; any other RunPacket error is a genuine pipeline failure
 // and is returned.
@@ -116,7 +118,7 @@ func Evaluate(chanCfg channel.Config, tcfg tag.Config, rdrCfg reader.Config, fau
 			Reader:        rdrCfg,
 			WiFiMbps:      24,
 			WiFiPSDUBytes: 1500,
-			Seed:          seed + int64(i)*7919,
+			Seed:          rng.Mix(seed, i),
 			Faults:        faults,
 			Obs:           rdrCfg.Obs,
 		}
@@ -162,13 +164,13 @@ func Evaluate(chanCfg channel.Config, tcfg tag.Config, rdrCfg reader.Config, fau
 	return f, nil
 }
 
-// Sweep evaluates every configuration in cfgs at one distance; workers
-// bounds the per-configuration and per-trial levels together, as in
-// Evaluate.
+// Sweep evaluates every configuration in cfgs at one distance,
+// configuration i under seed rng.Mix(seed, i); workers bounds the
+// per-configuration and per-trial levels together, as in Evaluate.
 func Sweep(chanCfg channel.Config, cfgs []tag.Config, rdrCfg reader.Config, trials, payloadBytes int, seed int64, workers int) ([]Feasibility, error) {
 	out := make([]Feasibility, len(cfgs))
 	err := parallel.ForEachErr(len(cfgs), workers, func(i int) error {
-		f, err := Evaluate(chanCfg, cfgs[i], rdrCfg, nil, trials, payloadBytes, seed+int64(i)*104729, workers)
+		f, err := Evaluate(chanCfg, cfgs[i], rdrCfg, nil, trials, payloadBytes, rng.Mix(seed, i), workers)
 		if err != nil {
 			return err
 		}

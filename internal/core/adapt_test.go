@@ -9,6 +9,7 @@ import (
 	"backfi/internal/channel"
 	"backfi/internal/fault"
 	"backfi/internal/fec"
+	"backfi/internal/rng"
 	"backfi/internal/tag"
 )
 
@@ -54,7 +55,7 @@ func TestFeasibilityStatsPartialWake(t *testing.T) {
 			Reader:        base.Reader,
 			WiFiMbps:      24,
 			WiFiPSDUBytes: 1500,
-			Seed:          seed + int64(i)*7919,
+			Seed:          rng.Mix(seed, i),
 		}
 		link, err := NewLink(lc)
 		if err != nil {

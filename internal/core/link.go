@@ -532,17 +532,18 @@ func (l *Link) template(tg *tag.Tag, txPowerW float64, nppdu int) (*reader.Excit
 }
 
 // exchange is the one pipeline under every entry point: RunPacket,
-// RunCustomExcitation, Poll and RunSlot. One excitation wakes
-// polled[0]'s wake sequence and leaves through its placement; every tag
-// decides from its own forward channel whether it woke; polled[k]
-// backscatters payloads[k], and any other tag that wakes is an
-// impostor. ex is the excitation (ideal baseband, never written — it
-// may be a shared template) with the tags' timing origin at
-// packetStart; nil builds the pooled WiFi template sized for the polled
-// frames. Nothing past the window is computed: the frames the polled
-// tags send and the one any other tag would send if it woke (an
-// impostor's junk is as long as the first payload), plus a symbol and
-// the timing slack.
+// RunCustomExcitation, Poll and RunSlot. One excitation carries
+// polled[0]'s wake sequence out of the deployment's one AP, whose
+// self-interference channel, transmit distortion and thermal noise are
+// placement 0's draw whichever tag is polled; every tag decides from
+// its own forward channel whether it woke; polled[k] backscatters
+// payloads[k], and any other tag that wakes is an impostor. ex is the
+// excitation (ideal baseband, never written — it may be a shared
+// template) with the tags' timing origin at packetStart; nil builds the
+// pooled WiFi template sized for the polled frames. Nothing past the
+// window is computed: the frames the polled tags send and the one any
+// other tag would send if it woke (an impostor's junk is as long as the
+// first payload), plus a symbol and the timing slack.
 //
 // With group set the exchange is a slot: the reader also decodes the
 // unpolled members of the wake group, a layer it could not attempt is
@@ -566,7 +567,7 @@ func (l *Link) exchange(ex *reader.Excitation, packetStart int, polled []int, pa
 	lead := polled[0]
 	if ex == nil {
 		var err error
-		if ex, packetStart, err = l.template(l.Tags[lead], l.Scenarios[lead].TxPowerW(), l.sizing(need)); err != nil {
+		if ex, packetStart, err = l.template(l.Tags[lead], l.Scenario.TxPowerW(), l.sizing(need)); err != nil {
 			return nil, err
 		}
 	}
@@ -667,7 +668,7 @@ type burst struct {
 func (l *Link) capture(fs *frameScratch, b *burst) error {
 	l.m.packets.Inc()
 	x, ps, hi := b.x, b.packetStart, len(b.x)
-	lead, inj := l.Scenarios[b.polled[0]], l.inj
+	ap, inj := l.Scenario, l.inj
 	b.woke = make([]bool, len(l.Tags))
 	b.plans = make([]*tag.TxPlan, len(b.polled))
 
@@ -680,13 +681,13 @@ func (l *Link) capture(fs *frameScratch, b *burst) error {
 	// receiver cannot reconstruct, plus any injected front-end
 	// impairments (CFO/SCO) — the reader's ideal copy x keeps its own
 	// clock, so these degrade cancellation and channel estimation.
-	fs.air = lead.Distortion.ApplyInto(fs.air, x)
+	fs.air = ap.Distortion.ApplyInto(fs.air, x)
 	inj.ApplyFrontEnd(fs.air)
 	// An injected wake fault corrupts the burst itself: every tag
 	// sharing the sequence sleeps through it.
 	if inj.DropWake() {
 		l.m.failWake.Inc()
-		return fmt.Errorf("%w: injected wake fault at %.2g m", ErrTagNoWake, lead.Cfg.DistanceM)
+		return fmt.Errorf("%w: injected wake fault at %.2g m", ErrTagNoWake, l.Scenarios[b.polled[0]].Cfg.DistanceM)
 	}
 
 	nrx := 1 + len(l.chains)
@@ -748,7 +749,7 @@ func (l *Link) capture(fs *frameScratch, b *burst) error {
 			// The first reflection: every chain's capture starts from the
 			// self-interference the AP receives over the packet window.
 			for c := range nrx {
-				henv, _ := l.chainTaps(c, b.polled[0], i)
+				henv, _ := l.chainTaps(c, i)
 				fs.y[c] = dsp.ConvolveRangeInto(fs.y[c], fs.air, henv, ps, hi)
 			}
 		}
@@ -760,7 +761,7 @@ func (l *Link) capture(fs *frameScratch, b *burst) error {
 			fs.refl[n] = fs.z[n] * mod[n-ps]
 		}
 		for c := range nrx {
-			_, hb := l.chainTaps(c, b.polled[0], i)
+			_, hb := l.chainTaps(c, i)
 			fs.bs = dsp.ConvolveRangeInto(fs.bs, fs.refl, hb, ps, hi)
 			y := fs.y[c]
 			for n := ps; n < hi; n++ {
@@ -777,7 +778,7 @@ func (l *Link) capture(fs *frameScratch, b *burst) error {
 	// back into the window matters).
 	for c := range nrx {
 		y := fs.y[c]
-		lead.Noise.AddInPlaceRange(y, ps, hi)
+		ap.Noise.AddInPlaceRange(y, ps, hi)
 		inj.AddInterference(y[ps:hi])
 		inj.ApplyADC(y[ps:hi])
 		inj.TruncateTail(y, ps, b.packetLen)
@@ -785,13 +786,13 @@ func (l *Link) capture(fs *frameScratch, b *burst) error {
 	return nil
 }
 
-// chainTaps returns receive chain c's self-interference channel while
-// lead's excitation is on the air, and placement i's backward channel
-// into chain c. Chain 0 is the placements' own draw: the self-
-// interference channel of the placement the excitation leaves through.
-func (l *Link) chainTaps(c, lead, i int) (henv, hb channel.Taps) {
+// chainTaps returns receive chain c's self-interference channel and
+// placement i's backward channel into chain c. Chain 0 is the
+// placements' own draw, and its self-interference channel is placement
+// 0's whichever tag is polled: a deployment has one AP.
+func (l *Link) chainTaps(c, i int) (henv, hb channel.Taps) {
 	if c == 0 {
-		return l.Scenarios[lead].HEnv, l.Scenarios[i].HB
+		return l.Scenario.HEnv, l.Scenarios[i].HB
 	}
 	ch := &l.chains[c-1]
 	return ch.HEnv, ch.HB[i]

@@ -149,8 +149,8 @@ func TestKTagsNChainsSlot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, hb0 := link.chainTaps(1, 0, 0)
-		_, hb1 := link.chainTaps(1, 0, 1)
+		_, hb0 := link.chainTaps(1, 0)
+		_, hb1 := link.chainTaps(1, 1)
 		if slices.Equal(hb0, hb1) {
 			t.Fatal("both tags share one backward channel into chain 1")
 		}
@@ -195,8 +195,8 @@ func TestMIMOChainStructure(t *testing.T) {
 	}
 	for c := 0; c < 3; c++ {
 		for d := c + 1; d < 3; d++ {
-			envC, hbC := link.chainTaps(c, 0, 0)
-			envD, hbD := link.chainTaps(d, 0, 0)
+			envC, hbC := link.chainTaps(c, 0)
+			envD, hbD := link.chainTaps(d, 0)
 			if slices.Equal(hbC, hbD) || slices.Equal(envC, envD) {
 				t.Fatalf("chains %d and %d share a channel: no diversity", c, d)
 			}

@@ -29,15 +29,8 @@ func (l *Link) SetWakeGroup(wakeID int) error {
 // never shift any other draw in the session's schedule, or decode
 // streams would diverge across wake outcomes and worker counts.
 func impostorPayload(seed int64, tagID, frame, n int) []byte {
-	h := uint64(1469598103934665603) ^ uint64(seed)
-	for _, v := range [...]uint64{uint64(tagID), uint64(frame)} {
-		for i := 0; i < 8; i++ {
-			h ^= (v >> (8 * i)) & 0xFF
-			h *= 1099511628211
-		}
-	}
 	body := make([]byte, n)
-	rng.New(int64(h)).Read(body)
+	rng.New(rng.Mix(rng.Mix(seed, tagID), frame)).Read(body)
 	return body
 }
 

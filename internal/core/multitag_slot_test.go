@@ -218,7 +218,7 @@ func TestSlotPoolSharingPreservesOutcomes(t *testing.T) {
 // single-tag decode of Link.Poll. Any change that moves a
 // wake verdict, a decoded bit, a CRC verdict, the cancellation order,
 // an SNR estimate or the SIC depth moves it.
-const goldenMultiTagHash = 0xede91d53a673cd58
+const goldenMultiTagHash = 0x85c01a41fe899ef0
 
 // TestMultiTagGolden hashes every outcome of 2-tag, 2-tag + impostor,
 // 3-tag and faulted 2-tag sessions, plus a round of addressed polls,

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
+	"backfi/internal/dsp"
 	"backfi/internal/tag"
 )
 
@@ -106,5 +109,47 @@ func TestMultiTagValidation(t *testing.T) {
 	}
 	if _, err := m.Poll(5, nil); err == nil {
 		t.Fatal("expected index error")
+	}
+}
+
+// A deployment has one AP: whichever tag a poll or slot addresses,
+// chain 0 captures the AP's self-interference through placement 0's
+// h_env. Placement 1's own h_env draw is raised 20 dB here, so a capture
+// that leaked through it would read ~20 dB more before cancellation.
+func TestOneAPPerDeployment(t *testing.T) {
+	cfg := DefaultLinkConfig(1)
+	cfg.Seed = 5
+	m, err := NewMultiTagLink(cfg, []float64{1, 1.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	henv := m.Scenarios[1].HEnv
+	m.Scenarios[1].HEnv = henv.Scale(dsp.DB(henv.Gain()) + 20)
+	wantDBm := dsp.DBm(m.Scenario.SelfInterferencePowerW())
+	check := func(what string, pr *PacketResult) {
+		t.Helper()
+		if pr == nil {
+			t.Fatalf("%s: no result", what)
+		}
+		if d := pr.SICBeforeDBm - wantDBm; math.Abs(d) > 1 {
+			t.Fatalf("%s: %.1f dBm before cancellation, %+.1f dB off the AP's self-interference", what, pr.SICBeforeDBm, d)
+		}
+	}
+	for i := range 2 {
+		res, err := m.Poll(i, []byte{byte(i), 1, 2, 3, 4, 5, 6, 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("Poll(%d)", i), res.Results[0])
+	}
+	if err := m.SetWakeGroup(groupWakeID); err != nil {
+		t.Fatal(err)
+	}
+	res, err := m.RunSlot([]int{0, 1}, slotPayloads(5, 0, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, pr := range res.Results {
+		check(fmt.Sprintf("RunSlot layer %d", k), pr)
 	}
 }

@@ -104,17 +104,6 @@ func convolveAt(x, h []complex128, n int) complex128 {
 	return acc
 }
 
-// Delay returns x delayed by d samples (zero-padded at the front),
-// truncated to the original length. d must be >= 0.
-func Delay(x []complex128, d int) []complex128 {
-	if d < 0 {
-		panic("dsp: negative delay")
-	}
-	out := make([]complex128, len(x))
-	copy(out[min(d, len(x)):], x)
-	return out
-}
-
 // LowPassFIR designs a linear-phase low-pass filter by the
 // Hamming-windowed-sinc method: cutoff is the normalized frequency
 // (cycles/sample, 0 < cutoff < 0.5) and taps the odd filter length.

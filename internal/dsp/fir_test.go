@@ -85,29 +85,6 @@ func TestConvolveSameLength(t *testing.T) {
 	}
 }
 
-func TestDelay(t *testing.T) {
-	x := []complex128{1, 2, 3, 4}
-	y := Delay(x, 2)
-	want := []complex128{0, 0, 1, 2}
-	for i := range want {
-		if y[i] != want[i] {
-			t.Fatalf("Delay = %v", y)
-		}
-	}
-	if z := Delay(x, 10); Energy(z) != 0 {
-		t.Fatal("over-delay should zero the signal")
-	}
-}
-
-func TestDelayNegativePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Delay([]complex128{1}, -1)
-}
-
 func TestLowPassFIRResponse(t *testing.T) {
 	h := LowPassFIR(0.1, 63)
 	// DC gain exactly 1.

@@ -3,6 +3,8 @@ package energy
 import (
 	"fmt"
 	"math"
+
+	"backfi/internal/rng"
 )
 
 // Supercap state machine for harvest-limited tags "in the wild"
@@ -185,15 +187,11 @@ func (t *Tank) State() TankState { return t.state }
 // Config returns the tank's configuration (with defaults filled).
 func (t *Tank) Config() TankConfig { return t.cfg }
 
-// slotMix hashes (seed, slot) into a uniform availability draw via a
-// splitmix64 finalizer, so the harvest trace is a pure function of
-// both and independent of call ordering anywhere else.
+// slotMix maps (seed, slot) to a uniform availability draw through
+// rng.Mix, so the harvest trace is a pure function of both and
+// independent of call ordering anywhere else.
 func slotMix(seed int64, slot int) float64 {
-	z := uint64(seed) + 0x9e3779b97f4a7c15*uint64(slot+1)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	return float64(z>>11) / float64(1<<53)
+	return float64(uint64(rng.Mix(seed, slot))>>11) / float64(1<<53)
 }
 
 // HarvestInSlot returns the joules the tank banks in the given slot:

@@ -43,7 +43,6 @@ func Ablations(opt Options) ([]AblationRow, error) {
 	type job struct {
 		study, variant string
 		lcfg           core.LinkConfig
-		salt           int64
 	}
 	var jobs []job
 
@@ -54,14 +53,14 @@ func Ablations(opt Options) ([]AblationRow, error) {
 	}{{"analog+digital (BackFi)", 16}, {"digital-only", 0}} {
 		lcfg := core.DefaultLinkConfig(1)
 		lcfg.Reader.SIC.AnalogTaps = variant.analogTaps
-		jobs = append(jobs, job{"analog cancellation stage", variant.name, lcfg, 10})
+		jobs = append(jobs, job{"analog cancellation stage", variant.name, lcfg})
 	}
 
 	// --- Tag preamble length at the range edge (6 m).
 	for _, chips := range []int{8, 16, tag.DefaultPreambleChips, tag.ExtendedPreambleChips} {
 		lcfg := core.DefaultLinkConfig(6)
 		lcfg.Tag.PreambleChips = chips
-		jobs = append(jobs, job{"tag preamble length @6 m", fmt.Sprintf("%d µs", chips), lcfg, 20})
+		jobs = append(jobs, job{"tag preamble length @6 m", fmt.Sprintf("%d µs", chips), lcfg})
 	}
 
 	// --- Transmit hardware EVM floor at 0.5 m (short range is
@@ -76,7 +75,7 @@ func Ablations(opt Options) ([]AblationRow, error) {
 		if math.IsInf(evm, -1) {
 			name = "ideal TX"
 		}
-		jobs = append(jobs, job{"TX hardware EVM @0.5 m (16PSK)", name, lcfg, 30})
+		jobs = append(jobs, job{"TX hardware EVM @0.5 m (16PSK)", name, lcfg})
 	}
 
 	// --- Modulation family: n-PSK (the paper's choice) vs a
@@ -91,18 +90,18 @@ func Ablations(opt Options) ([]AblationRow, error) {
 		lcfg := core.DefaultLinkConfig(2)
 		lcfg.Tag.Mod = variant.mod
 		lcfg.Tag.SymbolRateHz = 2e6
-		jobs = append(jobs, job{"modulation family @2 m, 4 b/sym", variant.name, lcfg, 50})
+		jobs = append(jobs, job{"modulation family @2 m, 4 b/sym", variant.name, lcfg})
 	}
 
 	// --- Channel code: compare the delivered-frame rate against what
 	// raw symbol slicing alone would give (success requires every raw
 	// bit correct) at 4 m.
 	lcfgCoded := core.DefaultLinkConfig(4)
-	jobs = append(jobs, job{"convolutional code @4 m", "coded (BackFi)", lcfgCoded, 40})
+	jobs = append(jobs, job{"convolutional code @4 m", "coded (BackFi)", lcfgCoded})
 
 	rows := make([]AblationRow, len(jobs))
 	err := parallel.ForEachErr(len(jobs), opt.Workers, func(i int) error {
-		row, err := runAblation(jobs[i].study, jobs[i].variant, jobs[i].lcfg, opt, jobs[i].salt)
+		row, err := runAblation(jobs[i].study, jobs[i].variant, jobs[i].lcfg, opt)
 		if err != nil {
 			return err
 		}
@@ -125,10 +124,12 @@ func Ablations(opt Options) ([]AblationRow, error) {
 	return rows, nil
 }
 
-// runAblation evaluates one link variant over opt.Trials placements.
-// Trials fill indexed slots under opt.Workers and reduce in trial
-// order, so the row matches the historical sequential accumulation.
-func runAblation(study, variant string, lcfg core.LinkConfig, opt Options, salt int64) (*AblationRow, error) {
+// runAblation evaluates one link variant over opt.Trials placements,
+// keyed by the study, so every variant of a study sees the same
+// placements. Trials fill indexed slots under opt.Workers and reduce in
+// trial order, so the row matches the historical sequential
+// accumulation.
+func runAblation(study, variant string, lcfg core.LinkConfig, opt Options) (*AblationRow, error) {
 	type outcome struct {
 		err       error
 		completed bool // RunPacket succeeded (wake failures count as loss)
@@ -138,7 +139,7 @@ func runAblation(study, variant string, lcfg core.LinkConfig, opt Options, salt 
 	outcomes := make([]outcome, opt.Trials)
 	parallel.ForEach(opt.Trials, opt.Workers, func(i int) {
 		cfg := lcfg
-		cfg.Seed = opt.Seed + salt*10000 + int64(i)*53
+		cfg.Seed = opt.trialSeed("ablation/"+study, 0, i)
 		cfg.Obs = opt.Obs
 		cfg.Faults = opt.Faults
 		link, err := core.NewLink(cfg)

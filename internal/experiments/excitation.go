@@ -3,13 +3,13 @@ package experiments
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 
 	"backfi/internal/ble"
 	"backfi/internal/core"
 	"backfi/internal/dsp"
 	"backfi/internal/dsss"
 	"backfi/internal/parallel"
+	"backfi/internal/rng"
 	"backfi/internal/tag"
 	"backfi/internal/zigbee"
 )
@@ -43,56 +43,6 @@ func ExcitationComparison(opt Options) ([]ExcitationRow, error) {
 	const distance = 2.0
 	const payloadBytes = 24
 
-	build := func(kind string, link *core.Link, need int, r *rand.Rand) ([]complex128, error) {
-		switch kind {
-		case "wifi":
-			return nil, nil // use the standard RunPacket path
-		case "zigbee":
-			var out []complex128
-			for len(out) < need {
-				psdu := make([]byte, 100)
-				r.Read(psdu)
-				w, err := zigbee.Transmit(psdu)
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, w...)
-			}
-			return out, nil
-		case "ble":
-			var out []complex128
-			for len(out) < need {
-				pdu := make([]byte, 200)
-				r.Read(pdu)
-				w, err := ble.Transmit(pdu)
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, w...)
-			}
-			return out, nil
-		case "11b":
-			var out []complex128
-			for len(out) < need {
-				psdu := make([]byte, 500)
-				r.Read(psdu)
-				w, err := dsss.Transmit(psdu, dsss.DQPSK2M)
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, w...)
-			}
-			return out, nil
-		case "white":
-			out := make([]complex128, need)
-			for i := range out {
-				out[i] = complex(r.NormFloat64(), r.NormFloat64())
-			}
-			return dsp.NormalizePower(out, 1), nil
-		}
-		return nil, fmt.Errorf("experiments: unknown excitation %q", kind)
-	}
-
 	kinds := []string{"wifi", "11b", "zigbee", "ble", "white"}
 	rows := make([]ExcitationRow, len(kinds))
 	err := parallel.ForEachErr(len(kinds), opt.Workers, func(ki int) error {
@@ -103,7 +53,9 @@ func ExcitationComparison(opt Options) ([]ExcitationRow, error) {
 		for trial := 0; trial < opt.Trials; trial++ {
 			cfg := core.DefaultLinkConfig(distance)
 			cfg.Tag.SymbolRateHz = 500e3
-			cfg.Seed = opt.Seed + int64(trial)*31
+			// Point 0 keys the placement and point 1 the ambient
+			// waveform, both shared by every excitation kind.
+			cfg.Seed = opt.trialSeed("excitation", 0, trial)
 			cfg.Obs = opt.Obs
 			cfg.Faults = opt.Faults
 			link, err := core.NewLink(cfg)
@@ -111,16 +63,12 @@ func ExcitationComparison(opt Options) ([]ExcitationRow, error) {
 				return err
 			}
 			payload := link.RandomPayload(payloadBytes)
-			need := tag.SilentSamples + cfg.Tag.PreambleSamples() +
-				tag.SymbolsForPayload(payloadBytes, cfg.Tag.Coding, cfg.Tag.Mod)*cfg.Tag.SamplesPerSymbol() + 2000
-
 			var res *core.PacketResult
 			if kind == "wifi" {
 				res, err = link.RunPacket(payload)
 			} else {
-				r := rand.New(rand.NewSource(cfg.Seed + 9999))
 				var exc []complex128
-				exc, err = build(kind, link, need, r)
+				exc, err = AmbientExcitation(kind, cfg.Tag, payloadBytes, opt.trialSeed("excitation", 1, trial))
 				if err != nil {
 					return err
 				}
@@ -157,6 +105,49 @@ func ExcitationComparison(opt Options) ([]ExcitationRow, error) {
 		return nil, err
 	}
 	return rows, nil
+}
+
+// AmbientExcitation builds a non-WiFi ambient excitation long enough to
+// carry a payloadBytes frame under tcfg, plus 2,000 samples of slack:
+// back-to-back packets with random payloads of 802.11b DSSS at 2 Mbps
+// ("11b"), 802.15.4 O-QPSK ("zigbee") or BLE GFSK ("ble"), or a
+// unit-power white Gaussian waveform ("white"). seed keys the payload
+// bytes and the white samples. The WiFi excitation is the link's own
+// template (Link.RunPacket), so "wifi" is not a kind here.
+func AmbientExcitation(kind string, tcfg tag.Config, payloadBytes int, seed int64) ([]complex128, error) {
+	need := tag.SilentSamples + tcfg.PreambleSamples() +
+		tag.SymbolsForPayload(payloadBytes, tcfg.Coding, tcfg.Mod)*tcfg.SamplesPerSymbol() + 2000
+	r := rng.New(seed)
+	var psduBytes int
+	var transmit func([]byte) ([]complex128, error)
+	switch kind {
+	case "white":
+		out := make([]complex128, need)
+		for i := range out {
+			out[i] = complex(r.NormFloat64(), r.NormFloat64())
+		}
+		return dsp.NormalizePower(out, 1), nil
+	case "11b":
+		psduBytes = 500
+		transmit = func(psdu []byte) ([]complex128, error) { return dsss.Transmit(psdu, dsss.DQPSK2M) }
+	case "zigbee":
+		psduBytes, transmit = 100, zigbee.Transmit
+	case "ble":
+		psduBytes, transmit = 200, ble.Transmit
+	default:
+		return nil, fmt.Errorf("experiments: unknown ambient excitation %q", kind)
+	}
+	var out []complex128
+	for len(out) < need {
+		psdu := make([]byte, psduBytes)
+		r.Read(psdu)
+		w, err := transmit(psdu)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, w...)
+	}
+	return out, nil
 }
 
 // RenderExcitation prints the comparison.

@@ -17,13 +17,15 @@ import (
 	"backfi/internal/fault"
 	"backfi/internal/obs"
 	"backfi/internal/parallel"
+	"backfi/internal/rng"
 )
 
 // Options tunes experiment fidelity.
 type Options struct {
 	// Trials is the Monte-Carlo packet count per point.
 	Trials int
-	// Seed drives all randomness.
+	// Seed drives all randomness: every Monte-Carlo draw is keyed by
+	// (Seed, figure, point, trial) through trialSeed.
 	Seed int64
 	// Workers bounds the evaluation concurrency at both fan-out levels
 	// (grid points and Monte-Carlo trials): 0 uses every CPU, 1
@@ -61,6 +63,19 @@ func (o Options) withDefaults() Options {
 	}
 	o.Workers = parallel.Normalize(o.Workers)
 	return o
+}
+
+// trialSeed is the seed of one Monte-Carlo draw: trial `trial` at grid
+// point `point` of figure fig. The four keys fold through rng.Mix, so
+// draws are independent across seeds, figures, points and trials alike
+// (DESIGN.md §5q). A harness that wants common random numbers across an
+// axis leaves that axis out of the key.
+func (o Options) trialSeed(fig string, point, trial int) int64 {
+	s := o.Seed
+	for _, c := range []byte(fig) {
+		s = rng.Mix(s, int(c))
+	}
+	return rng.Mix(rng.Mix(s, point), trial)
 }
 
 // figureSpan times one figure harness end to end under

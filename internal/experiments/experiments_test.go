@@ -85,7 +85,14 @@ func TestFig9FrontiersWellFormed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Monte-Carlo sweep")
 	}
+	// 12 trials, not QuickOptions' 3: a cutoff is the fastest
+	// configuration that decoded ≥ 90% of its trials, so at 3 one lucky
+	// range can outrun the range before it. At 3 trials the cutoff
+	// comparison below failed on 2 of seeds 1–30 under the old
+	// seed-plus-offset rule and on 1 (seed 1) under the current one; at
+	// 12 it held on all of seeds 1–40 under either.
 	opt := QuickOptions()
+	opt.Trials = 12
 	curves, err := Fig9(opt)
 	if err != nil {
 		t.Fatal(err)

@@ -36,7 +36,7 @@ func Fig10(opt Options) ([]Fig10Row, error) {
 	rows := make([]Fig10Row, len(ranges)*len(Fig10Targets))
 	err := parallel.ForEachErr(len(ranges), opt.Workers, func(di int) error {
 		d := ranges[di]
-		results, err := sweepWithBudget(d, cfgs, opt, 100+int64(di))
+		results, err := sweepWithBudget(d, cfgs, opt, "10", di)
 		if err != nil {
 			return err
 		}

@@ -32,7 +32,7 @@ type Fig11aResult struct {
 // (paper: 30) with `runsPerLocation` packets each (paper: 10) and
 // scatters measured vs expected SNR. The (location, run) grid is
 // flattened and filled concurrently under opt.Workers; each point's
-// seed depends only on its indices, so the scatter is identical for
+// seed is keyed by its (location, run), so the scatter is identical for
 // every worker count.
 func Fig11a(locations, runsPerLocation int, opt Options) (*Fig11aResult, error) {
 	opt = opt.withDefaults()
@@ -45,7 +45,7 @@ func Fig11a(locations, runsPerLocation int, opt Options) (*Fig11aResult, error) 
 		// Distances spread over the paper's 0.5–5 m testbed.
 		d := 0.5 + 4.5*float64(loc)/float64(max(locations-1, 1))
 		cfg := core.DefaultLinkConfig(d)
-		cfg.Seed = opt.Seed + int64(loc)*1000 + int64(run)
+		cfg.Seed = opt.trialSeed("11a", loc, run)
 		cfg.Obs = opt.Obs
 		cfg.Faults = opt.Faults
 		link, err := core.NewLink(cfg)
@@ -119,7 +119,7 @@ func Fig11b(opt Options) ([]Fig11bRow, error) {
 			cfg.Tag.Mod = mod
 			cfg.Tag.Coding = fec.Rate12
 			cfg.Tag.SymbolRateHz = rs
-			cfg.Seed = opt.Seed + int64(trial) // same placements across mods/rates
+			cfg.Seed = opt.trialSeed("11b", 0, trial) // same placements across mods/rates
 			cfg.Obs = opt.Obs
 			cfg.Faults = opt.Faults
 			link, err := core.NewLink(cfg)

@@ -2,11 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"backfi/internal/mac"
 	"backfi/internal/parallel"
+	"backfi/internal/rng"
 )
 
 // Fig12aResult is the loaded-network throughput distribution.
@@ -41,7 +41,7 @@ func Fig12a(numAPs int, opt Options) (*Fig12aResult, error) {
 	opp := mac.DefaultOpportunityConfig()
 	res := &Fig12aResult{OptimalBps: opp.LinkBps, PerAPBps: make([]float64, numAPs)}
 	err := parallel.ForEachErr(numAPs, opt.Workers, func(ap int) error {
-		r := rand.New(rand.NewSource(opt.Seed + int64(ap)*1_000_003))
+		r := rng.New(opt.trialSeed("12a", 0, ap))
 		// Heavily loaded networks: AP airtime between 0.55 and 0.95.
 		air := 0.55 + 0.4*r.Float64()
 		cfg := mac.DefaultTraceConfig(air)
@@ -88,7 +88,7 @@ func Fig12aDCF(numAPs int, opt Options) (*Fig12aResult, error) {
 	opp := mac.DefaultOpportunityConfig()
 	res := &Fig12aResult{OptimalBps: opp.LinkBps, PerAPBps: make([]float64, numAPs)}
 	err := parallel.ForEachErr(numAPs, opt.Workers, func(ap int) error {
-		r := rand.New(rand.NewSource(opt.Seed + 17 + int64(ap)*1_000_003))
+		r := rng.New(opt.trialSeed("12aDCF", 0, ap))
 		nClients := r.Intn(8)
 		load := 0.1 + 0.5*r.Float64()
 		dcf, err := mac.SimulateDCF(mac.DownlinkHeavyCell(nClients, load, 2_000_000), r)
@@ -140,7 +140,7 @@ func Fig12b(clients int, opt Options) ([]Fig12bRow, error) {
 		}
 		cfg := mac.DefaultImpactConfig(mbpsRate, cd)
 		cfg.TagDistanceM = td
-		res, err := mac.SimulateClientImpact(cfg, opt.Trials, opt.Seed+int64(td*100)+int64(c)*17)
+		res, err := mac.SimulateClientImpact(cfg, opt.Trials, opt.trialSeed("12b", di, c))
 		if err != nil {
 			return err
 		}

@@ -36,7 +36,7 @@ func Fig13(opt Options) ([]Fig13Row, error) {
 			return err
 		}
 		cfg := mac.DefaultImpactConfig(mbpsRate, cd)
-		res, err := mac.SimulateClientImpact(cfg, opt.Trials*4, opt.Seed+int64(i)*97)
+		res, err := mac.SimulateClientImpact(cfg, opt.Trials*4, opt.trialSeed("13", i, 0))
 		if err != nil {
 			return err
 		}

@@ -41,7 +41,7 @@ func Fig8(opt Options) ([]Fig8Row, error) {
 	}
 	err := parallel.ForEachErr(len(Fig8Distances)*len(preambles), opt.Workers, func(k int) error {
 		di, pi := k/len(preambles), k%len(preambles)
-		bps, name, err := maxThroughputAt(Fig8Distances[di], preambles[pi], opt, int64(di))
+		bps, name, err := maxThroughputAt(Fig8Distances[di], preambles[pi], opt, "8", di)
 		if err != nil {
 			return err
 		}
@@ -60,8 +60,10 @@ func Fig8(opt Options) ([]Fig8Row, error) {
 
 // maxThroughputAt finds the fastest decodable configuration at one
 // distance. Configurations are scanned in descending bit-rate order so
-// the scan can stop at the first success.
-func maxThroughputAt(d float64, preambleChips int, opt Options, salt int64) (float64, string, error) {
+// the scan can stop at the first success; configuration i draws its
+// trials under (fig, point, i), so both preambles at one distance see
+// the same placements.
+func maxThroughputAt(d float64, preambleChips int, opt Options, fig string, point int) (float64, string, error) {
 	cfgs := core.StandardConfigs(preambleChips, 1)
 	sort.Slice(cfgs, func(i, j int) bool { return cfgs[i].BitRate() > cfgs[j].BitRate() })
 	rdr := reader.DefaultConfig()
@@ -71,7 +73,7 @@ func maxThroughputAt(d float64, preambleChips int, opt Options, salt int64) (flo
 		if c.SymbolRateHz < 100e3 {
 			payload = 4 // keep very-low-rate excitations tractable
 		}
-		f, err := core.Evaluate(channel.DefaultConfig(d), c, rdr, opt.Faults, opt.Trials, payload, opt.Seed+salt*1000+int64(i)*37, opt.Workers)
+		f, err := core.Evaluate(channel.DefaultConfig(d), c, rdr, opt.Faults, opt.Trials, payload, opt.trialSeed(fig, point, i), opt.Workers)
 		if err != nil {
 			return 0, "", err
 		}

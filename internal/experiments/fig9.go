@@ -40,7 +40,7 @@ func Fig9(opt Options) ([]Fig9Curve, error) {
 	curves := make([]Fig9Curve, len(Fig9Ranges))
 	err := parallel.ForEachErr(len(Fig9Ranges), opt.Workers, func(di int) error {
 		d := Fig9Ranges[di]
-		results, err := sweepWithBudget(d, cfgs, opt, int64(di))
+		results, err := sweepWithBudget(d, cfgs, opt, "9", di)
 		if err != nil {
 			return err
 		}
@@ -55,8 +55,9 @@ func Fig9(opt Options) ([]Fig9Curve, error) {
 
 // sweepWithBudget evaluates every configuration, shrinking payloads at
 // very low symbol rates to bound excitation length. Configurations
-// fill a pre-indexed result slice concurrently.
-func sweepWithBudget(d float64, cfgs []tag.Config, opt Options, salt int64) ([]core.Feasibility, error) {
+// fill a pre-indexed result slice concurrently; configuration i draws
+// its trials under (fig, point, i).
+func sweepWithBudget(d float64, cfgs []tag.Config, opt Options, fig string, point int) ([]core.Feasibility, error) {
 	rdr := reader.DefaultConfig()
 	rdr.Obs = opt.Obs
 	out := make([]core.Feasibility, len(cfgs))
@@ -66,7 +67,7 @@ func sweepWithBudget(d float64, cfgs []tag.Config, opt Options, salt int64) ([]c
 		if c.SymbolRateHz < 100e3 {
 			payload = 4
 		}
-		f, err := core.Evaluate(channel.DefaultConfig(d), c, rdr, opt.Faults, opt.Trials, payload, opt.Seed+salt*5000+int64(i)*101, opt.Workers)
+		f, err := core.Evaluate(channel.DefaultConfig(d), c, rdr, opt.Faults, opt.Trials, payload, opt.trialSeed(fig, point, i), opt.Workers)
 		if err != nil {
 			return err
 		}

@@ -39,23 +39,23 @@ func Headline(opt Options) (*HeadlineResult, error) {
 	res := &HeadlineResult{}
 	tasks := []func() error{
 		func() (err error) {
-			res.BackFiAt1mBps, res.Config1m, err = maxThroughputAt(1, tag.DefaultPreambleChips, opt, 7001)
+			res.BackFiAt1mBps, res.Config1m, err = maxThroughputAt(1, tag.DefaultPreambleChips, opt, "headline", 0)
 			return err
 		},
 		func() (err error) {
-			res.BackFiAt5mBps, res.Config5m, err = maxThroughputAt(5, tag.DefaultPreambleChips, opt, 7002)
+			res.BackFiAt5mBps, res.Config5m, err = maxThroughputAt(5, tag.DefaultPreambleChips, opt, "headline", 1)
 			return err
 		},
 		func() error {
-			res.PriorAt05mBps = baseline.SimulatePriorWiFi(baseline.DefaultPriorWiFiConfig(0.5), 4000, opt.Seed).ThroughputBps
+			res.PriorAt05mBps = baseline.SimulatePriorWiFi(baseline.DefaultPriorWiFiConfig(0.5), 4000, opt.trialSeed("headline", 2, 0)).ThroughputBps
 			return nil
 		},
 		func() error {
-			res.PriorAt3mBps = baseline.SimulatePriorWiFi(baseline.DefaultPriorWiFiConfig(3), 4000, opt.Seed).ThroughputBps
+			res.PriorAt3mBps = baseline.SimulatePriorWiFi(baseline.DefaultPriorWiFiConfig(3), 4000, opt.trialSeed("headline", 2, 0)).ThroughputBps
 			return nil
 		},
 		func() error {
-			res.ToneResidualDB = baseline.WidebandResidualDB(opt.Seed, 10, -20)
+			res.ToneResidualDB = baseline.WidebandResidualDB(opt.trialSeed("headline", 3, 0), 10, -20)
 			return nil
 		},
 	}

@@ -40,7 +40,7 @@ func MIMOExtension(opt Options) ([]MIMORow, error) {
 		n := 0
 		for trial := 0; trial < opt.Trials; trial++ {
 			cfg := core.DefaultLinkConfig(d)
-			cfg.Seed = opt.Seed + int64(trial)*61
+			cfg.Seed = opt.trialSeed("mimo", 0, trial) // same placements at every point
 			cfg.Obs = opt.Obs
 			cfg.Faults = opt.Faults
 			link, err := core.NewMIMOLink(cfg, nrx)

@@ -60,7 +60,7 @@ func Robustness(opt Options) ([]RobustnessRow, error) {
 		}
 		rdr := core.DefaultLinkConfig(distance).Reader
 		f, err := core.Evaluate(channel.DefaultConfig(distance), tcfg, rdr,
-			profile, opt.Trials, payloadBytes, opt.Seed+int64(k)*101, opt.Workers)
+			profile, opt.Trials, payloadBytes, opt.trialSeed("robustness", k, 0), opt.Workers)
 		if err != nil {
 			return err
 		}

@@ -70,7 +70,7 @@ func Wild(opt Options) ([]WildRow, error) {
 	err := parallel.ForEachErr(len(rows), opt.Workers, func(k int) error {
 		mob := mobilities[k/len(harvests)]
 		hs := harvests[k%len(harvests)]
-		row, err := wildCell(mob, hs, sessions, frames, payloadBytes, distance, opt.Seed+int64(k)*101)
+		row, err := wildCell(mob, hs, sessions, frames, payloadBytes, distance, opt.trialSeed("wild", k, 0))
 		if err != nil {
 			return fmt.Errorf("wild cell mob=%.2g harvest=%.2g: %w", mob, hs, err)
 		}

@@ -2,7 +2,8 @@ package mac
 
 import (
 	"fmt"
-	"math/rand"
+
+	"backfi/internal/rng"
 )
 
 // Deterministic tag-arbitration MAC (paper Sec. 4.1 generalized to
@@ -95,7 +96,7 @@ func (m *TagMAC) Slot(frame int) []int {
 // roundPermutation is the seeded Fisher-Yates shuffle for one round,
 // keyed by (Seed, round) so rounds differ but replays agree.
 func (m *TagMAC) roundPermutation(round int) []int {
-	r := rand.New(rand.NewSource(mixSeed(m.cfg.Seed, uint64(round))))
+	r := rng.New(rng.Mix(m.cfg.Seed, round))
 	perm := make([]int, m.cfg.Tags)
 	for i := range perm {
 		perm[i] = i
@@ -117,17 +118,6 @@ func Split(group []int) [][]int {
 		append([]int(nil), group[:mid]...),
 		append([]int(nil), group[mid:]...),
 	}
-}
-
-// mixSeed folds a round counter into the seed, FNV-1a style, so
-// adjacent rounds get uncorrelated permutations.
-func mixSeed(seed int64, v uint64) int64 {
-	h := uint64(1469598103934665603) ^ uint64(seed)
-	for i := 0; i < 8; i++ {
-		h ^= (v >> (8 * i)) & 0xFF
-		h *= 1099511628211
-	}
-	return int64(h)
 }
 
 // sortInts is a tiny insertion sort; groups are a handful of entries
