@@ -253,19 +253,24 @@ func NewController(cfg Config, cfgs []tag.Config, start tag.Config) (*Controller
 // decision stream byte-identically. The switch trace is deliberately
 // not part of the state — it is observability, not control input (no
 // decision reads it), and the serving layer's ConfigSwitches counter
-// rides in core.SessionStats instead.
+// rides in core.SessionStats instead. The JSON names are the handoff
+// snapshot's.
 type State struct {
 	// Index / Ceiling are the current rung and the watchdog clamp.
-	Index, Ceiling int
+	Index   int `json:"idx"`
+	Ceiling int `json:"ceiling"`
 	// Attempts, ConsecFail, ConsecGood, SinceSwitch are the streak
 	// counters driving hysteresis.
-	Attempts, ConsecFail, ConsecGood, SinceSwitch int
+	Attempts    int `json:"attempts,omitempty"`
+	ConsecFail  int `json:"consec_fail,omitempty"`
+	ConsecGood  int `json:"consec_good,omitempty"`
+	SinceSwitch int `json:"since_switch,omitempty"`
 	// EWMABER / EWMASet carry the raw-BER estimate.
-	EWMABER float64
-	EWMASet bool
+	EWMABER float64 `json:"ewma_ber,omitempty"`
+	EWMASet bool    `json:"ewma_set,omitempty"`
 	// FloorDBm / FloorSet carry the observed SIC noise floor.
-	FloorDBm float64
-	FloorSet bool
+	FloorDBm float64 `json:"floor_dbm,omitempty"`
+	FloorSet bool    `json:"floor_set,omitempty"`
 }
 
 // State snapshots the controller for handoff.

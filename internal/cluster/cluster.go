@@ -18,7 +18,9 @@ var ErrNoNodes = errors.New("cluster: no live nodes")
 type Config struct {
 	// Addrs is the static member list (host:port per backfi-readerd
 	// node). Membership is fixed for the Client's lifetime; health
-	// state decides which members are routable.
+	// state decides which members are routable. The ring keys each
+	// member on its index here, so every client of one cluster must
+	// list the members in the same order.
 	Addrs []string
 	// VNodes is the consistent-hash points per node (<= 0 means 64).
 	VNodes int

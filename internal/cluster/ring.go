@@ -8,25 +8,31 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
-// ring is a consistent-hash ring over node addresses. Each address
-// contributes vnodes points (FNV-1a 64 over "addr#i"); a session id
-// hashes to the first point clockwise. Membership changes only remap
-// the sessions whose arc moved — sessions on surviving nodes keep
-// their owner, which is what makes failover cheap and deterministic.
+// ring is a consistent-hash ring over a fixed, ordered member list.
+// Member i contributes vnodes points (FNV-1a 64 over "i#j"): the points
+// are keyed on the member's index, not its address, so routing does not
+// depend on the host or port a member listens on, and clients that list
+// the same members in the same order route every session identically.
+// A session id hashes to the first point clockwise. Membership changes
+// only remap the sessions whose arc moved — sessions on surviving
+// nodes keep their owner, which is what makes failover cheap and
+// deterministic.
 //
 // The ring is a value-semantics helper owned by Client under its
 // mutex; it is not safe for unsynchronized concurrent use.
 type ring struct {
 	vnodes int
+	addrs  []string    // the member list; ringPoint.member indexes it
 	points []ringPoint // sorted by hash
 }
 
 type ringPoint struct {
-	hash uint64
-	addr string
+	hash   uint64
+	member int
 }
 
 // fnv64a is FNV-1a 64 finished with murmur3's 64-bit mixer. Bare FNV
@@ -59,42 +65,37 @@ func newRing(addrs []string, vnodes int) (*ring, error) {
 	if vnodes <= 0 {
 		vnodes = 64
 	}
-	r := &ring{vnodes: vnodes}
-	seen := map[string]bool{}
-	for _, a := range addrs {
+	r := &ring{vnodes: vnodes, addrs: addrs}
+	for i, a := range addrs {
 		if a == "" {
 			return nil, fmt.Errorf("cluster: empty node address")
 		}
-		if seen[a] {
+		if slices.Index(addrs, a) != i {
 			return nil, fmt.Errorf("cluster: duplicate node address %q", a)
 		}
-		seen[a] = true
 		r.add(a)
 	}
 	return r, nil
 }
 
+// add (re-)admits member addr at its own index in the member list.
 func (r *ring) add(addr string) {
+	m := slices.Index(r.addrs, addr)
 	for i := 0; i < r.vnodes; i++ {
-		r.points = append(r.points, ringPoint{fnv64a(fmt.Sprintf("%s#%d", addr, i)), addr})
+		r.points = append(r.points, ringPoint{fnv64a(fmt.Sprintf("%d#%d", m, i)), m})
 	}
 	sort.Slice(r.points, func(i, j int) bool {
 		if r.points[i].hash != r.points[j].hash {
 			return r.points[i].hash < r.points[j].hash
 		}
-		// Tie-break on address so equal hashes order deterministically.
-		return r.points[i].addr < r.points[j].addr
+		// Tie-break on member so equal hashes order deterministically.
+		return r.points[i].member < r.points[j].member
 	})
 }
 
 func (r *ring) remove(addr string) {
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.addr != addr {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
+	m := slices.Index(r.addrs, addr)
+	r.points = slices.DeleteFunc(r.points, func(p ringPoint) bool { return p.member == m })
 }
 
 // owner returns the node owning session, false when the ring is empty.
@@ -109,17 +110,15 @@ func (r *ring) owner(session string) (string, bool) {
 	if i == len(r.points) {
 		i = 0
 	}
-	return r.points[i].addr, true
+	return r.addrs[r.points[i].member], true
 }
 
 // nodes returns the distinct member addresses, sorted.
 func (r *ring) nodes() []string {
-	seen := map[string]bool{}
 	var out []string
 	for _, p := range r.points {
-		if !seen[p.addr] {
-			seen[p.addr] = true
-			out = append(out, p.addr)
+		if a := r.addrs[p.member]; !slices.Contains(out, a) {
+			out = append(out, a)
 		}
 	}
 	sort.Strings(out)

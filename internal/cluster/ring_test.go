@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -94,4 +95,41 @@ func TestRingRemoveOnlyRemapsVictims(t *testing.T) {
 			t.Fatalf("session %s at %s after rejoin, originally %s", id, now, was)
 		}
 	}
+}
+
+// TestRingKeyedOnMemberOrder pins routing to the member list's order,
+// not its addresses: two clusters that list their members in the same
+// order route every session to the same position, whatever ports the
+// members happen to listen on (loopback test clusters get ephemeral
+// ones), and that holds again after a member leaves and rejoins.
+func TestRingKeyedOnMemberOrder(t *testing.T) {
+	a := []string{"127.0.0.1:40001", "127.0.0.1:40002", "127.0.0.1:40003"}
+	b := []string{"127.0.0.1:51234", "127.0.0.1:38877", "127.0.0.1:60002"}
+	ra, err := newRing(a, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb, err := newRing(b, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := func(stage string) {
+		t.Helper()
+		for i := 0; i < 1000; i++ {
+			id := fmt.Sprintf("sess-%04d", i)
+			oa, _ := ra.owner(id)
+			ob, _ := rb.owner(id)
+			if slices.Index(a, oa) != slices.Index(b, ob) {
+				t.Fatalf("%s: session %s routes to member %d (%s) vs %d (%s)",
+					stage, id, slices.Index(a, oa), oa, slices.Index(b, ob), ob)
+			}
+		}
+	}
+	same("fresh")
+	ra.remove(a[1])
+	rb.remove(b[1])
+	same("member 1 down")
+	ra.add(a[1])
+	rb.add(b[1])
+	same("member 1 rejoined")
 }

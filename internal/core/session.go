@@ -81,35 +81,39 @@ func (b BackoffPolicy) Delay(retry int) float64 {
 	return d
 }
 
-// SessionStats summarizes a session's history.
+// SessionStats summarizes a session's history. The JSON names are the
+// serving protocol's.
 type SessionStats struct {
 	// FramesOffered / FramesDelivered count application frames.
-	FramesOffered, FramesDelivered int
+	FramesOffered   int `json:"frames_offered"`
+	FramesDelivered int `json:"frames_delivered"`
 	// PacketsSent counts air transmissions (including retries).
-	PacketsSent int
+	PacketsSent int `json:"packets_sent"`
 	// PayloadBits counts successfully delivered information bits.
-	PayloadBits int
+	PayloadBits int `json:"payload_bits"`
 	// AirtimeSec accumulates tag modulation time across attempts.
-	AirtimeSec float64
+	AirtimeSec float64 `json:"airtime_sec"`
 	// ACKsDropped counts frames that decoded but whose ACK was lost on
 	// the way back to the tag (injected fault), forcing a retransmission
 	// of data the reader already had.
-	ACKsDropped int
+	ACKsDropped int `json:"acks_dropped"`
 	// NoWakes counts attempts the tag slept through: the AP transmitted
 	// the excitation (consuming a retry attempt, like a CRC failure) but
 	// the tag never woke, so no tag airtime accrues for the attempt.
 	// This mirrors Evaluate, which counts ErrTagNoWake as loss
 	// rather than aborting.
-	NoWakes int
+	NoWakes int `json:"no_wakes"`
 	// Backoffs counts retries that charged a backoff delay, and
 	// BackoffSec the virtual wait they accumulated (zero under the zero
 	// BackoffPolicy). Backoff time is protocol idle time, not tag
-	// modulation time, so it is kept apart from AirtimeSec.
-	Backoffs   int
-	BackoffSec float64
+	// modulation time, so it is kept apart from AirtimeSec. These and
+	// ConfigSwitches are omitted from JSON when zero, so stats without
+	// backoff or adaptation keep their earlier bytes.
+	Backoffs   int     `json:"backoffs,omitempty"`
+	BackoffSec float64 `json:"backoff_sec,omitempty"`
 	// ConfigSwitches counts rate-controller ladder moves applied to the
 	// link (0 without a controller).
-	ConfigSwitches int
+	ConfigSwitches int `json:"config_switches,omitempty"`
 }
 
 // Retries returns the retransmission count: air transmissions beyond

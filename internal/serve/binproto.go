@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -77,6 +78,12 @@ import (
 // handed — declared lengths are checked against the remaining bytes
 // before use, so malformed input returns a typed error (wrapping
 // ErrBadRequest) and can neither panic nor over-read.
+//
+// Each message is described once, by a layout method on the wire
+// walker below that visits its fields in wire order. The same method
+// encodes (appending each field) and decodes (consuming it), so a
+// field's position is written in one place and the two directions
+// cannot drift apart. Flag bytes list their fields in bit order.
 const binVersion = 1
 
 // binPreamble is the negotiation preamble: magic "BFB" + version.
@@ -101,25 +108,7 @@ var binOps = [...]string{
 	binKindHandoff:     OpHandoff,
 }
 
-// Response flag bits.
-const (
-	binFlagOK        = 1 << 0
-	binFlagDelivered = 1 << 1
-	binFlagPayloadOK = 1 << 2
-	binFlagDegraded  = 1 << 3
-	binFlagStats     = 1 << 4
-	binFlagTags      = 1 << 5
-	binFlagHandoff   = 1 << 6
-)
-
-// Per-tag flag bits inside the response tags block.
-const (
-	binTagDelivered = 1 << 0
-	binTagPayloadOK = 1 << 1
-	binTagWoke      = 1 << 2
-)
-
-// Request extension flag bits (the optional trailing block).
+// binExtTrace is the trace bit of the request extension's flags byte.
 const binExtTrace = 1 << 0
 
 // Response code enum. The wire carries the byte; the structs keep the
@@ -128,15 +117,6 @@ const binExtTrace = 1 << 0
 // so inserting (rather than appending) a code would shift every later
 // byte and silently mistranslate frames across versions.
 var binCodes = [...]string{CodeOK, CodeQueueFull, CodeDraining, CodeDeadline, CodeBadRequest, CodeError, CodeTagDark}
-
-func codeToByte(code string) (byte, error) {
-	for i, c := range binCodes {
-		if c == code {
-			return byte(i), nil
-		}
-	}
-	return 0, fmt.Errorf("serve: response code %q has no binary encoding", code)
-}
 
 // Typed decode errors. Everything wraps ErrBadRequest so transports
 // can answer a typed bad_request frame and fuzzing can assert the
@@ -147,7 +127,6 @@ var (
 	errFrameTrailing  = fmt.Errorf("%w: trailing bytes after binary frame", ErrBadRequest)
 	errFrameVarint    = fmt.Errorf("%w: malformed varint", ErrBadRequest)
 	errFrameRange     = fmt.Errorf("%w: varint field out of range", ErrBadRequest)
-	errExtFlags       = fmt.Errorf("%w: unknown request extension flags", ErrBadRequest)
 )
 
 // Buffer-pool lifecycle: encoders build frames in []byte taken from
@@ -220,154 +199,340 @@ func (t *internTable) get(b []byte) string {
 	return s
 }
 
-// appendCount appends a non-negative int as a uvarint.
-func appendCount(dst []byte, v int) ([]byte, error) {
-	if v < 0 {
-		return dst, fmt.Errorf("serve: negative count %d has no binary encoding", v)
-	}
-	return binary.AppendUvarint(dst, uint64(v)), nil
+// wire walks one frame body in either direction: encoding appends each
+// field to buf, decoding consumes it from the front of buf. The first
+// error sticks and turns every later step into a no-op, so a layout
+// reads as a plain list of fields. Encoding never writes through the
+// field pointers, so encoding a message other goroutines read is
+// race-free; decoding writes only the fields it has read.
+type wire struct {
+	enc   bool
+	buf   []byte
+	err   error
+	names *internTable // interns decoded session ids
 }
 
-// takeUvarint pops one uvarint bounded to non-negative int range.
-func takeUvarint(b []byte) (int, []byte, error) {
-	v, n := binary.Uvarint(b)
-	if n <= 0 {
-		if len(b) == 0 || n == 0 {
-			return 0, b, errFrameTruncated
-		}
-		return 0, b, errFrameVarint
+func (w *wire) fail(err error) {
+	if w.err == nil {
+		w.err = err
 	}
-	if v > math.MaxInt32 {
-		return 0, b, errFrameRange
-	}
-	return int(v), b[n:], nil
 }
 
-// takeBytes pops one length-prefixed byte field. The returned slice
-// aliases b — callers copy or intern before the frame buffer is
-// reused.
-func takeBytes(b []byte) ([]byte, []byte, error) {
-	n, rest, err := takeUvarint(b)
-	if err != nil {
-		return nil, b, err
+// u8 is one raw byte.
+func (w *wire) u8(v *byte) {
+	switch {
+	case w.err != nil:
+	case w.enc:
+		w.buf = append(w.buf, *v)
+	case len(w.buf) == 0:
+		w.err = errFrameTruncated
+	default:
+		*v, w.buf = w.buf[0], w.buf[1:]
 	}
-	if n > len(rest) {
-		return nil, b, errFrameTruncated
-	}
-	return rest[:n], rest[n:], nil
 }
 
-// takeF64 pops one little-endian float64.
-func takeF64(b []byte) (float64, []byte, error) {
-	if len(b) < 8 {
-		return 0, b, errFrameTruncated
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b)), b[8:], nil
-}
-
-func appendF64(dst []byte, v float64) []byte {
-	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-}
-
-// appendStats appends one stats block: the counts, then the floats.
-func appendStats(dst []byte, st *SessionStats) ([]byte, error) {
-	var err error
-	for _, v := range [...]int{st.FramesOffered, st.FramesDelivered, st.PacketsSent,
-		st.PayloadBits, st.ACKsDropped, st.NoWakes, st.Backoffs, st.ConfigSwitches} {
-		if dst, err = appendCount(dst, v); err != nil {
-			return dst, err
+// bits is one byte of flags, flags[i] at bit i. Decoding rejects bits
+// this version does not define: they would be silently dropped on
+// re-encode, so version skew surfaces as a typed error instead of data
+// loss.
+func (w *wire) bits(what string, flags ...*bool) {
+	var b byte
+	for i, f := range flags {
+		if w.enc && *f {
+			b |= 1 << i
 		}
 	}
-	dst = appendF64(dst, st.AirtimeSec)
-	dst = appendF64(dst, st.BackoffSec)
-	return appendF64(dst, st.BitRateBps), nil
+	w.u8(&b)
+	if w.enc || w.err != nil {
+		return
+	}
+	if b>>len(flags) != 0 {
+		w.err = fmt.Errorf("%w: unknown %s flag bits %#x", ErrBadRequest, what, b)
+		return
+	}
+	for i, f := range flags {
+		*f = b&(1<<i) != 0
+	}
 }
 
-// takeStats pops one stats block into st.
-func takeStats(b []byte, st *SessionStats) ([]byte, error) {
-	var err error
-	for _, p := range [...]*int{&st.FramesOffered, &st.FramesDelivered, &st.PacketsSent,
+// enum is a string carried as its index in table, whose "" entries
+// are unused bytes.
+func (w *wire) enum(what string, v *string, table []string) {
+	var b byte
+	if w.enc {
+		i := slices.Index(table, *v)
+		if i < 0 || *v == "" {
+			w.fail(fmt.Errorf("serve: %s %q has no binary encoding", what, *v))
+		}
+		b = byte(i)
+	}
+	w.u8(&b)
+	if w.enc || w.err != nil {
+		return
+	}
+	if int(b) >= len(table) || table[b] == "" {
+		w.err = fmt.Errorf("%w: unknown %s byte %#x", ErrBadRequest, what, b)
+		return
+	}
+	*v = table[b]
+}
+
+// count is a non-negative int as a uvarint, decoded within int32
+// range.
+func (w *wire) count(v *int) {
+	if w.err != nil {
+		return
+	}
+	if w.enc {
+		if *v < 0 {
+			w.err = fmt.Errorf("serve: negative count %d has no binary encoding", *v)
+			return
+		}
+		w.buf = binary.AppendUvarint(w.buf, uint64(*v))
+		return
+	}
+	u, n := binary.Uvarint(w.buf)
+	switch {
+	case n == 0:
+		w.err = errFrameTruncated
+	case n < 0:
+		w.err = errFrameVarint
+	case u > math.MaxInt32:
+		w.err = errFrameRange
+	default:
+		*v, w.buf = int(u), w.buf[n:]
+	}
+}
+
+// items is a list's element count. Decoding bounds it by the bytes
+// left, each element taking at least size of them, so a hostile count
+// cannot size an allocation.
+func (w *wire) items(n, size int) int {
+	w.count(&n)
+	if !w.enc && w.err == nil && n > len(w.buf)/size {
+		w.err = errFrameTruncated
+	}
+	if w.err != nil {
+		return 0
+	}
+	return n
+}
+
+// u64 is a little-endian uint64.
+func (w *wire) u64(v *uint64) {
+	switch {
+	case w.err != nil:
+	case w.enc:
+		w.buf = binary.LittleEndian.AppendUint64(w.buf, *v)
+	case len(w.buf) < 8:
+		w.err = errFrameTruncated
+	default:
+		*v, w.buf = binary.LittleEndian.Uint64(w.buf), w.buf[8:]
+	}
+}
+
+// f64 is a little-endian IEEE-754 float64.
+func (w *wire) f64(v *float64) {
+	b := math.Float64bits(*v)
+	w.u64(&b)
+	if !w.enc && w.err == nil {
+		*v = math.Float64frombits(b)
+	}
+}
+
+// field is a length prefix: encoding writes n, decoding reads the
+// length and returns that many bytes of the frame, which alias it.
+func (w *wire) field(n int) []byte {
+	w.count(&n)
+	if w.enc || w.err != nil {
+		return nil
+	}
+	if n > len(w.buf) {
+		w.err = errFrameTruncated
+		return nil
+	}
+	b := w.buf[:n]
+	w.buf = w.buf[n:]
+	return b
+}
+
+// bytes is a length-prefixed byte field, decoded into *v's capacity.
+func (w *wire) bytes(v *[]byte) {
+	b := w.field(len(*v))
+	switch {
+	case w.err != nil:
+	case w.enc:
+		w.buf = append(w.buf, *v...)
+	default:
+		*v = append((*v)[:0], b...)
+	}
+}
+
+// str is a length-prefixed string. Decoded session ids are interned,
+// so a connection's steady frames allocate nothing; other strings are
+// copied (the empty happy-path error allocates nothing either).
+func (w *wire) str(v *string, id bool) {
+	b := w.field(len(*v))
+	switch {
+	case w.err != nil:
+	case w.enc:
+		w.buf = append(w.buf, *v...)
+	case id:
+		*v = w.names.get(b)
+	default:
+		*v = string(b)
+	}
+}
+
+// json is a length-prefixed JSON block (the handoff block). It is off
+// the zero-allocation path, and the decoded value owns its memory.
+func (w *wire) json(v any) {
+	var body []byte
+	if w.enc && w.err == nil {
+		body, w.err = json.Marshal(v)
+	}
+	b := w.field(len(body))
+	switch {
+	case w.err != nil:
+	case w.enc:
+		w.buf = append(w.buf, body...)
+	default:
+		if err := json.Unmarshal(b, v); err != nil {
+			w.err = fmt.Errorf("%w: handoff block: %v", ErrBadRequest, err)
+		}
+	}
+}
+
+// end rejects bytes left over after a decoded frame.
+func (w *wire) end() {
+	if !w.enc && w.err == nil && len(w.buf) != 0 {
+		w.err = errFrameTrailing
+	}
+}
+
+// request is the request body's layout. Decoding reuses r's payload
+// capacity and resets every op-specific field, so nothing from an
+// earlier frame on the connection leaks into this one.
+func (w *wire) request(r *Request) {
+	w.enum("op", &r.Op, binOps[:])
+	if w.err != nil {
+		return
+	}
+	if !w.enc {
+		r.Payload, r.Payloads, r.Handoff, r.Trace = r.Payload[:0], r.Payloads[:0], nil, 0
+	}
+	w.str(&r.Session, true)
+	switch r.Op {
+	case OpMultiDecode:
+		n := w.items(len(r.Payloads), 1)
+		if !w.enc {
+			if cap(r.Payloads) < n {
+				r.Payloads = make([][]byte, n)
+			}
+			r.Payloads = r.Payloads[:n]
+		}
+		for i := range r.Payloads {
+			w.bytes(&r.Payloads[i])
+		}
+	case OpHandoff:
+		if w.enc && r.Handoff == nil {
+			w.fail(fmt.Errorf("serve: handoff request without handoff state"))
+		}
+		if !w.enc {
+			r.Handoff = new(HandoffState)
+		}
+		w.json(r.Handoff)
+	default:
+		w.bytes(&r.Payload)
+	}
+	w.count(&r.TimeoutMs)
+	// Optional trailing extension, emitted only for traced requests so
+	// untraced frames stay byte-identical to pre-trace clients (pinned
+	// by TestBinaryRequestLegacyBytes).
+	traced := r.Trace != 0
+	if w.enc && traced || !w.enc && len(w.buf) != 0 {
+		w.bits("request extension", &traced)
+		if traced {
+			w.u64(&r.Trace)
+		}
+	}
+	w.end()
+}
+
+// response is the response body's layout. A decoded stats block lands
+// in statsBuf (allocated if nil).
+func (w *wire) response(r *Response, statsBuf *SessionStats) {
+	kind := byte(binKindResp)
+	w.u8(&kind)
+	if kind != binKindResp {
+		w.fail(errFrameKind)
+	}
+	stats, tags, handoff := r.Stats != nil, len(r.Tags) > 0, r.Handoff != nil
+	w.bits("response", &r.OK, &r.Delivered, &r.PayloadOK, &r.Degraded, &stats, &tags, &handoff)
+	w.enum("response code", &r.Code, binCodes[:])
+	w.str(&r.Error, false)
+	w.str(&r.Session, true)
+	w.count(&r.Seq)
+	w.count(&r.Attempts)
+	w.count(&r.NoWakes)
+	w.count(&r.ACKsDropped)
+	w.f64(&r.SNRdB)
+	if w.err != nil {
+		return
+	}
+	if !w.enc {
+		r.Stats, r.Tags, r.Handoff = nil, nil, nil
+		if stats {
+			if statsBuf == nil {
+				statsBuf = new(SessionStats)
+			}
+			r.Stats = statsBuf
+		}
+	}
+	if stats {
+		w.stats(r.Stats)
+	}
+	if tags {
+		n := w.items(len(r.Tags), 9) // each tag takes exactly 9 bytes
+		if !w.enc && w.err == nil {
+			r.Tags = make([]TagResult, n)
+		}
+		for i := range r.Tags {
+			w.tag(&r.Tags[i])
+		}
+	}
+	if handoff {
+		if !w.enc {
+			r.Handoff = new(HandoffState)
+		}
+		w.json(r.Handoff)
+	}
+	w.end()
+}
+
+// stats is the stats block's layout: the counts, then the floats.
+func (w *wire) stats(st *SessionStats) {
+	for _, v := range [...]*int{&st.FramesOffered, &st.FramesDelivered, &st.PacketsSent,
 		&st.PayloadBits, &st.ACKsDropped, &st.NoWakes, &st.Backoffs, &st.ConfigSwitches} {
-		if *p, b, err = takeUvarint(b); err != nil {
-			return b, err
-		}
+		w.count(v)
 	}
-	for _, p := range [...]*float64{&st.AirtimeSec, &st.BackoffSec, &st.BitRateBps} {
-		if *p, b, err = takeF64(b); err != nil {
-			return b, err
-		}
+	for _, v := range [...]*float64{&st.AirtimeSec, &st.BackoffSec, &st.BitRateBps} {
+		w.f64(v)
 	}
-	return b, nil
 }
 
-// appendJSON appends v's JSON behind a uvarint length — the handoff
-// block of 0x05 requests and bit6 responses.
-func appendJSON(dst []byte, v any) ([]byte, error) {
-	body, err := json.Marshal(v)
-	dst = binary.AppendUvarint(dst, uint64(len(body)))
-	return append(dst, body...), err
-}
-
-// takeJSON pops one appendJSON block into v. Handoff blocks are off
-// the zero-allocation path (one rides on a decode response only in
-// handoff mode), and the decoded snapshot owns its memory, so the
-// caller can retain it past the frame buffer's reuse.
-func takeJSON(b []byte, v any) ([]byte, error) {
-	body, b, err := takeBytes(b)
-	if err != nil {
-		return b, err
-	}
-	if err := json.Unmarshal(body, v); err != nil {
-		return b, fmt.Errorf("%w: handoff block: %v", ErrBadRequest, err)
-	}
-	return b, nil
+// tag is one entry of the response tags block.
+func (w *wire) tag(t *TagResult) {
+	w.bits("tag", &t.Delivered, &t.PayloadOK, &t.Woke)
+	w.f64(&t.SNRdB)
 }
 
 // appendRequestBinary appends req's binary body to dst. Allocation-
 // free when dst has capacity.
 func appendRequestBinary(dst []byte, req *Request) ([]byte, error) {
-	var kind byte
-	for k, op := range binOps {
-		if op != "" && op == req.Op {
-			kind = byte(k)
-		}
-	}
-	if kind == 0 {
-		return dst, fmt.Errorf("serve: op %q has no binary encoding", req.Op)
-	}
-	dst = append(dst, kind)
-	dst = binary.AppendUvarint(dst, uint64(len(req.Session)))
-	dst = append(dst, req.Session...)
-	if kind == binKindMultiDecode {
-		dst = binary.AppendUvarint(dst, uint64(len(req.Payloads)))
-		for _, p := range req.Payloads {
-			dst = binary.AppendUvarint(dst, uint64(len(p)))
-			dst = append(dst, p...)
-		}
-	} else if kind == binKindHandoff {
-		if req.Handoff == nil {
-			return dst, fmt.Errorf("serve: handoff request without handoff state")
-		}
-		var err error
-		if dst, err = appendJSON(dst, req.Handoff); err != nil {
-			return dst, err
-		}
-	} else {
-		dst = binary.AppendUvarint(dst, uint64(len(req.Payload)))
-		dst = append(dst, req.Payload...)
-	}
-	dst, err := appendCount(dst, req.TimeoutMs)
-	if err != nil {
-		return dst, err
-	}
-	// Optional trailing extension: emitted only for traced requests, so
-	// untraced frames stay byte-identical to pre-trace clients (pinned
-	// by TestBinaryRequestLegacyBytes).
-	if req.Trace != 0 {
-		dst = append(dst, binExtTrace)
-		dst = binary.LittleEndian.AppendUint64(dst, req.Trace)
-	}
-	return dst, nil
+	w := wire{enc: true, buf: dst}
+	w.request(req)
+	return w.buf, w.err
 }
 
 // decodeRequestBinary decodes one request body into req, reusing
@@ -375,246 +540,26 @@ func appendRequestBinary(dst []byte, req *Request) ([]byte, error) {
 // Allocation-free once the session id is interned and the payload
 // buffer has grown to steady state.
 func decodeRequestBinary(body []byte, req *Request, names *internTable) error {
-	if len(body) == 0 {
-		return errFrameTruncated
-	}
-	if int(body[0]) >= len(binOps) || binOps[body[0]] == "" {
-		return errFrameKind
-	}
-	req.Op = binOps[body[0]]
-	rest := body[1:]
-	s, rest, err := takeBytes(rest)
-	if err != nil {
-		return err
-	}
-	req.Session = names.get(s)
-	// The Request is reused across a connection's frames: reset every
-	// op-specific field, so a stale snapshot or payload shape from an
-	// earlier frame never leaks into this one.
-	req.Handoff, req.Payload, req.Payloads = nil, req.Payload[:0], req.Payloads[:0]
-	switch body[0] {
-	case binKindHandoff:
-		req.Handoff = new(HandoffState)
-		if rest, err = takeJSON(rest, req.Handoff); err != nil {
-			return err
-		}
-	case binKindMultiDecode:
-		var n int
-		if n, rest, err = takeUvarint(rest); err != nil {
-			return err
-		}
-		if n > len(rest) { // each payload takes >= 1 byte of frame
-			return errFrameTruncated
-		}
-		if cap(req.Payloads) < n {
-			req.Payloads = make([][]byte, n)
-		}
-		req.Payloads = req.Payloads[:n]
-		for i := 0; i < n; i++ {
-			var p []byte
-			if p, rest, err = takeBytes(rest); err != nil {
-				return err
-			}
-			req.Payloads[i] = append(req.Payloads[i][:0], p...)
-		}
-	default:
-		var p []byte
-		if p, rest, err = takeBytes(rest); err != nil {
-			return err
-		}
-		req.Payload = append(req.Payload, p...)
-	}
-	req.TimeoutMs, rest, err = takeUvarint(rest)
-	if err != nil {
-		return err
-	}
-	// Optional trailing extension block. Absent on legacy (and
-	// untraced) frames; when present, the flags byte gates which fixed
-	// fields follow, and unknown flag bits are rejected the same way
-	// unknown response flags are — a future version's frames must not
-	// be silently half-read.
-	req.Trace = 0
-	if len(rest) != 0 {
-		ext := rest[0]
-		rest = rest[1:]
-		if ext&^byte(binExtTrace) != 0 {
-			return errExtFlags
-		}
-		if ext&binExtTrace != 0 {
-			if len(rest) < 8 {
-				return errFrameTruncated
-			}
-			req.Trace = binary.LittleEndian.Uint64(rest)
-			rest = rest[8:]
-		}
-		if len(rest) != 0 {
-			return errFrameTrailing
-		}
-	}
-	return nil
+	w := wire{buf: body, names: names}
+	w.request(req)
+	return w.err
 }
 
 // appendResponseBinary appends resp's binary body to dst. Allocation-
 // free when dst has capacity.
 func appendResponseBinary(dst []byte, resp *Response) ([]byte, error) {
-	var flags byte
-	if resp.OK {
-		flags |= binFlagOK
-	}
-	if resp.Delivered {
-		flags |= binFlagDelivered
-	}
-	if resp.PayloadOK {
-		flags |= binFlagPayloadOK
-	}
-	if resp.Degraded {
-		flags |= binFlagDegraded
-	}
-	if resp.Stats != nil {
-		flags |= binFlagStats
-	}
-	if len(resp.Tags) > 0 {
-		flags |= binFlagTags
-	}
-	if resp.Handoff != nil {
-		flags |= binFlagHandoff
-	}
-	code, err := codeToByte(resp.Code)
-	if err != nil {
-		return dst, err
-	}
-	dst = append(dst, binKindResp, flags, code)
-	dst = binary.AppendUvarint(dst, uint64(len(resp.Error)))
-	dst = append(dst, resp.Error...)
-	dst = binary.AppendUvarint(dst, uint64(len(resp.Session)))
-	dst = append(dst, resp.Session...)
-	for _, v := range [...]int{resp.Seq, resp.Attempts, resp.NoWakes, resp.ACKsDropped} {
-		if dst, err = appendCount(dst, v); err != nil {
-			return dst, err
-		}
-	}
-	dst = appendF64(dst, resp.SNRdB)
-	if resp.Stats != nil {
-		if dst, err = appendStats(dst, resp.Stats); err != nil {
-			return dst, err
-		}
-	}
-	if len(resp.Tags) > 0 {
-		dst = binary.AppendUvarint(dst, uint64(len(resp.Tags)))
-		for _, t := range resp.Tags {
-			var tf byte
-			if t.Delivered {
-				tf |= binTagDelivered
-			}
-			if t.PayloadOK {
-				tf |= binTagPayloadOK
-			}
-			if t.Woke {
-				tf |= binTagWoke
-			}
-			dst = append(dst, tf)
-			dst = appendF64(dst, t.SNRdB)
-		}
-	}
-	if resp.Handoff != nil {
-		if dst, err = appendJSON(dst, resp.Handoff); err != nil {
-			return dst, err
-		}
-	}
-	return dst, nil
+	w := wire{enc: true, buf: dst}
+	w.response(resp, nil)
+	return w.buf, w.err
 }
 
 // decodeResponseBinary decodes one response body into resp. When the
 // frame carries stats they land in statsBuf (allocated if nil) and
-// resp.Stats points there; otherwise resp.Stats is nil. Error strings
-// on the happy path are empty and allocate nothing.
+// resp.Stats points there; otherwise resp.Stats is nil.
 func decodeResponseBinary(body []byte, resp *Response, names *internTable, statsBuf *SessionStats) error {
-	if len(body) < 3 {
-		return errFrameTruncated
-	}
-	if body[0] != binKindResp {
-		return errFrameKind
-	}
-	flags := body[1]
-	if flags&^(binFlagOK|binFlagDelivered|binFlagPayloadOK|binFlagDegraded|binFlagStats|binFlagTags|binFlagHandoff) != 0 {
-		// Flag bits this version does not define would be silently
-		// dropped on re-encode; reject them so version skew surfaces as
-		// a typed error instead of data loss.
-		return fmt.Errorf("%w: unknown response flag bits %#x", ErrBadRequest, flags)
-	}
-	if int(body[2]) >= len(binCodes) {
-		return fmt.Errorf("%w: unknown response code byte %d", ErrBadRequest, body[2])
-	}
-	resp.OK = flags&binFlagOK != 0
-	resp.Delivered = flags&binFlagDelivered != 0
-	resp.PayloadOK = flags&binFlagPayloadOK != 0
-	resp.Degraded = flags&binFlagDegraded != 0
-	resp.Code = binCodes[body[2]]
-	rest := body[3:]
-	e, rest, err := takeBytes(rest)
-	if err != nil {
-		return err
-	}
-	resp.Error = string(e) // empty on the happy path: no allocation
-	s, rest, err := takeBytes(rest)
-	if err != nil {
-		return err
-	}
-	resp.Session = names.get(s)
-	for _, p := range [...]*int{&resp.Seq, &resp.Attempts, &resp.NoWakes, &resp.ACKsDropped} {
-		if *p, rest, err = takeUvarint(rest); err != nil {
-			return err
-		}
-	}
-	if resp.SNRdB, rest, err = takeF64(rest); err != nil {
-		return err
-	}
-	resp.Stats = nil
-	if flags&binFlagStats != 0 {
-		if statsBuf == nil {
-			statsBuf = &SessionStats{}
-		}
-		if rest, err = takeStats(rest, statsBuf); err != nil {
-			return err
-		}
-		resp.Stats = statsBuf
-	}
-	resp.Tags = nil
-	if flags&binFlagTags != 0 {
-		var n int
-		if n, rest, err = takeUvarint(rest); err != nil {
-			return err
-		}
-		if n > len(rest)/9 { // each tag takes exactly 9 bytes
-			return errFrameTruncated
-		}
-		resp.Tags = make([]TagResult, n)
-		for i := range resp.Tags {
-			tf := rest[0]
-			rest = rest[1:]
-			if tf&^byte(binTagDelivered|binTagPayloadOK|binTagWoke) != 0 {
-				return fmt.Errorf("%w: unknown tag flag bits %#x", ErrBadRequest, tf)
-			}
-			t := &resp.Tags[i]
-			t.Delivered = tf&binTagDelivered != 0
-			t.PayloadOK = tf&binTagPayloadOK != 0
-			t.Woke = tf&binTagWoke != 0
-			if t.SNRdB, rest, err = takeF64(rest); err != nil {
-				return err
-			}
-		}
-	}
-	resp.Handoff = nil
-	if flags&binFlagHandoff != 0 {
-		resp.Handoff = new(HandoffState)
-		if rest, err = takeJSON(rest, resp.Handoff); err != nil {
-			return err
-		}
-	}
-	if len(rest) != 0 {
-		return errFrameTrailing
-	}
-	return nil
+	w := wire{buf: body, names: names}
+	w.response(resp, statsBuf)
+	return w.err
 }
 
 // frameReader reads length-prefixed frame bodies into one reused
@@ -665,7 +610,7 @@ func (fr *frameReader) grab(n int) []byte {
 	return b
 }
 
-// appendFrameHeader finalizes a frame built with 4 reserved length
+// finishBinaryFrame finalizes a frame built with 4 reserved length
 // bytes at the front: buf[0:4] gets the little-endian body length.
 func finishBinaryFrame(buf []byte) []byte {
 	binary.LittleEndian.PutUint32(buf[:4], uint32(len(buf)-4))

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"backfi/internal/adapt"
 	"backfi/internal/core"
 	"backfi/internal/fault"
 )
@@ -196,7 +197,7 @@ func TestHandoffSeqContinuity(t *testing.T) {
 func TestHandoffRejections(t *testing.T) {
 	good := func() *HandoffState {
 		return &HandoffState{Version: HandoffVersion, Attempts: 1,
-			Seq: 1, Stats: SessionStats{FramesOffered: 1, PacketsSent: 1}}
+			Seq: 1, Stats: SessionStats{SessionStats: core.SessionStats{FramesOffered: 1, PacketsSent: 1}}}
 	}
 
 	t.Run("disabled", func(t *testing.T) {
@@ -246,7 +247,7 @@ func TestHandoffRejections(t *testing.T) {
 	})
 	t.Run("controller-mismatch", func(t *testing.T) {
 		hs := good()
-		hs.Ctrl = &CtrlState{Index: 1, Ceiling: 2}
+		hs.Ctrl = &adapt.State{Index: 1, Ceiling: 2}
 		if _, err := c.InstallHandoff("x", hs); !isBadRequest(err) {
 			t.Fatalf("controller state on non-adaptive node: %v", err)
 		}
@@ -286,11 +287,11 @@ func TestHandoffInstallBoundsReplay(t *testing.T) {
 			}
 			for name, hs := range map[string]*HandoffState{
 				"forged-attempts": {Version: HandoffVersion, Attempts: huge,
-					Stats: SessionStats{FramesOffered: huge, PacketsSent: huge}},
+					Stats: SessionStats{SessionStats: core.SessionStats{FramesOffered: huge, PacketsSent: huge}}},
 				"attempts-beyond-retry-budget": {Version: HandoffVersion, Attempts: 10,
-					Stats: SessionStats{FramesOffered: 3, PacketsSent: 3}},
+					Stats: SessionStats{SessionStats: core.SessionStats{FramesOffered: 3, PacketsSent: 3}}},
 				"packets-beyond-attempts": {Version: HandoffVersion, Attempts: 2,
-					Stats: SessionStats{FramesOffered: 2, PacketsSent: 3}},
+					Stats: SessionStats{SessionStats: core.SessionStats{FramesOffered: 2, PacketsSent: 3}}},
 			} {
 				start := time.Now()
 				_, err := c.InstallHandoff("victim", hs)

@@ -21,6 +21,8 @@ import (
 	"fmt"
 	"math"
 
+	"backfi/internal/adapt"
+	"backfi/internal/core"
 	"backfi/internal/energy"
 )
 
@@ -96,7 +98,8 @@ var (
 
 // Request is one client message.
 type Request struct {
-	// Op is the operation: OpDecode, OpStats, or OpPing.
+	// Op is the operation: OpDecode, OpMultiDecode, OpStats, OpPing or
+	// OpHandoff.
 	Op string `json:"op"`
 	// Session names the long-lived session this job belongs to. A
 	// session id always hashes to the same shard, and its seed stream
@@ -217,7 +220,7 @@ type HandoffState struct {
 	Stats SessionStats `json:"stats"`
 	// Ctrl is the rate-adaptation controller state; present exactly
 	// when the origin session was adaptive.
-	Ctrl *CtrlState `json:"ctrl,omitempty"`
+	Ctrl *adapt.State `json:"ctrl,omitempty"`
 	// Energy is the energy scheduler's state; present exactly when the
 	// origin node runs Config.Energy.
 	Energy *EnergyState `json:"energy,omitempty"`
@@ -284,23 +287,6 @@ func coreTaps(b []byte) []complex128 {
 	return out
 }
 
-// CtrlState mirrors adapt.State on the wire: the rate controller's
-// complete decision state, so the receiving node's controller makes the
-// same next decision the origin's would have. Its fields match
-// adapt.State one for one, so the two convert directly.
-type CtrlState struct {
-	Index       int     `json:"idx"`
-	Ceiling     int     `json:"ceiling"`
-	Attempts    int     `json:"attempts,omitempty"`
-	ConsecFail  int     `json:"consec_fail,omitempty"`
-	ConsecGood  int     `json:"consec_good,omitempty"`
-	SinceSwitch int     `json:"since_switch,omitempty"`
-	EWMABER     float64 `json:"ewma_ber,omitempty"`
-	EWMASet     bool    `json:"ewma_set,omitempty"`
-	FloorDBm    float64 `json:"floor_dbm,omitempty"`
-	FloorSet    bool    `json:"floor_set,omitempty"`
-}
-
 // TagResult is one group member's outcome within a jointly decoded
 // slot.
 type TagResult struct {
@@ -315,20 +301,10 @@ type TagResult struct {
 	SNRdB float64 `json:"snr_db"`
 }
 
-// SessionStats mirrors core.SessionStats on the wire.
+// SessionStats is a session's summary on the wire: core's counters
+// plus the serve-derived tag bit rate.
 type SessionStats struct {
-	FramesOffered   int     `json:"frames_offered"`
-	FramesDelivered int     `json:"frames_delivered"`
-	PacketsSent     int     `json:"packets_sent"`
-	PayloadBits     int     `json:"payload_bits"`
-	AirtimeSec      float64 `json:"airtime_sec"`
-	ACKsDropped     int     `json:"acks_dropped"`
-	NoWakes         int     `json:"no_wakes"`
-	// Robustness-era additions, all omitempty: a server running without
-	// backoff, adaptation, or watchdog emits byte-identical stats.
-	Backoffs       int     `json:"backoffs,omitempty"`
-	BackoffSec     float64 `json:"backoff_sec,omitempty"`
-	ConfigSwitches int     `json:"config_switches,omitempty"`
+	core.SessionStats
 	// BitRateBps is the session's current tag bit rate. Reported only
 	// when the serving configuration can change it (adaptation or
 	// watchdog enabled); otherwise it is the static template rate the

@@ -604,39 +604,6 @@ func (sh *shard) setDegraded(st *sessionState, on bool) {
 	apply(st.savedTag)
 }
 
-// wireSessionStats / coreSessionStats convert between the core stats
-// and their wire mirror. BitRateBps is serve-derived (not core state)
-// and stays zero here; the OpStats arm fills it separately.
-func wireSessionStats(s core.SessionStats) SessionStats {
-	return SessionStats{
-		FramesOffered:   s.FramesOffered,
-		FramesDelivered: s.FramesDelivered,
-		PacketsSent:     s.PacketsSent,
-		PayloadBits:     s.PayloadBits,
-		AirtimeSec:      s.AirtimeSec,
-		ACKsDropped:     s.ACKsDropped,
-		NoWakes:         s.NoWakes,
-		Backoffs:        s.Backoffs,
-		BackoffSec:      s.BackoffSec,
-		ConfigSwitches:  s.ConfigSwitches,
-	}
-}
-
-func coreSessionStats(s SessionStats) core.SessionStats {
-	return core.SessionStats{
-		FramesOffered:   s.FramesOffered,
-		FramesDelivered: s.FramesDelivered,
-		PacketsSent:     s.PacketsSent,
-		PayloadBits:     s.PayloadBits,
-		AirtimeSec:      s.AirtimeSec,
-		ACKsDropped:     s.ACKsDropped,
-		NoWakes:         s.NoWakes,
-		Backoffs:        s.Backoffs,
-		BackoffSec:      s.BackoffSec,
-		ConfigSwitches:  s.ConfigSwitches,
-	}
-}
-
 // captureHandoff snapshots a session into the wire HandoffState that
 // rides on a decode or tag_dark answer (Config.Handoff).
 func (sh *shard) captureHandoff(st *sessionState) *HandoffState {
@@ -649,14 +616,11 @@ func (sh *shard) captureHandoff(st *sessionState) *HandoffState {
 		HEnv:        wireTaps(snap.HEnv),
 		HF:          wireTaps(snap.HF),
 		HB:          wireTaps(snap.HB),
-		Stats:       wireSessionStats(snap.Stats),
+		Stats:       SessionStats{SessionStats: snap.Stats},
+		Ctrl:        snap.Ctrl,
 		WDHot:       st.hot,
 		WDCool:      st.cool,
 		Degraded:    st.degraded,
-	}
-	if c := snap.Ctrl; c != nil {
-		wc := CtrlState(*c)
-		hs.Ctrl = &wc
 	}
 	if st.tank != nil {
 		hs.Energy = &EnergyState{Tank: st.tank.Snapshot(), DarkStreak: st.darkStreak, DarkSec: st.darkSec, Liveness: st.liveness}
@@ -729,12 +693,8 @@ func (sh *shard) installHandoff(st *sessionState, j *job) Response {
 			return fail(err)
 		}
 	}
-	snap := core.SessionSnapshot{Attempts: hs.Attempts, Stats: coreSessionStats(hs.Stats), FaultEpoch: epoch,
-		HEnv: coreTaps(hs.HEnv), HF: coreTaps(hs.HF), HB: coreTaps(hs.HB)}
-	if c := hs.Ctrl; c != nil {
-		cs := adapt.State(*c)
-		snap.Ctrl = &cs
-	}
+	snap := core.SessionSnapshot{Attempts: hs.Attempts, Stats: hs.Stats.SessionStats, FaultEpoch: epoch,
+		HEnv: coreTaps(hs.HEnv), HF: coreTaps(hs.HF), HB: coreTaps(hs.HB), Ctrl: hs.Ctrl}
 	if err := sess.RestoreSnapshot(snap); err != nil {
 		return reject("restore: %v", err)
 	}
@@ -830,7 +790,7 @@ func (sh *shard) stats(st *sessionState, j *job) Response {
 	switch {
 	case st.multi != nil:
 		ms := st.multi.Stats
-		*ws = SessionStats{
+		ws.SessionStats = core.SessionStats{
 			FramesOffered:   ms.TagsPolled,
 			FramesDelivered: ms.TagsDelivered,
 			PacketsSent:     ms.SlotsOffered,
@@ -838,7 +798,7 @@ func (sh *shard) stats(st *sessionState, j *job) Response {
 			AirtimeSec:      ms.AirtimeSec,
 		}
 	case st.sess != nil:
-		*ws = wireSessionStats(st.sess.Stats)
+		ws.SessionStats = st.sess.Stats
 		if rated {
 			ws.BitRateBps = st.sess.Link().Tag.Cfg.BitRate()
 		}
