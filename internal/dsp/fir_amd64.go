@@ -1,9 +1,11 @@
 package dsp
 
+import "backfi/internal/cpufeat"
+
 // useAVX2 selects the assembly kernel; it is fixed at start-up from
 // CPUID (AVX2, with the OS saving the YMM registers). Tests flip it to
 // run both kernels in one process.
-var useAVX2 = cpuHasAVX2()
+var useAVX2 = cpufeat.AVX2
 
 // convolveBlocks is the register-blocked interior of ConvolveRangeInto:
 // it computes outputs [n, hi) of x⊛h in blocks and returns the first
@@ -37,8 +39,3 @@ func convolveBlocks(dst, x, h []complex128, n, hi int) int {
 //
 //go:noescape
 func convolveAVX2(dst, x, h *complex128, taps, count int)
-
-// cpuHasAVX2 reports whether the CPU has AVX2 and the OS has enabled
-// the YMM state (CPUID.7:EBX[5], CPUID.1:ECX OSXSAVE and AVX, XCR0
-// bits 1–2).
-func cpuHasAVX2() bool

@@ -215,59 +215,124 @@ func sameDecode(t *testing.T, what string, soft []float64, terminated bool, v *V
 	}
 }
 
-// TestViterbiMatchesReference decodes 3000 random streams — Gaussian,
-// hard ±1/0 and erasure, at every rate, terminated and not — with one
-// reused Viterbi and requires every bit to match the reference.
-func TestViterbiMatchesReference(t *testing.T) {
-	r := rand.New(rand.NewSource(20))
-	var v Viterbi
-	for i := 0; i < 3000; i++ {
-		kind := streamKind(i % int(numKinds))
-		rate := allRates[i/int(numKinds)%len(allRates)]
-		terminated := i/(int(numKinds)*len(allRates))%2 == 0
-		soft := randomStream(r, kind, rate, terminated)
-		sameDecode(t, fmt.Sprintf("stream %d (%s, rate %s, terminated %v)", i, kind, rate, terminated), soft, terminated, &v)
+// kernelRun is what one add-compare-select kernel made of a stream:
+// its survivor words and final metrics from Decode's start state, and
+// the terminated and open decodes.
+type kernelRun struct {
+	kernel         string
+	surv           []uint64
+	metric         [NumStates]float64
+	term, open     []byte
+	termOK, openOK bool
+}
+
+// sameAcrossKernels runs every kernel withKernels offers over soft
+// (even length) and requires the same survivor words, decoded bits and
+// errors, and final metrics equal by Float64bits. Where both metrics
+// are NaN only NaN-ness is compared: when two NaNs meet, which payload
+// survives depends on the operand order the compiler chose, and no
+// decision reads it.
+func sameAcrossKernels(t *testing.T, what string, soft []float64) {
+	t.Helper()
+	var runs []kernelRun
+	withKernels(t, func(kernel string) {
+		run := kernelRun{kernel: kernel, surv: make([]uint64, len(soft)/2)}
+		var bufs [2][NumStates]float64
+		for s := 1; s < NumStates; s++ {
+			bufs[0][s] = math.Inf(-1)
+		}
+		run.metric = bufs[acsSteps(&bufs, soft, run.surv)]
+		var v Viterbi
+		term, err := v.Decode(soft, true)
+		run.term, run.termOK = append([]byte(nil), term...), err == nil
+		open, err := v.Decode(soft, false)
+		run.open, run.openOK = append([]byte(nil), open...), err == nil
+		runs = append(runs, run)
+	})
+	want := runs[0]
+	for _, got := range runs[1:] {
+		for st := range want.surv {
+			if got.surv[st] != want.surv[st] {
+				t.Fatalf("%s (%d steps): %s survivors at step %d are %#x, %s %#x", what, len(want.surv), got.kernel, st, got.surv[st], want.kernel, want.surv[st])
+			}
+		}
+		for s, m := range want.metric {
+			g := got.metric[s]
+			if math.IsNaN(g) && math.IsNaN(m) {
+				continue
+			}
+			if math.Float64bits(g) != math.Float64bits(m) {
+				t.Fatalf("%s (%d steps): %s final metric of state %d is %v, %s %v", what, len(want.surv), got.kernel, s, g, want.kernel, m)
+			}
+		}
+		if got.termOK != want.termOK || !bytes.Equal(got.term, want.term) {
+			t.Fatalf("%s (%d steps): %s terminated decode differs from %s", what, len(want.surv), got.kernel, want.kernel)
+		}
+		if got.openOK != want.openOK || !bytes.Equal(got.open, want.open) {
+			t.Fatalf("%s (%d steps): %s open decode differs from %s", what, len(want.surv), got.kernel, want.kernel)
+		}
 	}
 }
 
+// TestViterbiMatchesReference decodes 3000 random streams — Gaussian,
+// hard ±1/0 and erasure, at every rate, terminated and not — with one
+// reused Viterbi per kernel and requires every bit to match the
+// reference.
+func TestViterbiMatchesReference(t *testing.T) {
+	withKernels(t, func(kernel string) {
+		r := rand.New(rand.NewSource(20))
+		var v Viterbi
+		for i := 0; i < 3000; i++ {
+			kind := streamKind(i % int(numKinds))
+			rate := allRates[i/int(numKinds)%len(allRates)]
+			terminated := i/(int(numKinds)*len(allRates))%2 == 0
+			soft := randomStream(r, kind, rate, terminated)
+			sameDecode(t, fmt.Sprintf("%s kernel, stream %d (%s, rate %s, terminated %v)", kernel, i, kind, rate, terminated), soft, terminated, &v)
+		}
+	})
+}
+
 func TestViterbiDecodePuncturedMatchesReference(t *testing.T) {
-	r := rand.New(rand.NewSource(21))
-	var v Viterbi
-	for i := 0; i < 300; i++ {
-		rate := allRates[i%len(allRates)]
-		terminated := i%2 == 0
-		nInfo := 1 + r.Intn(300)
-		bits := randBits(r, nInfo)
-		coded := ConvEncode(bits)
-		if terminated {
-			coded = EncodeTerminated(bits)
+	withKernels(t, func(kernel string) {
+		r := rand.New(rand.NewSource(21))
+		var v Viterbi
+		for i := 0; i < 300; i++ {
+			rate := allRates[i%len(allRates)]
+			terminated := i%2 == 0
+			nInfo := 1 + r.Intn(300)
+			bits := randBits(r, nInfo)
+			coded := ConvEncode(bits)
+			if terminated {
+				coded = EncodeTerminated(bits)
+			}
+			soft := HardToSoft(Puncture(coded, rate))
+			for k := range soft {
+				soft[k] += r.NormFloat64()
+			}
+			mother, err := Depuncture(soft, rate, len(coded))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := refViterbiDecode(mother, terminated)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := v.DecodePunctured(soft, rate, nInfo, terminated)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want[:nInfo]) {
+				t.Fatalf("%s kernel, case %d (rate %s, terminated %v): bits differ from the reference", kernel, i, rate, terminated)
+			}
 		}
-		soft := HardToSoft(Puncture(coded, rate))
-		for k := range soft {
-			soft[k] += r.NormFloat64()
-		}
-		mother, err := Depuncture(soft, rate, len(coded))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := refViterbiDecode(mother, terminated)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := v.DecodePunctured(soft, rate, nInfo, terminated)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want[:nInfo]) {
-			t.Fatalf("case %d (rate %s, terminated %v): bits differ from the reference", i, rate, terminated)
-		}
-	}
+	})
 }
 
 // FuzzViterbiDecode checks the butterfly kernel against the reference
 // on finite input of moderate magnitude, and on any input (NaN, ±Inf,
 // metrics that overflow) that it neither panics nor breaks the length
-// contract.
+// contract and that every add-compare-select kernel agrees bit for
+// bit.
 func FuzzViterbiDecode(f *testing.F) {
 	f.Add([]byte{}, false)
 	f.Add(make([]byte, 8*14), true)
@@ -291,6 +356,7 @@ func FuzzViterbiDecode(f *testing.F) {
 		if moderate {
 			sameDecode(t, "fuzz input", soft, terminated, &v)
 		}
+		sameAcrossKernels(t, "fuzz input", soft[:len(soft)&^1])
 		if err != nil {
 			return
 		}

@@ -120,8 +120,22 @@ func (m Modulation) MapBitsInto(dst []complex128, bits []byte) []complex128 {
 		for j := 0; j < k; j++ {
 			v = v<<1 | int(bits[i*k+j])
 		}
-		s, c := math.Sincos(m.Phase(grayIndex(m, v)))
-		out[i] = complex(c, s)
+		out[i] = pskPoints[m][v]
+	}
+	return out
+}
+
+// pskPoints[m][v] is the phasor of bit label v in PSK order m, the
+// value math.Sincos(m.Phase(grayIndex(m, v))) computed once, so
+// mapping a symbol is a table read.
+var pskPoints = buildPSKPoints()
+
+func buildPSKPoints() (out [PSK16 + 1][16]complex128) {
+	for _, m := range Modulations {
+		for v := 0; v < m.Points(); v++ {
+			s, c := math.Sincos(m.Phase(grayIndex(m, v)))
+			out[m][v] = complex(c, s)
+		}
 	}
 	return out
 }
@@ -166,8 +180,8 @@ func (m Modulation) DemapSoftInto(dst []float64, points []complex128) []float64 
 	}
 	var table [16]entry
 	for p := 0; p < n; p++ {
-		s, c := math.Sincos(m.Phase(p))
-		table[p] = entry{complex(c, s), grayEncode(p)}
+		label := grayEncode(p)
+		table[p] = entry{pskPoints[m][label], label}
 	}
 	for pi, y := range points {
 		mag := cmplx.Abs(y)

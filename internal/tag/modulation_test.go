@@ -167,3 +167,37 @@ func TestMapBitsBadLengthPanics(t *testing.T) {
 	}()
 	PSK16.MapBits([]byte{1, 0, 1})
 }
+
+// TestPSKPointsMatchSincos pins the constellation table to the
+// per-symbol expression it replaced, by Float64bits, for every PSK
+// order and label, through MapBits and through the position order
+// DemapSoft's table walks.
+func TestPSKPointsMatchSincos(t *testing.T) {
+	same := func(a, b complex128) bool {
+		return math.Float64bits(real(a)) == math.Float64bits(real(b)) &&
+			math.Float64bits(imag(a)) == math.Float64bits(imag(b))
+	}
+	for _, m := range Modulations {
+		k := m.BitsPerSymbol()
+		for v := 0; v < m.Points(); v++ {
+			s, c := math.Sincos(m.Phase(grayIndex(m, v)))
+			want := complex(c, s)
+			if !same(pskPoints[m][v], want) {
+				t.Fatalf("%s label %d: table %v, Sincos %v", m, v, pskPoints[m][v], want)
+			}
+			bits := make([]byte, k)
+			for j := range bits {
+				bits[j] = byte(v>>uint(k-1-j)) & 1
+			}
+			if got := m.MapBits(bits)[0]; !same(got, want) {
+				t.Fatalf("%s label %d: MapBits %v, Sincos %v", m, v, got, want)
+			}
+		}
+		for p := 0; p < m.Points(); p++ {
+			s, c := math.Sincos(m.Phase(p))
+			if got := pskPoints[m][grayEncode(p)]; !same(got, complex(c, s)) {
+				t.Fatalf("%s position %d: table %v, Sincos %v", m, p, got, complex(c, s))
+			}
+		}
+	}
+}
